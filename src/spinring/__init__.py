@@ -5,7 +5,7 @@ Library layout:
 - ring: configurations, the sector Hamiltonian in two gauges, the analytic
   mode spectrum, and two brute-force propagation oracles.
 - bessel: integer-order J_n by Miller's downward recurrence.
-- amplitude: spectral and Bessel-ladder transition amplitudes and xi.
+- amplitude: the spectral mode-sum kernel, the three amplitude routes and xi.
 - optimize: twist/time grid search with refinement; pairwise plans; fidelity.
 - blockage: half-flux diametric blocking checks and switch contrast.
 - entangle: flux-qubit/ring conditional evolution and entangling-time scans.
@@ -16,6 +16,7 @@ from .amplitude import (
     AmplitudeQuery,
     AmplitudeResult,
     BesselTruncationError,
+    SpectralKernel,
     amplitude_bessel,
     amplitude_oracle,
     amplitude_spectral,
@@ -32,6 +33,7 @@ from .entangle import (
     evolve_joint,
     find_entangling_time,
     flux_ring_entanglement,
+    scan_times,
 )
 from .optimize import (
     PairTransfer,
@@ -69,6 +71,7 @@ __all__ = [
     "PairTransfer",
     "RingConfig",
     "SearchSpec",
+    "SpectralKernel",
     "TransferPoint",
     "TransferRecord",
     "amplitude_bessel",
@@ -90,6 +93,7 @@ __all__ = [
     "optimize_transfer",
     "optimize_transfers",
     "propagate_oracle",
+    "scan_times",
     "site_state",
     "switch_contrast",
     "verify_blockage",

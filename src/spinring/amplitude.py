@@ -1,18 +1,13 @@
 """Site-to-site transition amplitudes on the twisted ring.
 
-Two independent evaluation routes are kept side by side:
+Three independent routes give the same complex amplitude (uniform gauge):
 
-* the spectral route sums the N plane-wave modes directly (an inverse DFT of
-  the phase factors exp(-i*E_m*t), O(N) per point), and
-* the Bessel route expands each mode phase with the Jacobi-Anger identity and
-  resums into two ladders of Bessel functions J_{d+kN}(beta) and
-  J_{d'+kN}(beta), d' = N - d.
-
-Their magnitudes agree identically; the routes cross-validate each other and
-the matrix-propagator oracle in `ring`.  The global phases differ between the
-routes (the Bessel form keeps the conventional exp(-i(4J+2B)t) prefactor,
-which does not track the sector diagonal for general N), so only |value| is
-comparable across methods.
+* the spectral route sums the N plane-wave modes (`SpectralKernel`, an
+  inverse DFT of the mode phases, O(N) per point),
+* the Bessel route expands each mode phase with the Jacobi-Anger identity
+  and resums into two ladders of Bessel functions J_{d+kN}(beta) and
+  J_{d'+kN}(beta), d' = N - d, and
+* the oracle reads the amplitude off the dense matrix propagator in `ring`.
 
 The communication figure of merit is xi = |amplitude|: it is both the
 entanglement transmittable through the ring and a monotone proxy for the
@@ -33,6 +28,7 @@ __all__ = [
     "AmplitudeQuery",
     "AmplitudeResult",
     "BesselTruncationError",
+    "SpectralKernel",
     "amplitude_spectral",
     "amplitude_bessel",
     "amplitude_oracle",
@@ -49,6 +45,9 @@ XI_EXCESS = 1e-12
 _ORDER_MARGIN = 40.0
 _TERM_FLOOR = 1e-18
 _TAIL_RUN = 3
+
+# Grid points per displacement evaluated at once; bounds the live phase block.
+_CHUNK = 65536
 
 
 class BesselTruncationError(RuntimeError):
@@ -92,22 +91,66 @@ def _clip_xi(mag: float) -> float:
     return min(mag, 1.0)
 
 
-def amplitude_spectral(query: AmplitudeQuery) -> AmplitudeResult:
-    """Mode-sum amplitude exp(i*2*pi*d*f/N) * mean_m exp(-i*E_m*t) * exp(i*2*pi*d*m/N).
+class SpectralKernel:
+    """Mode sums a_d(beta) = (1/N) sum_m exp(2*pi*i*d*m/N) exp(i*beta*c_m) of one ring.
 
-    The constant part of E_m (the -J(N-4) - B(N-2) diagonal) is factored out
-    as one global phase, so xi is exactly field-independent and the
-    degenerate-pair cancellations at half flux survive at any beta.
+    c_m = cos(2*pi*(m+f)/N).  a_d is the uniform-gauge amplitude without the
+    global phase exp(-i*D*t), so J and B drop out.  The cosines come from
+    `_mode_cosines`, so the half-flux pair cancellation holds on every path.
+    """
+
+    def __init__(self, n: int, f: float, ds) -> None:
+        self.n = n
+        self._icos = 1j * _mode_cosines(n, f)
+        m = np.arange(1, n + 1)
+        self.weights = np.exp(1j * np.outer(m, [2.0 * np.pi * (int(d) % n) / n for d in ds]))
+
+    def amplitudes(self, beta: float) -> np.ndarray:
+        """Complex a_d(beta), one per displacement: one exp and one dot."""
+        return np.dot(np.exp(beta * self._icos), self.weights) / self.n
+
+    def xi(self, beta: float) -> list[float]:
+        """|a_d(beta)| at one beta, one per displacement."""
+        return [_clip_xi(abs(a)) for a in self.amplitudes(beta).tolist()]
+
+    def xi_grid(self, b0: float, h: float, count: int) -> np.ndarray:
+        """|a_d| at b0 + k*h for k < count, shape (displacements, count).
+
+        With k = g*S + j and S = ceil(sqrt(count)), each mode phase is a giant
+        step exp(i*c_m*(b0 + g*S*h)) times a baby step exp(i*c_m*j*h): about
+        2*sqrt(count)*N exponentials and one matrix product per chunk.
+        """
+        stride = math.isqrt(count - 1) + 1 if count > 1 else 1
+        starts = b0 + h * (stride * np.arange(-(-count // stride)))
+        return self._xi_blocks(starts, h, stride, count)
+
+    def _xi_blocks(self, starts: np.ndarray, h: float, stride: int, count: int) -> np.ndarray:
+        """|a_d| at starts[g] + j*h, j < stride; arbitrary points are stride 1, h = 0."""
+        nd = self.weights.shape[1]
+        baby = np.exp(np.outer(self._icos, h * np.arange(stride)))
+        per = max(_CHUNK // stride, 1)
+        out = np.empty((nd, starts.shape[0], stride))
+        for lo in range(0, starts.shape[0], per):
+            giant = np.exp(np.outer(starts[lo : lo + per], self._icos))
+            rows = (self.weights.T[:, None, :] * giant).reshape(-1, self.n)
+            np.abs((rows @ baby).reshape(nd, -1, stride), out=out[:, lo : lo + per])
+        out = out.reshape(nd, starts.shape[0] * stride)[:, :count]
+        out /= self.n
+        _clip_xi(out.max(initial=0.0))  # the over-unity check of every other path
+        return np.minimum(out, 1.0, out=out)
+
+
+def amplitude_spectral(query: AmplitudeQuery) -> AmplitudeResult:
+    """Mode-sum amplitude exp(-i*D*t) * a_d(beta) (see `SpectralKernel`).
+
+    xi is read off a_d(beta) before the global phase is applied, so it is
+    exactly field-independent.
     """
     cfg = query.config
-    n, d = cfg.n, query.d
+    reduced = complex(SpectralKernel(cfg.n, cfg.f, (query.d,)).amplitudes(query.beta)[0])
     t = query.beta / (4.0 * cfg.j)
-    osc = -4.0 * cfg.j * _mode_cosines(n, cfg.f)
-    m = np.arange(1, n + 1)
-    reduced = np.sum(np.exp(1j * ((2.0 * np.pi * d / n) * m)) * np.exp(-1j * osc * t)) / n
-    value = np.exp(1j * (2.0 * np.pi * d * cfg.f / n)) * np.exp(-1j * cfg.diagonal * t) * reduced
-    value = complex(value)
-    return AmplitudeResult(value=value, xi=_clip_xi(abs(value)), method="spectral")
+    value = complex(np.exp(-1j * cfg.diagonal * t) * reduced)
+    return AmplitudeResult(value=value, xi=_clip_xi(abs(reduced)), method="spectral")
 
 
 def _ladder_orders(base: int, n: int, cutoff: float) -> np.ndarray:
@@ -127,7 +170,7 @@ def unit_phase(multiplier: float, k: np.ndarray) -> np.ndarray:
 
 
 def amplitude_bessel(query: AmplitudeQuery, tol: float = 1e-9) -> AmplitudeResult:
-    """Bessel-ladder amplitude; magnitude matches amplitude_spectral.
+    """Bessel-ladder amplitude; same complex value as amplitude_spectral.
 
     The two infinite k-sums are truncated once the order passes
     beta + 40*max(beta^(1/3), 2) and the last three computed terms of each
@@ -158,9 +201,9 @@ def amplitude_bessel(query: AmplitudeQuery, tol: float = 1e-9) -> AmplitudeResul
 
     total = (1j) ** (d % 4) * ladder_sum(orders_d, -1.0)
     total += (1j) ** (dprime % 4) * np.exp(1j * 2.0 * np.pi * cfg.f) * ladder_sum(orders_dp, +1.0)
+    # the ladders carry the single-bond gauge factor exp(2*pi*i*d*f/N); divide it out
     t = beta / (4.0 * cfg.j)
-    value = np.exp(-1j * (4.0 * cfg.j + 2.0 * cfg.b) * t) * total
-    value = complex(value)
+    value = complex(np.exp(-1j * (cfg.diagonal * t + 2.0 * np.pi * d * cfg.f / n)) * total)
     return AmplitudeResult(value=value, xi=_clip_xi(abs(value)), method="bessel")
 
 
@@ -177,16 +220,18 @@ def xi(config: RingConfig, d: int, beta: float) -> float:
     return amplitude_spectral(AmplitudeQuery(config, r=d + 1, s=1, beta=beta)).xi
 
 
-def xi_profile(config: RingConfig, d: int, betas: np.ndarray, chunk: int = 65536) -> np.ndarray:
-    """Vectorized xi over a beta grid (spectral route), chunked to stay cache-friendly."""
-    n = config.n
-    d = int(d) % n
+def xi_profile(config: RingConfig, d: int, betas: np.ndarray) -> np.ndarray:
+    """Vectorized xi over many betas (spectral route).
+
+    Betas on an arithmetic progression to within 4 ulps of the largest go
+    through the factored grid (xi is 1-Lipschitz in beta, so that moves xi by
+    at most as much); other point sets are summed point by point.
+    """
     betas = np.asarray(betas, dtype=float)
-    m = np.arange(1, n + 1)
-    weights = np.exp(1j * ((2.0 * np.pi * d / n) * m))
-    osc = -4.0 * config.j * _mode_cosines(n, config.f)
-    out = np.empty(betas.shape[0])
-    for lo in range(0, betas.shape[0], chunk):
-        t = betas[lo : lo + chunk] / (4.0 * config.j)
-        out[lo : lo + chunk] = np.abs(np.exp(-1j * np.outer(t, osc)) @ weights) / n
-    return out
+    kernel, count = SpectralKernel(config.n, config.f, (d,)), betas.shape[0]
+    if count > 2:
+        h = (betas[-1] - betas[0]) / (count - 1)
+        drift = np.max(np.abs(betas[0] + h * np.arange(count) - betas))
+        if drift <= 4.0 * np.spacing(np.max(np.abs(betas))):
+            return kernel.xi_grid(float(betas[0]), float(h), count)[0]
+    return kernel._xi_blocks(betas, 0.0, 1, count)[0]

@@ -29,7 +29,7 @@ from .amplitude import (
     xi_profile,
 )
 from .blockage import BLOCKED_XI, verify_blockage
-from .entangle import entanglement_curve, find_entangling_time
+from .entangle import entanglement_curve, find_entangling_time, scan_times
 from .optimize import SearchSpec, multiparty_plan, optimize_transfers
 from .ring import RingConfig
 from .serialize import (
@@ -240,8 +240,10 @@ def cmd_blockage(args: argparse.Namespace) -> int:
 
 def cmd_entangle(args: argparse.Namespace) -> int:
     started = time.perf_counter()
+    betas = scan_times(args.beta_max, args.step)
+    entropy, overlap = entanglement_curve(betas, n=args.n, start_site=args.start_site)
     scan = find_entangling_time(
-        args.beta_max, step=args.step, n=args.n, start_site=args.start_site
+        args.beta_max, step=args.step, n=args.n, start_site=args.start_site, entropy=entropy
     )
     summary = {
         "n": args.n,
@@ -267,8 +269,6 @@ def cmd_entangle(args: argparse.Namespace) -> int:
         },
     }
     if args.out is not None:
-        betas = args.step * np.arange(int(args.beta_max / args.step + 1e-9) + 1)
-        entropy, overlap = entanglement_curve(betas, n=args.n, start_site=args.start_site)
         curve = csv_text(
             ("beta", "entropy_ebits", "branch_overlap"),
             zip(betas.tolist(), entropy.tolist(), overlap.tolist()),
@@ -312,6 +312,8 @@ def cmd_multiparty(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     RingConfig(args.n)  # validates n early
+    if not (args.f_step > 0 and args.beta_step > 0):
+        raise ValueError("--f-step and --beta-step must be positive")
     steps_f = int(round((args.f_max - args.f_min) / args.f_step))
     twists = [args.f_min + k * args.f_step for k in range(steps_f + 1)]
     betas = args.beta_min + args.beta_step * np.arange(

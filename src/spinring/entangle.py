@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .optimize import _golden_max, _local_maxima
 from .ring import RingConfig, build_hamiltonian, propagate_oracle, site_state
 
 __all__ = [
@@ -43,6 +44,7 @@ __all__ = [
     "evolve_joint",
     "flux_ring_entanglement",
     "entanglement_curve",
+    "scan_times",
     "find_entangling_time",
 ]
 
@@ -52,7 +54,8 @@ REFERENCE_BETA = 8.5 * math.pi
 
 _ENTROPY_TIE = 1e-12
 _NEAR_BEST_WINDOW = 1e-3
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Grid points evolved at once; bounds the live branch arrays.
+_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -132,27 +135,31 @@ def entanglement_curve(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(entropy, overlap) arrays over a beta grid.
 
-    Uses one eigendecomposition per branch and evolves every grid point in a
-    single batch, then takes batched 2 x N singular values; identical math to
-    evolve_joint + flux_ring_entanglement point by point.
+    Uses one eigendecomposition per branch and evolves the grid in batches,
+    then takes batched 2 x N singular values; identical math to evolve_joint +
+    flux_ring_entanglement point by point.
     """
     betas = np.asarray(betas, dtype=float)
     psi0 = site_state(n, start_site)
-    branches = []
+    modes = []
     for f in (0.0, 0.5):
         cfg = RingConfig(n, f=f)
         w, v = np.linalg.eigh(build_hamiltonian(cfg))
-        modal = v.conj().T @ psi0
-        phases = np.exp(-1j * np.outer(betas / (4.0 * cfg.j), w))
-        branches.append((phases * modal) @ v.T)  # [grid, sites]
-    b0, b1 = branches
-    overlap = np.abs(np.einsum("kj,kj->k", b0.conj(), b1))
-    joint = np.stack([b0, b1], axis=1) / math.sqrt(2.0)  # [grid, 2, sites]
-    schmidt = np.linalg.svd(joint, compute_uv=False) ** 2
-    probs = np.clip(schmidt, 1e-300, None)
-    entropy = -np.sum(probs * np.log2(probs), axis=1)
-    # rank-1 states show one ~zero Schmidt weight whose clipped log is junk
-    entropy = np.where(schmidt.min(axis=1) <= 1e-300, 0.0, entropy)
+        modes.append((4.0 * cfg.j, w, v, v.conj().T @ psi0))
+    entropy, overlap = np.empty(len(betas)), np.empty(len(betas))
+    for lo in range(0, len(betas), _CHUNK):
+        part = slice(lo, lo + _CHUNK)
+        b0, b1 = (  # [grid, sites]
+            (np.exp(-1j * np.outer(betas[part] / scale, w)) * modal) @ v.T
+            for scale, w, v, modal in modes
+        )
+        overlap[part] = np.abs(np.einsum("kj,kj->k", b0.conj(), b1))
+        joint = np.stack([b0, b1], axis=1) / math.sqrt(2.0)  # [grid, 2, sites]
+        schmidt = np.linalg.svd(joint, compute_uv=False) ** 2
+        probs = np.clip(schmidt, 1e-300, None)
+        entropy[part] = -np.sum(probs * np.log2(probs), axis=1)
+        # rank-1 states show one ~zero Schmidt weight whose clipped log is junk
+        entropy[part][schmidt.min(axis=1) <= 1e-300] = 0.0
     return entropy, np.minimum(overlap, 1.0)
 
 
@@ -160,37 +167,40 @@ def _reading_at(beta: float, n: int, start_site: int) -> EntanglementReading:
     return flux_ring_entanglement(evolve_joint(site_state(n, start_site), beta))
 
 
+def scan_times(beta_max: float, step: float) -> np.ndarray:
+    """The scan grid 0, step, 2*step, ... up to beta_max."""
+    if not (beta_max > 0 and step > 0):
+        raise ValueError("beta_max and step must be positive")
+    return step * np.arange(int(math.floor(beta_max / step + 1e-9)) + 1)
+
+
 def find_entangling_time(
-    beta_max: float, step: float = 0.005, n: int = 4, start_site: int = 1
+    beta_max: float, step: float = 0.005, n: int = 4, start_site: int = 1, entropy=None
 ) -> EntanglingScan:
     """Scan [0, beta_max] for the most entangling evolution time.
 
     Every grid local maximum within 1e-3 of the best is refined by golden
     section; exact ties (within 1e-12 ebits) resolve to the smallest beta.
     The reading at the 8.5*pi reference point rides along for comparison.
+    A caller that already holds the entanglement_curve entropy over
+    scan_times(beta_max, step) passes it as `entropy`.
     """
-    if not (beta_max > 0 and step > 0):
-        raise ValueError("beta_max and step must be positive")
-    betas = step * np.arange(int(math.floor(beta_max / step + 1e-9)) + 1)
-    entropy, _ = entanglement_curve(betas, n=n, start_site=start_site)
+    betas = scan_times(beta_max, step)
+    if entropy is None:
+        entropy, _ = entanglement_curve(betas, n=n, start_site=start_site)
+    elif len(entropy) != len(betas):
+        raise ValueError(f"entropy has {len(entropy)} points, the scan grid {len(betas)}")
 
-    last = len(betas) - 1
-    idx = [i for i in range(1, last) if entropy[i] > entropy[i - 1] and entropy[i] >= entropy[i + 1]]
-    if entropy[0] >= entropy[1]:
-        idx.append(0)
-    if entropy[last] > entropy[last - 1]:
-        idx.append(last)
-    top = float(entropy.max())
-    survivors = sorted(i for i in idx if entropy[i] >= top - _NEAR_BEST_WINDOW)
+    idx = _local_maxima(entropy)
+    survivors = idx[entropy[idx] >= float(entropy.max()) - _NEAR_BEST_WINDOW]
 
     def entropy_at(beta: float) -> float:
         return _reading_at(beta, n, start_site).entropy_ebits
 
-    refined: list[tuple[float, float]] = [(float(betas[0]), float(entropy[0]))]
+    refined = [(float(betas[0]), float(entropy[0]))]
     for i in survivors:
         lo, hi = max(0.0, betas[i] - step), min(beta_max, betas[i] + step)
-        beta_r, ent_r = _golden_max_scalar(entropy_at, lo, hi, tol=1e-7)
-        refined.append((beta_r, ent_r))
+        refined.append(_golden_max(entropy_at, lo, hi, tol=1e-7))
     best_ent = max(e for _, e in refined)
     group = [(b, e) for b, e in refined if e >= best_ent - _ENTROPY_TIE]
     beta_best = min(group)[0]
@@ -200,27 +210,3 @@ def find_entangling_time(
         n=n,
         start_site=start_site,
     )
-
-
-def _golden_max_scalar(fn, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    best_x, best_y = lo, fn(lo)
-    y_hi = fn(hi)
-    if y_hi > best_y:
-        best_x, best_y = hi, y_hi
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    yc, yd = fn(c), fn(d)
-    while b - a > tol:
-        if yc >= yd:
-            b, d, yd = d, c, yc
-            c = b - _INV_PHI * (b - a)
-            yc = fn(c)
-        else:
-            a, c, yc = c, d, yd
-            d = a + _INV_PHI * (b - a)
-            yd = fn(d)
-        for x, y in ((c, yc), (d, yd)):
-            if y > best_y:
-                best_x, best_y = x, y
-    return best_x, best_y

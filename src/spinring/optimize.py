@@ -16,13 +16,13 @@ smallest |f|, then negative f.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
 
-from .amplitude import xi
-from .ring import RingConfig, _mode_cosines
+from .amplitude import SpectralKernel, xi
+from .ring import RingConfig
 
 __all__ = [
     "SearchSpec",
@@ -156,45 +156,29 @@ def _golden_max(fn, lo: float, hi: float, tol: float) -> tuple[float, float]:
 
 def _local_maxima(values: np.ndarray) -> np.ndarray:
     """Indices of strict local maxima, endpoints included when they dominate."""
-    idx = []
-    last = len(values) - 1
-    if last == 0:
+    if len(values) == 1:
         return np.array([0])
-    interior = np.nonzero(
-        (values[1:-1] > values[:-2]) & (values[1:-1] >= values[2:])
-    )[0]
-    idx.extend((interior + 1).tolist())
-    if values[0] >= values[1]:
-        idx.append(0)
-    if values[last] > values[last - 1]:
-        idx.append(last)
-    return np.array(sorted(idx), dtype=int)
+    rising = np.concatenate(([True], values[1:] > values[:-1]))
+    falling = np.concatenate((values[:-1] >= values[1:], [True]))
+    return np.nonzero(rising & falling)[0]
 
 
 def _coarse_pass(
-    n: int, ds: tuple[int, ...], spec: SearchSpec, chunk: int = 65536
+    n: int, ds: tuple[int, ...], spec: SearchSpec
 ) -> dict[int, list[tuple[float, float, float]]]:
     """Coarse grid sweep; returns per-d lists of (f, beta, xi) keep-worthy points.
 
-    The mode-phase matrix for each twist candidate is built once per chunk and
-    shared across all displacements, which is what keeps a full 400-twist,
-    250k-point table sweep in the tens of seconds.
+    One factored kernel per twist candidate evaluates every displacement on
+    the whole beta grid, so a full 400-twist, 250k-point table sweep takes
+    seconds.
     """
     betas = spec.beta_grid()
-    m = np.arange(1, n + 1)
-    weights = {d: np.exp(1j * ((2.0 * np.pi * d / n) * m)) for d in ds}
     kept: dict[int, list[tuple[float, float, float]]] = {d: [] for d in ds}
     best: dict[int, float] = {d: -1.0 for d in ds}
 
     for f in spec.f_candidates:
-        osc = -4.0 * _mode_cosines(n, f)  # j rescales t and drops out of xi(beta)
-        profiles = {d: np.empty(betas.shape[0]) for d in ds}
-        for lo in range(0, betas.shape[0], chunk):
-            phases = np.exp(np.outer(betas[lo : lo + chunk] / 4.0, -1j * osc))
-            for d in ds:
-                profiles[d][lo : lo + chunk] = np.abs(phases @ weights[d]) / n
-        for d in ds:
-            g = profiles[d]
+        profiles = SpectralKernel(n, f, ds).xi_grid(spec.beta_min, spec.beta_step, len(betas))
+        for d, g in zip(ds, profiles):
             best[d] = max(best[d], float(g.max()))
             cand = _local_maxima(g)
             cand = cand[g[cand] >= g.max() - _NEAR_OPTIMUM_WINDOW]
@@ -231,10 +215,8 @@ def _refine_twist(
     seen: list[TransferPoint] = []
 
     def objective(fv: float) -> float:
-        cfg = RingConfig(n, f=fv)
-        beta_best, xi_best = _golden_max(
-            lambda b: xi(cfg, d, b), lo, hi, spec.refine_tol
-        )
+        xi_of = SpectralKernel(n, fv, (d,)).xi
+        beta_best, xi_best = _golden_max(lambda b: xi_of(b)[0], lo, hi, spec.refine_tol)
         seen.append(TransferPoint(f=fv, beta=beta_best, xi=xi_best))
         return xi_best
 
@@ -261,13 +243,11 @@ def optimize_transfers(
     for d in ds:
         refined: list[TransferPoint] = []
         for f, beta_c, xi_c in coarse[d]:
-            cfg = RingConfig(n, f=f)
+            xi_of = SpectralKernel(n, f, (d,)).xi  # mode data built once per refinement
             lo = max(spec.beta_min, beta_c - spec.beta_step)
             hi = min(spec.beta_max, beta_c + spec.beta_step)
             if hi > lo:
-                beta_r, xi_r = _golden_max(
-                    lambda b: xi(cfg, d, b), lo, hi, spec.refine_tol
-                )
+                beta_r, xi_r = _golden_max(lambda b: xi_of(b)[0], lo, hi, spec.refine_tol)
             else:
                 beta_r, xi_r = beta_c, xi_c
             refined.append(TransferPoint(f=f, beta=beta_r, xi=xi_r))
@@ -305,15 +285,7 @@ def optimize_transfer(
     """Best (twist, time) for sending over displacement d on an n-site ring."""
     record = optimize_transfers(n, (d,), spec)[d]
     if with_fidelity:
-        record = TransferRecord(
-            n=record.n,
-            d=record.d,
-            f=record.f,
-            beta=record.beta,
-            xi=record.xi,
-            fidelity=fidelity_from_xi(record.xi),
-            near_optima=record.near_optima,
-        )
+        record = replace(record, fidelity=fidelity_from_xi(record.xi))
     return record
 
 
@@ -341,16 +313,5 @@ def multiparty_plan(
     distances = sorted({(b - a) % n for a, b in pairs})
     records = optimize_transfers(n, distances, spec)
     if with_fidelity:
-        records = {
-            d: TransferRecord(
-                n=r.n,
-                d=r.d,
-                f=r.f,
-                beta=r.beta,
-                xi=r.xi,
-                fidelity=fidelity_from_xi(r.xi),
-                near_optima=r.near_optima,
-            )
-            for d, r in records.items()
-        }
+        records = {d: replace(r, fidelity=fidelity_from_xi(r.xi)) for d, r in records.items()}
     return [PairTransfer(a, b, records[(b - a) % n]) for a, b in pairs]

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinring.amplitude import (
     AmplitudeQuery,
+    SpectralKernel,
     amplitude_bessel,
     amplitude_oracle,
     amplitude_spectral,
@@ -15,6 +18,7 @@ from spinring.amplitude import (
     xi_profile,
 )
 from spinring.bessel import bessel_j
+from spinring.cli import PUBLISHED_WINDOWS
 from spinring.ring import RingConfig
 
 
@@ -60,6 +64,27 @@ def test_methods_agree_on_random_instances():
         assert abs(xs - xb) <= 1e-8
         assert abs(xs - xo) <= 1e-8
         assert abs(xb - xo) <= 1e-8
+
+
+def test_routes_agree_in_complex_value():
+    # all three routes return the uniform-gauge amplitude, global phase included
+    rng = np.random.default_rng(39)
+    cases = [(n, d, f, beta, 1.0, 0.0) for n, d, f, beta, _ in PUBLISHED_WINDOWS]
+    for _ in range(60):
+        n = int(rng.integers(3, 21))
+        cases.append((
+            n,
+            int(rng.integers(0, n)),
+            float(rng.uniform(-1.0, 1.0)),
+            float(rng.uniform(0.0, 5000.0)),
+            float(rng.uniform(0.5, 2.0)),
+            float(rng.uniform(-2.0, 2.0)),
+        ))
+    for n, d, f, beta, j, b in cases:
+        q = query(n, d, f, beta, j=j, b=b)
+        oracle = amplitude_oracle(q).value
+        assert abs(amplitude_spectral(q).value - oracle) <= 1e-10
+        assert abs(amplitude_bessel(q).value - oracle) <= 1e-10
 
 
 def test_bessel_route_blocked_square_ring():
@@ -188,3 +213,35 @@ def test_query_validation():
         AmplitudeQuery(cfg, r=1, s=1, beta=-2.0)
     with pytest.raises(ValueError):
         amplitude_bessel(AmplitudeQuery(cfg, r=1, s=1, beta=1.0), tol=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 16),
+    f=st.floats(-1.0, 1.0),
+    b0=st.floats(0.0, 1000.0),
+    h=st.floats(1e-3, 0.5),
+    count=st.one_of(st.sampled_from([1, 2, 3, 1009, 1999]), st.integers(1, 2000)),
+)
+def test_kernel_grid_matches_pointwise_sums(n, f, b0, h, count):
+    # beta <= 2000 keeps the phase rounding of either route under 1e-12
+    kernel = SpectralKernel(n, f, range(n))
+    betas = b0 + h * np.arange(count)
+    pointwise = np.array([kernel.xi(float(b)) for b in betas]).T
+    assert np.max(np.abs(kernel.xi_grid(b0, h, count) - pointwise)) <= 1e-12
+    # shuffled, the same times leave the grid and are summed point by point
+    order = np.random.default_rng(count).permutation(count)
+    profile = xi_profile(RingConfig(n, f=f), 1, betas[order])
+    assert np.max(np.abs(profile - pointwise[1, order])) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    half=st.integers(2, 20),
+    b0=st.floats(0.0, 5000.0),
+    h=st.floats(1e-3, 1.0),
+    count=st.integers(1, 5000),
+)
+def test_half_flux_diametric_channel_stays_blocked_on_the_grid(half, b0, h, count):
+    kernel = SpectralKernel(2 * half, 0.5, (half,))
+    assert kernel.xi_grid(b0, h, count).max() <= 1e-12

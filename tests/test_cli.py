@@ -5,10 +5,11 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from spinring import cli
+from spinring import cli, entangle
 from spinring.amplitude import AmplitudeResult
 from spinring.serialize import load_manifest, manifest_path_for
 
@@ -84,6 +85,8 @@ def test_table1_full_window_passes(tmp_path, capsys):
     assert len(rows) == 10
     assert all(row["passed"] == "true" for row in rows)
     assert manifest_path_for(out_csv).exists()
+    golden = Path(__file__).parent / "data" / "table1_quarter_twists.csv"
+    assert out_csv.read_bytes() == golden.read_bytes()
 
 
 def test_table1_short_window_reports_best_in_window(tmp_path, capsys):
@@ -160,6 +163,32 @@ def test_entangle_command(tmp_path, capsys):
     assert header == "beta,entropy_ebits,branch_overlap"
 
 
+def test_entangle_out_computes_the_curve_once(tmp_path, capsys, monkeypatch):
+    points = []
+    curve = entangle.entanglement_curve
+
+    def counted(betas, *args, **kwargs):
+        points.append(len(betas))
+        return curve(betas, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "entanglement_curve", counted)
+    monkeypatch.setattr(entangle, "entanglement_curve", counted)
+    code, _ = run_cli(
+        capsys, "entangle", "--beta-max", "5", "--step", "0.01", "--out", str(tmp_path / "c.csv")
+    )
+    assert code == 0
+    assert points == [501]
+
+
+def test_entangle_window_shorter_than_step(capsys):
+    code, out = run_cli(capsys, "entangle", "--beta-max", "0.001", "--step", "0.005")
+    assert code == 0
+    best = json.loads(out)["best"]
+    # entanglement only grows this early, so the window end wins
+    assert best["beta"] == pytest.approx(0.001, abs=1e-7)
+    assert best["entropy_ebits"] < 1e-5
+
+
 def test_multiparty_command(tmp_path, capsys):
     out_json = tmp_path / "plan.json"
     code, _ = run_cli(
@@ -182,6 +211,14 @@ def test_sweep_and_byte_determinism(tmp_path, capsys):
     assert run_cli(capsys, *args, "--out", str(a))[0] == 0
     assert run_cli(capsys, *args, "--out", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_sweep_zero_twist_step_exits_2(capsys):
+    assert run_cli(capsys, "sweep", "--n", "5", "--d", "2", "--f-step", "0")[0] == 2
+
+
+def test_sweep_zero_time_step_exits_2(capsys):
+    assert run_cli(capsys, "sweep", "--n", "5", "--d", "2", "--beta-step", "0")[0] == 2
 
 
 def test_manifest_replay_reproduces_bytes(tmp_path, capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spinring.amplitude import xi
+from spinring.amplitude import xi, xi_profile
 from spinring.optimize import (
     SearchSpec,
     default_twist_grid,
@@ -62,6 +62,20 @@ def test_full_twist_grid_confirms_quarter_twist():
     assert abs(rec.f + 0.25) <= 1 / 800
     assert abs(rec.beta - 162.51) <= 0.5
     assert rec.xi >= 0.99992
+
+
+def test_twist_refinement_moves_an_off_grid_winner():
+    # the twist list misses the optimum near f = -0.19967; the coarse grid's
+    # best, 0.99255 at f = -0.2, is beaten by the refined twist
+    spec = SearchSpec(beta_max=2000.0, f_candidates=(-0.2, 0.2))
+    rec = optimize_transfer(5, 1, spec)
+    grid_best = max(
+        float(xi_profile(RingConfig(5, f=f), 1, spec.beta_grid()).max()) for f in spec.f_candidates
+    )
+    assert grid_best == pytest.approx(0.99255, abs=1e-5)
+    assert rec.f == pytest.approx(-0.19967, abs=1e-5)
+    assert rec.xi == pytest.approx(0.99463, abs=1e-5)
+    assert rec.xi > grid_best + 1e-3
 
 
 def test_blocked_task_reports_window_start():
