@@ -12,6 +12,8 @@ Library layout:
 - cli: reproducible command-line front end (`spinring ...`).
 """
 
+__version__ = "0.1.0"  # the only copy: serialize.ARTIFACT_VERSION and pyproject.toml read it
+
 from .amplitude import (
     AmplitudeQuery,
     AmplitudeResult,
@@ -56,8 +58,6 @@ from .ring import (
     propagate_oracle,
     site_state,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "AmplitudeQuery",

@@ -92,26 +92,43 @@ def _clip_xi(mag: float) -> float:
 
 
 class SpectralKernel:
-    """Mode sums a_d(beta) = (1/N) sum_m exp(2*pi*i*d*m/N) exp(i*beta*c_m) of one ring.
+    """Mode sums a_d(beta) = (1/N) sum_m exp(2*pi*i*d*m/N) exp(i*beta*c_m), m = 1..N.
 
-    c_m = cos(2*pi*(m+f)/N).  a_d is the uniform-gauge amplitude without the
-    global phase exp(-i*D*t), so J and B drop out.  The cosines come from
-    `_mode_cosines`, so the half-flux pair cancellation holds on every path.
+    Built from the N per-mode rates c_m.  For a ring, c_m = cos(2*pi*(m+f)/N)
+    from `_mode_cosines`, so the half-flux pair cancellation holds on every
+    path, and a_d is the uniform-gauge amplitude without the global phase
+    exp(-i*D*t), so J and B drop out.
     """
 
-    def __init__(self, n: int, f: float, ds) -> None:
-        self.n = n
-        self._icos = 1j * _mode_cosines(n, f)
+    def __init__(self, rates: np.ndarray, ds) -> None:
+        n = self.n = len(rates)
+        self._irates = 1j * np.asarray(rates, dtype=float)
         m = np.arange(1, n + 1)
         self.weights = np.exp(1j * np.outer(m, [2.0 * np.pi * (int(d) % n) / n for d in ds]))
 
     def amplitudes(self, beta: float) -> np.ndarray:
         """Complex a_d(beta), one per displacement: one exp and one dot."""
-        return np.dot(np.exp(beta * self._icos), self.weights) / self.n
+        return np.dot(np.exp(beta * self._irates), self.weights) / self.n
 
     def xi(self, beta: float) -> list[float]:
         """|a_d(beta)| at one beta, one per displacement."""
         return [_clip_xi(abs(a)) for a in self.amplitudes(beta).tolist()]
+
+    def xi_points(self, betas: np.ndarray) -> np.ndarray:
+        """|a_d| at the given betas, shape (displacements, len(betas)).
+
+        Betas on an arithmetic progression to within 4 ulps of the largest go
+        through `xi_grid` (|a_d| is max|c_m|-Lipschitz in beta, so it moves by
+        as little); other point sets are summed point by point.
+        """
+        betas = np.asarray(betas, dtype=float)
+        count = betas.shape[0]
+        if count > 2:
+            h = (betas[-1] - betas[0]) / (count - 1)
+            drift = np.max(np.abs(betas[0] + h * np.arange(count) - betas))
+            if drift <= 4.0 * np.spacing(np.max(np.abs(betas))):
+                return self.xi_grid(float(betas[0]), float(h), count)
+        return self._xi_blocks(betas, 0.0, 1, count)
 
     def xi_grid(self, b0: float, h: float, count: int) -> np.ndarray:
         """|a_d| at b0 + k*h for k < count, shape (displacements, count).
@@ -127,11 +144,11 @@ class SpectralKernel:
     def _xi_blocks(self, starts: np.ndarray, h: float, stride: int, count: int) -> np.ndarray:
         """|a_d| at starts[g] + j*h, j < stride; arbitrary points are stride 1, h = 0."""
         nd = self.weights.shape[1]
-        baby = np.exp(np.outer(self._icos, h * np.arange(stride)))
+        baby = np.exp(np.outer(self._irates, h * np.arange(stride)))
         per = max(_CHUNK // stride, 1)
         out = np.empty((nd, starts.shape[0], stride))
         for lo in range(0, starts.shape[0], per):
-            giant = np.exp(np.outer(starts[lo : lo + per], self._icos))
+            giant = np.exp(np.outer(starts[lo : lo + per], self._irates))
             rows = (self.weights.T[:, None, :] * giant).reshape(-1, self.n)
             np.abs((rows @ baby).reshape(nd, -1, stride), out=out[:, lo : lo + per])
         out = out.reshape(nd, starts.shape[0] * stride)[:, :count]
@@ -147,7 +164,8 @@ def amplitude_spectral(query: AmplitudeQuery) -> AmplitudeResult:
     exactly field-independent.
     """
     cfg = query.config
-    reduced = complex(SpectralKernel(cfg.n, cfg.f, (query.d,)).amplitudes(query.beta)[0])
+    kernel = SpectralKernel(_mode_cosines(cfg.n, cfg.f), (query.d,))
+    reduced = complex(kernel.amplitudes(query.beta)[0])
     t = query.beta / (4.0 * cfg.j)
     value = complex(np.exp(-1j * cfg.diagonal * t) * reduced)
     return AmplitudeResult(value=value, xi=_clip_xi(abs(reduced)), method="spectral")
@@ -169,16 +187,13 @@ def unit_phase(multiplier: float, k: np.ndarray) -> np.ndarray:
     return np.exp(2j * np.pi * np.mod(multiplier * np.asarray(k, dtype=float), 1.0))
 
 
-def amplitude_bessel(query: AmplitudeQuery, tol: float = 1e-9) -> AmplitudeResult:
+def amplitude_bessel(query: AmplitudeQuery) -> AmplitudeResult:
     """Bessel-ladder amplitude; same complex value as amplitude_spectral.
 
     The two infinite k-sums are truncated once the order passes
     beta + 40*max(beta^(1/3), 2) and the last three computed terms of each
-    ladder sit below 1e-18, which over-delivers for any tol >= 1e-9 (the
-    requested tol is validated but never loosens the fixed rule).
+    ladder sit below 1e-18.
     """
-    if not (tol > 0):
-        raise ValueError(f"tol must be positive, got {tol!r}")
     cfg = query.config
     n, d, beta = cfg.n, query.d, query.beta
     dprime = n - d if d else n
@@ -221,17 +236,5 @@ def xi(config: RingConfig, d: int, beta: float) -> float:
 
 
 def xi_profile(config: RingConfig, d: int, betas: np.ndarray) -> np.ndarray:
-    """Vectorized xi over many betas (spectral route).
-
-    Betas on an arithmetic progression to within 4 ulps of the largest go
-    through the factored grid (xi is 1-Lipschitz in beta, so that moves xi by
-    at most as much); other point sets are summed point by point.
-    """
-    betas = np.asarray(betas, dtype=float)
-    kernel, count = SpectralKernel(config.n, config.f, (d,)), betas.shape[0]
-    if count > 2:
-        h = (betas[-1] - betas[0]) / (count - 1)
-        drift = np.max(np.abs(betas[0] + h * np.arange(count) - betas))
-        if drift <= 4.0 * np.spacing(np.max(np.abs(betas))):
-            return kernel.xi_grid(float(betas[0]), float(h), count)[0]
-    return kernel._xi_blocks(betas, 0.0, 1, count)[0]
+    """Vectorized xi over many betas (spectral route, `SpectralKernel.xi_points`)."""
+    return SpectralKernel(_mode_cosines(config.n, config.f), (d,)).xi_points(betas)[0]

@@ -59,6 +59,8 @@ def verify_blockage(quarter_rings: int, beta_samples) -> BlockageReport:
     if not isinstance(quarter_rings, (int, np.integer)) or quarter_rings < 1:
         raise ValueError(f"quarter_rings must be a positive integer, got {quarter_rings!r}")
     samples = [float(b) for b in beta_samples]
+    if not samples:
+        raise ValueError("need at least one beta sample")
     if any(not math.isfinite(b) for b in samples):
         raise ValueError("beta samples must be finite")
 
@@ -67,7 +69,7 @@ def verify_blockage(quarter_rings: int, beta_samples) -> BlockageReport:
         np.max(np.abs(bessel_pair_coefficients(quarter_rings))) <= _PAIR_CANCEL_TOL
     )
     cfg = RingConfig(n, f=0.5)
-    worst = max((xi(cfg, d, b) for b in samples), default=0.0)
+    worst = max(xi(cfg, d, b) for b in samples)
     return BlockageReport(
         n=n,
         d=d,

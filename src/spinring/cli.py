@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 usage/validation, 3 cross-method disagreement,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -87,6 +88,9 @@ def _search_spec(args: argparse.Namespace) -> SearchSpec:
     fields: dict = {}
     if getattr(args, "config", None):
         fields.update(json.loads(Path(args.config).read_text(encoding="utf-8")))
+        unknown = sorted(set(fields) - {f.name for f in dataclasses.fields(SearchSpec)})
+        if unknown:
+            raise ValueError(f"unknown --config keys: {', '.join(unknown)}")
     if args.beta_max is not None:
         fields["beta_max"] = args.beta_max
     if args.beta_step is not None:
@@ -250,15 +254,9 @@ def cmd_entangle(args: argparse.Namespace) -> int:
         "start_site": args.start_site,
         "beta_max": args.beta_max,
         "step": args.step,
-        "best": {
-            "beta": scan.best.beta,
-            "entropy_ebits": scan.best.entropy_ebits,
-            "branch_overlap": scan.best.branch_overlap,
-        },
+        "best": dataclasses.asdict(scan.best),
         "reference_point": {
-            "beta": scan.reference.beta,
-            "entropy_ebits": scan.reference.entropy_ebits,
-            "branch_overlap": scan.reference.branch_overlap,
+            **dataclasses.asdict(scan.reference),
             "claimed_entropy_ebits": 1.0,
             "entropy_shortfall": 1.0 - scan.reference.entropy_ebits,
             "note": (
@@ -281,7 +279,7 @@ def cmd_entangle(args: argparse.Namespace) -> int:
 def cmd_multiparty(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     spec = _search_spec(args)
-    plan = multiparty_plan(args.n, args.sites, spec, with_fidelity=True)
+    plan = multiparty_plan(args.n, args.sites, spec)
     doc = {
         "n": args.n,
         "sites": list(args.sites),

@@ -6,12 +6,19 @@ ring's boundary twist, f = 0 or f = 1/2.  Starting from
     (|f=0> + |f=1/2>)/sqrt(2)  (x)  |excitation at the start site>,
 
 each flux branch evolves under its own ring Hamiltonian while the flux label
-is untouched, so the joint state stays a rank-<=2 superposition and the
-flux-ring entanglement is read off a 2 x N Schmidt decomposition.  Note the
-branch overlap compares states evolved under different Hamiltonians, so it
-depends on how the flux phases are laid out on the bonds; all readings here
-use the uniform gauge of `ring` for both branches (a uniform vector
-potential), where the 4-site, site-1-start overlap works out to
+is untouched.  The joint state is a balanced superposition of two normalized
+branches b0, b1, with Schmidt weights (1 +- |<b0|b1>|)/2, so the flux-ring
+entanglement is their binary entropy.  In the uniform gauge of `ring` both
+branches share the DFT eigenvectors and a site-localized start puts weight
+1/N on every mode, so the overlap is one mode sum, the d = 0 sum of a
+`SpectralKernel` with rates c_m(1/2) - c_m(0):
+
+    <b0|b1> = (1/N) sum_m exp(i*beta*(c_m(1/2) - c_m(0))).
+
+The sector diagonal cancels and the start site drops out.  The overlap
+compares states evolved under different Hamiltonians, so it depends on how
+the flux phases are laid out on the bonds (here: uniformly, for both
+branches); the 4-site overlap works out to
 
     ov(beta) = (1 + cos(beta)) cos(beta/r2)/2 + sin(beta) sin(beta/r2)/2,
 
@@ -23,7 +30,9 @@ ebit there regardless of gauge.
 The scan also reports the reading at beta = 8.5*pi, a previously suggested
 operating point: the zero-flux branch is only halfway through its transfer
 there (perfect transfer needs an odd multiple of pi), so the entanglement
-tops out near 0.80 ebits rather than 1.
+tops out near 0.80 ebits rather than 1.  `evolve_joint` and
+`flux_ring_entanglement` are the independent reference: dense propagator
+and 2 x N Schmidt decomposition.
 """
 
 from __future__ import annotations
@@ -33,8 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .amplitude import SpectralKernel
 from .optimize import _golden_max, _local_maxima
-from .ring import RingConfig, build_hamiltonian, propagate_oracle, site_state
+from .ring import RingConfig, _mode_cosines, propagate_oracle, site_state
 
 __all__ = [
     "JointFluxRingState",
@@ -54,13 +64,11 @@ REFERENCE_BETA = 8.5 * math.pi
 
 _ENTROPY_TIE = 1e-12
 _NEAR_BEST_WINDOW = 1e-3
-# Grid points evolved at once; bounds the live branch arrays.
-_CHUNK = 8192
 
 
 @dataclass(frozen=True)
 class JointFluxRingState:
-    """Flux-conditioned ring branches; branches normalized, weights carry the split."""
+    """Flux-conditioned ring branches of the reference path; weights carry the split."""
 
     branch_f0: np.ndarray
     branch_f1: np.ndarray
@@ -98,7 +106,7 @@ def evolve_joint(ring_initial: np.ndarray, beta: float) -> JointFluxRingState:
     """Evolve the balanced flux superposition for scaled time beta.
 
     The flux states are decoherence-free labels: weights stay (1, 1)/sqrt(2)
-    while each branch evolves under its own twist.
+    while each branch evolves under its own twist (dense reference propagator).
     """
     psi0 = np.asarray(ring_initial, dtype=complex)
     n = len(psi0)
@@ -116,7 +124,7 @@ def _entropy_from_schmidt(weights: np.ndarray) -> float:
 
 
 def flux_ring_entanglement(state: JointFluxRingState) -> EntanglementReading:
-    """Flux-ring entanglement in ebits via the 2 x N Schmidt decomposition."""
+    """Reference flux-ring entanglement in ebits via the 2 x N Schmidt decomposition."""
     matrix = state.amplitude_matrix()
     total = float(np.linalg.norm(matrix))
     if abs(total - 1.0) > 1e-9:
@@ -130,41 +138,33 @@ def flux_ring_entanglement(state: JointFluxRingState) -> EntanglementReading:
     )
 
 
+def _overlap_kernel(n: int, start_site: int) -> SpectralKernel:
+    """Kernel whose d = 0 mode sum is the branch overlap <b0|b1> (module docstring)."""
+    RingConfig(n)  # validates the ring size
+    site_state(n, start_site)  # the start site drops out, but it must be on the ring
+    return SpectralKernel(_mode_cosines(n, 0.5) - _mode_cosines(n, 0.0), (0,))
+
+
+def _entropy_from_overlap(overlap):
+    """Binary entropy (ebits) of the Schmidt weights (1 +- overlap)/2, elementwise."""
+    weights = np.stack([1.0 + overlap, 1.0 - overlap]) / 2.0
+    return -np.sum(weights * np.log2(np.where(weights > 0.0, weights, 1.0)), axis=0)
+
+
 def entanglement_curve(
     betas: np.ndarray, n: int = 4, start_site: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(entropy, overlap) arrays over a beta grid.
+    """(entropy, overlap) arrays over the given betas, from one mode sum per point.
 
-    Uses one eigendecomposition per branch and evolves the grid in batches,
-    then takes batched 2 x N singular values; identical math to evolve_joint +
-    flux_ring_entanglement point by point.
+    Same readings as evolve_joint + flux_ring_entanglement point by point.
     """
-    betas = np.asarray(betas, dtype=float)
-    psi0 = site_state(n, start_site)
-    modes = []
-    for f in (0.0, 0.5):
-        cfg = RingConfig(n, f=f)
-        w, v = np.linalg.eigh(build_hamiltonian(cfg))
-        modes.append((4.0 * cfg.j, w, v, v.conj().T @ psi0))
-    entropy, overlap = np.empty(len(betas)), np.empty(len(betas))
-    for lo in range(0, len(betas), _CHUNK):
-        part = slice(lo, lo + _CHUNK)
-        b0, b1 = (  # [grid, sites]
-            (np.exp(-1j * np.outer(betas[part] / scale, w)) * modal) @ v.T
-            for scale, w, v, modal in modes
-        )
-        overlap[part] = np.abs(np.einsum("kj,kj->k", b0.conj(), b1))
-        joint = np.stack([b0, b1], axis=1) / math.sqrt(2.0)  # [grid, 2, sites]
-        schmidt = np.linalg.svd(joint, compute_uv=False) ** 2
-        probs = np.clip(schmidt, 1e-300, None)
-        entropy[part] = -np.sum(probs * np.log2(probs), axis=1)
-        # rank-1 states show one ~zero Schmidt weight whose clipped log is junk
-        entropy[part][schmidt.min(axis=1) <= 1e-300] = 0.0
-    return entropy, np.minimum(overlap, 1.0)
+    overlap = _overlap_kernel(n, start_site).xi_points(betas)[0]
+    return _entropy_from_overlap(overlap), overlap
 
 
-def _reading_at(beta: float, n: int, start_site: int) -> EntanglementReading:
-    return flux_ring_entanglement(evolve_joint(site_state(n, start_site), beta))
+def _reading(kernel: SpectralKernel, beta: float) -> EntanglementReading:
+    overlap = kernel.xi(beta)[0]
+    return EntanglementReading(float(beta), float(_entropy_from_overlap(overlap)), overlap)
 
 
 def scan_times(beta_max: float, step: float) -> np.ndarray:
@@ -186,6 +186,7 @@ def find_entangling_time(
     scan_times(beta_max, step) passes it as `entropy`.
     """
     betas = scan_times(beta_max, step)
+    kernel = _overlap_kernel(n, start_site)
     if entropy is None:
         entropy, _ = entanglement_curve(betas, n=n, start_site=start_site)
     elif len(entropy) != len(betas):
@@ -195,7 +196,7 @@ def find_entangling_time(
     survivors = idx[entropy[idx] >= float(entropy.max()) - _NEAR_BEST_WINDOW]
 
     def entropy_at(beta: float) -> float:
-        return _reading_at(beta, n, start_site).entropy_ebits
+        return _reading(kernel, beta).entropy_ebits
 
     refined = [(float(betas[0]), float(entropy[0]))]
     for i in survivors:
@@ -205,8 +206,8 @@ def find_entangling_time(
     group = [(b, e) for b, e in refined if e >= best_ent - _ENTROPY_TIE]
     beta_best = min(group)[0]
     return EntanglingScan(
-        best=_reading_at(beta_best, n, start_site),
-        reference=_reading_at(REFERENCE_BETA, n, start_site),
+        best=_reading(kernel, beta_best),
+        reference=_reading(kernel, REFERENCE_BETA),
         n=n,
         start_site=start_site,
     )

@@ -16,13 +16,13 @@ smallest |f|, then negative f.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
 
 from .amplitude import SpectralKernel, xi
-from .ring import RingConfig
+from .ring import RingConfig, _mode_cosines
 
 __all__ = [
     "SearchSpec",
@@ -95,8 +95,7 @@ class TransferRecord:
     """Best transfer found for one (ring size, displacement) task.
 
     `near_optima` lists every refined local optimum within 1e-3 of the best,
-    the primary included, ordered best-first; `fidelity` carries the adopted
-    monotone map F(xi) = 1/2 + xi/3 + xi^2/6 when requested.
+    the primary included, ordered best-first.
     """
 
     n: int
@@ -104,8 +103,12 @@ class TransferRecord:
     f: float
     beta: float
     xi: float
-    fidelity: float | None = None
     near_optima: tuple[TransferPoint, ...] = ()
+
+    @property
+    def fidelity(self) -> float:
+        """The adopted monotone map F(xi) = 1/2 + xi/3 + xi^2/6 (`fidelity_from_xi`)."""
+        return fidelity_from_xi(self.xi)
 
 
 @dataclass(frozen=True)
@@ -177,7 +180,8 @@ def _coarse_pass(
     best: dict[int, float] = {d: -1.0 for d in ds}
 
     for f in spec.f_candidates:
-        profiles = SpectralKernel(n, f, ds).xi_grid(spec.beta_min, spec.beta_step, len(betas))
+        kernel = SpectralKernel(_mode_cosines(n, f), ds)
+        profiles = kernel.xi_grid(spec.beta_min, spec.beta_step, len(betas))
         for d, g in zip(ds, profiles):
             best[d] = max(best[d], float(g.max()))
             cand = _local_maxima(g)
@@ -215,7 +219,7 @@ def _refine_twist(
     seen: list[TransferPoint] = []
 
     def objective(fv: float) -> float:
-        xi_of = SpectralKernel(n, fv, (d,)).xi
+        xi_of = SpectralKernel(_mode_cosines(n, fv), (d,)).xi
         beta_best, xi_best = _golden_max(lambda b: xi_of(b)[0], lo, hi, spec.refine_tol)
         seen.append(TransferPoint(f=fv, beta=beta_best, xi=xi_best))
         return xi_best
@@ -243,7 +247,7 @@ def optimize_transfers(
     for d in ds:
         refined: list[TransferPoint] = []
         for f, beta_c, xi_c in coarse[d]:
-            xi_of = SpectralKernel(n, f, (d,)).xi  # mode data built once per refinement
+            xi_of = SpectralKernel(_mode_cosines(n, f), (d,)).xi  # built once per refinement
             lo = max(spec.beta_min, beta_c - spec.beta_step)
             hi = min(spec.beta_max, beta_c + spec.beta_step)
             if hi > lo:
@@ -279,21 +283,15 @@ def optimize_transfers(
     return records
 
 
-def optimize_transfer(
-    n: int, d: int, spec: SearchSpec | None = None, with_fidelity: bool = False
-) -> TransferRecord:
+def optimize_transfer(n: int, d: int, spec: SearchSpec | None = None) -> TransferRecord:
     """Best (twist, time) for sending over displacement d on an n-site ring."""
-    record = optimize_transfers(n, (d,), spec)[d]
-    if with_fidelity:
-        record = replace(record, fidelity=fidelity_from_xi(record.xi))
-    return record
+    return optimize_transfers(n, (d,), spec)[d]
 
 
 def multiparty_plan(
     n: int,
     party_sites: list[int] | tuple[int, ...],
     spec: SearchSpec | None = None,
-    with_fidelity: bool = False,
 ) -> list[PairTransfer]:
     """One optimized record per unordered pair of party sites.
 
@@ -312,6 +310,4 @@ def multiparty_plan(
     pairs = list(combinations(sorted(sites), 2))
     distances = sorted({(b - a) % n for a, b in pairs})
     records = optimize_transfers(n, distances, spec)
-    if with_fidelity:
-        records = {d: replace(r, fidelity=fidelity_from_xi(r.xi)) for d, r in records.items()}
     return [PairTransfer(a, b, records[(b - a) % n]) for a, b in pairs]

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -171,10 +170,6 @@ class ModeSpectrum:
     m: np.ndarray
     energies: np.ndarray
     vectors: np.ndarray
-
-    def entries(self) -> Iterator[tuple[int, float, np.ndarray]]:
-        for i in range(len(self.m)):
-            yield int(self.m[i]), float(self.energies[i]), self.vectors[:, i]
 
 
 def mode_spectrum(config: RingConfig) -> ModeSpectrum:

@@ -15,6 +15,8 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
+from . import __version__
+
 __all__ = [
     "ARTIFACT_VERSION",
     "RunManifest",
@@ -28,7 +30,7 @@ __all__ = [
     "load_manifest",
 ]
 
-ARTIFACT_VERSION = "0.1.0"
+ARTIFACT_VERSION = __version__
 
 
 def round_sig(x: float) -> float:

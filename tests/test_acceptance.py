@@ -19,6 +19,7 @@ from spinring.amplitude import (
     xi_profile,
 )
 from spinring.blockage import bessel_pair_coefficients, verify_blockage
+from spinring.cli import PUBLISHED_WINDOWS
 from spinring.entangle import REFERENCE_BETA, evolve_joint, find_entangling_time, flux_ring_entanglement
 from spinring.optimize import SearchSpec, optimize_transfers
 from spinring.ring import (
@@ -30,19 +31,6 @@ from spinring.ring import (
 )
 
 ROOT2 = math.sqrt(2.0)
-
-PUBLISHED_WINDOWS = (
-    (5, 1, -0.25, 1214.3, 0.9998),
-    (5, 2, -0.25, 162.51, 0.9999),
-    (5, 3, 0.25, 162.51, 0.9999),
-    (5, 4, 0.25, 1214.3, 0.9998),
-    (7, 1, -0.25, 4365.0, 0.9997),
-    (7, 2, 0.25, 1942.6, 0.9994),
-    (7, 3, 0.25, 3500.4, 0.9996),
-    (7, 4, -0.25, 3500.4, 0.9996),
-    (7, 5, -0.25, 1942.6, 0.9994),
-    (7, 6, 0.25, 4365.0, 0.9997),
-)
 
 
 def report(label: str, ok: bool, detail: str = "") -> bool:

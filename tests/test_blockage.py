@@ -95,6 +95,12 @@ def test_switch_contrast_eight_ring_best_window():
     assert xi_closed <= BLOCKED_XI
 
 
+def test_empty_sample_set_is_rejected():
+    # a maximum over no samples would read 0 and pass the check vacuously
+    with pytest.raises(ValueError):
+        verify_blockage(1, [])
+
+
 def test_validation():
     with pytest.raises(ValueError):
         verify_blockage(0, [1.0])

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from spinring import cli, entangle
+from spinring import __version__, cli, entangle
 from spinring.amplitude import AmplitudeResult
 from spinring.serialize import load_manifest, manifest_path_for
 
@@ -62,7 +62,7 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_method_disagreement_exits_3(capsys, monkeypatch):
-    def skewed(query, tol=1e-9):
+    def skewed(query):
         res = cli.amplitude_spectral(query)
         return AmplitudeResult(value=res.value, xi=min(res.xi + 1e-6, 1.0), method="bessel")
 
@@ -145,6 +145,19 @@ def test_blockage_command(tmp_path, capsys):
     for rep in doc["reports"]:
         assert rep["analytic_zero"] is True
         assert rep["max_xi_over_samples"] <= 1e-12
+
+
+def test_table1_unknown_config_key_exits_2(tmp_path, capsys):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"beta_max": 200.0, "foo": 1}))
+    assert cli.main(["table1", "--config", str(config)]) == 2
+    assert "foo" in capsys.readouterr().err
+
+
+def test_blockage_without_samples_exits_2(capsys):
+    code, out = run_cli(capsys, "blockage", "--samples", "0", "--nn", "1")
+    assert code == 2
+    assert out == ""
 
 
 def test_entangle_command(tmp_path, capsys):
@@ -231,6 +244,7 @@ def test_manifest_replay_reproduces_bytes(tmp_path, capsys):
     original = out_csv.read_bytes()
     manifest = load_manifest(manifest_path_for(out_csv))
     assert manifest.command == "sweep"
+    assert manifest.artifact_version == __version__
     out_csv.unlink()
     code, _ = run_cli(capsys, "replay", "--manifest", str(manifest_path_for(out_csv)))
     assert code == 0

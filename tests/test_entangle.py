@@ -14,6 +14,7 @@ from spinring.entangle import (
     evolve_joint,
     find_entangling_time,
     flux_ring_entanglement,
+    scan_times,
 )
 from spinring.ring import site_state
 
@@ -72,6 +73,23 @@ def test_matches_closed_form_along_the_curve():
     for k in range(0, 601, 40):
         assert abs(overlap[k] - square_ring_overlap(float(betas[k]))) <= 1e-9
         assert abs(entropy[k] - square_ring_entropy(float(betas[k]))) <= 1e-9
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_curve_and_scan_match_the_dense_reference(n):
+    # the scan's grid is factored into giant x baby steps; scattered betas
+    # are summed point by point
+    grids = (scan_times(500.0, 12.5), np.random.default_rng(n).uniform(0.0, 500.0, 40))
+    for start in range(1, n + 1):
+        scan = find_entangling_time(20.0, step=0.01, n=n, start_site=start)
+        readings = [scan.best, scan.reference]
+        for betas in grids:
+            entropy, overlap = entanglement_curve(betas, n=n, start_site=start)
+            readings += map(EntanglementReading, betas, entropy, overlap)
+        for got in readings:
+            ref = flux_ring_entanglement(evolve_joint(site_state(n, start), got.beta))
+            assert abs(got.entropy_ebits - ref.entropy_ebits) <= 1e-12
+            assert abs(got.branch_overlap - ref.branch_overlap) <= 1e-12
 
 
 def test_entropy_decreases_as_overlap_grows():

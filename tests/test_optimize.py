@@ -162,11 +162,12 @@ def test_pentagon_all_pairs_match_published_rows():
         assert max(q.xi for q in match) >= 0.9997
 
 
-def test_fidelity_attached_when_requested():
-    rec = optimize_transfer(
-        5, 2, SearchSpec(beta_max=200.0, f_candidates=RESTRICTED), with_fidelity=True
-    )
-    assert rec.fidelity == pytest.approx(fidelity_from_xi(rec.xi), abs=1e-15)
+def test_fidelity_always_follows_xi():
+    spec = SearchSpec(beta_max=200.0, f_candidates=RESTRICTED)
+    records = [optimize_transfer(5, 2, spec)]
+    records += [p.record for p in multiparty_plan(5, [1, 2, 4], spec)]
+    for rec in records:
+        assert rec.fidelity == fidelity_from_xi(rec.xi)
 
 
 def test_validation_errors():
