@@ -27,6 +27,7 @@ from .ring import RingConfig, _mode_cosines, propagate_oracle, site_state
 __all__ = [
     "AmplitudeQuery",
     "AmplitudeResult",
+    "BESSEL_BETA_MAX",
     "BesselTruncationError",
     "SpectralKernel",
     "amplitude_spectral",
@@ -45,6 +46,9 @@ XI_EXCESS = 1e-12
 _ORDER_MARGIN = 40.0
 _TERM_FLOOR = 1e-18
 _TAIL_RUN = 3
+# Largest beta the Bessel route accepts: the ladder's 1e-12 accuracy is tested
+# out to this argument, and its length (a pure-Python loop) grows with beta.
+BESSEL_BETA_MAX = 12000.0
 
 # Grid points per displacement evaluated at once; bounds the live phase block.
 _CHUNK = 65536
@@ -192,10 +196,13 @@ def amplitude_bessel(query: AmplitudeQuery) -> AmplitudeResult:
 
     The two infinite k-sums are truncated once the order passes
     beta + 40*max(beta^(1/3), 2) and the last three computed terms of each
-    ladder sit below 1e-18.
+    ladder sit below 1e-18.  A beta outside [0, `BESSEL_BETA_MAX`] is rejected
+    with a ValueError before any ladder is sized.
     """
     cfg = query.config
     n, d, beta = cfg.n, query.d, query.beta
+    if not 0.0 <= beta <= BESSEL_BETA_MAX:
+        raise ValueError(f"Bessel route needs 0 <= beta <= {BESSEL_BETA_MAX:g}, got {beta!r}")
     dprime = n - d if d else n
     cutoff = beta + _ORDER_MARGIN * max(beta ** (1.0 / 3.0), 2.0)
 

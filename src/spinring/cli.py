@@ -6,8 +6,11 @@ When ``--out`` is given the results are written to that path and a
 ``<out>.manifest.json`` sidecar records the exact argument vector; ``replay``
 re-runs a manifest and regenerates the results byte for byte.
 
-Exit codes: 0 success, 2 usage/validation, 3 cross-method disagreement,
-4 physics-assertion failure (a table row or blocking check out of tolerance).
+Exit codes: 0 success; 2 usage/validation, including a Bessel-route beta
+above 12000 (`amplitude.BESSEL_BETA_MAX`); 3 an amplitude route failed its
+accuracy check: the complex values of `amplitude --method all` disagree, or
+the Bessel series tail did not converge (`BesselTruncationError`); 4
+physics-assertion failure (a table row or blocking check out of tolerance).
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import numpy as np
 
 from .amplitude import (
     AmplitudeQuery,
+    BesselTruncationError,
     amplitude_bessel,
     amplitude_oracle,
     amplitude_spectral,
@@ -83,14 +87,34 @@ def _twist_candidates(text: str) -> tuple[float, ...] | None:
     return None if text == "grid" else _parse_floats(text)
 
 
+def _config_number(key: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"--config key {key!r} must be a number, got {value!r}")
+    return float(value)
+
+
+def _config_fields(path: str) -> dict:
+    """SearchSpec fields from a JSON object, each key checked for its type."""
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise ValueError(f"--config must hold a JSON object, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(SearchSpec)})
+    if unknown:
+        raise ValueError(f"unknown --config keys: {', '.join(unknown)}")
+    fields = {}
+    for key, value in doc.items():
+        if key != "f_candidates":
+            fields[key] = _config_number(key, value)
+        elif isinstance(value, list):
+            fields[key] = tuple(_config_number(key, f) for f in value)
+        else:
+            raise ValueError(f"--config key 'f_candidates' must be a list, got {value!r}")
+    return fields
+
+
 def _search_spec(args: argparse.Namespace) -> SearchSpec:
     """SearchSpec from an optional JSON config document, overridden by flags."""
-    fields: dict = {}
-    if getattr(args, "config", None):
-        fields.update(json.loads(Path(args.config).read_text(encoding="utf-8")))
-        unknown = sorted(set(fields) - {f.name for f in dataclasses.fields(SearchSpec)})
-        if unknown:
-            raise ValueError(f"unknown --config keys: {', '.join(unknown)}")
+    fields = _config_fields(args.config) if getattr(args, "config", None) else {}
     if args.beta_max is not None:
         fields["beta_max"] = args.beta_max
     if args.beta_step is not None:
@@ -103,8 +127,6 @@ def _search_spec(args: argparse.Namespace) -> SearchSpec:
             fields["f_candidates"] = cands
         else:
             fields.pop("f_candidates", None)
-    if "f_candidates" in fields:
-        fields["f_candidates"] = tuple(float(f) for f in fields["f_candidates"])
     return SearchSpec(**fields)
 
 
@@ -155,17 +177,19 @@ def cmd_amplitude(args: argparse.Namespace) -> int:
         return EXIT_OK
     records = [_amplitude_record(args, m) for m in ("spectral", "bessel", "oracle")]
     xis = [r["xi"] for r in records]
-    deviation = max(abs(a - b) for a in xis for b in xis)
+    values = [complex(r["value_re"], r["value_im"]) for r in records]
+    value_deviation = max(abs(a - b) for a in values for b in values)
     doc = {
         "n": args.n,
         "d": args.d % args.n,
         "f": args.f,
         "beta": args.beta,
         "records": records,
-        "max_xi_deviation": deviation,
+        "max_xi_deviation": max(abs(a - b) for a in xis for b in xis),
+        "max_value_deviation": value_deviation,
     }
     _emit(args, dumps(doc), started)
-    return EXIT_OK if deviation <= METHOD_AGREEMENT_TOL else EXIT_METHOD_DISAGREEMENT
+    return EXIT_OK if value_deviation <= METHOD_AGREEMENT_TOL else EXIT_METHOD_DISAGREEMENT
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
@@ -189,23 +213,16 @@ def cmd_table1(args: argparse.Namespace) -> int:
                 and match.xi >= xi_pub - TABLE1_XI_SLACK
             )
             all_pass &= passed
+            found = [f"{v:.12g}" for v in (match.f, match.beta, match.xi)] if match else ["", "", ""]
             rows.append(
-                (
-                    n, d, f_pub, beta_pub, xi_pub,
-                    f"{xi_at_pub:.12g}",
-                    f"{rec.f:.12g}", f"{rec.beta:.12g}", f"{rec.xi:.12g}",
-                    f"{match.f:.12g}" if match else "",
-                    f"{match.beta:.12g}" if match else "",
-                    f"{match.xi:.12g}" if match else "",
-                    passed,
-                )
+                (n, d, f_pub, beta_pub, xi_pub, xi_at_pub, rec.f, rec.beta, rec.xi, *found, passed)
             )
     header = (
         "n", "d", "f_published", "beta_published", "xi_published", "xi_at_published",
         "f_best", "beta_best", "xi_best", "f_match", "beta_match", "xi_match",
         "passed",
     )
-    _emit(args, csv_text(header, rows), started)
+    _emit(args, csv_text(header, list(zip(*rows))), started)
     return EXIT_OK if all_pass else EXIT_PHYSICS
 
 
@@ -267,10 +284,7 @@ def cmd_entangle(args: argparse.Namespace) -> int:
         },
     }
     if args.out is not None:
-        curve = csv_text(
-            ("beta", "entropy_ebits", "branch_overlap"),
-            zip(betas.tolist(), entropy.tolist(), overlap.tolist()),
-        )
+        curve = csv_text(("beta", "entropy_ebits", "branch_overlap"), (betas, entropy, overlap))
         _emit(args, curve, started)
     print(dumps(summary), end="")
     return EXIT_OK
@@ -317,11 +331,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     betas = args.beta_min + args.beta_step * np.arange(
         int((args.beta_max - args.beta_min) / args.beta_step + 1e-9) + 1
     )
-    rows = []
-    for f in twists:
-        profile = xi_profile(RingConfig(args.n, f=f), args.d, betas)
-        rows.extend((f, b, v) for b, v in zip(betas.tolist(), profile.tolist()))
-    _emit(args, csv_text(("f", "beta", "xi"), rows), started)
+    profiles = [xi_profile(RingConfig(args.n, f=f), args.d, betas) for f in twists]
+    columns = (np.repeat(twists, len(betas)), np.tile(betas, len(twists)), np.ravel(profiles))
+    _emit(args, csv_text(("f", "beta", "xi"), columns), started)
     return EXIT_OK
 
 
@@ -429,6 +441,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BesselTruncationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_METHOD_DISAGREEMENT
 
 
 def console_entry() -> None:

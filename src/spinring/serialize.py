@@ -11,7 +11,7 @@ import json
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -67,18 +67,26 @@ def write_text(path: str | Path | None, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _fmt_cell(v: Any) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
-        return f"{v:.12g}"
-    return str(v)
+_BLOCK_ROWS = 65536  # rows per `%` call; bounds the tuple of cells held at once
+_CONVERSIONS = {"f": "%.12g", "i": "%d", "u": "%d"}  # `%` code by dtype kind, else %s
 
 
-def csv_text(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt_cell(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def csv_text(header: Sequence[str], columns: Sequence[Any]) -> str:
+    """Equal-length columns as CSV, one `%` call per block of rows: floats as
+    %.12g (the bytes of f"{v:.12g}"), bools as true/false, others as str(v)."""
+    cols = [np.asarray(c) for c in columns]
+    if len({c.shape for c in cols}) > 1 or any(c.ndim != 1 for c in cols):
+        raise ValueError("CSV columns must be one-dimensional and of equal length")
+    rowfmt = ",".join(_CONVERSIONS.get(c.dtype.kind, "%s") for c in cols) + "\n"
+    cols = [np.where(c, "true", "false") if c.dtype.kind == "b" else c for c in cols]
+    parts = [",".join(header) + "\n"]
+    for lo in range(0, len(cols[0]), _BLOCK_ROWS):
+        k = min(_BLOCK_ROWS, len(cols[0]) - lo)
+        cells: list[Any] = [None] * (k * len(cols))
+        for j, col in enumerate(cols):  # row-major interleave of the block's cells
+            cells[j :: len(cols)] = col[lo : lo + k].tolist()
+        parts.append((rowfmt * k) % tuple(cells))
+    return "".join(parts)
 
 
 @dataclass(frozen=True)

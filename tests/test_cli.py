@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from spinring import __version__, cli, entangle
-from spinring.amplitude import AmplitudeResult
+from spinring import __version__, amplitude, cli, entangle
+from spinring.amplitude import AmplitudeResult, BesselTruncationError
 from spinring.serialize import load_manifest, manifest_path_for
 
 
@@ -64,7 +64,8 @@ def test_usage_errors_exit_2(capsys):
 def test_method_disagreement_exits_3(capsys, monkeypatch):
     def skewed(query):
         res = cli.amplitude_spectral(query)
-        return AmplitudeResult(value=res.value, xi=min(res.xi + 1e-6, 1.0), method="bessel")
+        value = res.value * (1.0 - 1e-6)
+        return AmplitudeResult(value=value, xi=abs(value), method="bessel")
 
     monkeypatch.setattr(cli, "amplitude_bessel", skewed)
     code, out = run_cli(
@@ -73,6 +74,49 @@ def test_method_disagreement_exits_3(capsys, monkeypatch):
     )
     assert code == 3
     assert json.loads(out)["max_xi_deviation"] > 1e-8
+
+
+def test_method_phase_disagreement_exits_3(capsys, monkeypatch):
+    # right magnitude, wrong phase: only the complex comparison sees it
+    def rotated(query):
+        res = cli.amplitude_spectral(query)
+        return AmplitudeResult(value=res.value * 1j, xi=res.xi, method="bessel")
+
+    monkeypatch.setattr(cli, "amplitude_bessel", rotated)
+    code, out = run_cli(
+        capsys, "amplitude", "--n", "5", "--d", "1", "--f", "0.1",
+        "--beta", "3.0", "--method", "all",
+    )
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["max_xi_deviation"] <= 1e-8
+    assert doc["max_value_deviation"] > 1e-8
+
+
+def test_bessel_truncation_exits_3(capsys, monkeypatch):
+    def truncated(query):
+        raise BesselTruncationError("series tail above 1e-18")
+
+    monkeypatch.setattr(cli, "amplitude_bessel", truncated)
+    code = cli.main(["amplitude", "--n", "5", "--d", "1", "--beta", "3.0", "--method", "bessel"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: series tail")
+
+
+@pytest.mark.parametrize("beta", ["1e300", "inf", "nan", "12000.5"])
+def test_bessel_route_rejects_beta_before_sizing_a_ladder(capsys, monkeypatch, beta):
+    def refuse(*args):
+        raise AssertionError("ladder allocated")
+
+    monkeypatch.setattr(amplitude, "bessel_j_ladder", refuse)
+    monkeypatch.setattr(amplitude, "_ladder_orders", refuse)
+    code = cli.main(["amplitude", "--n", "5", "--d", "1", f"--beta={beta}", "--method", "bessel"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_table1_full_window_passes(tmp_path, capsys):
@@ -154,6 +198,27 @@ def test_table1_unknown_config_key_exits_2(tmp_path, capsys):
     assert "foo" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "document, key",
+    [
+        ({"beta_max": "x"}, "beta_max"),
+        ({"beta_step": True}, "beta_step"),
+        ({"refine_tol": None}, "refine_tol"),
+        ({"f_candidates": 0.25}, "f_candidates"),
+        ({"f_candidates": [0.25, "a"]}, "f_candidates"),
+        ([1], "JSON object"),
+        ("beta_max", "JSON object"),
+    ],
+)
+def test_table1_config_of_wrong_type_exits_2(tmp_path, capsys, document, key):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(document))
+    assert cli.main(["table1", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert key in err
+
+
 def test_blockage_without_samples_exits_2(capsys):
     code, out = run_cli(capsys, "blockage", "--samples", "0", "--nn", "1")
     assert code == 2
@@ -224,6 +289,16 @@ def test_sweep_and_byte_determinism(tmp_path, capsys):
     assert run_cli(capsys, *args, "--out", str(a))[0] == 0
     assert run_cli(capsys, *args, "--out", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_sweep_stdout_matches_out_file(tmp_path, capsys):
+    args = ("sweep", "--n", "6", "--d", "2", "--f-step", "0.1", "--beta-max", "5")
+    out_csv = tmp_path / "grid.csv"
+    code, stdout = run_cli(capsys, *args)
+    assert code == 0
+    assert run_cli(capsys, *args, "--out", str(out_csv)) == (0, "")
+    assert stdout.encode() == out_csv.read_bytes()
+    assert stdout.count("\n") == 1 + 11 * 101
 
 
 def test_sweep_zero_twist_step_exits_2(capsys):
