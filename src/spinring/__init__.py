@@ -2,14 +2,17 @@
 
 Library layout:
 
-- ring: configurations, the sector Hamiltonian in two gauges, the analytic
-  mode spectrum, and two brute-force propagation oracles.
-- bessel: integer-order J_n by Miller's downward recurrence.
+- ring: configurations, the uniform-gauge sector Hamiltonian, the closed-form
+  mode energies, and a dense-eigendecomposition propagation oracle.
+- bessel: integer-order J_n ladders by Miller's downward recurrence.
 - amplitude: the spectral mode-sum kernel, the three amplitude routes and xi.
 - optimize: twist/time grid search with refinement; pairwise plans; fidelity.
-- blockage: half-flux diametric blocking checks and switch contrast.
-- entangle: flux-qubit/ring conditional evolution and entangling-time scans.
+- blockage: half-flux diametric blocking checks.
+- entangle: the flux-qubit/ring entanglement curve and entangling-time scans.
 - cli: reproducible command-line front end (`spinring ...`).
+
+Reference implementations that only check these (the 2^N full-space oracle,
+the dense entangling reference, the single-bond gauge) live in the test suite.
 """
 
 __version__ = "0.1.0"  # the only copy: serialize.ARTIFACT_VERSION and pyproject.toml read it
@@ -25,16 +28,13 @@ from .amplitude import (
     xi,
     xi_profile,
 )
-from .bessel import bessel_j, bessel_j_ladder
-from .blockage import BlockageReport, switch_contrast, verify_blockage
+from .bessel import bessel_j_ladder
+from .blockage import BlockageReport, verify_blockage
 from .entangle import (
     EntanglementReading,
     EntanglingScan,
-    JointFluxRingState,
     entanglement_curve,
-    evolve_joint,
     find_entangling_time,
-    flux_ring_entanglement,
     scan_times,
 )
 from .optimize import (
@@ -44,17 +44,12 @@ from .optimize import (
     TransferRecord,
     fidelity_from_xi,
     multiparty_plan,
-    optimize_transfer,
     optimize_transfers,
 )
 from .ring import (
-    ModeSpectrum,
     RingConfig,
     build_hamiltonian,
-    full_space_oracle,
-    hop_phases,
     mode_energies,
-    mode_spectrum,
     propagate_oracle,
     site_state,
 )
@@ -66,8 +61,6 @@ __all__ = [
     "BlockageReport",
     "EntanglementReading",
     "EntanglingScan",
-    "JointFluxRingState",
-    "ModeSpectrum",
     "PairTransfer",
     "RingConfig",
     "SearchSpec",
@@ -77,25 +70,17 @@ __all__ = [
     "amplitude_bessel",
     "amplitude_oracle",
     "amplitude_spectral",
-    "bessel_j",
     "bessel_j_ladder",
     "build_hamiltonian",
     "entanglement_curve",
-    "evolve_joint",
     "fidelity_from_xi",
     "find_entangling_time",
-    "flux_ring_entanglement",
-    "full_space_oracle",
-    "hop_phases",
     "mode_energies",
-    "mode_spectrum",
     "multiparty_plan",
-    "optimize_transfer",
     "optimize_transfers",
     "propagate_oracle",
     "scan_times",
     "site_state",
-    "switch_contrast",
     "verify_blockage",
     "xi",
     "xi_profile",

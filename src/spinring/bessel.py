@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-__all__ = ["bessel_j", "bessel_j_ladder"]
+__all__ = ["bessel_j_ladder"]
 
 _RESCALE_LIMIT = 1e250
 _RESCALE_FACTOR = 1e-250
@@ -87,9 +87,3 @@ def bessel_j_ladder(n_max: int, x: float) -> np.ndarray:
     out /= norm
     return out
 
-
-def bessel_j(n: int, x: float) -> float:
-    """J_n(x) for integer n >= 0; callers map negative orders via J_{-n} = (-1)^n J_n."""
-    if n < 0:
-        raise ValueError(f"order must be >= 0, got {n}")
-    return float(bessel_j_ladder(n, x)[n])

@@ -20,7 +20,7 @@ import numpy as np
 from .amplitude import unit_phase, xi
 from .ring import RingConfig
 
-__all__ = ["BlockageReport", "verify_blockage", "switch_contrast", "bessel_pair_coefficients"]
+__all__ = ["BlockageReport", "verify_blockage", "bessel_pair_coefficients"]
 
 BLOCKED_XI = 1e-12
 _PAIR_CANCEL_TOL = 1e-14
@@ -33,9 +33,9 @@ class BlockageReport:
     n: int
     d: int
     f: float
+    samples: int
     max_xi_over_samples: float
     analytic_zero: bool
-    samples: int
 
 
 def bessel_pair_coefficients(quarter_rings: int, k_terms: int = 16) -> np.ndarray:
@@ -74,21 +74,8 @@ def verify_blockage(quarter_rings: int, beta_samples) -> BlockageReport:
         n=n,
         d=d,
         f=0.5,
+        samples=len(samples),
         max_xi_over_samples=worst,
         analytic_zero=analytic_zero,
-        samples=len(samples),
     )
 
-
-def switch_contrast(quarter_rings: int, beta: float) -> tuple[float, float]:
-    """(xi with flux open, xi with flux closed) for the diametric receiver.
-
-    Open means f = 0 (transmission allowed), closed means f = 1/2 (blocked);
-    the closed channel reads numerically zero at any beta.
-    """
-    if not isinstance(quarter_rings, (int, np.integer)) or quarter_rings < 1:
-        raise ValueError(f"quarter_rings must be a positive integer, got {quarter_rings!r}")
-    n, d = 4 * quarter_rings, 2 * quarter_rings
-    xi_open = xi(RingConfig(n, f=0.0), d, beta)
-    xi_closed = xi(RingConfig(n, f=0.5), d, beta)
-    return xi_open, xi_closed

@@ -7,7 +7,8 @@ When ``--out`` is given the results are written to that path and a
 re-runs a manifest and regenerates the results byte for byte.
 
 Exit codes: 0 success; 2 usage/validation, including a Bessel-route beta
-above 12000 (`amplitude.BESSEL_BETA_MAX`); 3 an amplitude route failed its
+above 12000 (`amplitude.BESSEL_BETA_MAX`) and a window too large to hold
+(`OverflowError`); 3 an amplitude route failed its
 accuracy check: the complex values of `amplitude --method all` disagree, or
 the Bessel series tail did not converge (`BesselTruncationError`); 4
 physics-assertion failure (a table row or blocking check out of tolerance).
@@ -114,13 +115,11 @@ def _config_fields(path: str) -> dict:
 
 def _search_spec(args: argparse.Namespace) -> SearchSpec:
     """SearchSpec from an optional JSON config document, overridden by flags."""
-    fields = _config_fields(args.config) if getattr(args, "config", None) else {}
+    fields = _config_fields(args.config) if args.config else {}
     if args.beta_max is not None:
         fields["beta_max"] = args.beta_max
     if args.beta_step is not None:
         fields["beta_step"] = args.beta_step
-    if getattr(args, "beta_min", None) is not None:
-        fields["beta_min"] = args.beta_min
     if args.twists is not None:
         cands = _twist_candidates(args.twists)
         if cands is not None:
@@ -236,18 +235,7 @@ def cmd_blockage(args: argparse.Namespace) -> int:
         rep = verify_blockage(quarter, samples)
         passed = rep.analytic_zero and rep.max_xi_over_samples <= BLOCKED_XI
         all_pass &= passed
-        reports.append(
-            {
-                "quarter_rings": quarter,
-                "n": rep.n,
-                "d": rep.d,
-                "f": rep.f,
-                "samples": rep.samples,
-                "max_xi_over_samples": rep.max_xi_over_samples,
-                "analytic_zero": rep.analytic_zero,
-                "passed": passed,
-            }
-        )
+        reports.append({"quarter_rings": quarter, **dataclasses.asdict(rep), "passed": passed})
     doc = {
         "beta_max": args.beta_max,
         "samples": args.samples,
@@ -309,10 +297,7 @@ def cmd_multiparty(args: argparse.Namespace) -> int:
                 "beta": p.record.beta,
                 "xi": p.record.xi,
                 "fidelity": p.record.fidelity,
-                "near_optima": [
-                    {"f": q.f, "beta": q.beta, "xi": q.xi}
-                    for q in p.record.near_optima[:8]
-                ],
+                "near_optima": [dataclasses.asdict(q) for q in p.record.near_optima[:8]],
             }
             for p in plan
         ],
@@ -326,6 +311,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     RingConfig(args.n)  # validates n early
     if not (args.f_step > 0 and args.beta_step > 0):
         raise ValueError("--f-step and --beta-step must be positive")
+    if not (args.f_min <= args.f_max and args.beta_min <= args.beta_max):
+        raise ValueError("empty window: need --f-min <= --f-max and --beta-min <= --beta-max")
     steps_f = int(round((args.f_max - args.f_min) / args.f_step))
     twists = [args.f_min + k * args.f_step for k in range(steps_f + 1)]
     betas = args.beta_min + args.beta_step * np.arange(
@@ -354,6 +341,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quantum communication on a twisted-boundary spin ring.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--beta-max", type=float, default=None)
+    search.add_argument("--beta-step", type=float, default=None)
+    search.add_argument(
+        "--twists",
+        default=None,
+        help='"grid" for the default 1/400 twist grid, or comma list like "-0.25,0.25"',
+    )
+    search.add_argument("--config", default=None, help="JSON file with search-spec fields")
 
     p = sub.add_parser("amplitude", help="one transition amplitude / xi evaluation")
     p.add_argument("--n", type=int, required=True, help="ring size")
@@ -370,15 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write JSON here (plus manifest)")
     p.set_defaults(func=cmd_amplitude)
 
-    p = sub.add_parser("table1", help="reproduce the published 5/7-site optimum table")
-    p.add_argument("--beta-max", type=float, default=None)
-    p.add_argument("--beta-step", type=float, default=None)
-    p.add_argument(
-        "--twists",
-        default=None,
-        help='"grid" for the default 1/400 twist grid, or comma list like "-0.25,0.25"',
+    p = sub.add_parser(
+        "table1", parents=[search], help="reproduce the published 5/7-site optimum table"
     )
-    p.add_argument("--config", default=None, help="JSON file with search-spec fields")
     p.add_argument("--out", default=None, help="write CSV here (plus manifest)")
     p.set_defaults(func=cmd_table1)
 
@@ -399,13 +389,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the (beta, entropy, overlap) CSV here")
     p.set_defaults(func=cmd_entangle)
 
-    p = sub.add_parser("multiparty", help="pairwise transfer plan for party sites")
+    p = sub.add_parser(
+        "multiparty", parents=[search], help="pairwise transfer plan for party sites"
+    )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--sites", type=_parse_ints, required=True, help='comma list, e.g. "1,4,7"')
-    p.add_argument("--beta-max", type=float, default=None)
-    p.add_argument("--beta-step", type=float, default=None)
-    p.add_argument("--twists", default=None)
-    p.add_argument("--config", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_multiparty)
 
@@ -438,7 +426,7 @@ def main(argv: list[str] | None = None) -> int:
     args._argv = argv
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BesselTruncationError as exc:

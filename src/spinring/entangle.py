@@ -30,9 +30,8 @@ ebit there regardless of gauge.
 The scan also reports the reading at beta = 8.5*pi, a previously suggested
 operating point: the zero-flux branch is only halfway through its transfer
 there (perfect transfer needs an odd multiple of pi), so the entanglement
-tops out near 0.80 ebits rather than 1.  `evolve_joint` and
-`flux_ring_entanglement` are the independent reference: dense propagator
-and 2 x N Schmidt decomposition.
+tops out near 0.80 ebits rather than 1.  The independent reference (dense
+propagator and 2 x N Schmidt decomposition) lives with the tests.
 """
 
 from __future__ import annotations
@@ -44,15 +43,16 @@ import numpy as np
 
 from .amplitude import SpectralKernel
 from .optimize import _golden_max, _local_maxima
-from .ring import RingConfig, _mode_cosines, propagate_oracle, site_state
+from .ring import RingConfig, _mode_cosines, site_state
+
+# unused here, but benchmarks/spans.py patches `spinring.entangle.propagate_oracle`
+# in its traced mode, so the name must stay a module attribute
+from .ring import propagate_oracle  # noqa: F401
 
 __all__ = [
-    "JointFluxRingState",
     "EntanglementReading",
     "EntanglingScan",
     "REFERENCE_BETA",
-    "evolve_joint",
-    "flux_ring_entanglement",
     "entanglement_curve",
     "scan_times",
     "find_entangling_time",
@@ -64,25 +64,6 @@ REFERENCE_BETA = 8.5 * math.pi
 
 _ENTROPY_TIE = 1e-12
 _NEAR_BEST_WINDOW = 1e-3
-
-
-@dataclass(frozen=True)
-class JointFluxRingState:
-    """Flux-conditioned ring branches of the reference path; weights carry the split."""
-
-    branch_f0: np.ndarray
-    branch_f1: np.ndarray
-    branch_weights: tuple[complex, complex]
-    beta: float
-
-    @property
-    def n(self) -> int:
-        return len(self.branch_f0)
-
-    def amplitude_matrix(self) -> np.ndarray:
-        """2 x N joint amplitude matrix (flux index first)."""
-        w0, w1 = self.branch_weights
-        return np.vstack([w0 * self.branch_f0, w1 * self.branch_f1])
 
 
 @dataclass(frozen=True)
@@ -100,42 +81,6 @@ class EntanglingScan:
     reference: EntanglementReading
     n: int
     start_site: int
-
-
-def evolve_joint(ring_initial: np.ndarray, beta: float) -> JointFluxRingState:
-    """Evolve the balanced flux superposition for scaled time beta.
-
-    The flux states are decoherence-free labels: weights stay (1, 1)/sqrt(2)
-    while each branch evolves under its own twist (dense reference propagator).
-    """
-    psi0 = np.asarray(ring_initial, dtype=complex)
-    n = len(psi0)
-    b0 = propagate_oracle(RingConfig(n, f=0.0), psi0, beta)
-    b1 = propagate_oracle(RingConfig(n, f=0.5), psi0, beta)
-    w = 1.0 / math.sqrt(2.0)
-    return JointFluxRingState(
-        branch_f0=b0, branch_f1=b1, branch_weights=(w + 0j, w + 0j), beta=float(beta)
-    )
-
-
-def _entropy_from_schmidt(weights: np.ndarray) -> float:
-    probs = weights[weights > 1e-300]
-    return float(-np.sum(probs * np.log2(probs)))
-
-
-def flux_ring_entanglement(state: JointFluxRingState) -> EntanglementReading:
-    """Reference flux-ring entanglement in ebits via the 2 x N Schmidt decomposition."""
-    matrix = state.amplitude_matrix()
-    total = float(np.linalg.norm(matrix))
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"joint state must be normalized, got norm {total}")
-    schmidt = np.linalg.svd(matrix, compute_uv=False) ** 2
-    overlap = abs(np.vdot(state.branch_f0, state.branch_f1))
-    return EntanglementReading(
-        beta=state.beta,
-        entropy_ebits=_entropy_from_schmidt(schmidt),
-        branch_overlap=float(min(overlap, 1.0)),
-    )
 
 
 def _overlap_kernel(n: int, start_site: int) -> SpectralKernel:
@@ -156,7 +101,7 @@ def entanglement_curve(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(entropy, overlap) arrays over the given betas, from one mode sum per point.
 
-    Same readings as evolve_joint + flux_ring_entanglement point by point.
+    Same readings as the dense reference propagator and Schmidt decomposition.
     """
     overlap = _overlap_kernel(n, start_site).xi_points(betas)[0]
     return _entropy_from_overlap(overlap), overlap

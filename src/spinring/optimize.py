@@ -30,7 +30,6 @@ __all__ = [
     "TransferRecord",
     "PairTransfer",
     "default_twist_grid",
-    "optimize_transfer",
     "optimize_transfers",
     "multiparty_plan",
     "fidelity_from_xi",
@@ -45,9 +44,9 @@ _TWIST_REFINE_FLOOR = 1e-9
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def default_twist_grid(resolution: int = 400) -> tuple[float, ...]:
-    """Uniform twist grid of spacing 1/resolution over [-0.5, 0.5); contains +-0.25."""
-    return tuple(k / resolution - 0.5 for k in range(resolution))
+def default_twist_grid() -> tuple[float, ...]:
+    """Uniform twist grid of spacing 1/400 over [-0.5, 0.5); contains +-0.25."""
+    return tuple(k / 400 - 0.5 for k in range(400))
 
 
 @dataclass(frozen=True)
@@ -281,11 +280,6 @@ def optimize_transfers(
             near_optima=tuple(keep),
         )
     return records
-
-
-def optimize_transfer(n: int, d: int, spec: SearchSpec | None = None) -> TransferRecord:
-    """Best (twist, time) for sending over displacement d on an n-site ring."""
-    return optimize_transfers(n, (d,), spec)[d]
 
 
 def multiparty_plan(

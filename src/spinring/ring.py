@@ -11,11 +11,11 @@ Hamiltonian is a circulant hopping matrix with a constant diagonal
     D = -J*(N-4) - B*(N-2)
 
 and hopping amplitude -2*J between neighbors, carrying the twist as a phase on
-each bond.  Two gauges are provided: the uniform gauge spreads the loop phase
-evenly over all N bonds (so the eigenvectors are plain DFT plane waves), while
-the single-bond gauge puts the full phase on the closing bond.  Per-site
-amplitude magnitudes are gauge-independent; both gauges carry the same loop
-phase and are related by a diagonal unitary.
+each bond.  The package works in the uniform gauge, which spreads the loop
+phase evenly over all N bonds, so the eigenvectors are plain DFT plane waves.
+Any other layout of the same loop phase (the tests also use the single-bond
+gauge, full phase on the closing bond) is related to it by a diagonal unitary
+and gives the same per-site amplitude magnitudes.
 
 Mode m = 1..N has energy
 
@@ -38,20 +38,11 @@ import numpy as np
 
 __all__ = [
     "RingConfig",
-    "ModeSpectrum",
     "site_state",
-    "hop_phases",
     "build_hamiltonian",
     "mode_energies",
-    "mode_spectrum",
     "propagate_oracle",
-    "full_space_oracle",
 ]
-
-GAUGES = ("uniform", "single-bond")
-
-# Full-space validation is exponential in N; anything past this is a mistake.
-FULL_SPACE_MAX_SITES = 10
 
 
 @dataclass(frozen=True)
@@ -110,34 +101,19 @@ def _check_state(psi: np.ndarray, n: int) -> np.ndarray:
     return psi
 
 
-def hop_phases(config: RingConfig, gauge: str = "uniform") -> np.ndarray:
-    """Phase (radians) picked up hopping from site k to site k+1, per bond.
+def build_hamiltonian(config: RingConfig) -> np.ndarray:
+    """One-excitation sector Hamiltonian as an explicit N x N Hermitian matrix.
 
-    Bond index k = 0..N-1 is the bond from site k+1 to site k+2 (1-based);
-    the last bond closes the ring.  The loop sum is -2*pi*f in both gauges,
-    which is the gauge-invariant content of the twist.
+    Uniform gauge: the hop from site k+1 to k+2 (1-based, the last bond
+    closing the ring) carries the phase exp(-2*pi*i*f/N).
     """
-    if gauge not in GAUGES:
-        raise ValueError(f"gauge must be one of {GAUGES}, got {gauge!r}")
-    phases = np.zeros(config.n)
-    if gauge == "uniform":
-        phases[:] = -2.0 * np.pi * config.f / config.n
-    else:
-        phases[-1] = -2.0 * np.pi * config.f
-    return phases
-
-
-def build_hamiltonian(config: RingConfig, gauge: str = "uniform") -> np.ndarray:
-    """One-excitation sector Hamiltonian as an explicit N x N Hermitian matrix."""
     n = config.n
-    phases = hop_phases(config, gauge)
+    hop = -2.0 * config.j * np.exp(1j * (-2.0 * np.pi * config.f / n))
     h = np.zeros((n, n), dtype=complex)
     np.fill_diagonal(h, config.diagonal)
-    for k in range(n):
-        a, b = k, (k + 1) % n
-        hop = -2.0 * config.j * np.exp(1j * phases[k])
-        h[b, a] = hop
-        h[a, b] = hop.conjugate()
+    k = np.arange(n)
+    h[(k + 1) % n, k] = hop
+    h[k, (k + 1) % n] = hop.conjugate()
     return h
 
 
@@ -157,33 +133,6 @@ def _mode_cosines(n: int, f: float) -> np.ndarray:
 def mode_energies(config: RingConfig) -> np.ndarray:
     """Closed-form sector energies E_m, m = 1..N."""
     return -4.0 * config.j * _mode_cosines(config.n, config.f) + config.diagonal
-
-
-@dataclass(frozen=True)
-class ModeSpectrum:
-    """All N plane-wave modes of a ring configuration.
-
-    vectors[:, i] is the (uniform-gauge) eigenvector of mode m[i]; every
-    component has magnitude 1/sqrt(N).
-    """
-
-    m: np.ndarray
-    energies: np.ndarray
-    vectors: np.ndarray
-
-
-def mode_spectrum(config: RingConfig) -> ModeSpectrum:
-    """Analytic eigensystem in the uniform gauge.
-
-    The uniform gauge leaves the matrix circulant, so the eigenvectors are
-    the DFT columns exp(2*pi*i*m*site/N)/sqrt(N) independent of the twist;
-    the twist only slides the band cos(2*pi*(m+f)/N).
-    """
-    n = config.n
-    m = np.arange(1, n + 1)
-    sites = np.arange(1, n + 1)
-    vectors = np.exp(2j * np.pi * np.outer(sites, m) / n) / math.sqrt(n)
-    return ModeSpectrum(m=m, energies=mode_energies(config), vectors=vectors)
 
 
 def _check_beta(beta: float) -> float:
@@ -208,58 +157,3 @@ def propagate_oracle(config: RingConfig, psi0: np.ndarray, beta: float) -> np.nd
     w, v = np.linalg.eigh(build_hamiltonian(config))
     t = beta / (4.0 * config.j)
     return v @ (np.exp(-1j * w * t) * (v.conj().T @ psi0))
-
-
-def full_space_oracle(config: RingConfig, psi0: np.ndarray, beta: float) -> np.ndarray:
-    """Evolve under the full 2^N spin Hamiltonian and project back.
-
-    The one-excitation state is embedded as a single flipped spin over the
-    aligned background, evolved with the complete exchange + field matrix
-    (twist carried as per-bond phases on the spin-exchange hopping), and the
-    single-excitation amplitudes are read back out.  Magnetization
-    conservation makes the projection lossless up to rounding.
-    """
-    n = config.n
-    if n > FULL_SPACE_MAX_SITES:
-        raise ValueError(
-            f"full-space oracle is limited to n <= {FULL_SPACE_MAX_SITES} "
-            f"(2^n state space), got n={n}"
-        )
-    beta = _check_beta(beta)
-    psi0 = _check_state(psi0, n)
-
-    h = _full_hamiltonian(config)
-    dim = 1 << n
-    full = np.zeros(dim, dtype=complex)
-    for site in range(n):
-        full[1 << site] = psi0[site]
-    w, v = np.linalg.eigh(h)
-    t = beta / (4.0 * config.j)
-    evolved = v @ (np.exp(-1j * w * t) * (v.conj().T @ full))
-    return np.array([evolved[1 << site] for site in range(n)])
-
-
-def _full_hamiltonian(config: RingConfig) -> np.ndarray:
-    """Full 2^N XXX Hamiltonian; bit k set = spin flipped at site k+1."""
-    n = config.n
-    j, b = config.j, config.b
-    phases = hop_phases(config)
-    dim = 1 << n
-    h = np.zeros((dim, dim), dtype=complex)
-    for state in range(dim):
-        z = 1 - 2 * ((state >> np.arange(n)) & 1)
-        diag = -b * float(z.sum())
-        for k in range(n):
-            ka, kb = k, (k + 1) % n
-            diag += -j * z[ka] * z[kb]
-            if z[ka] != z[kb]:
-                # exchange moves the flipped spin across the bond; the hop
-                # from site ka+1 to kb+1 carries phase[k], the reverse its
-                # conjugate
-                target = state ^ ((1 << ka) | (1 << kb))
-                if (state >> ka) & 1:
-                    h[target, state] += -2.0 * j * np.exp(1j * phases[k])
-                else:
-                    h[target, state] += -2.0 * j * np.exp(-1j * phases[k])
-        h[state, state] = diag
-    return h

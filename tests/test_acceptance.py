@@ -9,7 +9,13 @@ import math
 import numpy as np
 from scipy.special import jv
 
-from conftest import square_ring_entropy
+from conftest import (
+    evolve_joint,
+    flux_ring_entanglement,
+    full_space_oracle,
+    single_bond_hamiltonian,
+    square_ring_entropy,
+)
 from spinring.amplitude import (
     AmplitudeQuery,
     amplitude_bessel,
@@ -20,15 +26,9 @@ from spinring.amplitude import (
 )
 from spinring.blockage import bessel_pair_coefficients, verify_blockage
 from spinring.cli import PUBLISHED_WINDOWS
-from spinring.entangle import REFERENCE_BETA, evolve_joint, find_entangling_time, flux_ring_entanglement
+from spinring.entangle import REFERENCE_BETA, find_entangling_time
 from spinring.optimize import SearchSpec, optimize_transfers
-from spinring.ring import (
-    RingConfig,
-    build_hamiltonian,
-    full_space_oracle,
-    propagate_oracle,
-    site_state,
-)
+from spinring.ring import RingConfig, build_hamiltonian, propagate_oracle, site_state
 
 ROOT2 = math.sqrt(2.0)
 
@@ -252,8 +252,8 @@ def test_criterion_8_symmetry_suite():
         cfg = RingConfig(n, f=float(rng.uniform(-0.5, 0.5)))
         t = float(rng.uniform(0.0, 50.0)) / (4.0 * cfg.j)
         mags = []
-        for gauge in ("uniform", "single-bond"):
-            w, v = np.linalg.eigh(build_hamiltonian(cfg, gauge))
+        for h in (build_hamiltonian(cfg), single_bond_hamiltonian(cfg)):
+            w, v = np.linalg.eigh(h)
             u = (v * np.exp(-1j * w * t)) @ v.conj().T
             mags.append(np.abs(u))
         worst["gauge"] = max(worst["gauge"], float(np.max(np.abs(mags[0] - mags[1]))))

@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 
 from spinring.amplitude import xi, xi_profile
-from spinring.blockage import (
-    BLOCKED_XI,
-    bessel_pair_coefficients,
-    switch_contrast,
-    verify_blockage,
-)
+from spinring.blockage import BLOCKED_XI, bessel_pair_coefficients, verify_blockage
 from spinring.ring import RingConfig, mode_energies
 
 ROOT2 = math.sqrt(2.0)
+
+
+def switch_contrast(quarter_rings, beta):
+    """(xi with flux open, f = 0; xi with flux closed, f = 1/2) for the diametric receiver."""
+    n, d = 4 * quarter_rings, 2 * quarter_rings
+    return xi(RingConfig(n, f=0.0), d, beta), xi(RingConfig(n, f=0.5), d, beta)
 
 
 def test_blocked_at_fixed_samples():
@@ -106,5 +107,3 @@ def test_validation():
         verify_blockage(0, [1.0])
     with pytest.raises(ValueError):
         verify_blockage(2, [float("inf")])
-    with pytest.raises(ValueError):
-        switch_contrast(-1, 1.0)

@@ -1,6 +1,7 @@
 """CLI contract: output schemas, determinism, manifests, exit codes."""
 
 import csv
+import importlib.util
 import json
 import math
 import subprocess
@@ -211,12 +212,14 @@ def test_table1_unknown_config_key_exits_2(tmp_path, capsys):
     ],
 )
 def test_table1_config_of_wrong_type_exits_2(tmp_path, capsys, document, key):
+    # table1 and multiparty share one --config declaration; both keep the contract
     config = tmp_path / "bad.json"
     config.write_text(json.dumps(document))
-    assert cli.main(["table1", "--config", str(config)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert key in err
+    for argv in (["table1"], ["multiparty", "--n", "9", "--sites", "1,4"]):
+        assert cli.main([*argv, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert key in err
 
 
 def test_blockage_without_samples_exits_2(capsys):
@@ -307,6 +310,41 @@ def test_sweep_zero_twist_step_exits_2(capsys):
 
 def test_sweep_zero_time_step_exits_2(capsys):
     assert run_cli(capsys, "sweep", "--n", "5", "--d", "2", "--beta-step", "0")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["sweep", "--n", "5", "--d", "1", "--f-min", "0.5", "--f-max", "-0.5"], 2),
+        (["sweep", "--n", "5", "--d", "1", "--beta-min", "10", "--beta-max", "5"], 2),
+        (["sweep", "--n", "5", "--d", "1", "--beta-max", "inf"], 2),
+        (["sweep", "--n", "5", "--d", "1", "--f-max", "inf"], 2),
+        (["sweep", "--n", "5", "--d", "1", "--beta-max", "1e308"], 2),
+        (["entangle", "--beta-max", "inf"], 2),
+        (["blockage", "--nn", "1", "--beta-max", "inf"], 2),
+        (["sweep", "--n", "5", "--d", "1", "--beta-min", "5", "--beta-max", "5"], 0),
+    ],
+)
+def test_window_bounds_contract(tmp_path, capsys, argv, code):
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith("error: ")
+        assert not out.exists()
+    else:
+        assert len(read_rows(out)) == 21  # a one-point beta window, every twist
+
+
+def test_traced_names_resolve():
+    """Every module attribute the benchmark's traced mode patches exists."""
+    path = Path(__file__).parents[1] / "benchmarks" / "spans.py"
+    spec = importlib.util.spec_from_file_location("benchmark_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, attr, *_ in spans.MODULE_PATCHES:
+        assert callable(getattr(importlib.import_module(module), attr)), f"{module}.{attr}"
 
 
 def test_manifest_replay_reproduces_bytes(tmp_path, capsys):

@@ -5,15 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from conftest import binary_entropy, square_ring_entropy, square_ring_overlap
+from conftest import (
+    JointFluxRingState,
+    binary_entropy,
+    evolve_joint,
+    flux_ring_entanglement,
+    square_ring_entropy,
+    square_ring_overlap,
+)
 from spinring.entangle import (
     EntanglementReading,
-    JointFluxRingState,
     REFERENCE_BETA,
     entanglement_curve,
-    evolve_joint,
     find_entangling_time,
-    flux_ring_entanglement,
     scan_times,
 )
 from spinring.ring import site_state

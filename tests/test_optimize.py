@@ -9,7 +9,6 @@ from spinring.optimize import (
     default_twist_grid,
     fidelity_from_xi,
     multiparty_plan,
-    optimize_transfer,
     optimize_transfers,
 )
 from spinring.ring import RingConfig
@@ -50,7 +49,7 @@ def test_search_spec_defaults_and_validation():
 
 def test_pentagon_next_nearest_window():
     # published row: d=2 optimum at f=-0.25, beta=162.51, xi=0.9999
-    rec = optimize_transfer(5, 2, SearchSpec(beta_max=200.0, f_candidates=RESTRICTED))
+    rec = optimize_transfers(5, [2], SearchSpec(beta_max=200.0, f_candidates=RESTRICTED))[2]
     assert rec.f == -0.25
     assert abs(rec.beta - 162.51) <= 0.5
     assert rec.xi >= 0.9998
@@ -58,7 +57,7 @@ def test_pentagon_next_nearest_window():
 
 def test_full_twist_grid_confirms_quarter_twist():
     # the 1/400 grid plus twist refinement lands back on f = -0.25
-    rec = optimize_transfer(5, 2, SearchSpec(beta_max=170.0))
+    rec = optimize_transfers(5, [2], SearchSpec(beta_max=170.0))[2]
     assert abs(rec.f + 0.25) <= 1 / 800
     assert abs(rec.beta - 162.51) <= 0.5
     assert rec.xi >= 0.99992
@@ -68,7 +67,7 @@ def test_twist_refinement_moves_an_off_grid_winner():
     # the twist list misses the optimum near f = -0.19967; the coarse grid's
     # best, 0.99255 at f = -0.2, is beaten by the refined twist
     spec = SearchSpec(beta_max=2000.0, f_candidates=(-0.2, 0.2))
-    rec = optimize_transfer(5, 1, spec)
+    rec = optimize_transfers(5, [1], spec)[1]
     grid_best = max(
         float(xi_profile(RingConfig(5, f=f), 1, spec.beta_grid()).max()) for f in spec.f_candidates
     )
@@ -79,7 +78,7 @@ def test_twist_refinement_moves_an_off_grid_winner():
 
 
 def test_blocked_task_reports_window_start():
-    rec = optimize_transfer(4, 2, SearchSpec(beta_max=100.0, f_candidates=(0.5,)))
+    rec = optimize_transfers(4, [2], SearchSpec(beta_max=100.0, f_candidates=(0.5,)))[2]
     assert rec.xi <= 1e-12
     assert rec.beta == 0.0
     assert rec.f == 0.5
@@ -87,31 +86,31 @@ def test_blocked_task_reports_window_start():
 
 def test_mirrored_tasks_produce_mirrored_optima():
     spec = SearchSpec(beta_max=200.0, f_candidates=RESTRICTED)
-    fwd = optimize_transfer(5, 2, spec)
-    bwd = optimize_transfer(5, 3, spec)
+    fwd = optimize_transfers(5, [2], spec)[2]
+    bwd = optimize_transfers(5, [3], spec)[3]
     assert fwd.f == -bwd.f
     assert abs(fwd.beta - bwd.beta) <= spec.refine_tol
     assert abs(fwd.xi - bwd.xi) <= 1e-9
 
 
 def test_wider_window_never_hurts():
-    narrow = optimize_transfer(5, 2, SearchSpec(beta_max=170.0, f_candidates=RESTRICTED))
-    wide = optimize_transfer(5, 2, SearchSpec(beta_max=400.0, f_candidates=RESTRICTED))
+    narrow = optimize_transfers(5, [2], SearchSpec(beta_max=170.0, f_candidates=RESTRICTED))[2]
+    wide = optimize_transfers(5, [2], SearchSpec(beta_max=400.0, f_candidates=RESTRICTED))[2]
     assert wide.xi >= narrow.xi - 1e-12
 
 
 def test_halving_the_grid_step_is_converged():
-    coarse = optimize_transfer(5, 2, SearchSpec(beta_max=200.0, f_candidates=RESTRICTED))
-    fine = optimize_transfer(
-        5, 2, SearchSpec(beta_max=200.0, beta_step=0.01, f_candidates=RESTRICTED)
-    )
+    coarse = optimize_transfers(5, [2], SearchSpec(beta_max=200.0, f_candidates=RESTRICTED))[2]
+    fine = optimize_transfers(
+        5, [2], SearchSpec(beta_max=200.0, beta_step=0.01, f_candidates=RESTRICTED)
+    )[2]
     assert abs(coarse.xi - fine.xi) < 1e-4
 
 
 def test_records_reevaluate_identically():
     spec = SearchSpec(beta_max=300.0, f_candidates=RESTRICTED)
     for d in (1, 2):
-        rec = optimize_transfer(5, d, spec)
+        rec = optimize_transfers(5, [d], spec)[d]
         again = xi(RingConfig(5, f=rec.f), d, rec.beta)
         assert abs(rec.xi - again) <= 1e-10
 
@@ -164,7 +163,7 @@ def test_pentagon_all_pairs_match_published_rows():
 
 def test_fidelity_always_follows_xi():
     spec = SearchSpec(beta_max=200.0, f_candidates=RESTRICTED)
-    records = [optimize_transfer(5, 2, spec)]
+    records = [optimize_transfers(5, [2], spec)[2]]
     records += [p.record for p in multiparty_plan(5, [1, 2, 4], spec)]
     for rec in records:
         assert rec.fidelity == fidelity_from_xi(rec.xi)
@@ -172,9 +171,9 @@ def test_fidelity_always_follows_xi():
 
 def test_validation_errors():
     with pytest.raises(ValueError):
-        optimize_transfer(5, 0)
+        optimize_transfers(5, [0])
     with pytest.raises(ValueError):
-        optimize_transfer(5, 5)
+        optimize_transfers(5, [5])
     with pytest.raises(ValueError):
         multiparty_plan(9, [1])
     with pytest.raises(ValueError):

@@ -5,13 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from conftest import full_space_oracle, single_bond_hamiltonian
 from spinring.ring import (
     RingConfig,
     build_hamiltonian,
-    full_space_oracle,
-    hop_phases,
     mode_energies,
-    mode_spectrum,
     propagate_oracle,
     site_state,
 )
@@ -59,8 +57,7 @@ def test_hermitian_exactly_as_built():
     for _ in range(8):
         cfg = RingConfig(int(rng.integers(3, 17)), f=float(rng.uniform(-1, 1)),
                          b=float(rng.uniform(-2, 2)))
-        for gauge in ("uniform", "single-bond"):
-            h = build_hamiltonian(cfg, gauge)
+        for h in (build_hamiltonian(cfg), single_bond_hamiltonian(cfg)):
             assert np.array_equal(h, h.conj().T)
 
 
@@ -85,13 +82,14 @@ def test_quarter_twist_pentagon_energies():
 
 def test_mode_vectors_orthonormal_flat_and_eigen():
     for cfg in (RingConfig(4, f=0.5), RingConfig(7, f=-0.25), RingConfig(12, f=0.3137)):
-        spec = mode_spectrum(cfg)
-        v = spec.vectors
+        # uniform gauge: the DFT columns exp(2*pi*i*m*site/N)/sqrt(N), m = 1..N
+        sites = np.arange(1, cfg.n + 1)
+        v = np.exp(2j * np.pi * np.outer(sites, sites) / cfg.n) / math.sqrt(cfg.n)
         gram = v.conj().T @ v
         assert np.max(np.abs(gram - np.eye(cfg.n))) <= 1e-12
         assert np.max(np.abs(np.abs(v) - 1 / math.sqrt(cfg.n))) <= 1e-12
         h = build_hamiltonian(cfg)
-        resid = h @ v - v * spec.energies
+        resid = h @ v - v * mode_energies(cfg)
         assert np.max(np.linalg.norm(resid, axis=0)) <= 1e-11
 
 
@@ -103,11 +101,12 @@ def test_twist_periodicity_of_spectrum():
 
 
 def test_gauge_loop_phase_matches():
+    # the product of the hops once around the ring, 1 -> 2 -> ... -> N -> 1,
+    # is the gauge-invariant content of the twist: (-2J)^N exp(-2*pi*i*f)
     cfg = RingConfig(6, f=0.37)
-    for gauge in ("uniform", "single-bond"):
-        assert hop_phases(cfg, gauge).sum() == pytest.approx(-2 * np.pi * 0.37, abs=1e-12)
-    with pytest.raises(ValueError):
-        hop_phases(cfg, "radial")
+    for h in (build_hamiltonian(cfg), single_bond_hamiltonian(cfg)):
+        loop = np.prod([h[(k + 1) % cfg.n, k] for k in range(cfg.n)]) / (-2.0 * cfg.j) ** cfg.n
+        assert loop == pytest.approx(np.exp(-2j * np.pi * 0.37), abs=1e-12)
 
 
 def test_propagate_identity_at_beta_zero():
@@ -144,8 +143,8 @@ def test_gauge_invariance_of_propagator_magnitudes():
         beta = float(rng.uniform(0, 50))
         t = beta / (4 * cfg.j)
         mags = []
-        for gauge in ("uniform", "single-bond"):
-            w, v = np.linalg.eigh(build_hamiltonian(cfg, gauge))
+        for h in (build_hamiltonian(cfg), single_bond_hamiltonian(cfg)):
+            w, v = np.linalg.eigh(h)
             u = (v * np.exp(-1j * w * t)) @ v.conj().T
             mags.append(np.abs(u))
         assert np.max(np.abs(mags[0] - mags[1])) <= 1e-12
