@@ -29,10 +29,13 @@ __all__ = [
     "AmplitudeResult",
     "BESSEL_BETA_MAX",
     "BesselTruncationError",
+    "MAX_GRID_POINTS",
     "SpectralKernel",
     "amplitude_spectral",
     "amplitude_bessel",
     "amplitude_oracle",
+    "grid_count",
+    "require_grid_points",
     "xi",
     "xi_profile",
 ]
@@ -52,6 +55,10 @@ BESSEL_BETA_MAX = 12000.0
 
 # Grid points per displacement evaluated at once; bounds the live phase block.
 _CHUNK = 65536
+# Largest sample grid any command lays down (betas, or rows of a sweep); a
+# larger one is refused before anything is allocated.  The biggest documented
+# run, a 1,010,001-row sweep, fits five times over.
+MAX_GRID_POINTS = 5_000_000
 
 
 class BesselTruncationError(RuntimeError):
@@ -89,10 +96,29 @@ class AmplitudeResult:
     method: str
 
 
+def require_grid_points(points: float) -> None:
+    """ValueError unless points <= MAX_GRID_POINTS (nan and inf refused)."""
+    if not points <= MAX_GRID_POINTS:
+        raise ValueError(f"a grid of {points:.4g} points exceeds the limit of {MAX_GRID_POINTS:,}")
+
+
+def grid_count(span: float, step: float) -> int:
+    """Number of points 0, step, 2*step, ... up to span (1e-9 steps of slack), checked."""
+    steps = span / step + 1e-9
+    require_grid_points(steps + 1.0)
+    return math.floor(steps) + 1
+
+
 def _clip_xi(mag: float) -> float:
     if mag > 1.0 + XI_EXCESS:
         raise ValueError(f"|amplitude| = {mag} exceeds 1 beyond rounding tolerance")
     return min(mag, 1.0)
+
+
+def _giant_steps(b0: float, h: float, count: int) -> tuple[np.ndarray, int]:
+    """The giant-step starts b0 + g*S*h and the stride S = ceil(sqrt(count)) of `xi_grid`."""
+    stride = math.isqrt(count - 1) + 1 if count > 1 else 1
+    return b0 + h * (stride * np.arange(-(-count // stride))), stride
 
 
 class SpectralKernel:
@@ -141,19 +167,30 @@ class SpectralKernel:
         step exp(i*c_m*(b0 + g*S*h)) times a baby step exp(i*c_m*j*h): about
         2*sqrt(count)*N exponentials and one matrix product per chunk.
         """
-        stride = math.isqrt(count - 1) + 1 if count > 1 else 1
-        starts = b0 + h * (stride * np.arange(-(-count // stride)))
+        starts, stride = _giant_steps(b0, h, count)
         return self._xi_blocks(starts, h, stride, count)
 
     def _xi_blocks(self, starts: np.ndarray, h: float, stride: int, count: int) -> np.ndarray:
         """|a_d| at starts[g] + j*h, j < stride; arbitrary points are stride 1, h = 0."""
-        nd = self.weights.shape[1]
-        baby = np.exp(np.outer(self._irates, h * np.arange(stride)))
+        return self._xi_giant(self.weights, starts, self._baby(h, stride), count)
+
+    def _baby(self, h: float, stride: int) -> np.ndarray:
+        """Baby-step phases exp(i*c_m*j*h), shape (N, stride)."""
+        return np.exp(np.outer(self._irates, h * np.arange(stride)))
+
+    def _xi_giant(
+        self, weights: np.ndarray, starts: np.ndarray, baby: np.ndarray, count: int
+    ) -> np.ndarray:
+        """|a| at starts[g] + j*h for the displacement columns `weights`.
+
+        `baby` holds exp(i*c_m*j*h); one BLAS product per chunk of giant rows.
+        """
+        nd, stride = weights.shape[1], baby.shape[1]
         per = max(_CHUNK // stride, 1)
         out = np.empty((nd, starts.shape[0], stride))
         for lo in range(0, starts.shape[0], per):
             giant = np.exp(np.outer(starts[lo : lo + per], self._irates))
-            rows = (self.weights.T[:, None, :] * giant).reshape(-1, self.n)
+            rows = (weights.T[:, None, :] * giant).reshape(-1, self.n)
             np.abs((rows @ baby).reshape(nd, -1, stride), out=out[:, lo : lo + per])
         out = out.reshape(nd, starts.shape[0] * stride)[:, :count]
         out /= self.n

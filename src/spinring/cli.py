@@ -7,7 +7,8 @@ When ``--out`` is given the results are written to that path and a
 re-runs a manifest and regenerates the results byte for byte.
 
 Exit codes: 0 success; 2 usage/validation, including a Bessel-route beta
-above 12000 (`amplitude.BESSEL_BETA_MAX`) and a window too large to hold
+above 12000 (`amplitude.BESSEL_BETA_MAX`), a grid of more than
+`amplitude.MAX_GRID_POINTS` points and a window too large to hold
 (`OverflowError`); 3 an amplitude route failed its
 accuracy check: the complex values of `amplitude --method all` disagree, or
 the Bessel series tail did not converge (`BesselTruncationError`); 4
@@ -31,6 +32,8 @@ from .amplitude import (
     amplitude_bessel,
     amplitude_oracle,
     amplitude_spectral,
+    grid_count,
+    require_grid_points,
     xi,
     xi_profile,
 )
@@ -230,6 +233,7 @@ def cmd_blockage(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     reports = []
     all_pass = True
+    require_grid_points(args.samples)
     for quarter in args.nn:
         samples = rng.uniform(0.0, args.beta_max, args.samples)
         rep = verify_blockage(quarter, samples)
@@ -314,10 +318,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not (args.f_min <= args.f_max and args.beta_min <= args.beta_max):
         raise ValueError("empty window: need --f-min <= --f-max and --beta-min <= --beta-max")
     steps_f = int(round((args.f_max - args.f_min) / args.f_step))
+    count = grid_count(args.beta_max - args.beta_min, args.beta_step)
+    require_grid_points((steps_f + 1) * count)
     twists = [args.f_min + k * args.f_step for k in range(steps_f + 1)]
-    betas = args.beta_min + args.beta_step * np.arange(
-        int((args.beta_max - args.beta_min) / args.beta_step + 1e-9) + 1
-    )
+    betas = args.beta_min + args.beta_step * np.arange(count)
     profiles = [xi_profile(RingConfig(args.n, f=f), args.d, betas) for f in twists]
     columns = (np.repeat(twists, len(betas)), np.tile(betas, len(twists)), np.ravel(profiles))
     _emit(args, csv_text(("f", "beta", "xi"), columns), started)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitude import SpectralKernel
+from .amplitude import SpectralKernel, grid_count
 from .optimize import _golden_max, _local_maxima
 from .ring import RingConfig, _mode_cosines, site_state
 
@@ -113,10 +113,10 @@ def _reading(kernel: SpectralKernel, beta: float) -> EntanglementReading:
 
 
 def scan_times(beta_max: float, step: float) -> np.ndarray:
-    """The scan grid 0, step, 2*step, ... up to beta_max."""
+    """The scan grid 0, step, 2*step, ... up to beta_max; at most `MAX_GRID_POINTS`."""
     if not (beta_max > 0 and step > 0):
         raise ValueError("beta_max and step must be positive")
-    return step * np.arange(int(math.floor(beta_max / step + 1e-9)) + 1)
+    return step * np.arange(grid_count(beta_max, step))
 
 
 def find_entangling_time(

@@ -4,7 +4,8 @@ Everything here is deliberately computed by a different route than the
 package code: ascending power series for Bessel functions, hand-derived
 closed forms for the 4-site ring, plain binary entropy, the full 2^N spin
 Hamiltonian, the flux-ring entanglement from dense propagators and a 2 x N
-Schmidt decomposition, and the sector Hamiltonian in the single-bond gauge.
+Schmidt decomposition, the sector Hamiltonian in the single-bond gauge, and
+the optimizer's coarse pass over the whole twist x time grid, unpruned.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ import math
 
 import numpy as np
 
+from spinring.amplitude import SpectralKernel
 from spinring.entangle import EntanglementReading
-from spinring.ring import RingConfig, build_hamiltonian, propagate_oracle
+from spinring.optimize import _local_maxima
+from spinring.ring import RingConfig, _mode_cosines, build_hamiltonian, propagate_oracle
 
 # Full-space validation is exponential in N; anything past this is a mistake.
 FULL_SPACE_MAX_SITES = 10
@@ -180,3 +183,28 @@ def flux_ring_entanglement(state: JointFluxRingState) -> EntanglementReading:
         entropy_ebits=_entropy_from_schmidt(schmidt),
         branch_overlap=float(min(overlap, 1.0)),
     )
+
+
+def coarse_pass_reference(n, ds, spec, window=1e-3, cap=64):
+    """`optimize._coarse_pass` without pruning: every twist on the whole beta grid.
+
+    Returns per-d lists of (f, beta, xi): the local maxima of each twist
+    within `window` of its maximum, at most `cap` of them best-first, then
+    those within `window` of the best over all twists.
+    """
+    betas = spec.beta_grid()
+    kept = {d: [] for d in ds}
+    best = {d: -1.0 for d in ds}
+    for f in spec.f_candidates:
+        kernel = SpectralKernel(_mode_cosines(n, f), ds)
+        profiles = kernel.xi_grid(spec.beta_min, spec.beta_step, len(betas))
+        for d, g in zip(ds, profiles):
+            best[d] = max(best[d], float(g.max()))
+            cand = _local_maxima(g)
+            cand = cand[g[cand] >= g.max() - window]
+            order = np.lexsort((betas[cand], -g[cand]))
+            for i in cand[order][:cap]:
+                kept[d].append((f, float(betas[i]), float(g[i])))
+    for d in ds:
+        kept[d] = [p for p in kept[d] if p[2] >= best[d] - window]
+    return kept

@@ -243,3 +243,52 @@ def test_kernel_grid_matches_pointwise_sums(n, f, b0, h, count):
 def test_half_flux_diametric_channel_stays_blocked_on_the_grid(half, b0, h, count):
     kernel = SpectralKernel(_mode_cosines(2 * half, 0.5), (half,))
     assert kernel.xi_grid(b0, h, count).max() <= 1e-12
+
+
+# Properties the optimizer's bound-pruned coarse pass rests on, drawn over
+# ring sizes 3..16 and times up to 5000.  Mode-phase rounding grows with beta
+# (measured up to 3.6e-16*beta between equal sums written two ways), so the
+# symmetry checks allow 1e-12 plus 1e-15*beta.
+RINGS = st.integers(3, 16)
+TWISTS = st.floats(-1.0, 1.0)
+TIMES = st.floats(0.0, 5000.0)
+
+
+def all_displacements(n, f, beta, ds=None):
+    return np.array(SpectralKernel(_mode_cosines(n, f), range(n) if ds is None else ds).xi(beta))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=RINGS,
+    f=TWISTS,
+    beta=TIMES,
+    delta=st.one_of(st.floats(-10.0, 10.0), st.floats(-1e-6, 1e-6)),
+)
+def test_xi_is_lipschitz_in_time(n, f, beta, delta):
+    # |a_d(b + delta) - a_d(b)| <= (1/N) sum_m |exp(i*delta*c_m) - 1| <= mean|c_m|*|delta|
+    lip = float(np.mean(np.abs(_mode_cosines(n, f))))
+    assert lip <= 1.0
+    step = np.abs(all_displacements(n, f, beta + delta) - all_displacements(n, f, beta))
+    assert step.max() <= lip * abs(delta) + 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=RINGS, f=TWISTS, beta=TIMES)
+def test_unitarity_over_all_displacements(n, f, beta):
+    assert abs(float(np.sum(all_displacements(n, f, beta) ** 2)) - 1.0) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=RINGS, f=TWISTS, beta=TIMES)
+def test_mirror_symmetry(n, f, beta):
+    # xi(d, f) = xi(N - d, -f): reflecting the ring reverses the twist
+    mirrored = all_displacements(n, -f, beta, [(n - d) % n for d in range(n)])
+    assert np.max(np.abs(all_displacements(n, f, beta) - mirrored)) <= 1e-12 + 1e-15 * beta
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=RINGS, f=TWISTS, beta=TIMES)
+def test_twist_period_is_one_flux_quantum(n, f, beta):
+    shifted = all_displacements(n, f + 1.0, beta)
+    assert np.max(np.abs(all_displacements(n, f, beta) - shifted)) <= 1e-12 + 1e-15 * beta

@@ -4,6 +4,7 @@ import csv
 import importlib.util
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -134,6 +135,17 @@ def test_table1_full_window_passes(tmp_path, capsys):
     assert out_csv.read_bytes() == golden.read_bytes()
 
 
+def test_table1_eighth_twist_grid_matches_golden(tmp_path, capsys):
+    # the benchmark's twist grid, spacing 1/8; the golden file predates the
+    # bound-pruned coarse pass, which must not move a byte
+    twists = ",".join(str(k / 8 - 0.5) for k in range(8))
+    out_csv = tmp_path / "table1.csv"
+    code, _ = run_cli(capsys, "table1", f"--twists={twists}", "--out", str(out_csv))
+    assert code == 0
+    golden = Path(__file__).parent / "data" / "table1_eighth_twists.csv"
+    assert out_csv.read_bytes() == golden.read_bytes()
+
+
 def test_table1_short_window_reports_best_in_window(tmp_path, capsys):
     out_csv = tmp_path / "short.csv"
     code, _ = run_cli(
@@ -220,6 +232,72 @@ def test_table1_config_of_wrong_type_exits_2(tmp_path, capsys, document, key):
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert key in err
+
+
+SEARCH_COMMANDS = (["table1"], ["multiparty", "--n", "9", "--sites", "1,4", "--twists=0.25"])
+
+
+@pytest.mark.parametrize("command", SEARCH_COMMANDS, ids=["table1", "multiparty"])
+@pytest.mark.parametrize(
+    "flags, document",
+    [
+        (["--beta-step", "inf"], None),
+        (["--beta-step", "nan"], None),
+        ([], {"refine_tol": math.inf}),
+        ([], {"beta_step": math.inf}),
+    ],
+    ids=["flag-inf", "flag-nan", "config-refine-tol", "config-beta-step"],
+)
+def test_non_finite_search_steps_exit_2(tmp_path, capsys, command, flags, document):
+    if document is not None:
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps(document))  # writes the bare token Infinity
+        flags = ["--config", str(config)]
+    out = tmp_path / "out"
+    assert cli.main([*command, *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # each grid would need terabytes: numpy fails at once if the bound is missed
+        ["table1", "--beta-step", "1e-7", "--beta-max", "1e6", "--twists=0.25"],
+        ["multiparty", "--n", "9", "--sites", "1,4", "--beta-step", "1e-7", "--beta-max", "1e6"],
+        ["sweep", "--n", "5", "--d", "1", "--beta-max", "1e15"],
+        ["entangle", "--beta-max", "1e13"],
+        ["blockage", "--nn", "1", "--samples", "200000000000"],
+    ],
+    ids=["table1", "multiparty", "sweep", "entangle", "blockage"],
+)
+def test_oversized_grids_exit_2_before_allocating(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{amplitude.MAX_GRID_POINTS:,}" in err
+    assert not out.exists()
+
+
+def test_sweep_bounds_twists_times_times(tmp_path, capsys, monkeypatch):
+    # 1,000,001 twists x 1,001 times: each axis fits, the grid does not
+    def unreachable(*args):
+        raise AssertionError("a profile was computed")
+
+    monkeypatch.setattr(cli, "xi_profile", unreachable)
+    out = tmp_path / "out"
+    argv = ["sweep", "--n", "5", "--d", "1", "--f-step", "1e-6", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert "exceeds the limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_documented_grids_fit():
+    # the largest sweep run so far, the default table1 time grid, the
+    # benchmark's landscape sweep and its protocol curve
+    for points in (1_010_001, 250_001, 257_426, 100_001):
+        amplitude.require_grid_points(points)
 
 
 def test_blockage_without_samples_exits_2(capsys):
@@ -365,10 +443,15 @@ def test_manifest_replay_reproduces_bytes(tmp_path, capsys):
 
 
 def test_console_script_runs():
+    # the child imports spinring from where this process found it
+    package_root = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])
+    )}
     proc = subprocess.run(
         [sys.executable, "-m", "spinring.cli", "amplitude", "--n", "4", "--d", "2",
          "--f", "0", "--beta", "3.141592653589793"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["xi"] == pytest.approx(1.0, abs=1e-12)

@@ -1,9 +1,14 @@
 """Grid-plus-refinement optimizer, multiparty plans, and the fidelity map."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from conftest import coarse_pass_reference
 
-from spinring.amplitude import xi, xi_profile
+from spinring import optimize
+from spinring.amplitude import _CHUNK, SpectralKernel, _giant_steps, xi, xi_profile
 from spinring.optimize import (
     SearchSpec,
     default_twist_grid,
@@ -11,9 +16,14 @@ from spinring.optimize import (
     multiparty_plan,
     optimize_transfers,
 )
-from spinring.ring import RingConfig
+from spinring.ring import RingConfig, _mode_cosines
 
 RESTRICTED = (-0.25, 0.25)
+
+
+def twist_grid(resolution):
+    """Twists k/resolution - 1/2, exact in binary when resolution divides a power of two."""
+    return tuple(float(Fraction(k, resolution) - Fraction(1, 2)) for k in range(resolution))
 
 
 def test_fidelity_map_endpoints_and_monotonicity():
@@ -45,6 +55,105 @@ def test_search_spec_defaults_and_validation():
         SearchSpec(f_candidates=())
     with pytest.raises(ValueError):
         SearchSpec(beta_min=-1.0)
+
+
+@pytest.mark.parametrize("field", ["beta_step", "refine_tol"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_search_spec_rejects_non_finite_steps(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        SearchSpec(**{field: value})
+
+
+def test_beta_grid_is_bounded_before_allocation():
+    # 1e13 points would be 80 TB: numpy could not even try, so a missing
+    # bound fails at once instead of filling memory
+    spec = SearchSpec(beta_max=1e6, beta_step=1e-7)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        spec.beta_grid()
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        optimize_transfers(5, [1], spec)
+
+
+# (n, ds, spec) cases where the pruned coarse pass must keep exactly what the
+# full grid keeps
+EQUIVALENCE_CASES = {
+    **{
+        f"n{n}-grid{res}": (n, tuple(range(1, n)), SearchSpec(f_candidates=twist_grid(res)))
+        for res in (8, 40)
+        for n in (5, 7, 9)
+    },
+    # fully blocked: nothing can be pruned
+    "blocked-hexagon": (6, (3,), SearchSpec(beta_max=500.0, f_candidates=(0.5,))),
+    # one displacement, and the full grid hands BLAS its last giant row alone
+    "blocked-hexagon-lone-row": (6, (3,), SearchSpec(beta_max=1310.72, f_candidates=(0.5,))),
+    "pentagon-lone-row": (5, (2,), SearchSpec(beta_max=1310.72, f_candidates=twist_grid(8))),
+    "one-point-window": (5, (1, 2), SearchSpec(beta_max=1.0, beta_step=2.0, f_candidates=RESTRICTED)),
+    "window-under-pre-stride": (5, (2, 3), SearchSpec(beta_max=0.1, f_candidates=twist_grid(8))),
+    "offset-window": (7, (1, 3), SearchSpec(beta_min=3.7, beta_max=1003.76, f_candidates=twist_grid(8))),
+    "nonagon-pair": (9, (3,), SearchSpec(beta_max=9000.0, f_candidates=RESTRICTED)),
+}
+
+
+@pytest.mark.parametrize("case", EQUIVALENCE_CASES)
+def test_pruned_coarse_pass_keeps_what_the_full_grid_keeps(case):
+    n, ds, spec = EQUIVALENCE_CASES[case]
+    count = len(spec.beta_grid())
+    if case == "one-point-window":
+        assert count == 1
+    if case == "window-under-pre-stride":
+        assert 1 < count < optimize._PRE_STRIDE
+    if case == "offset-window":
+        assert spec.beta_min > 0 and (count - 1) % optimize._PRE_STRIDE != 0
+    if case.endswith("lone-row"):
+        starts, stride = _giant_steps(spec.beta_min, spec.beta_step, count)
+        assert len(starts) % (_CHUNK // stride) == 1
+    kept = optimize._coarse_pass(n, ds, spec)
+    assert kept == coarse_pass_reference(n, ds, spec)
+    assert all(kept[d] for d in ds)
+
+
+def evaluated_share(monkeypatch, n, ds, spec):
+    """Share of the (displacement, giant row) pairs the coarse pass evaluates."""
+    seen = []
+    fine_rows = optimize._fine_rows
+
+    def counted(kernel, baby, i, starts, rows):
+        seen.append(len(rows))
+        return fine_rows(kernel, baby, i, starts, rows)
+
+    monkeypatch.setattr(optimize, "_fine_rows", counted)
+    optimize._coarse_pass(n, ds, spec)
+    rows = len(_giant_steps(spec.beta_min, spec.beta_step, len(spec.beta_grid()))[0])
+    return sum(seen) / (len(spec.f_candidates) * len(ds) * rows)
+
+
+def test_coarse_pass_prunes_the_quarter_twist_landscapes(monkeypatch):
+    spec = SearchSpec(f_candidates=twist_grid(8))
+    assert evaluated_share(monkeypatch, 5, (1, 2, 3, 4), spec) < 0.2
+    assert evaluated_share(monkeypatch, 7, tuple(range(1, 7)), spec) < 0.05
+    blocked = SearchSpec(beta_max=500.0, f_candidates=(0.5,))
+    assert evaluated_share(monkeypatch, 6, (3,), blocked) == 1.0
+
+
+@pytest.mark.parametrize(
+    "n, ds, count",
+    [(5, (2,), 65537), (7, (1, 2, 3), 250001), (6, (3,), 65537), (4, (1, 2), 2), (5, (1, 2), 1)],
+)
+def test_fine_rows_match_the_full_grid_bit_for_bit(n, ds, count):
+    rng = np.random.default_rng(count)
+    kernel = SpectralKernel(_mode_cosines(n, 0.2), ds)
+    full = kernel.xi_grid(1.5, 0.02, count)
+    starts, stride = _giant_steps(1.5, 0.02, count)
+    baby = kernel._baby(0.02, stride)
+    last = len(starts) - 1
+    some = sorted(rng.choice(len(starts), min(7, len(starts)), replace=False))
+    picks = [[0], [last], sorted({0, last}), some]
+    for rows in map(np.array, picks):
+        index = (rows[:, None] * stride + np.arange(stride)).ravel()
+        index = index[index < count]
+        for i in range(len(ds)):
+            got = optimize._fine_rows(kernel, baby, i, starts, rows)[: len(index)]
+            assert np.array_equal(got, full[i, index]), (rows, i)
 
 
 def test_pentagon_next_nearest_window():
