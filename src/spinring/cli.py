@@ -45,6 +45,7 @@ from .serialize import (
     ARTIFACT_VERSION,
     csv_text,
     dumps,
+    float_text,
     load_manifest,
     write_manifest,
     write_text,
@@ -230,10 +231,14 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 def cmd_blockage(args: argparse.Namespace) -> int:
     started = time.perf_counter()
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    if not (np.isfinite(args.beta_max) and args.beta_max >= 0.0):
+        raise ValueError(f"--beta-max must be finite and non-negative, got {args.beta_max!r}")
+    require_grid_points(args.samples)
     rng = np.random.default_rng(args.seed)
     reports = []
     all_pass = True
-    require_grid_points(args.samples)
     for quarter in args.nn:
         samples = rng.uniform(0.0, args.beta_max, args.samples)
         rep = verify_blockage(quarter, samples)
@@ -317,13 +322,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError("--f-step and --beta-step must be positive")
     if not (args.f_min <= args.f_max and args.beta_min <= args.beta_max):
         raise ValueError("empty window: need --f-min <= --f-max and --beta-min <= --beta-max")
-    steps_f = int(round((args.f_max - args.f_min) / args.f_step))
+    twist_count = grid_count(args.f_max - args.f_min, args.f_step)
     count = grid_count(args.beta_max - args.beta_min, args.beta_step)
-    require_grid_points((steps_f + 1) * count)
-    twists = [args.f_min + k * args.f_step for k in range(steps_f + 1)]
+    require_grid_points(twist_count * count)
+    twists = [args.f_min + k * args.f_step for k in range(twist_count)]
     betas = args.beta_min + args.beta_step * np.arange(count)
     profiles = [xi_profile(RingConfig(args.n, f=f), args.d, betas) for f in twists]
-    columns = (np.repeat(twists, len(betas)), np.tile(betas, len(twists)), np.ravel(profiles))
+    # a Cartesian grid: format each coordinate once and repeat its text, not its float
+    f_text, beta_text = float_text(twists), float_text(betas)
+    columns = (np.repeat(f_text, count), np.tile(beta_text, twist_count), np.ravel(profiles))
     _emit(args, csv_text(("f", "beta", "xi"), columns), started)
     return EXIT_OK
 

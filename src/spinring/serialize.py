@@ -21,6 +21,7 @@ __all__ = [
     "ARTIFACT_VERSION",
     "RunManifest",
     "round_sig",
+    "float_text",
     "canonical",
     "dumps",
     "write_text",
@@ -31,11 +32,18 @@ __all__ = [
 ]
 
 ARTIFACT_VERSION = __version__
+_FLOAT = "%.12g"  # the package-wide output precision: 12 significant digits
 
 
 def round_sig(x: float) -> float:
     """Round to 12 significant digits (the package-wide output precision)."""
-    return float(f"{float(x):.12g}")
+    return float(_FLOAT % float(x))
+
+
+def float_text(values: Any) -> np.ndarray:
+    """The %.12g text of each value as an object array, which `csv_text` writes
+    as is: a column that repeats a few values formats each of them once."""
+    return np.array([_FLOAT % v for v in np.asarray(values, dtype=float).tolist()], dtype=object)
 
 
 def canonical(value: Any) -> Any:
@@ -68,7 +76,7 @@ def write_text(path: str | Path | None, text: str) -> None:
 
 
 _BLOCK_ROWS = 65536  # rows per `%` call; bounds the tuple of cells held at once
-_CONVERSIONS = {"f": "%.12g", "i": "%d", "u": "%d"}  # `%` code by dtype kind, else %s
+_CONVERSIONS = {"f": _FLOAT, "i": "%d", "u": "%d"}  # `%` code by dtype kind, else %s
 
 
 def csv_text(header: Sequence[str], columns: Sequence[Any]) -> str:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import single_bond_hamiltonian
 from spinring.amplitude import (
     AmplitudeQuery,
     SpectralKernel,
@@ -19,7 +20,7 @@ from spinring.amplitude import (
 )
 from spinring.bessel import bessel_j_ladder
 from spinring.cli import PUBLISHED_WINDOWS
-from spinring.ring import RingConfig, _mode_cosines
+from spinring.ring import RingConfig, _mode_cosines, propagate_oracle, site_state
 
 
 def query(n, d, f, beta, **cfg):
@@ -292,3 +293,46 @@ def test_mirror_symmetry(n, f, beta):
 def test_twist_period_is_one_flux_quantum(n, f, beta):
     shifted = all_displacements(n, f + 1.0, beta)
     assert np.max(np.abs(all_displacements(n, f, beta) - shifted)) <= 1e-12 + 1e-15 * beta
+
+
+# Under a coupling J and a field B every route also carries the global phase
+# exp(-i*D*t), D = -J*(N-4) - B*(N-2), t = beta/(4*J).  At N = 16, J = 0.5,
+# B = 2 and beta = 5000 it turns 9e4 radians, and its rounding alone exceeds
+# 1e-12 + 1e-15*beta (measured up to 1.8 times that), so these checks allow
+# 1e-15 per radian of mode phase (beta) and of global phase (|D|*t).  With
+# D = 0 that is 1e-12 + 1e-15*beta, and it never exceeds 1e-10.
+COUPLINGS = st.floats(0.5, 2.0)
+FIELDS = st.floats(-2.0, 2.0)
+
+
+def phase_tolerance(cfg, beta):
+    return 1e-12 + 1e-15 * (beta + abs(cfg.diagonal) * beta / (4.0 * cfg.j))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=RINGS, beta=TIMES)
+def test_property_draws_stay_in_the_contract(n, beta):
+    # the tolerances above were measured over these bounds only
+    assert 3 <= n <= 16
+    assert 0.0 <= beta <= 5000.0
+    assert phase_tolerance(RingConfig(n, j=0.5, b=2.0), beta) <= 1e-10
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=RINGS, f=TWISTS, beta=TIMES, j=COUPLINGS, b=FIELDS)
+def test_magnitudes_do_not_depend_on_the_gauge(n, f, beta, j, b):
+    # the uniform and single-bond gauges differ by a diagonal unitary
+    cfg = RingConfig(n, f=f, j=j, b=b)
+    uniform = np.abs(propagate_oracle(cfg, site_state(n, 1), beta))
+    w, v = np.linalg.eigh(single_bond_hamiltonian(cfg))
+    single_bond = np.abs(v @ (np.exp(-1j * w * beta / (4.0 * j)) * v[0].conj()))
+    assert np.max(np.abs(uniform - single_bond)) <= phase_tolerance(cfg, beta)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=RINGS, d=st.integers(0, 15), f=TWISTS, beta=TIMES, j=COUPLINGS, b=FIELDS)
+def test_routes_agree_in_complex_value_under_any_coupling_and_field(n, d, f, beta, j, b):
+    q = query(n, d, f, beta, j=j, b=b)
+    oracle = amplitude_oracle(q).value
+    assert abs(amplitude_spectral(q).value - oracle) <= phase_tolerance(q.config, beta)
+    assert abs(amplitude_bessel(q).value - oracle) <= phase_tolerance(q.config, beta)

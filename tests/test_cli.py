@@ -9,11 +9,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spinring import __version__, amplitude, cli, entangle
-from spinring.amplitude import AmplitudeResult, BesselTruncationError
-from spinring.serialize import load_manifest, manifest_path_for
+from spinring.amplitude import AmplitudeResult, BesselTruncationError, grid_count, xi_profile
+from spinring.ring import RingConfig
+from spinring.serialize import csv_text, load_manifest, manifest_path_for
 
 
 def run_cli(capsys, *argv):
@@ -382,6 +384,71 @@ def test_sweep_stdout_matches_out_file(tmp_path, capsys):
     assert stdout.count("\n") == 1 + 11 * 101
 
 
+# twist x time offsets off the step grid on both axes, as in the benchmark's
+# landscape sweep, so coordinates print at full 12-digit width
+OFFSET_GRID = (
+    "sweep", "--n", "7", "--d", "3", "--f-min=-0.4950057771004791",
+    "--f-max=0.5049942228995209", "--f-step=0.04", "--beta-min=0.21504351385648202",
+    "--beta-max=36.84504351385648", "--beta-step=0.37",
+)
+
+
+def test_sweep_offset_grid_matches_golden(capsys):
+    # 26 twists x 100 times; the golden file was written with the coordinates
+    # formatted per row as floats, and formatting each once must not move a byte
+    code, out = run_cli(capsys, *OFFSET_GRID)
+    assert code == 0
+    golden = Path(__file__).parent / "data" / "sweep_offset_grid.csv"
+    assert out.encode() == golden.read_bytes()
+
+
+def float_column_sweep(n, d, f_min, f_max, f_step, beta_min, beta_max, beta_step):
+    """The sweep CSV with every coordinate formatted per row, as plain float columns."""
+    twists = [f_min + k * f_step for k in range(grid_count(f_max - f_min, f_step))]
+    betas = beta_min + beta_step * np.arange(grid_count(beta_max - beta_min, beta_step))
+    xis = [xi_profile(RingConfig(n, f=f), d, betas) for f in twists]
+    columns = (np.repeat(twists, len(betas)), np.tile(betas, len(twists)), np.ravel(xis))
+    return csv_text(("f", "beta", "xi"), columns)
+
+
+@pytest.mark.parametrize(
+    "window, row",
+    [
+        # full 12-digit width on both axes, negative twists
+        ((-0.4950057771004791, -0.2550057771004791, 0.04, 0.00581198686098686, 0.5, 0.01),
+         "\n-0.4950057771,0.00581198686099,"),
+        # exponent form on both axes: a twist within rounding of zero, tiny times
+        ((-0.3, 0.3, 0.1, 1e-7, 3e-4, 1e-5), "\n5.55111512313e-17,1e-07,"),
+        # large times in exponent form, rounded to 12 digits and at full width
+        ((0.1, 0.3, 0.1, 1e15, 1.0000000001e15, 2.5e4), "\n0.1,1.00000000002e+15,"),
+        ((-0.25, 0.25, 0.25, 1.23456789012e15, 1.2345678902e15, 1e4), "\n-0.25,1.23456789012e+15,"),
+    ],
+    ids=["full-width", "tiny", "1e15", "12-digit-1e15"],
+)
+def test_sweep_matches_float_column_csv(capsys, window, row):
+    f_min, f_max, f_step, beta_min, beta_max, beta_step = window
+    code, out = run_cli(
+        capsys, "sweep", "--n", "6", "--d", "2", f"--f-min={f_min!r}", f"--f-max={f_max!r}",
+        f"--f-step={f_step!r}", f"--beta-min={beta_min!r}", f"--beta-max={beta_max!r}",
+        f"--beta-step={beta_step!r}",
+    )
+    assert code == 0
+    assert out == float_column_sweep(6, 2, *window)
+    assert row in out
+
+
+def test_sweep_twists_stop_at_f_max(capsys):
+    # 0.1 / 0.06 rounds to 2 steps, which would put a twist at 0.12 > --f-max
+    code, out = run_cli(
+        capsys, "sweep", "--n", "5", "--d", "1", "--f-min", "0", "--f-max", "0.1",
+        "--f-step", "0.06", "--beta-max", "0.1", "--beta-step", "0.1",
+    )
+    assert code == 0
+    assert [row.split(",")[:2] for row in out.splitlines()[1:]] == [
+        ["0", "0"], ["0", "0.1"], ["0.06", "0"], ["0.06", "0.1"],
+    ]
+
+
 def test_sweep_zero_twist_step_exits_2(capsys):
     assert run_cli(capsys, "sweep", "--n", "5", "--d", "2", "--f-step", "0")[0] == 2
 
@@ -400,6 +467,8 @@ def test_sweep_zero_time_step_exits_2(capsys):
         (["sweep", "--n", "5", "--d", "1", "--beta-max", "1e308"], 2),
         (["entangle", "--beta-max", "inf"], 2),
         (["blockage", "--nn", "1", "--beta-max", "inf"], 2),
+        (["blockage", "--nn", "1", "--beta-max", "-1"], 2),
+        (["blockage", "--nn", "1", "--samples", "-3"], 2),
         (["sweep", "--n", "5", "--d", "1", "--beta-min", "5", "--beta-max", "5"], 0),
     ],
 )
@@ -415,14 +484,48 @@ def test_window_bounds_contract(tmp_path, capsys, argv, code):
         assert len(read_rows(out)) == 21  # a one-point beta window, every twist
 
 
-def test_traced_names_resolve():
-    """Every module attribute the benchmark's traced mode patches exists."""
+@pytest.mark.parametrize(
+    "flag, value", [("--samples", "-3"), ("--samples", "0"), ("--beta-max", "-1"), ("--beta-max", "nan")]
+)
+def test_blockage_errors_name_their_flag(capsys, monkeypatch, flag, value):
+    def unreachable(*args):
+        raise AssertionError("the sample generator was created")
+
+    monkeypatch.setattr(cli.np.random, "default_rng", unreachable)
+    assert cli.main(["blockage", "--nn", "1", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} ")
+
+
+def load_benchmark_spans():
     path = Path(__file__).parents[1] / "benchmarks" / "spans.py"
     spec = importlib.util.spec_from_file_location("benchmark_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    for module, attr, *_ in spans.MODULE_PATCHES:
+    return spans
+
+
+def test_traced_names_resolve():
+    """Every module attribute the benchmark's traced mode patches exists."""
+    for module, attr, *_ in load_benchmark_spans().MODULE_PATCHES:
         assert callable(getattr(importlib.import_module(module), attr)), f"{module}.{attr}"
+
+
+def test_traced_csv_counters_read_the_sweep_text(capsys, monkeypatch):
+    # the benchmark counts rows and bytes from what `cli.csv_text` returns
+    spans, counted = load_benchmark_spans(), []
+
+    def traced(header, columns):
+        text = csv_text(header, columns)
+        assert isinstance(text, str)
+        counted.append(spans._csv_size((header, columns), {}, text))
+        return text
+
+    monkeypatch.setattr(cli, "csv_text", traced)
+    code, out = run_cli(capsys, "sweep", "--n", "6", "--d", "2", "--f-step", "0.1", "--beta-max", "5")
+    assert code == 0
+    assert counted == [{"serialize.csv_text.rows": 11 * 101, "serialize.csv_text.bytes": len(out)}]
 
 
 def test_manifest_replay_reproduces_bytes(tmp_path, capsys):

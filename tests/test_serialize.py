@@ -1,5 +1,6 @@
 """Column-wise CSV formatting against the per-cell reference."""
 
+import math
 import sys
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinring.serialize import csv_text
+from spinring.serialize import csv_text, float_text, round_sig
 
 
 def reference_cell(v):
@@ -94,3 +95,16 @@ def test_unequal_columns_are_rejected():
             csv_text(("a", "b"), columns)
     with pytest.raises(ValueError):
         csv_text(("a",), (np.zeros((2, 2)),))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(floats, max_size=40))
+def test_float_text_is_the_float_cell(values):
+    # pre-formatted text writes the bytes its floats would, and rounds as round_sig does
+    text = float_text(values)
+    assert text.dtype == object and text.shape == (len(values),)
+    assert text.tolist() == [reference_cell(v) for v in values]
+    assert csv_text(("x",), (text,)) == csv_text(("x",), (np.array(values, dtype=float),))
+    for v, cell in zip(values, text.tolist()):
+        if math.isfinite(v):
+            assert round_sig(v) == float(cell)
