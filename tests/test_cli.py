@@ -467,9 +467,9 @@ def test_sweep_zero_time_step_exits_2(capsys):
         (["sweep", "--n", "5", "--d", "1", "--beta-max", "1e308"], 2),
         (["entangle", "--beta-max", "inf"], 2),
         (["blockage", "--nn", "1", "--beta-max", "inf"], 2),
+        (["sweep", "--n", "5", "--d", "1", "--beta-min", "5", "--beta-max", "5"], 0),
         (["blockage", "--nn", "1", "--beta-max", "-1"], 2),
         (["blockage", "--nn", "1", "--samples", "-3"], 2),
-        (["sweep", "--n", "5", "--d", "1", "--beta-min", "5", "--beta-max", "5"], 0),
     ],
 )
 def test_window_bounds_contract(tmp_path, capsys, argv, code):
