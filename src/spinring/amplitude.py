@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import bessel_j_ladder
-from .ring import RingConfig, _mode_cosines, propagate_oracle, site_state
+from .ring import MAX_GRID_POINTS, RingConfig, _mode_cosines, propagate_oracle, site_state
+from .ring import require_grid_points
 
 __all__ = [
     "AmplitudeQuery",
@@ -55,10 +56,8 @@ BESSEL_BETA_MAX = 12000.0
 
 # Grid points per displacement evaluated at once; bounds the live phase block.
 _CHUNK = 65536
-# Largest sample grid any command lays down (betas, or rows of a sweep); a
-# larger one is refused before anything is allocated.  The biggest documented
-# run, a 1,010,001-row sweep, fits five times over.
-MAX_GRID_POINTS = 5_000_000
+# Fine steps between the points of the pre-grid `SpectralKernel.row_bounds` reads.
+_PRE_STRIDE = 10
 
 
 class BesselTruncationError(RuntimeError):
@@ -96,12 +95,6 @@ class AmplitudeResult:
     method: str
 
 
-def require_grid_points(points: float) -> None:
-    """ValueError unless points <= MAX_GRID_POINTS (nan and inf refused)."""
-    if not points <= MAX_GRID_POINTS:
-        raise ValueError(f"a grid of {points:.4g} points exceeds the limit of {MAX_GRID_POINTS:,}")
-
-
 def grid_count(span: float, step: float) -> int:
     """Number of points 0, step, 2*step, ... up to span (1e-9 steps of slack), checked."""
     steps = span / step + 1e-9
@@ -134,11 +127,12 @@ class SpectralKernel:
         n = self.n = len(rates)
         self._irates = 1j * np.asarray(rates, dtype=float)
         m = np.arange(1, n + 1)
-        self.weights = np.exp(1j * np.outer(m, [2.0 * np.pi * (int(d) % n) / n for d in ds]))
+        self._weights = np.exp(1j * np.outer(m, [2.0 * np.pi * (int(d) % n) / n for d in ds]))
+        self._columns = np.ascontiguousarray(self._weights.T)  # one row per displacement
 
     def amplitudes(self, beta: float) -> np.ndarray:
         """Complex a_d(beta), one per displacement: one exp and one dot."""
-        return np.dot(np.exp(beta * self._irates), self.weights) / self.n
+        return np.dot(np.exp(beta * self._irates), self._weights) / self.n
 
     def xi(self, beta: float) -> list[float]:
         """|a_d(beta)| at one beta, one per displacement."""
@@ -158,41 +152,88 @@ class SpectralKernel:
             drift = np.max(np.abs(betas[0] + h * np.arange(count) - betas))
             if drift <= 4.0 * np.spacing(np.max(np.abs(betas))):
                 return self.xi_grid(float(betas[0]), float(h), count)
-        return self._xi_blocks(betas, 0.0, 1, count)
+        return self._xi_giant(self._columns, betas, self._baby(0.0, 1))
 
     def xi_grid(self, b0: float, h: float, count: int) -> np.ndarray:
         """|a_d| at b0 + k*h for k < count, shape (displacements, count).
 
         With k = g*S + j and S = ceil(sqrt(count)), each mode phase is a giant
         step exp(i*c_m*(b0 + g*S*h)) times a baby step exp(i*c_m*j*h): about
-        2*sqrt(count)*N exponentials and one matrix product per chunk.
+        2*sqrt(count)*N exponentials and one matrix product per block of rows.
         """
         starts, stride = _giant_steps(b0, h, count)
-        return self._xi_blocks(starts, h, stride, count)
+        return self._xi_giant(self._columns, starts, self._baby(h, stride))[:, :count]
 
-    def _xi_blocks(self, starts: np.ndarray, h: float, stride: int, count: int) -> np.ndarray:
-        """|a_d| at starts[g] + j*h, j < stride; arbitrary points are stride 1, h = 0."""
-        return self._xi_giant(self.weights, starts, self._baby(h, stride), count)
+    def row_bounds(self, b0: float, h: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds (low, high) on `xi_grid(b0, h, count)`: low[d] <= its maximum for
+        displacement d, and high[d, g] >= its every value on giant row g.
+
+        Read off a pre-grid at fine index p*K, K = 10, with one point past the
+        grid so every fine point lies between two.  As |w_m| = 1 in
+        a_d = (1/N) sum_m w_m exp(i*beta*c_m), xi is L-Lipschitz, L = mean_m |c_m|,
+        so a fine value is at most the larger pre value around it plus L*K*h/2.
+        Both bounds carry a slack for the pre-grid's different rounding.
+        """
+        starts, stride = _giant_steps(b0, h, count)
+        first = stride * np.arange(len(starts))
+        last = np.minimum(first + stride - 1, count - 1)
+        pre_count = (count - 1) // _PRE_STRIDE + 2
+        pre = self.xi_grid(b0, _PRE_STRIDE * h, pre_count)
+        slack = 1e-9 + 16.0 * np.finfo(float).eps * (b0 + (pre_count - 1) * _PRE_STRIDE * h)
+        # pair[p] bounds the fine points between pre points p and p + 1
+        pair = np.maximum(pre[:, :-1], pre[:, 1:])
+        high = np.maximum(
+            np.maximum.reduceat(pair, first // _PRE_STRIDE, axis=1), pair[:, last // _PRE_STRIDE]
+        )
+        reach = float(np.mean(np.abs(self._irates))) * _PRE_STRIDE * h / 2
+        return pre[:, :-1].max(axis=1) - slack, high + (reach + slack)
+
+    def xi_rows(
+        self, b0: float, h: float, count: int, keep: np.ndarray
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """`xi_grid(b0, h, count)` on the giant rows where keep[d, g] holds, bit for bit.
+
+        `keep` has the shape of `row_bounds`' `high`.  Returns, per
+        displacement, the grid indices k < count of its kept rows in order and
+        the values there.
+        """
+        starts, stride = _giant_steps(b0, h, count)
+        baby, out = self._baby(h, stride), []
+        for column, rows in zip(self._columns, keep):
+            rows = np.flatnonzero(rows)
+            index = (rows[:, None] * stride + np.arange(stride)).ravel()
+            index = index[: np.searchsorted(index, count)]  # the last row may run past the grid
+            values = self._xi_giant(column[None], starts[rows], baby)[0, : len(index)]
+            out.append((index, values))
+        return out
 
     def _baby(self, h: float, stride: int) -> np.ndarray:
-        """Baby-step phases exp(i*c_m*j*h), shape (N, stride)."""
+        """Baby-step phases exp(i*c_m*j*h), j < stride, shape (N, stride)."""
+        require_grid_points(self.n * stride, "a block of mode phases")
         return np.exp(np.outer(self._irates, h * np.arange(stride)))
 
-    def _xi_giant(
-        self, weights: np.ndarray, starts: np.ndarray, baby: np.ndarray, count: int
-    ) -> np.ndarray:
-        """|a| at starts[g] + j*h for the displacement columns `weights`.
+    def _xi_giant(self, columns: np.ndarray, starts: np.ndarray, baby: np.ndarray) -> np.ndarray:
+        """|a| at starts[g] + j*h per weight row in `columns`; `baby` is `_baby(h, stride)`.
 
-        `baby` holds exp(i*c_m*j*h); one BLAS product per chunk of giant rows.
+        Every grid and point set is evaluated here.  Each block of giant rows
+        is one BLAS product of their weighted phases with the baby steps
+        exp(i*c_m*j*h).  BLAS gives a row of a product the same bits whatever
+        rows share it, except in a one-row product (gemv or a dot, which may
+        round differently).  So a lone row is sent twice: a row's bits never
+        depend on its batch, and `xi_rows` matches the full grid by construction.
         """
-        nd, stride = weights.shape[1], baby.shape[1]
+        stride = baby.shape[1]
         per = max(_CHUNK // stride, 1)
-        out = np.empty((nd, starts.shape[0], stride))
-        for lo in range(0, starts.shape[0], per):
+        phases = self.n * len(columns) * min(len(starts), per)
+        require_grid_points(phases, "a block of mode phases")
+        out = np.empty((len(columns), len(starts), stride))
+        for lo in range(0, len(starts), per):
             giant = np.exp(np.outer(starts[lo : lo + per], self._irates))
-            rows = (weights.T[:, None, :] * giant).reshape(-1, self.n)
-            np.abs((rows @ baby).reshape(nd, -1, stride), out=out[:, lo : lo + per])
-        out = out.reshape(nd, starts.shape[0] * stride)[:, :count]
+            rows = (columns[:, None, :] * giant).reshape(-1, self.n)
+            pair = np.repeat(rows, 2, axis=0) if len(rows) == 1 else rows
+            block = (pair @ baby)[: len(rows)].reshape(len(columns), -1, stride)
+            np.abs(block, out=out[:, lo : lo + per])
+        out = out.reshape(len(columns), -1)
         out /= self.n
         _clip_xi(out.max(initial=0.0))  # the over-unity check of every other path
         return np.minimum(out, 1.0, out=out)
@@ -245,7 +286,9 @@ def amplitude_bessel(query: AmplitudeQuery) -> AmplitudeResult:
 
     orders_d = _ladder_orders(d, n, cutoff)
     orders_dp = _ladder_orders(dprime, n, cutoff)
-    ladder = bessel_j_ladder(int(max(orders_d[-1], orders_dp[-1])), beta)
+    top = int(max(orders_d[-1], orders_dp[-1]))
+    require_grid_points(top + 1, "a Bessel ladder")
+    ladder = bessel_j_ladder(top, beta)
 
     def ladder_sum(orders: np.ndarray, twist_sign: float) -> complex:
         ks = np.arange(len(orders))

@@ -7,8 +7,8 @@ When ``--out`` is given the results are written to that path and a
 re-runs a manifest and regenerates the results byte for byte.
 
 Exit codes: 0 success; 2 usage/validation, including a Bessel-route beta
-above 12000 (`amplitude.BESSEL_BETA_MAX`), a grid of more than
-`amplitude.MAX_GRID_POINTS` points and a window too large to hold
+above 12000 (`amplitude.BESSEL_BETA_MAX`), a grid, ring or other array of
+more than `ring.MAX_GRID_POINTS` points and a window too large to hold
 (`OverflowError`); 3 an amplitude route failed its
 accuracy check: the complex values of `amplitude --method all` disagree, or
 the Bessel series tail did not converge (`BesselTruncationError`); 4
@@ -38,7 +38,7 @@ from .amplitude import (
     xi_profile,
 )
 from .blockage import BLOCKED_XI, verify_blockage
-from .entangle import entanglement_curve, find_entangling_time, scan_times
+from .entangle import find_entangling_time
 from .optimize import SearchSpec, multiparty_plan, optimize_transfers
 from .ring import RingConfig
 from .serialize import (
@@ -50,6 +50,10 @@ from .serialize import (
     write_manifest,
     write_text,
 )
+
+# unused here, but benchmarks/spans.py patches `spinring.cli.entanglement_curve`
+# in its traced mode, so the name must stay a module attribute
+from .entangle import entanglement_curve  # noqa: F401
 
 __all__ = ["main", "console_entry", "PUBLISHED_WINDOWS", "EXIT_OK", "EXIT_USAGE",
            "EXIT_METHOD_DISAGREEMENT", "EXIT_PHYSICS"]
@@ -258,11 +262,7 @@ def cmd_blockage(args: argparse.Namespace) -> int:
 
 def cmd_entangle(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    betas = scan_times(args.beta_max, args.step)
-    entropy, overlap = entanglement_curve(betas, n=args.n, start_site=args.start_site)
-    scan = find_entangling_time(
-        args.beta_max, step=args.step, n=args.n, start_site=args.start_site, entropy=entropy
-    )
+    scan = find_entangling_time(args.beta_max, step=args.step, n=args.n, start_site=args.start_site)
     summary = {
         "n": args.n,
         "start_site": args.start_site,
@@ -281,7 +281,8 @@ def cmd_entangle(args: argparse.Namespace) -> int:
         },
     }
     if args.out is not None:
-        curve = csv_text(("beta", "entropy_ebits", "branch_overlap"), (betas, entropy, overlap))
+        columns = (scan.betas, scan.entropy, scan.overlap)
+        curve = csv_text(("beta", "entropy_ebits", "branch_overlap"), columns)
         _emit(args, curve, started)
     print(dumps(summary), end="")
     return EXIT_OK

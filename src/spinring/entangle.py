@@ -75,12 +75,14 @@ class EntanglementReading:
 
 @dataclass(frozen=True)
 class EntanglingScan:
-    """Result of an entangling-time scan: the argmax plus the 8.5*pi reference reading."""
+    """Result of an entangling-time scan: the argmax, the 8.5*pi reference
+    reading and the `entanglement_curve` over the scan grid `betas`."""
 
     best: EntanglementReading
     reference: EntanglementReading
-    n: int
-    start_site: int
+    betas: np.ndarray
+    entropy: np.ndarray
+    overlap: np.ndarray
 
 
 def _overlap_kernel(n: int, start_site: int) -> SpectralKernel:
@@ -120,22 +122,17 @@ def scan_times(beta_max: float, step: float) -> np.ndarray:
 
 
 def find_entangling_time(
-    beta_max: float, step: float = 0.005, n: int = 4, start_site: int = 1, entropy=None
+    beta_max: float, step: float = 0.005, n: int = 4, start_site: int = 1
 ) -> EntanglingScan:
     """Scan [0, beta_max] for the most entangling evolution time.
 
     Every grid local maximum within 1e-3 of the best is refined by golden
     section; exact ties (within 1e-12 ebits) resolve to the smallest beta.
     The reading at the 8.5*pi reference point rides along for comparison.
-    A caller that already holds the entanglement_curve entropy over
-    scan_times(beta_max, step) passes it as `entropy`.
     """
     betas = scan_times(beta_max, step)
     kernel = _overlap_kernel(n, start_site)
-    if entropy is None:
-        entropy, _ = entanglement_curve(betas, n=n, start_site=start_site)
-    elif len(entropy) != len(betas):
-        raise ValueError(f"entropy has {len(entropy)} points, the scan grid {len(betas)}")
+    entropy, overlap = entanglement_curve(betas, n=n, start_site=start_site)
 
     idx = _local_maxima(entropy)
     survivors = idx[entropy[idx] >= float(entropy.max()) - _NEAR_BEST_WINDOW]
@@ -153,6 +150,7 @@ def find_entangling_time(
     return EntanglingScan(
         best=_reading(kernel, beta_best),
         reference=_reading(kernel, REFERENCE_BETA),
-        n=n,
-        start_site=start_site,
+        betas=betas,
+        entropy=entropy,
+        overlap=overlap,
     )

@@ -9,9 +9,9 @@ finally a confirmation pass over the twist near the winner.
 The coarse grid is pruned by a bound: xi = |(1/N) sum_m w_m exp(i*beta*c_m)|
 with |w_m| = 1 moves by at most mean_m |c_m| (<= 1) times the change in beta,
 so a pre-grid at every tenth step shows which stretches of the fine grid
-cannot come within 1e-3 of the best.  Only the others are evaluated, with the
-same factoring and BLAS products as the full grid, so the coarse candidates
-are the full grid's bit for bit (see `_coarse_pass`).  Near-perfect
+cannot come within 1e-3 of the best.  Only the others are evaluated, and the
+kernel gives them the full grid's values bit for bit, so the coarse
+candidates are the full grid's (see `_coarse_pass`).  Near-perfect
 windows at different times can tie to within fractions of 1e-3; all surviving
 refined optima are kept on the record (`near_optima`) so callers can match a
 specific reported window as well as the in-range global best.
@@ -28,7 +28,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .amplitude import _CHUNK, SpectralKernel, _giant_steps, grid_count, xi
+from .amplitude import SpectralKernel, grid_count, xi
 from .ring import RingConfig, _mode_cosines
 
 __all__ = [
@@ -45,8 +45,6 @@ __all__ = [
 _XI_TIE = 1e-12
 _NEAR_OPTIMUM_WINDOW = 1e-3
 _MAX_REFINE_PER_TWIST = 64
-# fine steps between the coarse pass's pre-grid points (see `_coarse_pass`)
-_PRE_STRIDE = 10
 # below this the landscape is blocked/noise and searching off the candidate
 # twists would only chase rounding, so the record keeps the candidate twist
 _TWIST_REFINE_FLOOR = 1e-9
@@ -178,60 +176,20 @@ def _local_maxima(values: np.ndarray) -> np.ndarray:
     return np.nonzero(rising & falling)[0]
 
 
-def _fine_rows(
-    kernel: SpectralKernel, baby: np.ndarray, i: int, starts: np.ndarray, rows: np.ndarray
-) -> np.ndarray:
-    """`kernel.xi_grid` values of displacement i on the giant rows `rows`, bit for bit.
-
-    The full grid puts every displacement of the kernel into one BLAS product
-    per chunk of giant rows (`_xi_giant`).  BLAS gives each row of such a
-    product the same bits whatever the rows beside it, as long as it takes
-    the gemm path.  It takes gemv for a product of one row, or of one column
-    (a one-point grid), and there the last bit may differ.  So a one-point
-    grid is evaluated as the full grid does; the row the full grid sends
-    alone (one displacement, a last chunk of one row) is sent alone; and any
-    other row that would end up alone in a chunk is sent twice.
-    """
-    stride = baby.shape[1]
-    if stride == 1:
-        return kernel._xi_giant(kernel.weights, starts, baby, 1)[i]
-    column = kernel.weights[:, i : i + 1]
-    per = max(_CHUNK // stride, 1)
-    alone = kernel.weights.shape[1] == 1 and len(starts) % per == 1 and rows[-1] == len(starts) - 1
-    head = rows[:-1] if alone else rows
-    pick = np.append(head, head[-1:]) if len(head) % per == 1 else head
-    values = kernel._xi_giant(column, starts[pick], baby, len(head) * stride)[0]
-    if alone:
-        values = np.concatenate((values, kernel._xi_giant(column, starts[-1:], baby, stride)[0]))
-    return values
-
-
 def _coarse_pass(
     n: int, ds: tuple[int, ...], spec: SearchSpec
 ) -> dict[int, list[tuple[float, float, float]]]:
     """Coarse grid sweep; returns per-d lists of (f, beta, xi) keep-worthy points.
 
-    Each twist's landscape on the grid beta_min + k*h, k < B, is factored as in
-    `SpectralKernel.xi_grid`: k = g*S + j, giant row g, S = ceil(sqrt(B)).
-    Only the giant rows that can hold a point within 1e-3 of the best are
-    evaluated, in two stages.
-
-    Stage one evaluates every twist on a pre-grid of stride K = `_PRE_STRIDE`
-    (pre point p at fine index p*K; one past the last fine point is added so
-    every fine point lies between two pre points).  Since
-    a_d(beta) = (1/N) sum_m w_m exp(i*beta*c_m) with |w_m| = 1,
-    |xi(b) - xi(b')| <= L_f*|b - b'| with L_f = mean_m |c_m| <= 1, so every
-    fine value of a row is at most the largest pre value around it plus
-    L_f*K*h/2.  The pre-grid maximum over points inside the window bounds
-    the fine-grid best from below.  Both carry a rounding slack, since the
-    pre-grid's factoring rounds differently from the fine grid's.  Each
-    pre-grid is reduced at once to one bound per (displacement, row).
-
-    Stage two evaluates, per twist and displacement, the rows whose bound
-    reaches that displacement's pre best minus 1e-3, with the same `starts`
-    entries and baby-step matrix as the full grid (`_fine_rows`), so every
-    evaluated value is the full grid's to the bit.  The runs of evaluated
-    rows are joined with -inf separators and scanned for local maxima once.
+    Each twist's landscape is `SpectralKernel.xi_grid` on beta_min + k*h,
+    k < B, which the kernel factors into giant rows of S = ceil(sqrt(B))
+    points.  Only the giant rows that can hold a point within 1e-3 of the
+    best are evaluated, in two stages.  Stage one reads, for every twist, an
+    upper bound on each row and a lower bound on each displacement's best
+    (`row_bounds`).  Stage two evaluates, per twist, the rows whose bound
+    reaches the best lower bound over all twists minus 1e-3 (`xi_rows`,
+    bit for bit the full grid's values).  The runs of evaluated rows are
+    joined with -inf separators and scanned for local maxima once.
 
     The kept lists equal the full grid's.  Every value of a skipped row lies
     below best - 1e-3, so (i) a point at or above best - 1e-3 keeps its
@@ -242,43 +200,26 @@ def _coarse_pass(
     best - 1e-3 come first in the same order in both, and the cap keeps the
     same number of them.  Candidates below best - 1e-3 may differ, but the
     final filter drops them all.
+
+    The cap leaves the table's searches alone: on the 1/8, quarter-twist and
+    1/40 twist grids at n = 5 and 7 the kept lists are the uncapped ones, at
+    most 40 per displacement.  It binds on a blocked landscape, whose
+    rounding noise is all in the window: the 6-ring at half flux to beta 500
+    has 8,127 such maxima, 64 are kept, and the unrefined window-start anchor
+    decides the record.
     """
     betas = spec.beta_grid()
     count, h = len(betas), spec.beta_step
-    starts, stride = _giant_steps(spec.beta_min, h, count)
-    first = stride * np.arange(len(starts))
-    last = np.minimum(first + stride - 1, count - 1)
-    pre_count = (count - 1) // _PRE_STRIDE + 2
-    top_beta = spec.beta_min + (pre_count - 1) * _PRE_STRIDE * h
-    slack = 1e-9 + 16.0 * np.finfo(float).eps * top_beta
-
-    stage_one = []
-    best_pre = np.full(len(ds), -np.inf)
-    for f in spec.f_candidates:
-        rates = _mode_cosines(n, f)
-        kernel = SpectralKernel(rates, ds)
-        pre = kernel.xi_grid(spec.beta_min, _PRE_STRIDE * h, pre_count)
-        best_pre = np.maximum(best_pre, pre[:, : pre_count - 1].max(axis=1))
-        # pair[p] bounds the fine points between pre points p and p + 1
-        pair = np.maximum(pre[:, :-1], pre[:, 1:])
-        bound = np.maximum(
-            np.maximum.reduceat(pair, first // _PRE_STRIDE, axis=1),
-            pair[:, last // _PRE_STRIDE],
-        )
-        stage_one.append((f, kernel, bound + float(np.mean(np.abs(rates))) * _PRE_STRIDE * h / 2))
-
-    floor = best_pre - 2.0 * slack - _NEAR_OPTIMUM_WINDOW
+    kernels = [SpectralKernel(_mode_cosines(n, f), ds) for f in spec.f_candidates]
+    bounds = [kernel.row_bounds(spec.beta_min, h, count) for kernel in kernels]
+    floor = np.max([low for low, _ in bounds], axis=0) - _NEAR_OPTIMUM_WINDOW
     kept: dict[int, list[tuple[float, float, float]]] = {d: [] for d in ds}
     best: dict[int, float] = {d: -1.0 for d in ds}
-    for f, kernel, bound in stage_one:
-        baby = kernel._baby(h, stride)
-        for col, (d, survive) in enumerate(zip(ds, bound >= floor[:, None])):
-            rows = np.flatnonzero(survive)
-            if not len(rows):
+    for f, kernel, (_, high) in zip(spec.f_candidates, kernels, bounds):
+        rows = kernel.xi_rows(spec.beta_min, h, count, high >= floor[:, None])
+        for d, (index, values) in zip(ds, rows):
+            if not len(index):
                 continue
-            index = (rows[:, None] * stride + np.arange(stride)).ravel()
-            index = index[index < count]
-            values = _fine_rows(kernel, baby, col, starts, rows)[: len(index)]
             # -inf stands in for each skipped run and beyond the window edges
             at = np.concatenate(([0], np.flatnonzero(np.diff(index) != 1) + 1, [len(index)]))
             g = np.insert(values, at, -np.inf)

@@ -37,12 +37,26 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "MAX_GRID_POINTS",
     "RingConfig",
     "site_state",
     "build_hamiltonian",
     "mode_energies",
     "propagate_oracle",
+    "require_grid_points",
 ]
+
+# Largest array any command lays down (betas, rows of a sweep, ring sites, the
+# entries of a dense matrix, a Bessel ladder or a block of mode phases); a
+# larger one is refused before anything is allocated.  The biggest documented
+# run, a 1,010,001-row sweep, fits five times over.
+MAX_GRID_POINTS = 5_000_000
+
+
+def require_grid_points(points: float, what: str = "a grid") -> None:
+    """ValueError unless points <= MAX_GRID_POINTS (nan and inf refused)."""
+    if not points <= MAX_GRID_POINTS:
+        raise ValueError(f"{what} of {points:.4g} points exceeds the limit of {MAX_GRID_POINTS:,}")
 
 
 @dataclass(frozen=True)
@@ -67,6 +81,7 @@ class RingConfig:
             raise ValueError(f"site count must be an integer, got {self.n!r}")
         if self.n < 3:
             raise ValueError(f"ring needs at least 3 sites, got n={self.n}")
+        require_grid_points(self.n, "a ring's mode array")
         for name in ("j", "b", "f"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -108,6 +123,7 @@ def build_hamiltonian(config: RingConfig) -> np.ndarray:
     closing the ring) carries the phase exp(-2*pi*i*f/N).
     """
     n = config.n
+    require_grid_points(n * n, "a dense N x N matrix")
     hop = -2.0 * config.j * np.exp(1j * (-2.0 * np.pi * config.f / n))
     h = np.zeros((n, n), dtype=complex)
     np.fill_diagonal(h, config.diagonal)

@@ -54,8 +54,6 @@ def canonical(value: Any) -> Any:
         return int(value)
     if isinstance(value, (float, np.floating)):
         return round_sig(value)
-    if isinstance(value, (complex, np.complexfloating)):
-        return {"re": round_sig(value.real), "im": round_sig(value.imag)}
     if isinstance(value, dict):
         return {str(k): canonical(v) for k, v in value.items()}
     if isinstance(value, (list, tuple, np.ndarray)):

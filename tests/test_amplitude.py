@@ -234,6 +234,22 @@ def test_kernel_grid_matches_pointwise_sums(n, f, b0, h, count):
     assert np.max(np.abs(profile - pointwise[1, order])) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "n, betas",
+    [
+        # 1e14 times in rows of 1e7: the 1e5 x 1e7 baby-step block would be 16 TB
+        (100_000, {"b0": 0.0, "h": 1.0, "count": 10**14}),
+        # 65,536 scattered times at once over 2e6 modes would be 2 TB
+        (2_000_000, np.random.default_rng(1).uniform(0.0, 10.0, 65_536)),
+    ],
+    ids=["baby-steps", "point-block"],
+)
+def test_kernel_refuses_a_phase_block_before_allocating(n, betas):
+    kernel = SpectralKernel(np.zeros(n), (1,))
+    with pytest.raises(ValueError, match="a block of mode phases of .* exceeds the limit"):
+        kernel.xi_grid(**betas) if isinstance(betas, dict) else kernel.xi_points(betas)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     half=st.integers(2, 20),

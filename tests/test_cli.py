@@ -123,6 +123,18 @@ def test_bessel_route_rejects_beta_before_sizing_a_ladder(capsys, monkeypatch, b
     assert captured.err.startswith("error: ")
 
 
+def test_bessel_route_bounds_its_ladder(capsys, monkeypatch):
+    # a 5,000,000-site ring fits, but its ladder would run to order 20,000,000
+    def refuse(*args):
+        raise AssertionError("ladder allocated")
+
+    monkeypatch.setattr(amplitude, "bessel_j_ladder", refuse)
+    code = cli.main(["amplitude", "--n", "5000000", "--d", "1", "--beta", "1", "--method", "bessel"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: a Bessel ladder of 2e+07 points exceeds the limit")
+
+
 def test_table1_full_window_passes(tmp_path, capsys):
     out_csv = tmp_path / "table1.csv"
     code, _ = run_cli(
@@ -470,6 +482,12 @@ def test_sweep_zero_time_step_exits_2(capsys):
         (["sweep", "--n", "5", "--d", "1", "--beta-min", "5", "--beta-max", "5"], 0),
         (["blockage", "--nn", "1", "--beta-max", "-1"], 2),
         (["blockage", "--nn", "1", "--samples", "-3"], 2),
+        # rings whose arrays would need terabytes: numpy fails at once if a bound is missed
+        (["amplitude", "--n", "1000000", "--d", "1", "--beta", "1", "--method", "oracle"], 2),
+        (["amplitude", "--n", "1000000000000", "--d", "1", "--beta", "1"], 2),
+        (["sweep", "--n", "1000000000000", "--d", "1", "--f-step", "0.5", "--beta-max", "1"], 2),
+        (["entangle", "--n", "1000000000000", "--beta-max", "1"], 2),
+        (["blockage", "--nn", "250000000000", "--samples", "1"], 2),
     ],
 )
 def test_window_bounds_contract(tmp_path, capsys, argv, code):

@@ -1,13 +1,15 @@
 """Grid-plus-refinement optimizer, multiparty plans, and the fidelity map."""
 
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import coarse_pass_reference
 
-from spinring import optimize
+from spinring import amplitude, optimize
 from spinring.amplitude import _CHUNK, SpectralKernel, _giant_steps, xi, xi_profile
 from spinring.optimize import (
     SearchSpec,
@@ -101,9 +103,9 @@ def test_pruned_coarse_pass_keeps_what_the_full_grid_keeps(case):
     if case == "one-point-window":
         assert count == 1
     if case == "window-under-pre-stride":
-        assert 1 < count < optimize._PRE_STRIDE
+        assert 1 < count < amplitude._PRE_STRIDE
     if case == "offset-window":
-        assert spec.beta_min > 0 and (count - 1) % optimize._PRE_STRIDE != 0
+        assert spec.beta_min > 0 and (count - 1) % amplitude._PRE_STRIDE != 0
     if case.endswith("lone-row"):
         starts, stride = _giant_steps(spec.beta_min, spec.beta_step, count)
         assert len(starts) % (_CHUNK // stride) == 1
@@ -114,17 +116,18 @@ def test_pruned_coarse_pass_keeps_what_the_full_grid_keeps(case):
 
 def evaluated_share(monkeypatch, n, ds, spec):
     """Share of the (displacement, giant row) pairs the coarse pass evaluates."""
-    seen = []
-    fine_rows = optimize._fine_rows
+    kept, total = [], []
+    xi_rows = SpectralKernel.xi_rows
 
-    def counted(kernel, baby, i, starts, rows):
-        seen.append(len(rows))
-        return fine_rows(kernel, baby, i, starts, rows)
+    def counted(kernel, b0, h, count, keep):
+        kept.append(np.count_nonzero(keep))
+        total.append(keep.size)
+        return xi_rows(kernel, b0, h, count, keep)
 
-    monkeypatch.setattr(optimize, "_fine_rows", counted)
+    monkeypatch.setattr(SpectralKernel, "xi_rows", counted)
     optimize._coarse_pass(n, ds, spec)
-    rows = len(_giant_steps(spec.beta_min, spec.beta_step, len(spec.beta_grid()))[0])
-    return sum(seen) / (len(spec.f_candidates) * len(ds) * rows)
+    assert len(total) == len(spec.f_candidates)
+    return sum(kept) / sum(total)
 
 
 def test_coarse_pass_prunes_the_quarter_twist_landscapes(monkeypatch):
@@ -135,16 +138,39 @@ def test_coarse_pass_prunes_the_quarter_twist_landscapes(monkeypatch):
     assert evaluated_share(monkeypatch, 6, (3,), blocked) == 1.0
 
 
+@pytest.mark.parametrize("n", [5, 7])
+@pytest.mark.parametrize(
+    "twists", [twist_grid(8), RESTRICTED, twist_grid(40)], ids=["8", "quarter", "40"]
+)
+def test_candidate_cap_does_not_bind_on_the_table_grids(n, twists):
+    spec = SearchSpec(f_candidates=twists)
+    ds = tuple(range(1, n))
+    uncapped = coarse_pass_reference(n, ds, spec, cap=10**9)
+    assert uncapped == coarse_pass_reference(n, ds, spec)
+    assert max(len(kept) for kept in uncapped.values()) == (40 if n == 5 else 3)
+
+
+def test_candidate_cap_binds_on_the_blocked_hexagon():
+    # every rounding-noise ripple is an in-window maximum of a blocked landscape
+    spec = SearchSpec(beta_max=500.0, f_candidates=(0.5,))
+    assert len(coarse_pass_reference(6, (3,), spec, cap=10**9)[3]) == 8127
+    assert len(coarse_pass_reference(6, (3,), spec)[3]) == 64
+    rec = optimize_transfers(6, [3], spec)[3]
+    # the unrefined window-start anchor ties the refined noise and wins on time
+    assert (rec.f, rec.beta) == (0.5, spec.beta_min)
+    assert len(rec.near_optima) == 65
+
+
 @pytest.mark.parametrize(
     "n, ds, count",
     [(5, (2,), 65537), (7, (1, 2, 3), 250001), (6, (3,), 65537), (4, (1, 2), 2), (5, (1, 2), 1)],
 )
 def test_fine_rows_match_the_full_grid_bit_for_bit(n, ds, count):
+    # `xi_rows` on a few giant rows of one displacement, the pruned pass's request
     rng = np.random.default_rng(count)
     kernel = SpectralKernel(_mode_cosines(n, 0.2), ds)
     full = kernel.xi_grid(1.5, 0.02, count)
     starts, stride = _giant_steps(1.5, 0.02, count)
-    baby = kernel._baby(0.02, stride)
     last = len(starts) - 1
     some = sorted(rng.choice(len(starts), min(7, len(starts)), replace=False))
     picks = [[0], [last], sorted({0, last}), some]
@@ -152,8 +178,31 @@ def test_fine_rows_match_the_full_grid_bit_for_bit(n, ds, count):
         index = (rows[:, None] * stride + np.arange(stride)).ravel()
         index = index[index < count]
         for i in range(len(ds)):
-            got = optimize._fine_rows(kernel, baby, i, starts, rows)[: len(index)]
+            keep = np.zeros((len(ds), len(starts)), dtype=bool)
+            keep[i, rows] = True
+            got_index, got = kernel.xi_rows(1.5, 0.02, count, keep)[i]
+            assert np.array_equal(got_index, index), (rows, i)
             assert np.array_equal(got, full[i, index]), (rows, i)
+
+
+def test_optimize_uses_only_the_public_kernel():
+    # how a grid is factored into BLAS products is the kernel's business alone
+    tree = ast.parse(Path(optimize.__file__).read_text(encoding="utf-8"))
+    private = [
+        node.name
+        for imp in ast.walk(tree)
+        if isinstance(imp, ast.ImportFrom) and imp.module in ("amplitude", "spinring.amplitude")
+        for node in imp.names
+        if node.name.startswith("_")
+    ]
+    private += [
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not (node.attr.startswith("__") and node.attr.endswith("__"))
+    ]
+    assert private == []
 
 
 def test_pentagon_next_nearest_window():
