@@ -38,6 +38,7 @@ __all__ = [
     "grid_count",
     "require_grid_points",
     "xi",
+    "xi_batch",
     "xi_profile",
 ]
 
@@ -237,6 +238,35 @@ class SpectralKernel:
         out /= self.n
         _clip_xi(out.max(initial=0.0))  # the over-unity check of every other path
         return np.minimum(out, 1.0, out=out)
+
+
+def xi_batch(kernels: list[SpectralKernel], betas) -> list[float]:
+    """`kernels[i].xi(betas[i])[0]` for every i, bit for bit, batched.
+
+    The kernels share a ring size and hold one displacement each.  One `exp`
+    covers a block of points and one stacked `np.matmul` makes a 1 x N by
+    N x 1 product per point, which rounds like the dot of `amplitudes`; a
+    2-D product, `einsum` or a sum rounds differently, and so does `np.abs`
+    in place of Python's `abs` on the complex sums.
+    """
+    betas = np.asarray(betas, dtype=float)
+    if betas.shape != (len(kernels),):
+        raise ValueError(f"need one beta per kernel, got {betas.shape} for {len(kernels)}")
+    if not kernels:
+        return []
+    n = kernels[0].n
+    if any(kernel.n != n or kernel._weights.shape[1] != 1 for kernel in kernels):
+        raise ValueError("xi_batch needs single-displacement kernels of one ring size")
+    per = max(_CHUNK // n, 1)
+    out: list[float] = []
+    for lo in range(0, len(kernels), per):
+        block = kernels[lo : lo + per]
+        irates = np.array([kernel._irates for kernel in block])
+        weights = np.array([kernel._weights for kernel in block])
+        phases = np.exp(betas[lo : lo + per, None] * irates)
+        sums = np.matmul(phases[:, None, :], weights)[:, 0, 0] / n
+        out += [_clip_xi(abs(a)) for a in sums.tolist()]
+    return out
 
 
 def amplitude_spectral(query: AmplitudeQuery) -> AmplitudeResult:

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitude import SpectralKernel, grid_count
+from .amplitude import SpectralKernel, grid_count, xi_batch
 from .optimize import _golden_max, _local_maxima
 from .ring import RingConfig, _mode_cosines, site_state
 
@@ -127,7 +127,8 @@ def find_entangling_time(
     """Scan [0, beta_max] for the most entangling evolution time.
 
     Every grid local maximum within 1e-3 of the best is refined by golden
-    section; exact ties (within 1e-12 ebits) resolve to the smallest beta.
+    section, all of them in lockstep with one batched overlap evaluation per
+    step; exact ties (within 1e-12 ebits) resolve to the smallest beta.
     The reading at the 8.5*pi reference point rides along for comparison.
     """
     betas = scan_times(beta_max, step)
@@ -137,13 +138,12 @@ def find_entangling_time(
     idx = _local_maxima(entropy)
     survivors = idx[entropy[idx] >= float(entropy.max()) - _NEAR_BEST_WINDOW]
 
-    def entropy_at(beta: float) -> float:
-        return _reading(kernel, beta).entropy_ebits
+    def entropy_at(points):
+        overlaps = xi_batch([kernel] * len(points), [beta for _, beta in points])
+        return _entropy_from_overlap(np.array(overlaps)).tolist()
 
-    refined = [(float(betas[0]), float(entropy[0]))]
-    for i in survivors:
-        lo, hi = max(0.0, betas[i] - step), min(beta_max, betas[i] + step)
-        refined.append(_golden_max(entropy_at, lo, hi, tol=1e-7))
+    brackets = [(max(0.0, betas[i] - step), min(beta_max, betas[i] + step)) for i in survivors]
+    refined = [(float(betas[0]), float(entropy[0])), *_golden_max(entropy_at, brackets, tol=1e-7)]
     best_ent = max(e for _, e in refined)
     group = [(b, e) for b, e in refined if e >= best_ent - _ENTROPY_TIE]
     beta_best = min(group)[0]

@@ -16,6 +16,11 @@ windows at different times can tie to within fractions of 1e-3; all surviving
 refined optima are kept on the record (`near_optima`) so callers can match a
 specific reported window as well as the in-range global best.
 
+Every golden-section search runs its brackets in lockstep (`_golden_max`):
+the refinements of all coarse candidates of a displacement take each step
+together, and so do the twist confirmations of all displacements of a ring,
+each step being one `xi_batch` call that is bit for bit the scalar kernel.
+
 Ties are resolved toward the earliest usable time: smallest beta, then
 smallest |f|, then negative f.
 """
@@ -28,7 +33,11 @@ from itertools import combinations
 
 import numpy as np
 
-from .amplitude import SpectralKernel, grid_count, xi
+from .amplitude import SpectralKernel, grid_count, xi_batch
+
+# unused here, but benchmarks/spans.py patches `spinring.optimize.xi` in its
+# traced mode, so the name must stay a module attribute
+from .amplitude import xi  # noqa: F401
 from .ring import RingConfig, _mode_cosines
 
 __all__ = [
@@ -83,6 +92,8 @@ class SearchSpec:
         cands = tuple(sorted(set(float(f) for f in self.f_candidates)))
         if not cands:
             raise ValueError("need at least one twist candidate")
+        if not all(math.isfinite(f) for f in cands):
+            raise ValueError(f"twist candidates must be finite, got {cands!r}")
         object.__setattr__(self, "f_candidates", cands)
 
     def beta_grid(self) -> np.ndarray:
@@ -142,29 +153,69 @@ def fidelity_from_xi(value: float) -> float:
     return 0.5 + value / 3.0 + value * value / 6.0
 
 
-def _golden_max(fn, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximization on [lo, hi]; returns the best point seen."""
-    best_x, best_y = lo, fn(lo)
-    y_hi = fn(hi)
-    if y_hi > best_y:
-        best_x, best_y = hi, y_hi
+def _golden_search(lo: float, hi: float, tol: float):
+    """Golden-section maximization on [lo, hi], one bracket of `_golden_max`.
+
+    A generator: it yields the points it needs, first lo, hi and the two
+    interior points, then one point a step; it is sent their values and
+    returns the best (x, value) seen.  It stops once the bracket is within
+    `tol`, or within 4 ulps of its larger end where that is wider: below the
+    float spacing the interior points cannot move, and the bracket would
+    never shrink to `tol`.
+    """
     a, b = lo, hi
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    yc, yd = fn(c), fn(d)
+    y_lo, y_hi, yc, yd = yield (lo, hi, c, d)
+    best_x, best_y = lo, y_lo
+    if y_hi > best_y:
+        best_x, best_y = hi, y_hi
+    tol = max(tol, 4.0 * math.ulp(max(abs(lo), abs(hi))))
     while b - a > tol:
         if yc >= yd:
             b, d, yd = d, c, yc
             c = b - _INV_PHI * (b - a)
-            yc = fn(c)
+            (yc,) = yield (c,)
         else:
             a, c, yc = c, d, yd
             d = a + _INV_PHI * (b - a)
-            yd = fn(d)
+            (yd,) = yield (d,)
         for x, y in ((c, yc), (d, yd)):
             if y > best_y:
                 best_x, best_y = x, y
     return best_x, best_y
+
+
+def _golden_max(fn, brackets, tol: float) -> list[tuple[float, float]]:
+    """Golden-section maximization of every bracket (lo, hi), all in lockstep.
+
+    Each step makes one call `fn(points)` with the points every unfinished
+    bracket needs next, as (bracket index, x) pairs, and `fn` returns one
+    value per point.  Each bracket does the arithmetic of a scalar search
+    (`_golden_search`), so a batched `fn` that is bit for bit the scalar one
+    gives the same results.  Returns the best (x, value) per bracket.
+    """
+    searches = [_golden_search(float(lo), float(hi), tol) for lo, hi in brackets]
+    wanted = {i: next(search) for i, search in enumerate(searches)}
+    best: list = [None] * len(searches)
+    while wanted:
+        values = iter(fn([(i, x) for i, xs in wanted.items() for x in xs]))
+        for i, xs in list(wanted.items()):
+            try:
+                wanted[i] = searches[i].send([next(values) for _ in xs])
+            except StopIteration as done:
+                best[i] = done.value
+                del wanted[i]
+    return best
+
+
+def _golden_xi(kernels: list[SpectralKernel], brackets, tol: float) -> list[tuple[float, float]]:
+    """Best (beta, xi) of kernels[i] on brackets[i] by golden section, all in lockstep."""
+
+    def xi_at(points):
+        return xi_batch([kernels[i] for i, _ in points], [beta for _, beta in points])
+
+    return _golden_max(xi_at, brackets, tol)
 
 
 def _local_maxima(values: np.ndarray) -> np.ndarray:
@@ -248,28 +299,40 @@ def _twist_spacing(candidates: tuple[float, ...]) -> float:
     return min(float(gaps.min()) / 2.0, 1.0 / 800.0)
 
 
-def _refine_twist(
-    n: int, d: int, winner: TransferPoint, spec: SearchSpec
-) -> TransferPoint:
-    """Confirmation search over f near the winner; kept only if it improves."""
+def _refine_twists(
+    n: int, winners: dict[int, TransferPoint], spec: SearchSpec
+) -> dict[int, TransferPoint]:
+    """Confirmation search over f near each displacement's winner, all in lockstep.
+
+    The outer golden search runs over f, and each of its points runs an inner
+    one over beta; a displacement's result is kept only if it improves.
+    """
+    ds = list(winners)
     df = _twist_spacing(spec.f_candidates)
-    # a twist shift df slides each mode phase by at most beta*2*pi*df/n
-    half_window = max(1.0, winner.beta * (2.0 * np.pi / n) * df * 3.0)
-    lo = max(spec.beta_min, winner.beta - half_window)
-    hi = min(spec.beta_max, winner.beta + half_window)
-    seen: list[TransferPoint] = []
+    windows = []
+    for d in ds:
+        beta = winners[d].beta
+        # a twist shift df slides each mode phase by at most beta*2*pi*df/n
+        half_window = max(1.0, beta * (2.0 * np.pi / n) * df * 3.0)
+        windows.append(
+            (max(spec.beta_min, beta - half_window), min(spec.beta_max, beta + half_window))
+        )
+    seen: list[list[TransferPoint]] = [[] for _ in ds]
 
-    def objective(fv: float) -> float:
-        xi_of = SpectralKernel(_mode_cosines(n, fv), (d,)).xi
-        beta_best, xi_best = _golden_max(lambda b: xi_of(b)[0], lo, hi, spec.refine_tol)
-        seen.append(TransferPoint(f=fv, beta=beta_best, xi=xi_best))
-        return xi_best
+    def objective(points):
+        kernels = [SpectralKernel(_mode_cosines(n, fv), (ds[j],)) for j, fv in points]
+        found = _golden_xi(kernels, [windows[j] for j, _ in points], spec.refine_tol)
+        for (j, fv), (beta, value) in zip(points, found):
+            seen[j].append(TransferPoint(f=fv, beta=beta, xi=value))
+        return [value for _, value in found]
 
-    _golden_max(objective, winner.f - df, winner.f + df, max(df * 1e-3, 1e-7))
-    improved = max(seen, key=lambda p: p.xi)
-    if improved.xi > winner.xi + _XI_TIE:
-        return improved
-    return winner
+    twists = [(winners[d].f - df, winners[d].f + df) for d in ds]
+    _golden_max(objective, twists, max(df * 1e-3, 1e-7))
+    confirmed = {}
+    for d, points in zip(ds, seen):
+        improved = max(points, key=lambda p: p.xi)
+        confirmed[d] = improved if improved.xi > winners[d].xi + _XI_TIE else winners[d]
+    return confirmed
 
 
 def optimize_transfers(
@@ -284,29 +347,34 @@ def optimize_transfers(
     RingConfig(n)  # validates the ring size early
     coarse = _coarse_pass(n, ds, spec)
 
-    records: dict[int, TransferRecord] = {}
+    candidates: dict[int, list[TransferPoint]] = {}
     for d in ds:
+        kernels = {f: SpectralKernel(_mode_cosines(n, f), (d,)) for f in spec.f_candidates}
         refined: list[TransferPoint] = []
+        moving, brackets = [], []
         for f, beta_c, xi_c in coarse[d]:
-            xi_of = SpectralKernel(_mode_cosines(n, f), (d,)).xi  # built once per refinement
             lo = max(spec.beta_min, beta_c - spec.beta_step)
             hi = min(spec.beta_max, beta_c + spec.beta_step)
             if hi > lo:
-                beta_r, xi_r = _golden_max(lambda b: xi_of(b)[0], lo, hi, spec.refine_tol)
-            else:
-                beta_r, xi_r = beta_c, xi_c
-            refined.append(TransferPoint(f=f, beta=beta_r, xi=xi_r))
+                moving.append(len(refined))
+                brackets.append((lo, hi))
+            refined.append(TransferPoint(f=f, beta=beta_c, xi=xi_c))
+        found = _golden_xi([kernels[refined[i].f] for i in moving], brackets, spec.refine_tol)
+        for i, (beta_r, xi_r) in zip(moving, found):
+            refined[i] = TransferPoint(f=refined[i].f, beta=beta_r, xi=xi_r)
         # unrefined window-start anchors make flat (fully blocked) landscapes
         # resolve deterministically to beta_min instead of refinement noise
-        for f in spec.f_candidates:
-            refined.append(
-                TransferPoint(
-                    f=f, beta=spec.beta_min, xi=xi(RingConfig(n, f=f), d, spec.beta_min)
-                )
-            )
-        winner = _select(refined)
-        if winner.xi >= _TWIST_REFINE_FLOOR:
-            winner = _refine_twist(n, d, winner, spec)
+        anchors = xi_batch(list(kernels.values()), [spec.beta_min] * len(kernels))
+        refined += [TransferPoint(f=f, beta=spec.beta_min, xi=v) for f, v in zip(kernels, anchors)]
+        candidates[d] = refined
+
+    winners = {d: _select(points) for d, points in candidates.items()}
+    confirmed = _refine_twists(
+        n, {d: w for d, w in winners.items() if w.xi >= _TWIST_REFINE_FLOOR}, spec
+    )
+    records: dict[int, TransferRecord] = {}
+    for d, refined in candidates.items():
+        winner = confirmed.get(d, winners[d])
         keep = sorted(
             (p for p in refined if p.xi >= winner.xi - _NEAR_OPTIMUM_WINDOW),
             key=lambda p: (-p.xi, p.beta, abs(p.f), p.f),

@@ -4,8 +4,9 @@ Everything here is deliberately computed by a different route than the
 package code: ascending power series for Bessel functions, hand-derived
 closed forms for the 4-site ring, plain binary entropy, the full 2^N spin
 Hamiltonian, the flux-ring entanglement from dense propagators and a 2 x N
-Schmidt decomposition, the sector Hamiltonian in the single-bond gauge, and
-the optimizer's coarse pass over the whole twist x time grid, unpruned.
+Schmidt decomposition, the sector Hamiltonian in the single-bond gauge, the
+optimizer's coarse pass over the whole twist x time grid, unpruned, and a
+scalar golden-section search, one bracket and one point at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from spinring.amplitude import SpectralKernel
 from spinring.entangle import EntanglementReading
-from spinring.optimize import _local_maxima
+from spinring.optimize import _INV_PHI, _local_maxima
 from spinring.ring import RingConfig, _mode_cosines, build_hamiltonian, propagate_oracle
 
 # Full-space validation is exponential in N; anything past this is a mistake.
@@ -208,3 +209,32 @@ def coarse_pass_reference(n, ds, spec, window=1e-3, cap=64):
     for d in ds:
         kept[d] = [p for p in kept[d] if p[2] >= best[d] - window]
     return kept
+
+
+def golden_max_reference(fn, lo, hi, tol):
+    """Scalar golden-section maximization on [lo, hi]: one `fn(x)` call per point.
+
+    Returns the best (x, fn(x)) seen.  It never stops if `tol` is below the
+    float spacing at the bracket's ends, so callers keep `tol` well above it.
+    """
+    best_x, best_y = lo, fn(lo)
+    y_hi = fn(hi)
+    if y_hi > best_y:
+        best_x, best_y = hi, y_hi
+    a, b = lo, hi
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    yc, yd = fn(c), fn(d)
+    while b - a > tol:
+        if yc >= yd:
+            b, d, yd = d, c, yc
+            c = b - _INV_PHI * (b - a)
+            yc = fn(c)
+        else:
+            a, c, yc = c, d, yd
+            d = a + _INV_PHI * (b - a)
+            yd = fn(d)
+        for x, y in ((c, yc), (d, yd)):
+            if y > best_y:
+                best_x, best_y = x, y
+    return best_x, best_y

@@ -16,6 +16,7 @@ from spinring.amplitude import (
     amplitude_spectral,
     _clip_xi,
     xi,
+    xi_batch,
     xi_profile,
 )
 from spinring.bessel import bessel_j_ladder
@@ -352,3 +353,46 @@ def test_routes_agree_in_complex_value_under_any_coupling_and_field(n, d, f, bet
     oracle = amplitude_oracle(q).value
     assert abs(amplitude_spectral(q).value - oracle) <= phase_tolerance(q.config, beta)
     assert abs(amplitude_bessel(q).value - oracle) <= phase_tolerance(q.config, beta)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=RINGS,
+    points=st.lists(
+        st.tuples(
+            st.integers(-40, 40),
+            st.one_of(TWISTS, st.sampled_from([0.0, 0.25, 0.5, -0.5])),
+            st.one_of(TIMES, st.sampled_from([0.0, 5000.0])),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_batched_xi_is_the_scalar_kernel_bit_for_bit(n, points):
+    # mixed twists and displacements in one batch, and batches of one: the
+    # refinements' values must be the scalar route's to the last bit
+    kernels = [SpectralKernel(_mode_cosines(n, f), (d,)) for d, f, _ in points]
+    betas = [beta for *_, beta in points]
+    expected = [kernel.xi(beta)[0].hex() for kernel, beta in zip(kernels, betas)]
+    assert [v.hex() for v in xi_batch(kernels, betas)] == expected
+    assert [xi_batch([k], [b])[0].hex() for k, b in zip(kernels, betas)] == expected
+
+
+def test_batched_xi_refuses_mixed_kernels():
+    ring, other = _mode_cosines(5, 0.1), _mode_cosines(6, 0.1)
+    assert xi_batch([], []) == []
+    with pytest.raises(ValueError, match="single-displacement"):
+        xi_batch([SpectralKernel(ring, (1, 2))], [1.0])
+    with pytest.raises(ValueError, match="single-displacement"):
+        xi_batch([SpectralKernel(ring, (1,)), SpectralKernel(other, (1,))], [1.0, 2.0])
+    with pytest.raises(ValueError, match="one beta per kernel"):
+        xi_batch([SpectralKernel(ring, (1,))], [1.0, 2.0])
+
+
+def test_batched_xi_over_more_points_than_one_block():
+    # 65,536 mode phases a block: at n = 16 the batch spans two blocks
+    rng = np.random.default_rng(5)
+    twists, ds = rng.uniform(-0.5, 0.5, 4100), rng.integers(0, 16, 4100)
+    kernels = [SpectralKernel(_mode_cosines(16, f), (d,)) for f, d in zip(twists, ds)]
+    betas = rng.uniform(0.0, 5000.0, 4100)
+    assert xi_batch(kernels, betas) == [k.xi(b)[0] for k, b in zip(kernels, betas)]

@@ -1,7 +1,9 @@
 """CLI contract: output schemas, determinism, manifests, exit codes."""
 
+import contextlib
 import csv
 import importlib.util
+import io
 import json
 import math
 import os
@@ -11,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinring import __version__, amplitude, cli, entangle
 from spinring.amplitude import AmplitudeResult, BesselTruncationError, grid_count, xi_profile
@@ -563,16 +567,87 @@ def test_manifest_replay_reproduces_bytes(tmp_path, capsys):
     assert out_csv.read_bytes() == original
 
 
-def test_console_script_runs():
-    # the child imports spinring from where this process found it
+def run_child(*argv, timeout=None):
+    """`python -m spinring.cli ARGV` in a child that imports spinring from where this process did."""
     package_root = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")])
     )}
-    proc = subprocess.run(
-        [sys.executable, "-m", "spinring.cli", "amplitude", "--n", "4", "--d", "2",
-         "--f", "0", "--beta", "3.141592653589793"],
-        capture_output=True, text=True, env=env,
+    return subprocess.run(
+        [sys.executable, "-m", "spinring.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
+
+
+def test_console_script_runs():
+    proc = run_child("amplitude", "--n", "4", "--d", "2", "--f", "0", "--beta", "3.141592653589793")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["xi"] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["entangle", "--n", "4", "--beta-max", "1e9", "--step", "1e8"],
+        ["multiparty", "--n", "5", "--sites", "1,2", "--twists=0.25",
+         "--beta-max", "1e13", "--beta-step", "1e9"],
+    ],
+    ids=["entangle", "multiparty"],
+)
+def test_refinement_below_the_float_spacing_ends(argv):
+    # the refinement tolerance (1e-7, 1e-4) is below the spacing of floats at
+    # the window's end; run in a child so that a search that never stops
+    # fails at the timeout instead of stalling the suite
+    proc = run_child(*argv, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)
+
+
+# what a numeric flag may be given in place of a valid value
+SPOILED = st.sampled_from(
+    ["nan", "inf", "-inf", "-1", "0", "-0", "1e400", "1e-300", "x", "", "1,2", "0x10"]
+)
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """argv of one command on a grid of at most 10^4 points and one twist.
+
+    Windows reach 1e15, so most grids are sparse, and up to two flags are spoiled.
+    """
+    command = draw(st.sampled_from(["entangle", "multiparty", "sweep", "amplitude", "blockage"]))
+    n = draw(st.integers(3, 12))
+    span = 10.0 ** draw(st.floats(-3.0, 15.0))
+    step = span / draw(st.integers(1, 10_000))
+    twist = draw(st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, 0.25, 0.5])))
+    if command == "entangle":
+        flags = {"--n": n, "--beta-max": span, "--step": step,
+                 "--start-site": draw(st.integers(1, n))}
+    elif command == "multiparty":
+        sites = draw(st.lists(st.integers(1, n), min_size=2, max_size=3, unique=True))
+        flags = {"--n": n, "--sites": ",".join(map(str, sites)), "--twists": twist,
+                 "--beta-max": span, "--beta-step": step}
+    elif command == "sweep":
+        start = draw(st.sampled_from([0.0, span]))
+        flags = {"--n": n, "--d": draw(st.integers(-n, 2 * n)), "--f-min": twist, "--f-max": twist,
+                 "--beta-min": start, "--beta-max": start + span, "--beta-step": step}
+    elif command == "amplitude":
+        flags = {"--n": n, "--d": draw(st.integers(-n, 2 * n)), "--f": twist, "--beta": span,
+                 "--method": draw(st.sampled_from(["spectral", "bessel", "oracle", "all"]))}
+    else:
+        rings = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2, unique=True))
+        flags = {"--nn": ",".join(map(str, rings)), "--samples": draw(st.integers(1, 50)),
+                 "--beta-max": span}
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=2, unique=True)):
+        flags[flag] = draw(SPOILED)
+    return [command, *(f"{flag}={value}" for flag, value in flags.items())]
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=fuzzed_argv())
+def test_fuzzed_commands_keep_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

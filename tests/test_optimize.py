@@ -7,9 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import coarse_pass_reference
+from conftest import coarse_pass_reference, golden_max_reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spinring import amplitude, optimize
+from spinring import amplitude, entangle, optimize
 from spinring.amplitude import _CHUNK, SpectralKernel, _giant_steps, xi, xi_profile
 from spinring.optimize import (
     SearchSpec,
@@ -186,23 +188,113 @@ def test_fine_rows_match_the_full_grid_bit_for_bit(n, ds, count):
 
 
 def test_optimize_uses_only_the_public_kernel():
-    # how a grid is factored into BLAS products is the kernel's business alone
-    tree = ast.parse(Path(optimize.__file__).read_text(encoding="utf-8"))
-    private = [
-        node.name
-        for imp in ast.walk(tree)
-        if isinstance(imp, ast.ImportFrom) and imp.module in ("amplitude", "spinring.amplitude")
-        for node in imp.names
-        if node.name.startswith("_")
+    # how a grid is factored into BLAS products is the kernel's business alone;
+    # the entangling scan's refinement goes through the same public evaluator
+    for module in (optimize, entangle):
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        private = [
+            node.name
+            for imp in ast.walk(tree)
+            if isinstance(imp, ast.ImportFrom) and imp.module in ("amplitude", "spinring.amplitude")
+            for node in imp.names
+            if node.name.startswith("_")
+        ]
+        private += [
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr.startswith("_")
+            and not (node.attr.startswith("__") and node.attr.endswith("__"))
+        ]
+        assert private == [], module.__name__
+
+
+def landscape(kind, k, phase):
+    """A smooth test function of x, or ripples of rounding-noise size on a plateau."""
+    if kind == "smooth":
+        return lambda x: math.cos(k * x + phase)
+    return lambda x: 1e-16 * math.sin(1e6 * k * x + phase)
+
+
+def scalar_searches(fns, brackets, tol):
+    """`golden_max_reference` per bracket; returns the results and the points each asked for."""
+    results, asked = [], []
+    for fn, (lo, hi) in zip(fns, brackets):
+        points = []
+        results.append(golden_max_reference(lambda x: points.append(x) or fn(x), lo, hi, tol))
+        asked.append(points)
+    return results, asked
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shapes=st.lists(
+        st.tuples(
+            st.sampled_from(["smooth", "noisy"]),
+            st.floats(0.1, 50.0),
+            st.floats(0.0, 6.3),
+            st.floats(0.0, 1.0),
+            st.floats(1e-6, 10.0),
+        ),
+        max_size=6,
+    ),
+    edge=st.floats(0.5, 100.0),
+    tol=st.sampled_from([1e-7, 1e-4, 1e-2]),
+)
+def test_lockstep_golden_is_the_scalar_search_bit_for_bit(shapes, edge, tol):
+    # brackets of different widths, clipped at the window edges [0, edge] as the
+    # refinements clip theirs, finish after different numbers of steps
+    fns = [landscape(kind, k, phase) for kind, k, phase, _, _ in shapes]
+    brackets = [
+        (max(0.0, at * edge - width), min(edge, at * edge + width)) for *_, at, width in shapes
     ]
-    private += [
-        node.attr
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute)
-        and node.attr.startswith("_")
-        and not (node.attr.startswith("__") and node.attr.endswith("__"))
-    ]
-    assert private == []
+    expected, asked = scalar_searches(fns, brackets, tol)
+    calls = []
+
+    def batched(points):
+        calls.append(points)
+        return [fns[i](x) for i, x in points]
+
+    assert optimize._golden_max(batched, brackets, tol) == expected
+    # the first call asks for lo, hi and the two interior points of every
+    # bracket, each later one for one new point of each unfinished bracket
+    got = [[x for call in calls for i, x in call if i == j] for j in range(len(brackets))]
+    assert got == asked
+    assert len(calls) == (1 + max(len(points) - 4 for points in asked) if asked else 0)
+    for call in calls[1:]:
+        indices = [i for i, _ in call]
+        assert len(set(indices)) == len(indices)
+
+
+def test_lockstep_golden_of_one_and_of_no_bracket():
+    fn = landscape("smooth", 3.0, 0.5)
+    expected, _ = scalar_searches([fn], [(0.0, 2.0)], 1e-7)
+
+    def batched(points):
+        return [fn(x) for _, x in points]
+
+    assert optimize._golden_max(batched, [(0.0, 2.0)], 1e-7) == expected
+
+    def unreachable(points):
+        raise AssertionError("called with no brackets")
+
+    assert optimize._golden_max(unreachable, [], 1e-7) == []
+
+
+@pytest.mark.parametrize("lo, hi, tol", [(8e8, 1e9, 1e-7), (0.0, 1e13, 1e-4)])
+def test_golden_search_stops_below_the_float_spacing(lo, hi, tol):
+    # the spacing of floats at hi exceeds tol, so the bracket can never shrink
+    # to tol; a search without a floor there would run forever
+    assert math.ulp(hi) > tol
+    peak, calls = lo + 0.3 * (hi - lo), []
+
+    def fn(points):
+        calls.append(points)
+        assert len(calls) < 1000, "the golden search does not stop"
+        return [-((x - peak) ** 2) for _, x in points]
+
+    [(x, _)] = optimize._golden_max(fn, [(lo, hi)], tol)
+    assert abs(x - peak) <= 8 * math.ulp(hi)
 
 
 def test_pentagon_next_nearest_window():
