@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,8 +58,10 @@ BESSEL_BETA_MAX = 12000.0
 
 # Grid points per displacement evaluated at once; bounds the live phase block.
 _CHUNK = 65536
-# Fine steps between the points of the pre-grid `SpectralKernel.row_bounds` reads.
-_PRE_STRIDE = 10
+# Fine steps between the points of the pre-grid `SpectralKernel.row_bounds`
+# reads.  Its curvature reach grows as the square of this stride and its cost
+# falls as the inverse; see CHANGES.md for the measurement that chose it.
+_PRE_STRIDE = 20
 
 
 class BesselTruncationError(RuntimeError):
@@ -109,6 +112,21 @@ def _clip_xi(mag: float) -> float:
     return min(mag, 1.0)
 
 
+def _mode_weights(n: int, ds: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Weights exp(2*pi*i*d*m/N), m = 1..N, shape (N, displacements), and their
+    contiguous transpose, both read-only."""
+    m = np.arange(1, n + 1)
+    weights = np.exp(1j * np.outer(m, [2.0 * np.pi * d / n for d in ds]))
+    columns = np.ascontiguousarray(weights.T)
+    weights.flags.writeable = columns.flags.writeable = False
+    return weights, columns
+
+
+# The optimizer builds a one-displacement kernel per twist and refinement
+# point; their weights depend on the ring size and displacement alone.
+_one_weights = lru_cache(maxsize=64)(_mode_weights)
+
+
 def _giant_steps(b0: float, h: float, count: int) -> tuple[np.ndarray, int]:
     """The giant-step starts b0 + g*S*h and the stride S = ceil(sqrt(count)) of `xi_grid`."""
     stride = math.isqrt(count - 1) + 1 if count > 1 else 1
@@ -127,9 +145,10 @@ class SpectralKernel:
     def __init__(self, rates: np.ndarray, ds) -> None:
         n = self.n = len(rates)
         self._irates = 1j * np.asarray(rates, dtype=float)
-        m = np.arange(1, n + 1)
-        self._weights = np.exp(1j * np.outer(m, [2.0 * np.pi * (int(d) % n) / n for d in ds]))
-        self._columns = np.ascontiguousarray(self._weights.T)  # one row per displacement
+        ds = tuple(int(d) % n for d in ds)
+        # one row of `_columns` per displacement; both arrays are read-only
+        build = _one_weights if len(ds) == 1 else _mode_weights
+        self._weights, self._columns = build(n, ds)
 
     def amplitudes(self, beta: float) -> np.ndarray:
         """Complex a_d(beta), one per displacement: one exp and one dot."""
@@ -165,29 +184,53 @@ class SpectralKernel:
         starts, stride = _giant_steps(b0, h, count)
         return self._xi_giant(self._columns, starts, self._baby(h, stride))[:, :count]
 
-    def row_bounds(self, b0: float, h: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+    def row_bounds(
+        self, b0: float, h: float, count: int, spread: float = 0.0
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Bounds (low, high) on `xi_grid(b0, h, count)`: low[d] <= its maximum for
         displacement d, and high[d, g] >= its every value on giant row g.
 
-        Read off a pre-grid at fine index p*K, K = 10, with one point past the
-        grid so every fine point lies between two.  As |w_m| = 1 in
-        a_d = (1/N) sum_m w_m exp(i*beta*c_m), xi is L-Lipschitz, L = mean_m |c_m|,
-        so a fine value is at most the larger pre value around it plus L*K*h/2.
-        Both bounds carry a slack for the pre-grid's different rounding.
+        Read off a pre-grid at fine index p*K, K = `_PRE_STRIDE`, with one point
+        past the grid so every fine point lies between two.  The bound is on
+        the curvature of g = |a_d|^2.  With a = (1/N) sum_m w_m exp(i*beta*c_m)
+        and |w_m| = 1, |a| <= 1 and |a''| <= mean_m c_m^2, so
+
+            -g'' = -2|a'|^2 - 2 Re(a'' conj(a)) <= 2 mean_m c_m^2 =: M,
+
+        which is 1 on a ring.  Then g + (M/2)(beta - u)(beta - v) is convex on
+        the stretch [u, v] between two neighbouring pre points, so it stays
+        below its larger end value, and as (beta - u)(v - beta) <= (v - u)^2/4,
+        g <= max(g(u), g(v)) + M*(K*h)^2/8 there.  high is the square root of
+        that, taken over the pre stretches that cover the row, and it holds
+        between the grid points too.  Both bounds carry a slack for the
+        pre-grid's different rounding.
+
+        `spread` widens that slack by spread * beta: the bounds then also hold
+        for a kernel whose weights match these to rounding and whose rates are
+        within `spread` of these, as |a_d| moves by at most
+        beta * max_m |c_m - c'_m| between them.
         """
         starts, stride = _giant_steps(b0, h, count)
         first = stride * np.arange(len(starts))
         last = np.minimum(first + stride - 1, count - 1)
         pre_count = (count - 1) // _PRE_STRIDE + 2
+        beta_end = b0 + (pre_count - 1) * _PRE_STRIDE * h
+        if not math.isfinite(beta_end):
+            # the pre-grid would run past the largest float: bound nothing
+            rows = len(self._columns)
+            return np.full(rows, -np.inf), np.full((rows, len(starts)), np.inf)
         pre = self.xi_grid(b0, _PRE_STRIDE * h, pre_count)
-        slack = 1e-9 + 16.0 * np.finfo(float).eps * (b0 + (pre_count - 1) * _PRE_STRIDE * h)
-        # pair[p] bounds the fine points between pre points p and p + 1
+        slack = 1e-9 + (16.0 * np.finfo(float).eps + spread) * beta_end
+        # pair[p] is the larger end of the pre stretch from p to p + 1, and
+        # top[g] the largest over the stretches that cover row g
         pair = np.maximum(pre[:, :-1], pre[:, 1:])
-        high = np.maximum(
+        top = np.maximum(
             np.maximum.reduceat(pair, first // _PRE_STRIDE, axis=1), pair[:, last // _PRE_STRIDE]
         )
-        reach = float(np.mean(np.abs(self._irates))) * _PRE_STRIDE * h / 2
-        return pre[:, :-1].max(axis=1) - slack, high + (reach + slack)
+        curvature = 2.0 * float(np.mean(np.abs(self._irates) ** 2))
+        # sqrt((top + slack)^2 + M*(K*h)^2/8), without overflow on a sparse grid
+        high = np.hypot(top + slack, _PRE_STRIDE * h * math.sqrt(curvature / 8.0)) + slack
+        return pre[:, :-1].max(axis=1) - slack, high
 
     def xi_rows(
         self, b0: float, h: float, count: int, keep: np.ndarray
@@ -199,9 +242,13 @@ class SpectralKernel:
         the values there.
         """
         starts, stride = _giant_steps(b0, h, count)
-        baby, out = self._baby(h, stride), []
+        baby = self._baby(h, stride) if np.any(keep) else None
+        out = []
         for column, rows in zip(self._columns, keep):
             rows = np.flatnonzero(rows)
+            if not len(rows):
+                out.append((rows, np.empty(0)))
+                continue
             index = (rows[:, None] * stride + np.arange(stride)).ravel()
             index = index[: np.searchsorted(index, count)]  # the last row may run past the grid
             values = self._xi_giant(column[None], starts[rows], baby)[0, : len(index)]

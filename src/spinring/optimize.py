@@ -6,12 +6,13 @@ oscillation by more than a hundredfold) followed by golden-section refinement
 of every coarse local maximum that comes within 1e-3 of the coarse best, and
 finally a confirmation pass over the twist near the winner.
 
-The coarse grid is pruned by a bound: xi = |(1/N) sum_m w_m exp(i*beta*c_m)|
-with |w_m| = 1 moves by at most mean_m |c_m| (<= 1) times the change in beta,
-so a pre-grid at every tenth step shows which stretches of the fine grid
-cannot come within 1e-3 of the best.  Only the others are evaluated, and the
-kernel gives them the full grid's values bit for bit, so the coarse
-candidates are the full grid's (see `_coarse_pass`).  Near-perfect
+The coarse grid is pruned by a bound: |a|^2, a = (1/N) sum_m w_m
+exp(i*beta*c_m) with |w_m| = 1, curves down no faster than 2 mean_m c_m^2
+(= 1 on a ring), so a thinner pre-grid shows which stretches of the fine
+grid cannot come within 1e-3 of the best (`SpectralKernel.row_bounds`).
+Only the others are evaluated, and the kernel gives them the full grid's
+values bit for bit, so the coarse candidates are the full grid's (see
+`_coarse_pass`).  Near-perfect
 windows at different times can tie to within fractions of 1e-3; all surviving
 refined optima are kept on the record (`near_optima`) so callers can match a
 specific reported window as well as the in-range global best.
@@ -227,6 +228,18 @@ def _local_maxima(values: np.ndarray) -> np.ndarray:
     return np.nonzero(rising & falling)[0]
 
 
+def _mirror_pairs(twists: tuple[float, ...]) -> list[tuple[float, float]]:
+    """Pairs (f, g) of distinct twists with g = -f to within 1e-12, one pair per twist at most."""
+    by_size = {round(f, 12): f for f in twists}
+    pairs, paired = [], set()
+    for f in twists:
+        g = by_size.get(round(-f, 12))
+        if g is not None and g != f and not {f, g} & paired:
+            pairs.append((f, g))
+            paired |= {f, g}
+    return pairs
+
+
 def _coarse_pass(
     n: int, ds: tuple[int, ...], spec: SearchSpec
 ) -> dict[int, list[tuple[float, float, float]]]:
@@ -241,6 +254,15 @@ def _coarse_pass(
     reaches the best lower bound over all twists minus 1e-3 (`xi_rows`,
     bit for bit the full grid's values).  The runs of evaluated rows are
     joined with -inf separators and scanned for local maxima once.
+
+    Stage one reads twists f and -f off one pre-grid where both are
+    candidates.  Reflecting the ring reverses the twist, a_d(beta, -f) =
+    a_{N-d}(beta, f), as the rates of -f are those of f under m -> N - m.
+    So the bounds of f's rates over the displacements ds and N - ds bound
+    both twists; the rates of a pair whose twists are opposite only up to
+    rounding differ by a spread that widens the slack (`row_bounds`).  The
+    pre-grid need not match any twist's bits, but stage two evaluates each
+    twist with its own kernel.
 
     The kept lists equal the full grid's.  Every value of a skipped row lies
     below best - 1e-3, so (i) a point at or above best - 1e-3 keeps its
@@ -261,13 +283,28 @@ def _coarse_pass(
     """
     betas = spec.beta_grid()
     count, h = len(betas), spec.beta_step
-    kernels = [SpectralKernel(_mode_cosines(n, f), ds) for f in spec.f_candidates]
-    bounds = [kernel.row_bounds(spec.beta_min, h, count) for kernel in kernels]
-    floor = np.max([low for low, _ in bounds], axis=0) - _NEAR_OPTIMUM_WINDOW
+    rates = {f: _mode_cosines(n, f) for f in spec.f_candidates}
+    kernels = {f: SpectralKernel(rates[f], ds) for f in spec.f_candidates}
+    bounds = {}
+    mirrored = tuple(n - d for d in ds)
+    union = ds + tuple(d for d in mirrored if d not in ds)
+    for f, g in _mirror_pairs(spec.f_candidates):
+        # a_d(beta, -f) = a_{N-d}(beta, f): the rates of g are those of f
+        # under m -> N - m, up to the rounding of the two twists
+        spread = float(np.max(np.abs(rates[g] - np.roll(rates[f][::-1], -1))))
+        kernel = kernels[f] if len(union) == len(ds) else SpectralKernel(rates[f], union)
+        low, high = kernel.row_bounds(spec.beta_min, h, count, spread)
+        for twist, side in ((f, ds), (g, mirrored)):
+            rows = [union.index(d) for d in side]
+            bounds[twist] = (low[rows], high[rows])
+    for f in spec.f_candidates:
+        if f not in bounds:
+            bounds[f] = kernels[f].row_bounds(spec.beta_min, h, count)
+    floor = np.max([low for low, _ in bounds.values()], axis=0) - _NEAR_OPTIMUM_WINDOW
     kept: dict[int, list[tuple[float, float, float]]] = {d: [] for d in ds}
     best: dict[int, float] = {d: -1.0 for d in ds}
-    for f, kernel, (_, high) in zip(spec.f_candidates, kernels, bounds):
-        rows = kernel.xi_rows(spec.beta_min, h, count, high >= floor[:, None])
+    for f, kernel in kernels.items():
+        rows = kernel.xi_rows(spec.beta_min, h, count, bounds[f][1] >= floor[:, None])
         for d, (index, values) in zip(ds, rows):
             if not len(index):
                 continue

@@ -15,6 +15,7 @@ from spinring.amplitude import (
     amplitude_oracle,
     amplitude_spectral,
     _clip_xi,
+    _giant_steps,
     xi,
     xi_batch,
     xi_profile,
@@ -261,6 +262,62 @@ def test_kernel_refuses_a_phase_block_before_allocating(n, betas):
 def test_half_flux_diametric_channel_stays_blocked_on_the_grid(half, b0, h, count):
     kernel = SpectralKernel(_mode_cosines(2 * half, 0.5), (half,))
     assert kernel.xi_grid(b0, h, count).max() <= 1e-12
+
+
+def test_one_displacement_weights_are_shared_read_only_and_exact():
+    for n, d in ((5, 2), (7, -3), (12, 13)):
+        built = np.exp(1j * np.outer(np.arange(1, n + 1), [2.0 * np.pi * (d % n) / n]))
+        a, b = (SpectralKernel(_mode_cosines(n, f), (d,)) for f in (0.1, -0.3))
+        assert a._weights is b._weights and a._columns is b._columns
+        assert np.array_equal(a._weights, built) and np.array_equal(a._columns, built.T)
+        for weights in (a._weights, a._columns):
+            assert not weights.flags.writeable
+            with pytest.raises(ValueError):
+                weights[0] = 0.0
+
+
+def mirrored_rates(rates):
+    """The rates under m -> N - m: those of the reversed twist, up to rounding."""
+    return np.roll(rates[::-1], -1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(3, 12),
+    f=st.floats(-1.0, 1.0),
+    b0=st.floats(0.0, 1000.0),
+    # past h ~ 0.15 the curvature reach of the pre-grid alone exceeds 1
+    h=st.one_of(st.floats(1e-3, 0.1), st.floats(0.1, 1000.0)),
+    count=st.one_of(st.sampled_from([1, 2, 3, 21, 400, 401]), st.integers(1, 3000)),
+    offsets=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=4),
+    nudge=st.sampled_from([None, 0.0, 1e-13, -3e-13]),
+)
+def test_row_bounds_hold_on_and_between_grid_points(n, f, b0, h, count, offsets, nudge):
+    # high[d, g] bounds |a_d| on the whole stretch of giant row g, up to the
+    # next row's first point, and low[d] the grid's maximum.  With a nudge,
+    # the bounds of f with the mirror's spread stand for the twist -f + nudge
+    # at the mirrored displacements, as the coarse pass reads them.
+    rates = _mode_cosines(n, f)
+    kernel = SpectralKernel(rates, range(n))
+    if nudge is None:
+        target, rows, spread = kernel, np.arange(n), 0.0
+    else:
+        other = _mode_cosines(n, -f + nudge)
+        target = SpectralKernel(other, range(n))
+        rows = (n - np.arange(n)) % n
+        spread = float(np.max(np.abs(other - mirrored_rates(rates))))
+    low, high = kernel.row_bounds(b0, h, count, spread)
+    starts, stride = _giant_steps(b0, h, count)
+    assert high.shape == (n, len(starts))
+    grid = target.xi_grid(b0, h, count)
+    assert np.all(low[rows] <= grid.max(axis=1))
+    k = np.arange(count)
+    fractions = np.concatenate([k + t for t in [0.0, *offsets]])
+    dense = target.xi_points(b0 + h * fractions)
+    # k + t may round up to k + 1, which for the last k lies past the grid but
+    # still on the last row's stretch
+    row = np.minimum(fractions.astype(int), count - 1) // stride
+    assert np.all(dense <= high[rows][:, row])
 
 
 # Properties the optimizer's bound-pruned coarse pass rests on, drawn over

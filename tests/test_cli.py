@@ -615,7 +615,9 @@ def fuzzed_argv(draw):
 
     Windows reach 1e15, so most grids are sparse, and up to two flags are spoiled.
     """
-    command = draw(st.sampled_from(["entangle", "multiparty", "sweep", "amplitude", "blockage"]))
+    command = draw(
+        st.sampled_from(["entangle", "multiparty", "sweep", "amplitude", "blockage", "table1"])
+    )
     n = draw(st.integers(3, 12))
     span = 10.0 ** draw(st.floats(-3.0, 15.0))
     step = span / draw(st.integers(1, 10_000))
@@ -631,6 +633,8 @@ def fuzzed_argv(draw):
         start = draw(st.sampled_from([0.0, span]))
         flags = {"--n": n, "--d": draw(st.integers(-n, 2 * n)), "--f-min": twist, "--f-max": twist,
                  "--beta-min": start, "--beta-max": start + span, "--beta-step": step}
+    elif command == "table1":
+        flags = {"--beta-max": span, "--beta-step": step, "--twists": twist}
     elif command == "amplitude":
         flags = {"--n": n, "--d": draw(st.integers(-n, 2 * n)), "--f": twist, "--beta": span,
                  "--method": draw(st.sampled_from(["spectral", "bessel", "oracle", "all"]))}

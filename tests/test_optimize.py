@@ -95,6 +95,19 @@ EQUIVALENCE_CASES = {
     "window-under-pre-stride": (5, (2, 3), SearchSpec(beta_max=0.1, f_candidates=twist_grid(8))),
     "offset-window": (7, (1, 3), SearchSpec(beta_min=3.7, beta_max=1003.76, f_candidates=twist_grid(8))),
     "nonagon-pair": (9, (3,), SearchSpec(beta_max=9000.0, f_candidates=RESTRICTED)),
+    # the mirror a_d(beta, -f) = a_{N-d}(beta, f) bounds +-0.25 together;
+    # -0.5 and 0.1 have no partner and are bounded alone
+    "unpaired-twists": (5, (1, 2, 3, 4), SearchSpec(f_candidates=(-0.5, -0.25, 0.1, 0.25))),
+    # paired twists whose mirrored displacements are not all searched
+    "open-mirror-displacements": (
+        7, (1, 2, 4), SearchSpec(beta_max=2000.0, f_candidates=(-0.375, -0.25, 0.25, 0.375))
+    ),
+    # the pre-grid's point past the window end would overflow, so nothing is pruned
+    "window-at-the-float-limit": (
+        5, (1, 4), SearchSpec(beta_max=1.7e308, beta_step=1e307, f_candidates=RESTRICTED)
+    ),
+    # a pair that is mirrored only up to the rounding of the twists
+    "rounded-mirror": (5, (2, 3), SearchSpec(f_candidates=(-0.3, 0.1 + 0.2))),
 }
 
 
@@ -108,6 +121,19 @@ def test_pruned_coarse_pass_keeps_what_the_full_grid_keeps(case):
         assert 1 < count < amplitude._PRE_STRIDE
     if case == "offset-window":
         assert spec.beta_min > 0 and (count - 1) % amplitude._PRE_STRIDE != 0
+    if case == "window-at-the-float-limit":
+        kernel = SpectralKernel(_mode_cosines(n, 0.25), ds)
+        low, high = kernel.row_bounds(0.0, spec.beta_step, count)
+        assert np.all(low == -np.inf) and np.all(high == np.inf)
+    pairs = optimize._mirror_pairs(spec.f_candidates)
+    if case == "unpaired-twists":
+        assert pairs == [(-0.25, 0.25)]
+    if case == "open-mirror-displacements":
+        assert len(pairs) == 2 and not {n - d for d in ds} <= set(ds)
+    if case == "rounded-mirror":
+        ((f, g),) = pairs
+        mirrored = np.roll(_mode_cosines(n, f)[::-1], -1)
+        assert g != -f and not np.array_equal(_mode_cosines(n, g), mirrored)
     if case.endswith("lone-row"):
         starts, stride = _giant_steps(spec.beta_min, spec.beta_step, count)
         assert len(starts) % (_CHUNK // stride) == 1
@@ -134,8 +160,8 @@ def evaluated_share(monkeypatch, n, ds, spec):
 
 def test_coarse_pass_prunes_the_quarter_twist_landscapes(monkeypatch):
     spec = SearchSpec(f_candidates=twist_grid(8))
-    assert evaluated_share(monkeypatch, 5, (1, 2, 3, 4), spec) < 0.2
-    assert evaluated_share(monkeypatch, 7, tuple(range(1, 7)), spec) < 0.05
+    assert evaluated_share(monkeypatch, 5, (1, 2, 3, 4), spec) < 0.04
+    assert evaluated_share(monkeypatch, 7, tuple(range(1, 7)), spec) < 0.004
     blocked = SearchSpec(beta_max=500.0, f_candidates=(0.5,))
     assert evaluated_share(monkeypatch, 6, (3,), blocked) == 1.0
 
