@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -319,8 +320,9 @@ def cmd_multiparty(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     RingConfig(args.n)  # validates n early
-    if not (args.f_step > 0 and args.beta_step > 0):
-        raise ValueError("--f-step and --beta-step must be positive")
+    for flag, step in (("--f-step", args.f_step), ("--beta-step", args.beta_step)):
+        if not 0.0 < step < math.inf:
+            raise ValueError(f"{flag} must be positive and finite, got {step!r}")
     if not (args.f_min <= args.f_max and args.beta_min <= args.beta_max):
         raise ValueError("empty window: need --f-min <= --f-max and --beta-min <= --beta-max")
     twist_count = grid_count(args.f_max - args.f_min, args.f_step)

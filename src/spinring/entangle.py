@@ -116,8 +116,10 @@ def _reading(kernel: SpectralKernel, beta: float) -> EntanglementReading:
 
 def scan_times(beta_max: float, step: float) -> np.ndarray:
     """The scan grid 0, step, 2*step, ... up to beta_max; at most `MAX_GRID_POINTS`."""
-    if not (beta_max > 0 and step > 0):
-        raise ValueError("beta_max and step must be positive")
+    if not beta_max > 0:
+        raise ValueError(f"--beta-max must be positive, got {beta_max!r}")
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"--step must be positive and finite, got {step!r}")
     return step * np.arange(grid_count(beta_max, step))
 
 

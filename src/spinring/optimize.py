@@ -241,9 +241,11 @@ def _mirror_pairs(twists: tuple[float, ...]) -> list[tuple[float, float]]:
 
 
 def _coarse_pass(
-    n: int, ds: tuple[int, ...], spec: SearchSpec
+    n: int, ds: tuple[int, ...], spec: SearchSpec, rates: dict[float, np.ndarray]
 ) -> dict[int, list[tuple[float, float, float]]]:
     """Coarse grid sweep; returns per-d lists of (f, beta, xi) keep-worthy points.
+
+    `rates` holds each candidate twist's mode cosines, `_mode_cosines(n, f)`.
 
     Each twist's landscape is `SpectralKernel.xi_grid` on beta_min + k*h,
     k < B, which the kernel factors into giant rows of S = ceil(sqrt(B))
@@ -283,7 +285,6 @@ def _coarse_pass(
     """
     betas = spec.beta_grid()
     count, h = len(betas), spec.beta_step
-    rates = {f: _mode_cosines(n, f) for f in spec.f_candidates}
     kernels = {f: SpectralKernel(rates[f], ds) for f in spec.f_candidates}
     bounds = {}
     mirrored = tuple(n - d for d in ds)
@@ -382,11 +383,12 @@ def optimize_transfers(
         if not 1 <= d <= n - 1:
             raise ValueError(f"displacement must be in 1..{n - 1}, got {d}")
     RingConfig(n)  # validates the ring size early
-    coarse = _coarse_pass(n, ds, spec)
+    rates = {f: _mode_cosines(n, f) for f in spec.f_candidates}
+    coarse = _coarse_pass(n, ds, spec, rates)
 
     candidates: dict[int, list[TransferPoint]] = {}
     for d in ds:
-        kernels = {f: SpectralKernel(_mode_cosines(n, f), (d,)) for f in spec.f_candidates}
+        kernels = {f: SpectralKernel(rates[f], (d,)) for f in spec.f_candidates}
         refined: list[TransferPoint] = []
         moving, brackets = [], []
         for f, beta_c, xi_c in coarse[d]:

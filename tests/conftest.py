@@ -1,7 +1,8 @@
 """Shared independent oracles for the test suite.
 
 Everything here is deliberately computed by a different route than the
-package code: ascending power series for Bessel functions, hand-derived
+package code: ascending power series for Bessel functions, the scalar
+Miller sweep the Bessel ladder must reproduce bit for bit, hand-derived
 closed forms for the 4-site ring, plain binary entropy, the full 2^N spin
 Hamiltonian, the flux-ring entanglement from dense propagators and a 2 x N
 Schmidt decomposition, the sector Hamiltonian in the single-bond gauge, the
@@ -17,6 +18,7 @@ import math
 import numpy as np
 
 from spinring.amplitude import SpectralKernel
+from spinring.bessel import _start_order
 from spinring.entangle import EntanglementReading
 from spinring.optimize import _INV_PHI, _local_maxima
 from spinring.ring import RingConfig, _mode_cosines, build_hamiltonian, propagate_oracle
@@ -36,6 +38,43 @@ def bessel_series(n: int, x: float, terms: int = 30) -> float:
             math.factorial(k) * math.factorial(n + k)
         )
     return total
+
+
+def bessel_ladder_reference(n_max: int, x: float) -> np.ndarray:
+    """The Miller sweep of `spinring.bessel.bessel_j_ladder`, one order at a time.
+
+    For x >= 1e-6 (below, the ladder takes a series branch instead).  Every
+    step stores its trial value, adds it to the Kahan-compensated norm when
+    the order is even and rescales the whole output in place when the value
+    passes 1e250, so it shows what the paired sweep must equal bit for bit.
+    """
+    out = np.zeros(n_max + 1)
+    start = _start_order(n_max, x)
+    two_over_x = 2.0 / x
+    jp = 0.0
+    jc = 1e-30
+    norm = 0.0
+    comp = 0.0
+    for nu in range(start, 0, -1):
+        jm = nu * two_over_x * jc - jp
+        jp, jc = jc, jm
+        order = nu - 1
+        if order <= n_max:
+            out[order] = jc
+        if order % 2 == 0:
+            term = jc if order == 0 else 2.0 * jc
+            y = term - comp
+            t = norm + y
+            comp = (t - norm) - y
+            norm = t
+        if abs(jc) > 1e250:
+            jc *= 1e-250
+            jp *= 1e-250
+            norm *= 1e-250
+            comp *= 1e-250
+            out *= 1e-250
+    out /= norm
+    return out
 
 
 def binary_entropy(p: float) -> float:

@@ -1,11 +1,17 @@
 """Miller-recurrence Bessel ladder against series, identity and scipy checks."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import jv
 
-from conftest import bessel_series
-from spinring.bessel import bessel_j_ladder
+from conftest import bessel_ladder_reference, bessel_series
+from spinring.bessel import _start_order, bessel_j_ladder
+from spinring.ring import MAX_GRID_POINTS
 
 
 def test_j0_at_origin():
@@ -64,9 +70,68 @@ def test_deep_tail_underflows_to_zero():
     assert bessel_j_ladder(500, 1.0)[500] == 0.0
 
 
+def bits(values):
+    return np.asarray(values).view(np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    log_x=st.floats(math.log(1e-6), math.log(12000.0)),
+    reach=st.floats(0.0, 1.0),
+    odd_top=st.booleans(),
+)
+def test_ladder_is_the_scalar_sweep_bit_for_bit(log_x, reach, odd_top):
+    # orders up to ~2x + 2000 run far enough past the turning point that the
+    # trial values pass 1e250 and the sweep rescales, often many times
+    x = min(max(math.exp(log_x), 1e-6), 12000.0)
+    n_max = int(reach * (2.0 * x + 2000.0))
+    if (_start_order(n_max, x) - 1) % 2 != odd_top:
+        # one order past max(n_max, x) moves the sweep's start by one
+        n_max = max(n_max, math.ceil(x)) + 1
+    assert (_start_order(n_max, x) - 1) % 2 == odd_top
+    assert np.array_equal(bits(bessel_j_ladder(n_max, x)), bits(bessel_ladder_reference(n_max, x)))
+
+
+@pytest.mark.parametrize(
+    "n_max, x",
+    [(2000, 3.0), (2001, 3.0), (4000, 1.0), (4001, 1.0), (0, 1e-6), (30000, 1.5e-6),
+     (0, 12000.0), (1, 12000.0), (12345, 11999.5), (40, 17.25)],
+)
+def test_rescale_heavy_and_edge_ladders_are_bit_for_bit(n_max, x):
+    assert np.array_equal(bits(bessel_j_ladder(n_max, x)), bits(bessel_ladder_reference(n_max, x)))
+
+
+def test_ladder_stores_eight_bytes_per_order():
+    # the returned ladder is a view of the sweep's own buffer; a list of
+    # Python floats would take 32 bytes an order, a copy at the end 16.
+    # Tracing slows every float operation ~10x, so the ladder is 10^5 orders
+    # long; the peak per order is the same at 10^6 (about 1.0 x 8 bytes)
+    orders = 100_000
+    tracemalloc.start()
+    try:
+        lad = bessel_j_ladder(orders - 1, 1e5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lad.shape == (orders,)
+    assert peak < 1.5 * 8 * orders
+
+
+def test_oversized_ladder_is_refused_before_allocation():
+    with pytest.raises(ValueError, match="Bessel ladder"):
+        bessel_j_ladder(10**12, 1.0)
+    # the sweep starts above the argument, so a short ladder at a huge
+    # argument is just as long
+    with pytest.raises(ValueError, match="Bessel ladder"):
+        bessel_j_ladder(0, float(MAX_GRID_POINTS))
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         bessel_j_ladder(-1, 1.0)
+    for n_max in (2.0, 2.5, True, "3"):
+        with pytest.raises(ValueError, match="integer"):
+            bessel_j_ladder(n_max, 1.0)
     with pytest.raises(ValueError):
         bessel_j_ladder(1, -1.0)
     with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -507,6 +508,36 @@ def test_window_bounds_contract(tmp_path, capsys, argv, code):
 
 
 @pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["sweep", "--n", "5", "--d", "1", "--beta-step", "inf"], "--beta-step"),
+        (["sweep", "--n", "5", "--d", "1", "--beta-step", "nan"], "--beta-step"),
+        (["sweep", "--n", "5", "--d", "1", "--f-step", "inf"], "--f-step"),
+        (["sweep", "--n", "5", "--d", "1", "--f-step", "-0.5"], "--f-step"),
+        (["entangle", "--beta-max", "1", "--step", "inf"], "--step"),
+        (["entangle", "--beta-max", "1", "--step", "nan"], "--step"),
+        (["entangle", "--beta-max", "nan"], "--beta-max"),
+    ],
+)
+def test_grid_steps_outside_zero_to_inf_name_their_flag(tmp_path, capsys, argv, flag):
+    # an infinite step once made a one-point grid at beta inf * 0 = nan
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} must be positive")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("step", [math.inf, math.nan, 0.0, -1.0])
+def test_grid_count_refuses_steps_outside_zero_to_inf(step):
+    with pytest.raises(ValueError, match="positive and finite"):
+        grid_count(1.0, step)
+
+
+@pytest.mark.parametrize(
     "flag, value", [("--samples", "-3"), ("--samples", "0"), ("--beta-max", "-1"), ("--beta-max", "nan")]
 )
 def test_blockage_errors_name_their_flag(capsys, monkeypatch, flag, value):
@@ -568,21 +599,38 @@ def test_manifest_replay_reproduces_bytes(tmp_path, capsys):
 
 
 def run_child(*argv, timeout=None):
-    """`python -m spinring.cli ARGV` in a child that imports spinring from where this process did."""
+    """`python ARGV` in a child that imports spinring from where this process did."""
     package_root = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")])
     )}
     return subprocess.run(
-        [sys.executable, "-m", "spinring.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=timeout,
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=timeout
     )
 
 
 def test_console_script_runs():
-    proc = run_child("amplitude", "--n", "4", "--d", "2", "--f", "0", "--beta", "3.141592653589793")
+    proc = run_child(
+        "-m", "spinring.cli", "amplitude", "--n", "4", "--d", "2", "--f", "0",
+        "--beta", "3.141592653589793",
+    )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["xi"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_every_amplitude_route_runs_without_scipy():
+    # the Bessel route is an independent check only while it computes its own
+    # ladder: no scipy.special.jv behind it, and no scipy in its memory figure
+    program = (
+        "import sys\n"
+        "import spinring.cli\n"
+        "argv = ['amplitude', '--n', '7', '--d', '3', '--f=0.25', '--beta', '3500.4', '--method', 'all']\n"
+        "assert spinring.cli.main(argv) == 0\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    proc = run_child("-c", program)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize(
@@ -598,7 +646,7 @@ def test_refinement_below_the_float_spacing_ends(argv):
     # the refinement tolerance (1e-7, 1e-4) is below the spacing of floats at
     # the window's end; run in a child so that a search that never stops
     # fails at the timeout instead of stalling the suite
-    proc = run_child(*argv, timeout=60)
+    proc = run_child("-m", "spinring.cli", *argv, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)
 

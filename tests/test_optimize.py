@@ -111,6 +111,11 @@ EQUIVALENCE_CASES = {
 }
 
 
+def coarse_pass(n, ds, spec):
+    rates = {f: _mode_cosines(n, f) for f in spec.f_candidates}
+    return optimize._coarse_pass(n, ds, spec, rates)
+
+
 @pytest.mark.parametrize("case", EQUIVALENCE_CASES)
 def test_pruned_coarse_pass_keeps_what_the_full_grid_keeps(case):
     n, ds, spec = EQUIVALENCE_CASES[case]
@@ -137,7 +142,7 @@ def test_pruned_coarse_pass_keeps_what_the_full_grid_keeps(case):
     if case.endswith("lone-row"):
         starts, stride = _giant_steps(spec.beta_min, spec.beta_step, count)
         assert len(starts) % (_CHUNK // stride) == 1
-    kept = optimize._coarse_pass(n, ds, spec)
+    kept = coarse_pass(n, ds, spec)
     assert kept == coarse_pass_reference(n, ds, spec)
     assert all(kept[d] for d in ds)
 
@@ -153,7 +158,7 @@ def evaluated_share(monkeypatch, n, ds, spec):
         return xi_rows(kernel, b0, h, count, keep)
 
     monkeypatch.setattr(SpectralKernel, "xi_rows", counted)
-    optimize._coarse_pass(n, ds, spec)
+    coarse_pass(n, ds, spec)
     assert len(total) == len(spec.f_candidates)
     return sum(kept) / sum(total)
 
