@@ -2,8 +2,8 @@
 
 Three independent routes give the same complex amplitude (uniform gauge):
 
-* the spectral route sums the N plane-wave modes (`SpectralKernel`, an
-  inverse DFT of the mode phases, O(N) per point),
+* the spectral route sums the N plane-wave modes, O(N) per point
+  (`PointSums` at scattered points, `SpectralKernel` on grids),
 * the Bessel route expands each mode phase with the Jacobi-Anger identity
   and resums into two ladders of Bessel functions J_{d+kN}(beta) and
   J_{d'+kN}(beta), d' = N - d, and
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -32,6 +31,7 @@ __all__ = [
     "BESSEL_BETA_MAX",
     "BesselTruncationError",
     "MAX_GRID_POINTS",
+    "PointSums",
     "SpectralKernel",
     "amplitude_spectral",
     "amplitude_bessel",
@@ -39,7 +39,6 @@ __all__ = [
     "grid_count",
     "require_grid_points",
     "xi",
-    "xi_batch",
     "xi_profile",
 ]
 
@@ -58,7 +57,7 @@ _TAIL_RUN = 3
 # with beta: ~13,000 orders and ~2 ms at this bound.
 BESSEL_BETA_MAX = 12000.0
 
-# Grid points per displacement evaluated at once; bounds the live phase block.
+# Points per displacement evaluated at once; bounds the live phase block.
 _CHUNK = 65536
 # Fine steps between the points of the pre-grid `SpectralKernel.row_bounds`
 # reads.  Its curvature reach grows as the square of this stride and its cost
@@ -120,19 +119,9 @@ def _clip_xi(mag: float) -> float:
     return min(mag, 1.0)
 
 
-def _mode_weights(n: int, ds: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Weights exp(2*pi*i*d*m/N), m = 1..N, shape (N, displacements), and their
-    contiguous transpose, both read-only."""
-    m = np.arange(1, n + 1)
-    weights = np.exp(1j * np.outer(m, [2.0 * np.pi * d / n for d in ds]))
-    columns = np.ascontiguousarray(weights.T)
-    weights.flags.writeable = columns.flags.writeable = False
-    return weights, columns
-
-
-# The optimizer builds a one-displacement kernel per twist and refinement
-# point; their weights depend on the ring size and displacement alone.
-_one_weights = lru_cache(maxsize=64)(_mode_weights)
+def _mode_weights(n: int, ds) -> np.ndarray:
+    """Weights exp(2*pi*i*d*m/N), m = 1..N, one row per displacement d in `ds`."""
+    return np.exp(1j * np.outer([2.0 * np.pi * d / n for d in ds], np.arange(1, n + 1)))
 
 
 def _giant_steps(b0: float, h: float, count: int) -> tuple[np.ndarray, int]:
@@ -153,18 +142,7 @@ class SpectralKernel:
     def __init__(self, rates: np.ndarray, ds) -> None:
         n = self.n = len(rates)
         self._irates = 1j * np.asarray(rates, dtype=float)
-        ds = tuple(int(d) % n for d in ds)
-        # one row of `_columns` per displacement; both arrays are read-only
-        build = _one_weights if len(ds) == 1 else _mode_weights
-        self._weights, self._columns = build(n, ds)
-
-    def amplitudes(self, beta: float) -> np.ndarray:
-        """Complex a_d(beta), one per displacement: one exp and one dot."""
-        return np.dot(np.exp(beta * self._irates), self._weights) / self.n
-
-    def xi(self, beta: float) -> list[float]:
-        """|a_d(beta)| at one beta, one per displacement."""
-        return [_clip_xi(abs(a)) for a in self.amplitudes(beta).tolist()]
+        self._columns = _mode_weights(n, [int(d) % n for d in ds])  # one row per displacement
 
     def xi_points(self, betas: np.ndarray) -> np.ndarray:
         """|a_d| at the given betas, shape (displacements, len(betas)).
@@ -295,33 +273,42 @@ class SpectralKernel:
         return np.minimum(out, 1.0, out=out)
 
 
-def xi_batch(kernels: list[SpectralKernel], betas) -> list[float]:
-    """`kernels[i].xi(betas[i])[0]` for every i, bit for bit, batched.
+class PointSums:
+    """Mode sums a_d(beta) (see `SpectralKernel`) at points (rate row, beta).
 
-    The kernels share a ring size and hold one displacement each.  One `exp`
-    covers a block of points and one stacked `np.matmul` makes a 1 x N by
-    N x 1 product per point, which rounds like the dot of `amplitudes`; a
-    2-D product, `einsum` or a sum rounds differently, and so does `np.abs`
-    in place of Python's `abs` on the complex sums.
+    Built from K rate rows of one ring, shape (K, N) or (N,), and one
+    displacement per row or one for all.  One `exp` covers a block of points
+    and one stacked `np.matmul` a 1 x N by N x 1 product per point, which
+    rounds as one dot whatever points share the call.  A 2-D product, `einsum`
+    or a sum rounds differently, and so does `np.abs` in place of `abs`.
     """
-    betas = np.asarray(betas, dtype=float)
-    if betas.shape != (len(kernels),):
-        raise ValueError(f"need one beta per kernel, got {betas.shape} for {len(kernels)}")
-    if not kernels:
-        return []
-    n = kernels[0].n
-    if any(kernel.n != n or kernel._weights.shape[1] != 1 for kernel in kernels):
-        raise ValueError("xi_batch needs single-displacement kernels of one ring size")
-    per = max(_CHUNK // n, 1)
-    out: list[float] = []
-    for lo in range(0, len(kernels), per):
-        block = kernels[lo : lo + per]
-        irates = np.array([kernel._irates for kernel in block])
-        weights = np.array([kernel._weights for kernel in block])
-        phases = np.exp(betas[lo : lo + per, None] * irates)
-        sums = np.matmul(phases[:, None, :], weights)[:, 0, 0] / n
-        out += [_clip_xi(abs(a)) for a in sums.tolist()]
-    return out
+
+    def __init__(self, rates, ds) -> None:
+        self._irates = 1j * np.atleast_2d(np.asarray(rates, dtype=float))
+        rows, self.n = self._irates.shape
+        ds = [int(d) % self.n for d in np.atleast_1d(ds).tolist()]
+        if len(ds) not in (1, rows):
+            raise ValueError(f"need one displacement or one per rate row, got {len(ds)} for {rows}")
+        self._weights = _mode_weights(self.n, ds)[:, :, None]  # one weight column is shared
+
+    def values(self, rows, betas) -> np.ndarray:
+        """Complex a_d(betas[i]) of rate row rows[i], for every i."""
+        rows = np.asarray(rows, dtype=np.intp)
+        betas = np.asarray(betas, dtype=float)
+        if betas.shape != rows.shape or rows.ndim != 1:
+            raise ValueError(f"need one beta per row, got {betas.shape} for {rows.shape}")
+        sums = np.empty(len(rows), dtype=complex)
+        per = max(_CHUNK // self.n, 1)
+        for lo in range(0, len(rows), per):
+            at = rows[lo : lo + per]
+            weights = self._weights[at] if len(self._weights) > 1 else self._weights
+            phases = np.exp(betas[lo : lo + per, None] * self._irates[at])
+            sums[lo : lo + per] = np.matmul(phases[:, None, :], weights)[:, 0, 0]
+        return sums / self.n
+
+    def xi(self, rows, betas) -> list[float]:
+        """|a_d(betas[i])| of rate row rows[i], for every i."""
+        return [_clip_xi(abs(a)) for a in self.values(rows, betas).tolist()]
 
 
 def amplitude_spectral(query: AmplitudeQuery) -> AmplitudeResult:
@@ -331,8 +318,8 @@ def amplitude_spectral(query: AmplitudeQuery) -> AmplitudeResult:
     exactly field-independent.
     """
     cfg = query.config
-    kernel = SpectralKernel(_mode_cosines(cfg.n, cfg.f), (query.d,))
-    reduced = complex(kernel.amplitudes(query.beta)[0])
+    sums = PointSums(_mode_cosines(cfg.n, cfg.f), query.d)
+    reduced = complex(sums.values([0], [query.beta])[0])
     t = query.beta / (4.0 * cfg.j)
     value = complex(np.exp(-1j * cfg.diagonal * t) * reduced)
     return AmplitudeResult(value=value, xi=_clip_xi(abs(reduced)), method="spectral")
@@ -354,6 +341,16 @@ def unit_phase(multiplier: float, k: np.ndarray) -> np.ndarray:
     return np.exp(2j * np.pi * np.mod(multiplier * np.asarray(k, dtype=float), 1.0))
 
 
+def bessel_ladders(n: int, d: int, f: float) -> tuple[tuple[int, complex, float], ...]:
+    """The Bessel ladders (first order b, prefactor p, multiplier u) of the amplitude
+    for displacement d in 0..N-1, each adding p * sum_k unit_phase(u, k) * J_{b+kN}(beta)."""
+    dprime = n - d if d else n
+    return (
+        (d, (1j) ** (d % 4), n / 4.0 - f),
+        (dprime, (1j) ** (dprime % 4) * np.exp(1j * 2.0 * np.pi * f), n / 4.0 + f),
+    )
+
+
 def amplitude_bessel(query: AmplitudeQuery) -> AmplitudeResult:
     """Bessel-ladder amplitude; same complex value as amplitude_spectral.
 
@@ -366,19 +363,16 @@ def amplitude_bessel(query: AmplitudeQuery) -> AmplitudeResult:
     n, d, beta = cfg.n, query.d, query.beta
     if not 0.0 <= beta <= BESSEL_BETA_MAX:
         raise ValueError(f"Bessel route needs 0 <= beta <= {BESSEL_BETA_MAX:g}, got {beta!r}")
-    dprime = n - d if d else n
+    (base, pre, turns), (base_p, pre_p, turns_p) = bessel_ladders(n, d, cfg.f)
     cutoff = beta + _ORDER_MARGIN * max(beta ** (1.0 / 3.0), 2.0)
 
-    orders_d = _ladder_orders(d, n, cutoff)
-    orders_dp = _ladder_orders(dprime, n, cutoff)
+    orders_d, orders_dp = (_ladder_orders(first, n, cutoff) for first in (base, base_p))
     top = int(max(orders_d[-1], orders_dp[-1]))
     require_grid_points(top + 1, "a Bessel ladder")
     ladder = bessel_j_ladder(top, beta)
 
-    def ladder_sum(orders: np.ndarray, twist_sign: float) -> complex:
-        ks = np.arange(len(orders))
-        coeff = unit_phase(n / 4.0 + twist_sign * cfg.f, ks)
-        terms = coeff * ladder[orders]
+    def ladder_sum(orders: np.ndarray, multiplier: float) -> complex:
+        terms = unit_phase(multiplier, np.arange(len(orders))) * ladder[orders]
         if np.any(np.abs(terms[-_TAIL_RUN:]) >= _TERM_FLOOR):
             raise BesselTruncationError(
                 f"series tail above {_TERM_FLOOR} after order {orders[-1]} "
@@ -386,8 +380,8 @@ def amplitude_bessel(query: AmplitudeQuery) -> AmplitudeResult:
             )
         return complex(np.sum(terms))
 
-    total = (1j) ** (d % 4) * ladder_sum(orders_d, -1.0)
-    total += (1j) ** (dprime % 4) * np.exp(1j * 2.0 * np.pi * cfg.f) * ladder_sum(orders_dp, +1.0)
+    total = pre * ladder_sum(orders_d, turns)
+    total += pre_p * ladder_sum(orders_dp, turns_p)
     # the ladders carry the single-bond gauge factor exp(2*pi*i*d*f/N); divide it out
     t = beta / (4.0 * cfg.j)
     value = complex(np.exp(-1j * (cfg.diagonal * t + 2.0 * np.pi * d * cfg.f / n)) * total)

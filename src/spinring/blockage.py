@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitude import unit_phase, xi
+from .amplitude import bessel_ladders, unit_phase, xi
 from .ring import RingConfig
 
 __all__ = ["BlockageReport", "verify_blockage", "bessel_pair_coefficients"]
@@ -43,15 +43,11 @@ def bessel_pair_coefficients(quarter_rings: int, k_terms: int = 16) -> np.ndarra
 
     Both Bessel sums run over the same orders d + k*N, so the amplitude is
     sum_k (c1_k + c2_k) * J_{d+kN}(beta); the theorem is that each bracket is
-    zero regardless of beta.
+    zero regardless of beta.  The coefficients are the route's (`bessel_ladders`).
     """
-    n = 4 * quarter_rings
-    d = 2 * quarter_rings
-    f = 0.5
+    (_, pre, turns), (_, pre_p, turns_p) = bessel_ladders(4 * quarter_rings, 2 * quarter_rings, 0.5)
     ks = np.arange(k_terms)
-    c1 = (1j) ** (d % 4) * unit_phase(n / 4.0 - f, ks)
-    c2 = (1j) ** (d % 4) * np.exp(1j * 2.0 * np.pi * f) * unit_phase(n / 4.0 + f, ks)
-    return c1 + c2
+    return pre * unit_phase(turns, ks) + pre_p * unit_phase(turns_p, ks)
 
 
 def verify_blockage(quarter_rings: int, beta_samples) -> BlockageReport:

@@ -221,7 +221,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
                 and match.xi >= xi_pub - TABLE1_XI_SLACK
             )
             all_pass &= passed
-            found = [f"{v:.12g}" for v in (match.f, match.beta, match.xi)] if match else ["", "", ""]
+            found = float_text((match.f, match.beta, match.xi)).tolist() if match else ["", "", ""]
             rows.append(
                 (n, d, f_pub, beta_pub, xi_pub, xi_at_pub, rec.f, rec.beta, rec.xi, *found, passed)
             )

@@ -10,8 +10,8 @@ is untouched.  The joint state is a balanced superposition of two normalized
 branches b0, b1, with Schmidt weights (1 +- |<b0|b1>|)/2, so the flux-ring
 entanglement is their binary entropy.  In the uniform gauge of `ring` both
 branches share the DFT eigenvectors and a site-localized start puts weight
-1/N on every mode, so the overlap is one mode sum, the d = 0 sum of a
-`SpectralKernel` with rates c_m(1/2) - c_m(0):
+1/N on every mode, so the overlap is one mode sum, the d = 0 sum with rates
+c_m(1/2) - c_m(0) (`SpectralKernel` on the scan grid, `PointSums` at points):
 
     <b0|b1> = (1/N) sum_m exp(i*beta*(c_m(1/2) - c_m(0))).
 
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitude import SpectralKernel, grid_count, xi_batch
+from .amplitude import PointSums, SpectralKernel, grid_count
 from .optimize import _golden_max, _local_maxima
 from .ring import RingConfig, _mode_cosines, site_state
 
@@ -85,11 +85,11 @@ class EntanglingScan:
     overlap: np.ndarray
 
 
-def _overlap_kernel(n: int, start_site: int) -> SpectralKernel:
-    """Kernel whose d = 0 mode sum is the branch overlap <b0|b1> (module docstring)."""
+def _overlap_rates(n: int, start_site: int) -> np.ndarray:
+    """Rates whose d = 0 mode sum is the branch overlap <b0|b1> (module docstring)."""
     RingConfig(n)  # validates the ring size
     site_state(n, start_site)  # the start site drops out, but it must be on the ring
-    return SpectralKernel(_mode_cosines(n, 0.5) - _mode_cosines(n, 0.0), (0,))
+    return _mode_cosines(n, 0.5) - _mode_cosines(n, 0.0)
 
 
 def _entropy_from_overlap(overlap):
@@ -105,12 +105,12 @@ def entanglement_curve(
 
     Same readings as the dense reference propagator and Schmidt decomposition.
     """
-    overlap = _overlap_kernel(n, start_site).xi_points(betas)[0]
+    overlap = SpectralKernel(_overlap_rates(n, start_site), (0,)).xi_points(betas)[0]
     return _entropy_from_overlap(overlap), overlap
 
 
-def _reading(kernel: SpectralKernel, beta: float) -> EntanglementReading:
-    overlap = kernel.xi(beta)[0]
+def _reading(sums: PointSums, beta: float) -> EntanglementReading:
+    (overlap,) = sums.xi([0], [beta])
     return EntanglementReading(float(beta), float(_entropy_from_overlap(overlap)), overlap)
 
 
@@ -134,14 +134,14 @@ def find_entangling_time(
     The reading at the 8.5*pi reference point rides along for comparison.
     """
     betas = scan_times(beta_max, step)
-    kernel = _overlap_kernel(n, start_site)
+    sums = PointSums(_overlap_rates(n, start_site), 0)
     entropy, overlap = entanglement_curve(betas, n=n, start_site=start_site)
 
     idx = _local_maxima(entropy)
     survivors = idx[entropy[idx] >= float(entropy.max()) - _NEAR_BEST_WINDOW]
 
     def entropy_at(points):
-        overlaps = xi_batch([kernel] * len(points), [beta for _, beta in points])
+        overlaps = sums.xi([0] * len(points), [beta for _, beta in points])
         return _entropy_from_overlap(np.array(overlaps)).tolist()
 
     brackets = [(max(0.0, betas[i] - step), min(beta_max, betas[i] + step)) for i in survivors]
@@ -150,8 +150,8 @@ def find_entangling_time(
     group = [(b, e) for b, e in refined if e >= best_ent - _ENTROPY_TIE]
     beta_best = min(group)[0]
     return EntanglingScan(
-        best=_reading(kernel, beta_best),
-        reference=_reading(kernel, REFERENCE_BETA),
+        best=_reading(sums, beta_best),
+        reference=_reading(sums, REFERENCE_BETA),
         betas=betas,
         entropy=entropy,
         overlap=overlap,

@@ -20,7 +20,7 @@ specific reported window as well as the in-range global best.
 Every golden-section search runs its brackets in lockstep (`_golden_max`):
 the refinements of all coarse candidates of a displacement take each step
 together, and so do the twist confirmations of all displacements of a ring,
-each step being one `xi_batch` call that is bit for bit the scalar kernel.
+each step being one `PointSums.xi` call that gives every point its lone bits.
 
 Ties are resolved toward the earliest usable time: smallest beta, then
 smallest |f|, then negative f.
@@ -34,7 +34,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .amplitude import SpectralKernel, grid_count, xi_batch
+from .amplitude import PointSums, SpectralKernel, grid_count
 
 # unused here, but benchmarks/spans.py patches `spinring.optimize.xi` in its
 # traced mode, so the name must stay a module attribute
@@ -210,11 +210,11 @@ def _golden_max(fn, brackets, tol: float) -> list[tuple[float, float]]:
     return best
 
 
-def _golden_xi(kernels: list[SpectralKernel], brackets, tol: float) -> list[tuple[float, float]]:
-    """Best (beta, xi) of kernels[i] on brackets[i] by golden section, all in lockstep."""
+def _golden_xi(sums: PointSums, rows, brackets, tol: float) -> list[tuple[float, float]]:
+    """Best (beta, xi) of rate row rows[i] on brackets[i] by golden section, all in lockstep."""
 
     def xi_at(points):
-        return xi_batch([kernels[i] for i, _ in points], [beta for _, beta in points])
+        return sums.xi([rows[i] for i, _ in points], [beta for _, beta in points])
 
     return _golden_max(xi_at, brackets, tol)
 
@@ -283,8 +283,7 @@ def _coarse_pass(
     has 8,127 such maxima, 64 are kept, and the unrefined window-start anchor
     decides the record.
     """
-    betas = spec.beta_grid()
-    count, h = len(betas), spec.beta_step
+    count, h = grid_count(spec.beta_max - spec.beta_min, spec.beta_step), spec.beta_step
     kernels = {f: SpectralKernel(rates[f], ds) for f in spec.f_candidates}
     bounds = {}
     mirrored = tuple(n - d for d in ds)
@@ -312,13 +311,13 @@ def _coarse_pass(
             # -inf stands in for each skipped run and beyond the window edges
             at = np.concatenate(([0], np.flatnonzero(np.diff(index) != 1) + 1, [len(index)]))
             g = np.insert(values, at, -np.inf)
-            index = np.insert(index, at, -1)
+            betas = spec.beta_min + h * np.insert(index, at, -1)  # no candidate is a separator
             best[d] = max(best[d], float(g.max()))
             cand = _local_maxima(g)
             cand = cand[g[cand] >= g.max() - _NEAR_OPTIMUM_WINDOW]
-            order = np.lexsort((betas[index[cand]], -g[cand]))
+            order = np.lexsort((betas[cand], -g[cand]))
             for i in cand[order][:_MAX_REFINE_PER_TWIST]:
-                kept[d].append((f, float(betas[index[i]]), float(g[i])))
+                kept[d].append((f, float(betas[i]), float(g[i])))
     for d in ds:
         kept[d] = [p for p in kept[d] if p[2] >= best[d] - _NEAR_OPTIMUM_WINDOW]
     return kept
@@ -358,8 +357,9 @@ def _refine_twists(
     seen: list[list[TransferPoint]] = [[] for _ in ds]
 
     def objective(points):
-        kernels = [SpectralKernel(_mode_cosines(n, fv), (ds[j],)) for j, fv in points]
-        found = _golden_xi(kernels, [windows[j] for j, _ in points], spec.refine_tol)
+        sums = PointSums([_mode_cosines(n, fv) for _, fv in points], [ds[j] for j, _ in points])
+        rows = range(len(points))
+        found = _golden_xi(sums, rows, [windows[j] for j, _ in points], spec.refine_tol)
         for (j, fv), (beta, value) in zip(points, found):
             seen[j].append(TransferPoint(f=fv, beta=beta, xi=value))
         return [value for _, value in found]
@@ -385,10 +385,12 @@ def optimize_transfers(
     RingConfig(n)  # validates the ring size early
     rates = {f: _mode_cosines(n, f) for f in spec.f_candidates}
     coarse = _coarse_pass(n, ds, spec, rates)
+    table = np.array([rates[f] for f in spec.f_candidates])  # one rate row per twist
+    row = {f: i for i, f in enumerate(spec.f_candidates)}
 
     candidates: dict[int, list[TransferPoint]] = {}
     for d in ds:
-        kernels = {f: SpectralKernel(rates[f], (d,)) for f in spec.f_candidates}
+        sums = PointSums(table, d)
         refined: list[TransferPoint] = []
         moving, brackets = [], []
         for f, beta_c, xi_c in coarse[d]:
@@ -398,13 +400,16 @@ def optimize_transfers(
                 moving.append(len(refined))
                 brackets.append((lo, hi))
             refined.append(TransferPoint(f=f, beta=beta_c, xi=xi_c))
-        found = _golden_xi([kernels[refined[i].f] for i in moving], brackets, spec.refine_tol)
+        rows = [row[refined[i].f] for i in moving]
+        found = _golden_xi(sums, rows, brackets, spec.refine_tol)
         for i, (beta_r, xi_r) in zip(moving, found):
             refined[i] = TransferPoint(f=refined[i].f, beta=beta_r, xi=xi_r)
         # unrefined window-start anchors make flat (fully blocked) landscapes
         # resolve deterministically to beta_min instead of refinement noise
-        anchors = xi_batch(list(kernels.values()), [spec.beta_min] * len(kernels))
-        refined += [TransferPoint(f=f, beta=spec.beta_min, xi=v) for f, v in zip(kernels, anchors)]
+        anchors = sums.xi(range(len(table)), [spec.beta_min] * len(table))
+        refined += [
+            TransferPoint(f=f, beta=spec.beta_min, xi=v) for f, v in zip(spec.f_candidates, anchors)
+        ]
         candidates[d] = refined
 
     winners = {d: _select(points) for d, points in candidates.items()}

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -136,12 +136,13 @@ def write_manifest(
 
 
 def load_manifest(path: str | Path) -> RunManifest:
+    """Read a manifest for `replay`: a JSON object whose `argv` is a non-empty list
+    of strings that does not start with `replay`, else ValueError.  Replay reads
+    no other field but the version, so the others pass unchecked."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return RunManifest(
-        command=data["command"],
-        parameters=data["parameters"],
-        argv=list(data["argv"]),
-        artifact_version=data["artifact_version"],
-        duration_seconds=float(data["duration_seconds"]),
-        results_path=data["results_path"],
-    )
+    argv = data.get("argv") if isinstance(data, dict) else None
+    if not (isinstance(argv, list) and argv and all(isinstance(a, str) for a in argv)):
+        raise ValueError("a manifest is a JSON object whose argv is a non-empty list of strings")
+    if argv[0] == "replay":
+        raise ValueError("a manifest's argv must not replay another manifest")
+    return RunManifest(**{field.name: data.get(field.name) for field in fields(RunManifest)})

@@ -6,8 +6,9 @@ Miller sweep the Bessel ladder must reproduce bit for bit, hand-derived
 closed forms for the 4-site ring, plain binary entropy, the full 2^N spin
 Hamiltonian, the flux-ring entanglement from dense propagators and a 2 x N
 Schmidt decomposition, the sector Hamiltonian in the single-bond gauge, the
-optimizer's coarse pass over the whole twist x time grid, unpruned, and a
-scalar golden-section search, one bracket and one point at a time.
+optimizer's coarse pass over the whole twist x time grid, unpruned, a
+scalar golden-section search, one bracket and one point at a time, and a
+one-point mode sum, one `exp` and one `np.dot`.
 """
 
 from __future__ import annotations
@@ -277,3 +278,16 @@ def golden_max_reference(fn, lo, hi, tol):
             if y > best_y:
                 best_x, best_y = x, y
     return best_x, best_y
+
+
+def point_sum_reference(rates, d, beta) -> complex:
+    """Mode sum a_d(beta) = (1/N) sum_m exp(2*pi*i*d*m/N) exp(i*beta*c_m), one point.
+
+    The package's former scalar route: one `exp` and one `np.dot` of the
+    phases with an N x 1 weight column.  `PointSums` must round exactly
+    like it, point by point.
+    """
+    n = len(rates)
+    weights = np.exp(1j * np.outer(np.arange(1, n + 1), [2.0 * np.pi * (int(d) % n) / n]))
+    phases = np.exp(beta * (1j * np.asarray(rates, dtype=float)))
+    return complex((np.dot(phases, weights) / n)[0])

@@ -1,15 +1,18 @@
 """Spectral vs Bessel vs matrix-propagator amplitudes and their symmetries."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import single_bond_hamiltonian
+from conftest import point_sum_reference, single_bond_hamiltonian
+from spinring import amplitude
 from spinring.amplitude import (
     AmplitudeQuery,
+    PointSums,
     SpectralKernel,
     amplitude_bessel,
     amplitude_oracle,
@@ -17,7 +20,6 @@ from spinring.amplitude import (
     _clip_xi,
     _giant_steps,
     xi,
-    xi_batch,
     xi_profile,
 )
 from spinring.bessel import bessel_j_ladder
@@ -216,6 +218,14 @@ def test_query_validation():
         AmplitudeQuery(cfg, r=1, s=1, beta=-2.0)
 
 
+def point_xi(n, f, ds, betas):
+    """|a_d(beta)| from `PointSums` at every (d, beta) pair, shape (len(ds), len(betas))."""
+    ds, betas = list(ds), np.asarray(betas, dtype=float)
+    sums = PointSums(np.tile(_mode_cosines(n, f), (len(ds), 1)), ds)
+    rows = np.repeat(np.arange(len(ds)), len(betas))
+    return np.reshape(sums.xi(rows, np.tile(betas, len(ds))), (len(ds), len(betas)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(3, 16),
@@ -228,7 +238,7 @@ def test_kernel_grid_matches_pointwise_sums(n, f, b0, h, count):
     # beta <= 2000 keeps the phase rounding of either route under 1e-12
     kernel = SpectralKernel(_mode_cosines(n, f), range(n))
     betas = b0 + h * np.arange(count)
-    pointwise = np.array([kernel.xi(float(b)) for b in betas]).T
+    pointwise = point_xi(n, f, range(n), betas)
     assert np.max(np.abs(kernel.xi_grid(b0, h, count) - pointwise)) <= 1e-12
     # shuffled, the same times leave the grid and are summed point by point
     order = np.random.default_rng(count).permutation(count)
@@ -262,18 +272,6 @@ def test_kernel_refuses_a_phase_block_before_allocating(n, betas):
 def test_half_flux_diametric_channel_stays_blocked_on_the_grid(half, b0, h, count):
     kernel = SpectralKernel(_mode_cosines(2 * half, 0.5), (half,))
     assert kernel.xi_grid(b0, h, count).max() <= 1e-12
-
-
-def test_one_displacement_weights_are_shared_read_only_and_exact():
-    for n, d in ((5, 2), (7, -3), (12, 13)):
-        built = np.exp(1j * np.outer(np.arange(1, n + 1), [2.0 * np.pi * (d % n) / n]))
-        a, b = (SpectralKernel(_mode_cosines(n, f), (d,)) for f in (0.1, -0.3))
-        assert a._weights is b._weights and a._columns is b._columns
-        assert np.array_equal(a._weights, built) and np.array_equal(a._columns, built.T)
-        for weights in (a._weights, a._columns):
-            assert not weights.flags.writeable
-            with pytest.raises(ValueError):
-                weights[0] = 0.0
 
 
 def mirrored_rates(rates):
@@ -330,7 +328,7 @@ TIMES = st.floats(0.0, 5000.0)
 
 
 def all_displacements(n, f, beta, ds=None):
-    return np.array(SpectralKernel(_mode_cosines(n, f), range(n) if ds is None else ds).xi(beta))
+    return point_xi(n, f, range(n) if ds is None else ds, [beta])[:, 0]
 
 
 @settings(max_examples=100, deadline=None)
@@ -412,6 +410,11 @@ def test_routes_agree_in_complex_value_under_any_coupling_and_field(n, d, f, bet
     assert abs(amplitude_bessel(q).value - oracle) <= phase_tolerance(q.config, beta)
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     n=RINGS,
@@ -424,32 +427,48 @@ def test_routes_agree_in_complex_value_under_any_coupling_and_field(n, d, f, bet
         min_size=1,
         max_size=12,
     ),
+    block=st.integers(1, 5),
 )
-def test_batched_xi_is_the_scalar_kernel_bit_for_bit(n, points):
-    # mixed twists and displacements in one batch, and batches of one: the
-    # refinements' values must be the scalar route's to the last bit
-    kernels = [SpectralKernel(_mode_cosines(n, f), (d,)) for d, f, _ in points]
+def test_point_sums_are_the_scalar_dot_bit_for_bit(n, points, block):
+    # mixed twists and displacements in one batch, split into blocks of
+    # `block` points, and batches of one: the searches' values must be the
+    # scalar dot's to the last bit, whatever points share a call
+    rates = [_mode_cosines(n, f) for _, f, _ in points]
     betas = [beta for *_, beta in points]
-    expected = [kernel.xi(beta)[0].hex() for kernel, beta in zip(kernels, betas)]
-    assert [v.hex() for v in xi_batch(kernels, betas)] == expected
-    assert [xi_batch([k], [b])[0].hex() for k, b in zip(kernels, betas)] == expected
+    expected = [point_sum_reference(r, d, b) for r, (d, _, b) in zip(rates, points)]
+    sums = PointSums(rates, [d for d, *_ in points])
+    rows = np.arange(len(points))
+    with mock.patch.object(amplitude, "_CHUNK", block * n):
+        assert same_bits(sums.values(rows, betas), expected)
+    assert same_bits(sums.values(rows, betas), expected)
+    assert same_bits([sums.values([i], [b])[0] for i, b in zip(rows, betas)], expected)
+    # rows in any order and repeated, and the magnitudes
+    assert same_bits(sums.values(rows[::-1], betas[::-1]), expected[::-1])
+    assert sums.xi(np.repeat(rows, 2), np.repeat(betas, 2)) == [
+        min(abs(a), 1.0) for a in expected for _ in range(2)
+    ]
 
 
-def test_batched_xi_refuses_mixed_kernels():
-    ring, other = _mode_cosines(5, 0.1), _mode_cosines(6, 0.1)
-    assert xi_batch([], []) == []
-    with pytest.raises(ValueError, match="single-displacement"):
-        xi_batch([SpectralKernel(ring, (1, 2))], [1.0])
-    with pytest.raises(ValueError, match="single-displacement"):
-        xi_batch([SpectralKernel(ring, (1,)), SpectralKernel(other, (1,))], [1.0, 2.0])
-    with pytest.raises(ValueError, match="one beta per kernel"):
-        xi_batch([SpectralKernel(ring, (1,))], [1.0, 2.0])
+def test_point_sums_share_one_displacement_or_refuse():
+    rates = np.array([_mode_cosines(5, f) for f in (0.1, -0.3, 0.25)])
+    shared = PointSums(rates, 7).values([2, 0, 1], [3.0, 1.0, 2.0])
+    own = PointSums(rates, [2, 2, 2]).values([2, 0, 1], [3.0, 1.0, 2.0])
+    assert same_bits(shared, own)
+    points = ((2, 3.0), (0, 1.0), (1, 2.0))
+    assert same_bits(shared, [point_sum_reference(rates[i], 2, b) for i, b in points])
+    assert PointSums(rates, 1).xi([], []) == []
+    with pytest.raises(ValueError):
+        PointSums(rates, [1, 2])
+    with pytest.raises(ValueError, match="one beta per row"):
+        PointSums(rates, 1).values([0, 1], [1.0])
 
 
-def test_batched_xi_over_more_points_than_one_block():
+def test_point_sums_over_more_points_than_one_block():
     # 65,536 mode phases a block: at n = 16 the batch spans two blocks
     rng = np.random.default_rng(5)
     twists, ds = rng.uniform(-0.5, 0.5, 4100), rng.integers(0, 16, 4100)
-    kernels = [SpectralKernel(_mode_cosines(16, f), (d,)) for f, d in zip(twists, ds)]
+    rates = [_mode_cosines(16, f) for f in twists]
     betas = rng.uniform(0.0, 5000.0, 4100)
-    assert xi_batch(kernels, betas) == [k.xi(b)[0] for k, b in zip(kernels, betas)]
+    assert 4100 > amplitude._CHUNK // 16
+    expected = [point_sum_reference(r, d, b) for r, d, b in zip(rates, ds, betas)]
+    assert same_bits(PointSums(rates, ds).values(np.arange(4100), betas), expected)

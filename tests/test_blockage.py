@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from spinring.amplitude import xi, xi_profile
+from spinring import amplitude, blockage
+from spinring.amplitude import AmplitudeQuery, amplitude_bessel, xi, xi_profile
 from spinring.blockage import BLOCKED_XI, bessel_pair_coefficients, verify_blockage
 from spinring.ring import RingConfig, mode_energies
 
@@ -37,6 +38,24 @@ def test_blocked_at_random_samples_all_sizes():
 def test_ladder_coefficients_cancel_term_by_term():
     for quarter in (1, 2, 3, 4, 9):
         assert np.max(np.abs(bessel_pair_coefficients(quarter, 32))) <= 1e-14
+
+
+def test_analytic_check_reads_the_routes_own_ladders(monkeypatch):
+    # drop the second ladder's flux factor exp(2*pi*i*f) in the one place the
+    # coefficients are written: the Bessel route and the analytic check both break
+    ladders = amplitude.bessel_ladders
+
+    def without_flux_factor(n, d, f):
+        first, (base, _, turns) = ladders(n, d, f)
+        return first, (base, (1j) ** (base % 4), turns)
+
+    query = AmplitudeQuery(RingConfig(8, f=0.5), r=5, s=1, beta=3.0)
+    assert amplitude_bessel(query).xi <= BLOCKED_XI
+    monkeypatch.setattr(amplitude, "bessel_ladders", without_flux_factor)
+    monkeypatch.setattr(blockage, "bessel_ladders", without_flux_factor)
+    assert amplitude_bessel(query).xi > 0.1
+    assert not verify_blockage(2, [3.0]).analytic_zero
+    assert np.max(np.abs(bessel_pair_coefficients(2, 32))) > 1.0
 
 
 def test_spectral_mechanism_degenerate_pairs():

@@ -382,6 +382,31 @@ def test_multiparty_command(tmp_path, capsys):
     assert "fidelity_map" in doc
 
 
+DATA = Path(__file__).parent / "data"
+
+
+def test_entangle_curve_and_summary_match_golden(tmp_path, capsys):
+    # the scan grid's curve, the refined best time and the reference reading;
+    # written before the searches' point sums moved to `PointSums`
+    out_csv = tmp_path / "curve.csv"
+    code, out = run_cli(
+        capsys, "entangle", "--n", "4", "--beta-max", "20", "--step", "0.01",
+        "--out", str(out_csv),
+    )
+    assert code == 0
+    assert out_csv.read_bytes() == (DATA / "entangle_n4_beta20.csv").read_bytes()
+    assert out.encode() == (DATA / "entangle_n4_beta20_summary.json").read_bytes()
+
+
+def test_multiparty_plan_matches_golden(capsys):
+    code, out = run_cli(
+        capsys, "multiparty", "--n", "9", "--sites", "1,4,7", "--twists=-0.25,0.25",
+        "--beta-max", "2000",
+    )
+    assert code == 0
+    assert out.encode() == (DATA / "multiparty_n9_sites_1_4_7.json").read_bytes()
+
+
 def test_sweep_and_byte_determinism(tmp_path, capsys):
     args = ("sweep", "--n", "5", "--d", "2", "--f-step", "0.25",
             "--beta-max", "20", "--beta-step", "0.1")
@@ -581,6 +606,9 @@ def test_traced_csv_counters_read_the_sweep_text(capsys, monkeypatch):
     assert counted == [{"serialize.csv_text.rows": 11 * 101, "serialize.csv_text.bytes": len(out)}]
 
 
+SWEEP_ARGV = ("sweep", "--n", "4", "--d", "2", "--f-step", "0.5", "--beta-max", "10")
+
+
 def test_manifest_replay_reproduces_bytes(tmp_path, capsys):
     out_csv = tmp_path / "sweep.csv"
     code, _ = run_cli(
@@ -595,6 +623,47 @@ def test_manifest_replay_reproduces_bytes(tmp_path, capsys):
     out_csv.unlink()
     code, _ = run_cli(capsys, "replay", "--manifest", str(manifest_path_for(out_csv)))
     assert code == 0
+    assert out_csv.read_bytes() == original
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    [
+        {"command": "sweep"},
+        [SWEEP_ARGV],
+        {"argv": [1, 2]},
+        {"argv": []},
+        {"argv": "sweep --n 4 --d 2"},
+        {"argv": ["replay", "--manifest", "SELF"]},
+        "not json",
+    ],
+    ids=["no-argv", "json-list", "argv-of-ints", "empty-argv", "argv-string", "replays-itself",
+         "not-json"],
+)
+def test_replay_of_a_malformed_manifest_exits_2(tmp_path, capsys, manifest):
+    path = tmp_path / "run.manifest.json"
+    text = manifest if isinstance(manifest, str) else json.dumps(manifest)
+    path.write_text(text.replace("SELF", str(path)), encoding="utf-8")
+    code = cli.main(["replay", "--manifest", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"duration_seconds": "corrupt"}, {"parameters": None}],
+    ids=["corrupt-duration", "no-parameters"],
+)
+def test_replay_reads_only_the_argv_and_version(tmp_path, capsys, fields):
+    out_csv = tmp_path / "sweep.csv"
+    assert run_cli(capsys, *SWEEP_ARGV, "--out", str(out_csv))[0] == 0
+    original = out_csv.read_bytes()
+    path = manifest_path_for(out_csv)
+    doc = {**json.loads(path.read_text(encoding="utf-8")), **fields}
+    path.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}), encoding="utf-8")
+    out_csv.unlink()
+    assert run_cli(capsys, "replay", "--manifest", str(path))[0] == 0
     assert out_csv.read_bytes() == original
 
 
