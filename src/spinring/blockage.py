@@ -12,18 +12,22 @@ receiver.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitude import bessel_ladders, unit_phase, xi
-from .ring import RingConfig
+from .amplitude import PointSums, bessel_ladders, unit_phase
+from .ring import RingConfig, _mode_cosines
+
+# unused here, but benchmarks/spans.py patches `spinring.blockage.xi` in its
+# traced mode, so the name must stay a module attribute
+from .amplitude import xi  # noqa: F401
 
 __all__ = ["BlockageReport", "verify_blockage", "bessel_pair_coefficients"]
 
 BLOCKED_XI = 1e-12
 _PAIR_CANCEL_TOL = 1e-14
+_SAMPLE_BLOCK = 65536
 
 
 @dataclass(frozen=True)
@@ -54,18 +58,22 @@ def verify_blockage(quarter_rings: int, beta_samples) -> BlockageReport:
     """Check half-flux diametric blocking both analytically and on beta samples."""
     if not isinstance(quarter_rings, (int, np.integer)) or quarter_rings < 1:
         raise ValueError(f"quarter_rings must be a positive integer, got {quarter_rings!r}")
-    samples = [float(b) for b in beta_samples]
-    if not samples:
+    samples = np.asarray(beta_samples, dtype=float).ravel()
+    if not samples.size:
         raise ValueError("need at least one beta sample")
-    if any(not math.isfinite(b) for b in samples):
-        raise ValueError("beta samples must be finite")
+    if not np.all(np.isfinite(samples) & (samples >= 0.0)):
+        raise ValueError("beta samples must be finite and >= 0")
 
     n, d = 4 * quarter_rings, 2 * quarter_rings
     analytic_zero = bool(
         np.max(np.abs(bessel_pair_coefficients(quarter_rings))) <= _PAIR_CANCEL_TOL
     )
-    cfg = RingConfig(n, f=0.5)
-    worst = max(xi(cfg, d, b) for b in samples)
+    cfg = RingConfig(n, f=0.5)  # refuses a ring too large to build its modes
+    # one point sum per sample, each with the bits of `xi(cfg, d, b)`; a block
+    # of samples at a time bounds the list of xi values `.xi` returns
+    sums = PointSums(_mode_cosines(cfg.n, cfg.f), d)
+    blocks = (samples[lo : lo + _SAMPLE_BLOCK] for lo in range(0, len(samples), _SAMPLE_BLOCK))
+    worst = max(max(sums.xi(np.zeros(len(block), np.intp), block)) for block in blocks)
     return BlockageReport(
         n=n,
         d=d,

@@ -46,7 +46,6 @@ from .serialize import (
     ARTIFACT_VERSION,
     csv_text,
     dumps,
-    float_text,
     load_manifest,
     write_manifest,
     write_text,
@@ -221,7 +220,8 @@ def cmd_table1(args: argparse.Namespace) -> int:
                 and match.xi >= xi_pub - TABLE1_XI_SLACK
             )
             all_pass &= passed
-            found = float_text((match.f, match.beta, match.xi)).tolist() if match else ["", "", ""]
+            # the text csv_text writes for a float, or empty cells when nothing matched
+            found = ["%.12g" % v for v in (match.f, match.beta, match.xi)] if match else ["", "", ""]
             rows.append(
                 (n, d, f_pub, beta_pub, xi_pub, xi_at_pub, rec.f, rec.beta, rec.xi, *found, passed)
             )
@@ -331,9 +331,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     twists = [args.f_min + k * args.f_step for k in range(twist_count)]
     betas = args.beta_min + args.beta_step * np.arange(count)
     profiles = [xi_profile(RingConfig(args.n, f=f), args.d, betas) for f in twists]
-    # a Cartesian grid: format each coordinate once and repeat its text, not its float
-    f_text, beta_text = float_text(twists), float_text(betas)
-    columns = (np.repeat(f_text, count), np.tile(beta_text, twist_count), np.ravel(profiles))
+    # csv_text lays out each run of equal twists once
+    columns = (np.repeat(twists, count), np.tile(betas, twist_count), np.ravel(profiles))
     _emit(args, csv_text(("f", "beta", "xi"), columns), started)
     return EXIT_OK
 

@@ -3,6 +3,23 @@
 Every float that leaves the package is rounded to 12 significant digits
 before formatting, so identical invocations produce byte-identical files on
 any platform and the outputs diff cleanly as golden files.
+
+The CSV float cell is exactly the text of `"%.12g" % v`.  `csv_text` lays out
+the cells of a finite value with 1e-4 <= |v| < 1e12, whose text is positional,
+with numpy, a block of rows at a time.  Its decimal exponent e is
+floor(log10|v|) and its 12 digits are m = rint(|v| * 10**(11 - e)).  Every
+10**k with k <= 15 is an exact double, so the product carries one rounding, of
+at most half an ulp.  rint of the product is then the correctly rounded
+mantissa unless a tie n + 1/2 lies between the product and the exact value.
+So a product within 2**-10 of a tie goes to Python; the product is below
+2**40, so that is at least 8 of its ulps.  A mantissa that rounds up to 1e12
+carries into a 13th digit: m becomes 1e11 and e moves up one.  Where log10
+reads one high (just below a power of ten), the product lies just under 1e11
+and still rounds to the right m = 1e11; where it reads one low, m exceeds 1e12
+and the value goes to Python.  Python's own %.12g writes every other value into
+the same cell layout: zeros, nan, inf, the exponent form, the guarded ties and
+each block of floats too short to repay numpy's fixed cost.  The layout lives in
+`spinring._cells`.
 """
 
 from __future__ import annotations
@@ -21,7 +38,6 @@ __all__ = [
     "ARTIFACT_VERSION",
     "RunManifest",
     "round_sig",
-    "float_text",
     "canonical",
     "dumps",
     "write_text",
@@ -38,12 +54,6 @@ _FLOAT = "%.12g"  # the package-wide output precision: 12 significant digits
 def round_sig(x: float) -> float:
     """Round to 12 significant digits (the package-wide output precision)."""
     return float(_FLOAT % float(x))
-
-
-def float_text(values: Any) -> np.ndarray:
-    """The %.12g text of each value as an object array, which `csv_text` writes
-    as is: a column that repeats a few values formats each of them once."""
-    return np.array([_FLOAT % v for v in np.asarray(values, dtype=float).tolist()], dtype=object)
 
 
 def canonical(value: Any) -> Any:
@@ -65,33 +75,48 @@ def dumps(obj: Any) -> str:
     return json.dumps(canonical(obj), indent=2) + "\n"
 
 
+_WRITE_CHARS = 1 << 20
+
+
 def write_text(path: str | Path | None, text: str) -> None:
-    """Write to the path, or stdout when no path is given."""
+    """Write to the path, or stdout when no path is given.
+
+    A file is written `_WRITE_CHARS` characters at a time, the bytes
+    `Path.write_text` would write without its encoded copy of the whole text.
+    """
     if path is None:
         print(text, end="")
-    else:
-        Path(path).write_text(text, encoding="utf-8")
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        for lo in range(0, len(text), _WRITE_CHARS):
+            fh.write(text[lo : lo + _WRITE_CHARS])
 
 
-_BLOCK_ROWS = 65536  # rows per `%` call; bounds the tuple of cells held at once
-_CONVERSIONS = {"f": _FLOAT, "i": "%d", "u": "%d"}  # `%` code by dtype kind, else %s
+# Rows laid out at once.  Larger blocks leave a fragmented heap behind and
+# raise the peak memory of a long CSV (see CHANGES.md).
+_BLOCK_ROWS = 8192
 
 
 def csv_text(header: Sequence[str], columns: Sequence[Any]) -> str:
-    """Equal-length columns as CSV, one `%` call per block of rows: floats as
-    %.12g (the bytes of f"{v:.12g}"), bools as true/false, others as str(v)."""
+    """Equal-length columns as CSV: floats as %.12g (the bytes of f"{v:.12g}"),
+    bools as true/false, integers as %d and anything else as str(v).
+
+    Each block of rows is laid out as NUL-padded cells (`_cells`: numpy for
+    most floats, Python's text for the rest), the NULs are dropped with
+    `bytes.translate` and the block is decoded once.
+    """
+    from . import _cells  # on first use, so that commands without a CSV skip it
+
     cols = [np.asarray(c) for c in columns]
     if len({c.shape for c in cols}) > 1 or any(c.ndim != 1 for c in cols):
         raise ValueError("CSV columns must be one-dimensional and of equal length")
-    rowfmt = ",".join(_CONVERSIONS.get(c.dtype.kind, "%s") for c in cols) + "\n"
-    cols = [np.where(c, "true", "false") if c.dtype.kind == "b" else c for c in cols]
     parts = [",".join(header) + "\n"]
     for lo in range(0, len(cols[0]), _BLOCK_ROWS):
-        k = min(_BLOCK_ROWS, len(cols[0]) - lo)
-        cells: list[Any] = [None] * (k * len(cols))
-        for j, col in enumerate(cols):  # row-major interleave of the block's cells
-            cells[j :: len(cols)] = col[lo : lo + k].tolist()
-        parts.append((rowfmt * k) % tuple(cells))
+        cells = [_cells.cells(c[lo : lo + _BLOCK_ROWS]) for c in cols]
+        comma = np.full((len(cells[0]), 1), ord(","), dtype=np.uint8)
+        block = np.concatenate([x for c in cells for x in (c, comma)], axis=1)
+        block[:, -1] = ord("\n")
+        parts.append(block.tobytes().translate(None, b"\0").decode())
     return "".join(parts)
 
 

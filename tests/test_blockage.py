@@ -126,3 +126,16 @@ def test_validation():
         verify_blockage(0, [1.0])
     with pytest.raises(ValueError):
         verify_blockage(2, [float("inf")])
+    with pytest.raises(ValueError):
+        verify_blockage(2, [1.0, -0.5])
+
+
+def test_sampled_maximum_has_the_bits_of_the_per_sample_loop(monkeypatch):
+    monkeypatch.setattr(blockage, "_SAMPLE_BLOCK", 7)  # samples span many blocks
+    rng = np.random.default_rng(43)
+    for quarter in (1, 2, 3, 4):
+        samples = np.concatenate(([0.0, -0.0, math.pi], rng.uniform(0.0, 5000.0, 97)))
+        cfg = RingConfig(4 * quarter, f=0.5)
+        loop = max(xi(cfg, 2 * quarter, b) for b in samples)
+        worst = verify_blockage(quarter, samples).max_xi_over_samples
+        assert np.float64(worst).view(np.int64) == np.float64(loop).view(np.int64)

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -702,6 +703,22 @@ def test_every_amplitude_route_runs_without_scipy():
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_the_csv_cell_layout_loads_only_with_a_csv():
+    # compiling it and building its tables would cost every command start-up time and memory
+    program = (
+        "import sys\n"
+        "import spinring.cli\n"
+        "loaded = []\n"
+        "for argv in (['amplitude', '--n', '5', '--d', '1', '--beta', '3'], ['sweep', '--n', '5', '--d', '1']):\n"
+        "    assert spinring.cli.main(argv) == 0\n"
+        "    loaded.append('spinring._cells' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    proc = run_child("-c", program)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[False, True]"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -764,11 +781,27 @@ def fuzzed_argv(draw):
     return [command, *(f"{flag}={value}" for flag, value in flags.items())]
 
 
-@settings(max_examples=150, deadline=None)
-@given(argv=fuzzed_argv())
-def test_fuzzed_commands_keep_the_exit_code_contract(argv):
+def run_quietly(argv):
+    """(exit code, stderr) of an in-process CLI run with its output captured."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    assert code in (0, 2, 3, 4), (argv, err.getvalue())
-    assert "Traceback" not in err.getvalue(), argv
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=fuzzed_argv())
+def test_fuzzed_commands_keep_the_exit_code_contract(argv):
+    writes = argv[0] in ("sweep", "table1", "entangle", "multiparty")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "results"
+        code, err = run_quietly([*argv, f"--out={out}"] if writes else argv)
+        assert code in (0, 2, 3, 4), (argv, err)
+        assert "Traceback" not in err, argv
+        if writes and code in (cli.EXIT_OK, cli.EXIT_PHYSICS):
+            # a run that writes results (table1 does so when its physics check
+            # fails) leaves a file that replay reproduces byte for byte
+            written = out.read_bytes()
+            out.unlink()
+            assert run_quietly(["replay", "--manifest", str(manifest_path_for(out))])[0] == code, argv
+            assert out.read_bytes() == written, argv

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinring.serialize import csv_text, float_text, round_sig
+from spinring import _cells, serialize
+from spinring.serialize import csv_text
 
 
 def reference_cell(v):
@@ -62,7 +63,9 @@ def test_matches_per_cell_reference(columns):
     assert_same_text(csv_text(header, columns), reference_csv(header, columns))
 
 
-@pytest.mark.parametrize("rows", [0, 1, 65536, 65537])
+@pytest.mark.parametrize(
+    "rows", [0, 1, serialize._BLOCK_ROWS - 1, serialize._BLOCK_ROWS, serialize._BLOCK_ROWS + 1]
+)
 def test_block_edges(rows):
     rng = np.random.default_rng(rows)
     exponents = rng.integers(-320, 308, rows).astype(float)
@@ -97,14 +100,55 @@ def test_unequal_columns_are_rejected():
         csv_text(("a",), (np.zeros((2, 2)),))
 
 
+def test_write_text_writes_the_bytes_of_one_encode(tmp_path):
+    text = "\u00e9,1\n" * serialize._WRITE_CHARS  # four slices, two bytes to the first character
+    serialize.write_text(tmp_path / "sliced", text)
+    (tmp_path / "whole").write_text(text, encoding="utf-8")
+    assert (tmp_path / "sliced").read_bytes() == (tmp_path / "whole").read_bytes()
+
+
+def test_a_text_cell_holding_nul_is_rejected():
+    # the writer drops NUL padding, so such a cell could not be written as it is
+    with pytest.raises(ValueError):
+        csv_text(("a",), (["x\0y"],))
+
+
+@st.composite
+def layout_edges(draw):
+    """Values at the edges of the numpy cell layout: 12-digit decimal mantissas
+    at exponents -6..14, their .5 ties, powers of ten and 9.99..95-style carries,
+    each moved 0-2 ulps either way, with either sign."""
+    e = draw(st.integers(-6, 14))
+    kind = draw(st.sampled_from(["digits", "tie", "power", "carry"]))
+    if kind == "digits":
+        text = f"{draw(st.integers(10**11, 10**12 - 1))}e{e - 11}"
+    elif kind == "tie":
+        text = f"{draw(st.integers(10**11, 10**12 - 1))}5e{e - 12}"
+    elif kind == "power":
+        text = f"1e{e}"
+    else:
+        text = f"9.{'9' * draw(st.integers(10, 15))}5e{e}"
+    value = float(text)
+    toward = draw(st.sampled_from([math.inf, -math.inf]))
+    for _ in range(draw(st.integers(0, 2))):
+        value = math.nextafter(value, toward)
+    return -value if draw(st.booleans()) else value
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.lists(floats, max_size=40))
-def test_float_text_is_the_float_cell(values):
-    # pre-formatted text writes the bytes its floats would, and rounds as round_sig does
-    text = float_text(values)
-    assert text.dtype == object and text.shape == (len(values),)
-    assert text.tolist() == [reference_cell(v) for v in values]
-    assert csv_text(("x",), (text,)) == csv_text(("x",), (np.array(values, dtype=float),))
-    for v, cell in zip(values, text.tolist()):
-        if math.isfinite(v):
-            assert round_sig(v) == float(cell)
+@given(st.lists(layout_edges(), min_size=2, max_size=60, unique=True))
+def test_layout_edges_match_the_reference(values):
+    # repeated to the size numpy lays out; neighbours stay distinct, so no run
+    # of equal values shrinks the block back to Python's size
+    column = values * -(-_cells.NUMPY_MIN // len(values))
+    assert_same_text(csv_text(("x",), (column,)), reference_csv(("x",), (column,)))
+
+
+def test_signed_zeros_and_runs_of_equal_values():
+    # a run of equal bits is laid out once; 0.0 and -0.0 compare equal but differ
+    nan = float("nan")
+    column = [0.0, -0.0, -0.0, 0.0, 0.0, 2.5, 2.5, -2.5, nan, nan, 1e-7, 1e-7, -0.0] + [0.125] * 40
+    column += [0.3] * (serialize._BLOCK_ROWS + 3) + [-0.0, 0.0]
+    columns = (column, column[::-1])
+    assert_same_text(csv_text(("a", "b"), columns), reference_csv(("a", "b"), columns))
+
