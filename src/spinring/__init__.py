@@ -35,7 +35,6 @@ from .entangle import (
     EntanglingScan,
     entanglement_curve,
     find_entangling_time,
-    scan_times,
 )
 from .optimize import (
     PairTransfer,
@@ -49,7 +48,6 @@ from .optimize import (
 from .ring import (
     RingConfig,
     build_hamiltonian,
-    mode_energies,
     propagate_oracle,
     site_state,
 )
@@ -75,11 +73,9 @@ __all__ = [
     "entanglement_curve",
     "fidelity_from_xi",
     "find_entangling_time",
-    "mode_energies",
     "multiparty_plan",
     "optimize_transfers",
     "propagate_oracle",
-    "scan_times",
     "site_state",
     "verify_blockage",
     "xi",

@@ -66,14 +66,7 @@ _T = _tables()
 
 
 def float_cells(values: np.ndarray) -> np.ndarray:
-    """The %.12g text of each float64 value, NUL-padded at its end, shape (k, width).
-
-    A run of equal neighbours (equal bits, so 0.0 and -0.0 differ) is laid out once.
-    """
-    bits = values.view(np.int64)
-    heads = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-    if len(heads) < len(values):
-        return np.repeat(float_cells(values[heads]), np.diff(heads, append=len(values)), axis=0)
+    """The %.12g text of each float64 value, NUL-padded at its end, shape (k, width)."""
     if len(values) < NUMPY_MIN:
         return text_cells([_FLOAT % v for v in values.tolist()])
     mag = np.abs(values)
@@ -132,7 +125,43 @@ def _bytes_cells(col: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(col).view(np.uint8).reshape(len(col), col.itemsize)
 
 
-def cells(col: np.ndarray) -> np.ndarray:
+def cells(col: np.ndarray, rows: int):
+    """The text of a column's values, C order, as NUL-padded bytes: one (k, width)
+    array for each block of `rows` values, the last one shorter.
+
+    Along an axis of zero stride (a broadcast view) the values repeat, so a column
+    with such axes has its distinct values laid out once and each block gathers
+    its cells from them by index.
+    """
+    repeated = [a for a in range(col.ndim) if col.shape[a] > 1 and not col.strides[a]]
+    if not repeated:
+        flat = col.reshape(-1)
+        for lo in range(0, len(flat), rows):
+            yield _laid_out(flat[lo : lo + rows])
+        return
+    distinct = col[tuple(slice(0, 1) if a in repeated else slice(None) for a in range(col.ndim))]
+    parts = list(cells(distinct, rows))
+    laid = np.zeros((distinct.size, max((p.shape[1] for p in parts), default=0)), dtype=np.uint8)
+    for lo, part in zip(range(0, distinct.size, rows), parts):
+        laid[lo : lo + len(part), : part.shape[1]] = part
+    for lo in range(0, col.size, rows):
+        yield laid.take(_distinct_index(lo, min(lo + rows, col.size), col.shape, repeated), axis=0)
+
+
+def _distinct_index(lo: int, hi: int, shape: tuple[int, ...], repeated: list[int]) -> np.ndarray:
+    """For C-order rows lo..hi-1 of a grid, the C-order index of each among the
+    distinct values: the grid's index with every repeated axis left out."""
+    at = np.arange(lo, hi)
+    index, outer, inner = np.zeros_like(at), 1, 1
+    for axis in reversed(range(len(shape))):
+        if axis not in repeated:
+            index += at // outer % shape[axis] * inner
+            inner *= shape[axis]
+        outer *= shape[axis]
+    return index
+
+
+def _laid_out(col: np.ndarray) -> np.ndarray:
     """The text of each value of a 1-D column as NUL-padded bytes, shape (k, width)."""
     if col.dtype.kind == "f":
         return float_cells(col.astype(float, copy=False))

@@ -51,6 +51,8 @@ XI_EXCESS = 1e-12
 _ORDER_MARGIN = 40.0
 _TERM_FLOOR = 1e-18
 _TAIL_RUN = 3
+# log of half the least subnormal double: a positive value below it rounds to 0
+_LOG_UNDERFLOW = -1075.0 * math.log(2.0)
 # Largest beta the Bessel route accepts: the ladder's 1e-12 accuracy is tested
 # out to this argument.  The ladder is one pure-Python sweep over (odd, even)
 # order pairs that starts past beta + 40 cube-root widths, so its cost grows
@@ -331,6 +333,26 @@ def _ladder_orders(base: int, n: int, cutoff: float) -> np.ndarray:
     return base + n * np.arange(k_last + 1 + _TAIL_RUN)
 
 
+def _underflow_order(beta: float, top: int) -> int:
+    """The first order o <= top from which |J_o(beta)| <= (beta/2)^o / o! underflows
+    to 0, else top + 1.  Past o = beta/2 the bound falls with o, so every higher
+    order underflows too."""
+    if beta == 0.0:
+        return min(1, top + 1)
+    log_half = math.log(beta / 2.0)
+
+    def underflows(o: int) -> bool:
+        return o * log_half - math.lgamma(o + 1) < _LOG_UNDERFLOW
+
+    if not underflows(top):
+        return top + 1
+    lo, hi = int(beta / 2.0), top  # the bound is near its peak at lo and underflows at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if underflows(mid) else (mid, hi)
+    return hi
+
+
 def unit_phase(multiplier: float, k: np.ndarray) -> np.ndarray:
     """exp(2*pi*i*multiplier*k) with the turn count reduced mod 1 first.
 
@@ -356,8 +378,10 @@ def amplitude_bessel(query: AmplitudeQuery) -> AmplitudeResult:
 
     The two infinite k-sums are truncated once the order passes
     beta + 40*max(beta^(1/3), 2) and the last three computed terms of each
-    ladder sit below 1e-18.  A beta outside [0, `BESSEL_BETA_MAX`] is rejected
-    with a ValueError before any ladder is sized.
+    ladder sit below 1e-18.  The sweep stops where the bound (beta/2)^o / o!
+    on |J_o(beta)| underflows, and higher orders read 0, so a large ring's
+    tail rungs cost nothing.  A beta outside [0, `BESSEL_BETA_MAX`] is
+    rejected with a ValueError before any ladder is sized.
     """
     cfg = query.config
     n, d, beta = cfg.n, query.d, query.beta
@@ -367,12 +391,13 @@ def amplitude_bessel(query: AmplitudeQuery) -> AmplitudeResult:
     cutoff = beta + _ORDER_MARGIN * max(beta ** (1.0 / 3.0), 2.0)
 
     orders_d, orders_dp = (_ladder_orders(first, n, cutoff) for first in (base, base_p))
-    top = int(max(orders_d[-1], orders_dp[-1]))
-    require_grid_points(top + 1, "a Bessel ladder")
-    ladder = bessel_j_ladder(top, beta)
+    cap = _underflow_order(beta, int(max(orders_d[-1], orders_dp[-1])))
+    ladder = bessel_j_ladder(cap - 1, beta)
 
     def ladder_sum(orders: np.ndarray, multiplier: float) -> complex:
-        terms = unit_phase(multiplier, np.arange(len(orders))) * ladder[orders]
+        rungs = ladder.take(orders, mode="clip")
+        rungs[orders >= cap] = 0.0  # these underflow, so the sweep stopped below them
+        terms = unit_phase(multiplier, np.arange(len(orders))) * rungs
         if np.any(np.abs(terms[-_TAIL_RUN:]) >= _TERM_FLOOR):
             raise BesselTruncationError(
                 f"series tail above {_TERM_FLOOR} after order {orders[-1]} "

@@ -19,11 +19,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -47,6 +45,7 @@ from .serialize import (
     csv_text,
     dumps,
     load_manifest,
+    read_json,
     write_manifest,
     write_text,
 )
@@ -104,7 +103,7 @@ def _config_number(key: str, value) -> float:
 
 def _config_fields(path: str) -> dict:
     """SearchSpec fields from a JSON object, each key checked for its type."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"--config must hold a JSON object, got {type(doc).__name__}")
     unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(SearchSpec)})
@@ -330,9 +329,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     require_grid_points(twist_count * count)
     twists = [args.f_min + k * args.f_step for k in range(twist_count)]
     betas = args.beta_min + args.beta_step * np.arange(count)
-    profiles = [xi_profile(RingConfig(args.n, f=f), args.d, betas) for f in twists]
-    # csv_text lays out each run of equal twists once
-    columns = (np.repeat(twists, count), np.tile(betas, twist_count), np.ravel(profiles))
+    profiles = np.array([xi_profile(RingConfig(args.n, f=f), args.d, betas) for f in twists])
+    # one row per (twist, time); csv_text lays out the broadcast twists and times once each
+    f_column = np.broadcast_to(np.array(twists)[:, None], profiles.shape)
+    columns = (f_column, np.broadcast_to(betas, profiles.shape), profiles)
     _emit(args, csv_text(("f", "beta", "xi"), columns), started)
     return EXIT_OK
 

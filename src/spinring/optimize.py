@@ -18,8 +18,8 @@ refined optima are kept on the record (`near_optima`) so callers can match a
 specific reported window as well as the in-range global best.
 
 Every golden-section search runs its brackets in lockstep (`_golden_max`):
-the refinements of all coarse candidates of a displacement take each step
-together, and so do the twist confirmations of all displacements of a ring,
+the refinements of all coarse candidates of a ring, over all its
+displacements, take each step together, and so do the twist confirmations,
 each step being one `PointSums.xi` call that gives every point its lone bits.
 
 Ties are resolved toward the earliest usable time: smallest beta, then
@@ -385,32 +385,30 @@ def optimize_transfers(
     RingConfig(n)  # validates the ring size early
     rates = {f: _mode_cosines(n, f) for f in spec.f_candidates}
     coarse = _coarse_pass(n, ds, spec, rates)
-    table = np.array([rates[f] for f in spec.f_candidates])  # one rate row per twist
-    row = {f: i for i, f in enumerate(spec.f_candidates)}
+    # one rate row per (displacement, twist): the twist table once per displacement
+    twists = spec.f_candidates
+    sums = PointSums(np.tile([rates[f] for f in twists], (len(ds), 1)), np.repeat(ds, len(twists)))
+    row = {(d, f): j * len(twists) + i for j, d in enumerate(ds) for i, f in enumerate(twists)}
 
     candidates: dict[int, list[TransferPoint]] = {}
+    moving, rows, brackets = [], [], []  # (d, index into candidates[d]), rate row, bracket
     for d in ds:
-        sums = PointSums(table, d)
-        refined: list[TransferPoint] = []
-        moving, brackets = [], []
-        for f, beta_c, xi_c in coarse[d]:
-            lo = max(spec.beta_min, beta_c - spec.beta_step)
-            hi = min(spec.beta_max, beta_c + spec.beta_step)
+        candidates[d] = [TransferPoint(f=f, beta=beta_c, xi=xi_c) for f, beta_c, xi_c in coarse[d]]
+        for i, p in enumerate(candidates[d]):
+            lo = max(spec.beta_min, p.beta - spec.beta_step)
+            hi = min(spec.beta_max, p.beta + spec.beta_step)
             if hi > lo:
-                moving.append(len(refined))
+                moving.append((d, i))
+                rows.append(row[d, p.f])
                 brackets.append((lo, hi))
-            refined.append(TransferPoint(f=f, beta=beta_c, xi=xi_c))
-        rows = [row[refined[i].f] for i in moving]
-        found = _golden_xi(sums, rows, brackets, spec.refine_tol)
-        for i, (beta_r, xi_r) in zip(moving, found):
-            refined[i] = TransferPoint(f=refined[i].f, beta=beta_r, xi=xi_r)
-        # unrefined window-start anchors make flat (fully blocked) landscapes
-        # resolve deterministically to beta_min instead of refinement noise
-        anchors = sums.xi(range(len(table)), [spec.beta_min] * len(table))
-        refined += [
-            TransferPoint(f=f, beta=spec.beta_min, xi=v) for f, v in zip(spec.f_candidates, anchors)
-        ]
-        candidates[d] = refined
+    found = _golden_xi(sums, rows, brackets, spec.refine_tol)
+    for (d, i), (beta_r, xi_r) in zip(moving, found):
+        candidates[d][i] = TransferPoint(f=candidates[d][i].f, beta=beta_r, xi=xi_r)
+    # unrefined window-start anchors make flat (fully blocked) landscapes
+    # resolve deterministically to beta_min instead of refinement noise
+    anchors = iter(sums.xi(range(len(row)), [spec.beta_min] * len(row)))
+    for d in ds:
+        candidates[d] += [TransferPoint(f=f, beta=spec.beta_min, xi=next(anchors)) for f in twists]
 
     winners = {d: _select(points) for d, points in candidates.items()}
     confirmed = _refine_twists(

@@ -44,6 +44,7 @@ __all__ = [
     "csv_text",
     "manifest_path_for",
     "write_manifest",
+    "read_json",
     "load_manifest",
 ]
 
@@ -98,26 +99,35 @@ _BLOCK_ROWS = 8192
 
 
 def csv_text(header: Sequence[str], columns: Sequence[Any]) -> str:
-    """Equal-length columns as CSV: floats as %.12g (the bytes of f"{v:.12g}"),
-    bools as true/false, integers as %d and anything else as str(v).
+    """Columns of one shape as CSV, one row per element in C order: floats as
+    %.12g (the bytes of f"{v:.12g}"), bools as true/false, integers as %d and
+    anything else as str(v).
 
-    Each block of rows is laid out as NUL-padded cells (`_cells`: numpy for
-    most floats, Python's text for the rest), the NULs are dropped with
+    A column may be 1-D or an N-D grid; a broadcast view (`np.broadcast_to`)
+    has the values along each of its zero-stride axes laid out once.  Each
+    block of rows is laid out as NUL-padded cells (`_cells`: numpy for most
+    floats, Python's text for the rest), the NULs are dropped with
     `bytes.translate` and the block is decoded once.
     """
     from . import _cells  # on first use, so that commands without a CSV skip it
 
     cols = [np.asarray(c) for c in columns]
-    if len({c.shape for c in cols}) > 1 or any(c.ndim != 1 for c in cols):
-        raise ValueError("CSV columns must be one-dimensional and of equal length")
+    if not cols or len({c.shape for c in cols}) > 1 or cols[0].ndim == 0:
+        raise ValueError("CSV columns must all have one shape of at least one axis")
+    laid = [_cells.cells(c, _BLOCK_ROWS) for c in cols]
     parts = [",".join(header) + "\n"]
-    for lo in range(0, len(cols[0]), _BLOCK_ROWS):
-        cells = [_cells.cells(c[lo : lo + _BLOCK_ROWS]) for c in cols]
-        comma = np.full((len(cells[0]), 1), ord(","), dtype=np.uint8)
-        block = np.concatenate([x for c in cells for x in (c, comma)], axis=1)
-        block[:, -1] = ord("\n")
-        parts.append(block.tobytes().translate(None, b"\0").decode())
+    for _ in range(0, cols[0].size, _BLOCK_ROWS):
+        # one block's cells and bytes are freed before the next is laid out
+        parts.append(_block_text([next(column) for column in laid]))
     return "".join(parts)
+
+
+def _block_text(cells: list[np.ndarray]) -> str:
+    """The CSV lines of a block of rows from its columns' NUL-padded cells."""
+    comma = np.full((len(cells[0]), 1), ord(","), dtype=np.uint8)
+    block = np.concatenate([x for c in cells for x in (c, comma)], axis=1)
+    block[:, -1] = ord("\n")
+    return block.tobytes().translate(None, b"\0").decode()
 
 
 @dataclass(frozen=True)
@@ -160,11 +170,19 @@ def write_manifest(
     return path
 
 
+def read_json(path: str | Path) -> Any:
+    """The JSON document of a file; one nested too deeply to decode is a ValueError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError(f"{path} is JSON nested too deeply to read") from None
+
+
 def load_manifest(path: str | Path) -> RunManifest:
     """Read a manifest for `replay`: a JSON object whose `argv` is a non-empty list
     of strings that does not start with `replay`, else ValueError.  Replay reads
     no other field but the version, so the others pass unchecked."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = read_json(path)
     argv = data.get("argv") if isinstance(data, dict) else None
     if not (isinstance(argv, list) and argv and all(isinstance(a, str) for a in argv)):
         raise ValueError("a manifest is a JSON object whose argv is a non-empty list of strings")

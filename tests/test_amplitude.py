@@ -111,6 +111,14 @@ def test_large_ring_reduces_to_single_bessel_order():
         assert abs(amplitude_spectral(q).xi - ref) <= 1e-6
 
 
+@pytest.mark.parametrize("beta", [0.0, 1e-7, 0.5, 1.0, 30.0, 700.0, amplitude.BESSEL_BETA_MAX])
+def test_orders_past_the_underflow_cap_sweep_to_zero(beta):
+    # the Bessel route reads every order from the cap on as 0 without sweeping it
+    cap = amplitude._underflow_order(beta, 10**9)
+    assert not bessel_j_ladder(cap + 40, beta)[cap:].any()
+    assert amplitude._underflow_order(beta, cap - 1) == cap  # a shorter ladder is swept whole
+
+
 def test_unitarity_column_sums():
     rng = np.random.default_rng(33)
     for _ in range(8):

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import importlib.util
 import io
 import json
@@ -20,6 +21,8 @@ from hypothesis import strategies as st
 
 from spinring import __version__, amplitude, cli, entangle
 from spinring.amplitude import AmplitudeResult, BesselTruncationError, grid_count, xi_profile
+from spinring.bessel import bessel_j_ladder
+from spinring.optimize import SearchSpec
 from spinring.ring import RingConfig
 from spinring.serialize import csv_text, load_manifest, manifest_path_for
 
@@ -130,15 +133,33 @@ def test_bessel_route_rejects_beta_before_sizing_a_ladder(capsys, monkeypatch, b
 
 
 def test_bessel_route_bounds_its_ladder(capsys, monkeypatch):
-    # a 5,000,000-site ring fits, but its ladder would run to order 20,000,000
-    def refuse(*args):
-        raise AssertionError("ladder allocated")
+    # a 5,000,000-site ring's ladders run to order 20,000,000, but the sweep
+    # stops where (beta/2)^o / o! underflows: order 157 at beta = 1
+    swept = []
 
-    monkeypatch.setattr(amplitude, "bessel_j_ladder", refuse)
-    code = cli.main(["amplitude", "--n", "5000000", "--d", "1", "--beta", "1", "--method", "bessel"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err.startswith("error: a Bessel ladder of 2e+07 points exceeds the limit")
+    def recorded(n_max, x):
+        swept.append(n_max)
+        return bessel_j_ladder(n_max, x)
+
+    monkeypatch.setattr(amplitude, "bessel_j_ladder", recorded)
+    code, _ = run_cli(capsys, "amplitude", "--n", "5000000", "--d", "1", "--beta", "1", "--method", "bessel")
+    assert code == 0
+    assert swept == [156]
+
+
+@pytest.mark.parametrize("n", ["1000000", "2000000"])
+def test_bessel_route_answers_on_large_rings(capsys, n):
+    # the tail rungs d' + kN of a large ring are all past the underflow order
+    records = {}
+    for method in ("bessel", "spectral"):
+        code, out = run_cli(capsys, "amplitude", "--n", n, "--d", "1", "--beta", "1", "--method", method)
+        assert code == 0
+        records[method] = json.loads(out)
+    bessel, spectral = records["bessel"], records["spectral"]
+    assert (bessel.pop("method"), spectral.pop("method")) == ("bessel", "spectral")
+    assert bessel.keys() == spectral.keys()
+    for key, value in bessel.items():
+        assert abs(value - spectral[key]) <= 1e-12
 
 
 def test_table1_full_window_passes(tmp_path, capsys):
@@ -465,8 +486,12 @@ def float_column_sweep(n, d, f_min, f_max, f_step, beta_min, beta_max, beta_step
         # large times in exponent form, rounded to 12 digits and at full width
         ((0.1, 0.3, 0.1, 1e15, 1.0000000001e15, 2.5e4), "\n0.1,1.00000000002e+15,"),
         ((-0.25, 0.25, 0.25, 1.23456789012e15, 1.2345678902e15, 1e4), "\n-0.25,1.23456789012e+15,"),
+        # single-point axes: one time for every twist, one twist for every time, one point
+        ((-0.3, 0.3, 0.1, 5.0, 5.0, 0.1), "\n-0.3,5,"),
+        ((0.25, 0.25, 0.1, 0.0, 1.0, 0.1), "\n0.25,0.1,"),
+        ((0.25, 0.25, 0.1, 5.0, 5.0, 0.1), "\n0.25,5,"),
     ],
-    ids=["full-width", "tiny", "1e15", "12-digit-1e15"],
+    ids=["full-width", "tiny", "1e15", "12-digit-1e15", "one-time", "one-twist", "one-point"],
 )
 def test_sweep_matches_float_column_csv(capsys, window, row):
     f_min, f_max, f_step, beta_min, beta_max, beta_step = window
@@ -805,3 +830,93 @@ def test_fuzzed_commands_keep_the_exit_code_contract(argv):
             out.unlink()
             assert run_quietly(["replay", "--manifest", str(manifest_path_for(out))])[0] == code, argv
             assert out.read_bytes() == written, argv
+
+
+# JSON text for hand-edited documents: NaN and huge-number literals, nesting,
+# and objects that may repeat a key.  No drawn string holds "-", so no drawn
+# argument is a flag, and none can send output anywhere.
+JSON_LEAVES = st.one_of(
+    st.sampled_from(["null", "true", "false", "NaN", "Infinity", "-Infinity", "1e400", "-1e-400",
+                     "1" + "0" * 400, "1" * 5000, "0", "2.5"]),
+    st.integers().map(str),
+    st.floats().map(json.dumps),
+    st.text(alphabet="abcxyz019 .,:[]{}\"\\", max_size=6).map(json.dumps),
+)
+
+
+def json_object(members):
+    """An object's text from its (key, value text) members, repeated keys kept."""
+    return "{" + ",".join(f"{json.dumps(k)}:{v}" for k, v in members) + "}"
+
+
+def json_documents(keys):
+    key = st.one_of(keys, st.text(alphabet="abxyz_", max_size=3))
+    return st.recursive(
+        JSON_LEAVES,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=3).map(lambda items: "[" + ",".join(items) + "]"),
+            st.lists(st.tuples(key, inner), max_size=4).map(json_object),
+        ),
+        max_leaves=8,
+    )
+
+
+MANIFEST_KEYS = st.sampled_from(["argv", "command", "parameters", "artifact_version", "results_path"])
+# an argv replay may run: cheap commands, a replay of a replay and an empty one
+ARGVS = st.sampled_from([
+    ["amplitude", "--n", "5", "--d", "1", "--beta", "1"],
+    ["sweep", "--n", "4", "--d", "2", "--beta-max", "1"],
+    ["replay", "--manifest", "run.manifest.json"],
+    ["--help"],
+    [],
+]).map(json.dumps)
+
+
+@st.composite
+def manifest_texts(draw):
+    """A manifest as text: drawn JSON, or an object whose argv is drawn JSON or a
+    runnable argv, among other drawn members whose keys may repeat."""
+    junk = json_documents(MANIFEST_KEYS)
+    if draw(st.booleans()):
+        return draw(junk)
+    members = draw(st.lists(st.tuples(MANIFEST_KEYS, junk), max_size=3))
+    members.insert(draw(st.integers(0, len(members))), ("argv", draw(st.one_of(ARGVS, junk))))
+    return json_object(members)
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=manifest_texts())
+def test_replay_of_drawn_manifests_keeps_the_exit_code_contract(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.manifest.json"
+        path.write_text(text, encoding="utf-8")
+        code, err = run_quietly(["replay", "--manifest", str(path)])
+    assert code in (0, 2, 3, 4), (text, err)
+
+
+@pytest.mark.parametrize("command", ["replay --manifest", "table1 --config"])
+def test_json_nested_past_the_decoder_depth_exits_2(tmp_path, command):
+    # json.loads raises RecursionError, not ValueError, on such a document
+    path = tmp_path / "deep.json"
+    path.write_text('{"argv": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+    code, err = run_quietly([*command.split(), str(path)])
+    assert code == 2 and err.startswith("error: ") and "nested too deeply" in err
+
+
+SPEC_KEYS = st.sampled_from([f.name for f in dataclasses.fields(SearchSpec)])
+SPEC_TEXTS = st.one_of(
+    json_documents(SPEC_KEYS),
+    st.lists(st.tuples(SPEC_KEYS, json_documents(SPEC_KEYS)), max_size=4).map(json_object),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=SPEC_TEXTS)
+def test_table1_config_of_drawn_documents_keeps_the_exit_code_contract(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spec.json"
+        path.write_text(text, encoding="utf-8")
+        # the window and grid flags override the document's, so a valid one stays small
+        argv = ["table1", "--config", str(path), "--beta-max=20", "--beta-step=0.5", "--twists=0.25"]
+        code, err = run_quietly(argv)
+    assert code in (0, 2, 3, 4), (text, err)

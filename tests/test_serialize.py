@@ -92,12 +92,65 @@ def test_mixed_columns_as_in_table1():
     )
 
 
+# grids of 8,191, 8,192 and 8,193 rows: one short of, equal to and one past a
+# block of `serialize._BLOCK_ROWS`
+EDGE_GRIDS = [(1, 8191), (8191, 1), (2, 4096), (8, 1024), (3, 2731), (2731, 3)]
+# how each column is made: a broadcast of a (T, 1), (1, B) or (1, 1) base, or a full grid
+BASES = {
+    "twist": lambda t, b: (t, 1), "time": lambda t, b: (1, b), "point": lambda t, b: (1, 1),
+    "full": lambda t, b: (t, b),
+}
+
+
+@st.composite
+def grid_tables(draw):
+    """Columns of one (T, B) grid: broadcast views and full arrays of any cell kind.
+    Each base draws its cells from a short drawn pool, so a large grid is cheap to make."""
+    small = st.tuples(st.integers(1, 7), st.integers(1, 7))
+    shape = draw(st.one_of(small, st.sampled_from(EDGE_GRIDS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(sorted(cell_kinds)))
+        pool = draw(st.lists(cell_kinds[kind], min_size=1, max_size=12))
+        if kind == "float":
+            pool += draw(st.lists(st.sampled_from(EDGE_FLOATS), max_size=4))
+        base_shape = BASES[draw(st.sampled_from(sorted(BASES)))](*shape)
+        base = np.array(pool)[rng.integers(len(pool), size=base_shape)]
+        columns.append(np.broadcast_to(base, shape))
+    return columns
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_tables())
+def test_grid_columns_match_their_flattened_rows(columns):
+    # a broadcast column lays out its distinct values once and gathers them per
+    # block; the text must be that of the materialized 1-D columns
+    header = [f"c{j}" for j in range(len(columns))]
+    flat = [np.ascontiguousarray(c).reshape(-1) for c in columns]
+    text = csv_text(header, columns)
+    assert text == csv_text(header, flat)
+    assert_same_text(text, reference_csv(header, [c.tolist() for c in flat]))
+
+
+@pytest.mark.parametrize("base", [(2, 1, 4), (1, 3, 1), (1, 1, 4), (2, 3, 4)])
+def test_three_axis_grids_are_written_in_c_order(base):
+    values = np.arange(math.prod(base)).reshape(base) * 0.5 - 1.0
+    column = np.broadcast_to(values, (2, 3, 4))
+    full = np.arange(24).reshape(2, 3, 4)
+    flat = (np.ascontiguousarray(column).reshape(-1), full.reshape(-1))
+    expected = reference_csv(("x", "k"), [c.tolist() for c in flat])
+    assert csv_text(("x", "k"), (column, full)) == expected
+
+
 def test_unequal_columns_are_rejected():
     for columns in (([1.0, 2.0], [1.0]), ([1.0], [1.0, 2.0])):
         with pytest.raises(ValueError):
             csv_text(("a", "b"), columns)
     with pytest.raises(ValueError):
-        csv_text(("a",), (np.zeros((2, 2)),))
+        csv_text(("a", "b"), (np.zeros((2, 2)), np.zeros(4)))
+    with pytest.raises(ValueError):
+        csv_text((), ())
 
 
 def test_write_text_writes_the_bytes_of_one_encode(tmp_path):
@@ -138,14 +191,15 @@ def layout_edges(draw):
 @settings(max_examples=150, deadline=None)
 @given(st.lists(layout_edges(), min_size=2, max_size=60, unique=True))
 def test_layout_edges_match_the_reference(values):
-    # repeated to the size numpy lays out; neighbours stay distinct, so no run
-    # of equal values shrinks the block back to Python's size
+    # repeated up to the size numpy lays out, so the values take numpy's layout
+    # rather than Python's
     column = values * -(-_cells.NUMPY_MIN // len(values))
     assert_same_text(csv_text(("x",), (column,)), reference_csv(("x",), (column,)))
 
 
 def test_signed_zeros_and_runs_of_equal_values():
-    # a run of equal bits is laid out once; 0.0 and -0.0 compare equal but differ
+    # 0.0 and -0.0 compare equal but differ in text; runs of equal values
+    # within and across a block edge
     nan = float("nan")
     column = [0.0, -0.0, -0.0, 0.0, 0.0, 2.5, 2.5, -2.5, nan, nan, 1e-7, 1e-7, -0.0] + [0.125] * 40
     column += [0.3] * (serialize._BLOCK_ROWS + 3) + [-0.0, 0.0]
