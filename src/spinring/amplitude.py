@@ -146,22 +146,6 @@ class SpectralKernel:
         self._irates = 1j * np.asarray(rates, dtype=float)
         self._columns = _mode_weights(n, [int(d) % n for d in ds])  # one row per displacement
 
-    def xi_points(self, betas: np.ndarray) -> np.ndarray:
-        """|a_d| at the given betas, shape (displacements, len(betas)).
-
-        Betas on an arithmetic progression to within 4 ulps of the largest go
-        through `xi_grid` (|a_d| is max|c_m|-Lipschitz in beta, so it moves by
-        as little); other point sets are summed point by point.
-        """
-        betas = np.asarray(betas, dtype=float)
-        count = betas.shape[0]
-        if count > 2:
-            h = (betas[-1] - betas[0]) / (count - 1)
-            drift = np.max(np.abs(betas[0] + h * np.arange(count) - betas))
-            if drift <= 4.0 * np.spacing(np.max(np.abs(betas))):
-                return self.xi_grid(float(betas[0]), float(h), count)
-        return self._xi_giant(self._columns, betas, self._baby(0.0, 1))
-
     def xi_grid(self, b0: float, h: float, count: int) -> np.ndarray:
         """|a_d| at b0 + k*h for k < count, shape (displacements, count).
 
@@ -251,8 +235,8 @@ class SpectralKernel:
     def _xi_giant(self, columns: np.ndarray, starts: np.ndarray, baby: np.ndarray) -> np.ndarray:
         """|a| at starts[g] + j*h per weight row in `columns`; `baby` is `_baby(h, stride)`.
 
-        Every grid and point set is evaluated here.  Each block of giant rows
-        is one BLAS product of their weighted phases with the baby steps
+        Every grid and every set of kept rows is evaluated here.  Each block of
+        giant rows is one BLAS product of their weighted phases with the baby steps
         exp(i*c_m*j*h).  BLAS gives a row of a product the same bits whatever
         rows share it, except in a one-row product (gemv or a dot, which may
         round differently).  So a lone row is sent twice: a row's bits never
@@ -339,7 +323,7 @@ def _underflow_order(beta: float, top: int) -> int:
     order underflows too."""
     if beta == 0.0:
         return min(1, top + 1)
-    log_half = math.log(beta / 2.0)
+    log_half = math.log(beta) - math.log(2.0)  # beta / 2 rounds to 0 at the least subnormal
 
     def underflows(o: int) -> bool:
         return o * log_half - math.lgamma(o + 1) < _LOG_UNDERFLOW
@@ -426,6 +410,6 @@ def xi(config: RingConfig, d: int, beta: float) -> float:
     return amplitude_spectral(AmplitudeQuery(config, r=d + 1, s=1, beta=beta)).xi
 
 
-def xi_profile(config: RingConfig, d: int, betas: np.ndarray) -> np.ndarray:
-    """Vectorized xi over many betas (spectral route, `SpectralKernel.xi_points`)."""
-    return SpectralKernel(_mode_cosines(config.n, config.f), (d,)).xi_points(betas)[0]
+def xi_profile(config: RingConfig, d: int, b0: float, h: float, count: int) -> np.ndarray:
+    """xi on the time grid b0 + k*h, k < count (spectral route, `SpectralKernel.xi_grid`)."""
+    return SpectralKernel(_mode_cosines(config.n, config.f), (d,)).xi_grid(b0, h, count)[0]

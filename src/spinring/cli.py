@@ -328,8 +328,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     count = grid_count(args.beta_max - args.beta_min, args.beta_step)
     require_grid_points(twist_count * count)
     twists = [args.f_min + k * args.f_step for k in range(twist_count)]
-    betas = args.beta_min + args.beta_step * np.arange(count)
-    profiles = np.array([xi_profile(RingConfig(args.n, f=f), args.d, betas) for f in twists])
+    b0, h = args.beta_min, args.beta_step
+    betas = b0 + h * np.arange(count)
+    profiles = np.array([xi_profile(RingConfig(args.n, f=f), args.d, b0, h, count) for f in twists])
     # one row per (twist, time); csv_text lays out the broadcast twists and times once each
     f_column = np.broadcast_to(np.array(twists)[:, None], profiles.shape)
     columns = (f_column, np.broadcast_to(betas, profiles.shape), profiles)

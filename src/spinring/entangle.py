@@ -99,13 +99,13 @@ def _entropy_from_overlap(overlap):
 
 
 def entanglement_curve(
-    betas: np.ndarray, n: int = 4, start_site: int = 1
+    step: float, count: int, n: int = 4, start_site: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(entropy, overlap) arrays over the given betas, from one mode sum per point.
+    """(entropy, overlap) arrays on the scan grid k*step, k < count, one mode sum a point.
 
     Same readings as the dense reference propagator and Schmidt decomposition.
     """
-    overlap = SpectralKernel(_overlap_rates(n, start_site), (0,)).xi_points(betas)[0]
+    overlap = SpectralKernel(_overlap_rates(n, start_site), (0,)).xi_grid(0.0, step, count)[0]
     return _entropy_from_overlap(overlap), overlap
 
 
@@ -135,7 +135,7 @@ def find_entangling_time(
     """
     betas = scan_times(beta_max, step)
     sums = PointSums(_overlap_rates(n, start_site), 0)
-    entropy, overlap = entanglement_curve(betas, n=n, start_site=start_site)
+    entropy, overlap = entanglement_curve(step, len(betas), n=n, start_site=start_site)
 
     idx = _local_maxima(entropy)
     survivors = idx[entropy[idx] >= float(entropy.max()) - _NEAR_BEST_WINDOW]

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import point_sum_reference, single_bond_hamiltonian
@@ -24,6 +24,7 @@ from spinring.amplitude import (
 )
 from spinring.bessel import bessel_j_ladder
 from spinring.cli import PUBLISHED_WINDOWS
+from spinring.entangle import _entropy_from_overlap, _overlap_rates, entanglement_curve
 from spinring.ring import RingConfig, _mode_cosines, propagate_oracle, site_state
 
 
@@ -170,8 +171,7 @@ def test_quarter_twist_breaks_direction_symmetry():
     # the twist gives the excitation net momentum: on the 5-ring at f = 0.25
     # the two equidistant receivers see very different amplitudes
     cfg = RingConfig(5, f=0.25)
-    betas = np.arange(0.0, 50.0001, 0.01)
-    gap = np.abs(xi_profile(cfg, 1, betas) - xi_profile(cfg, 4, betas))
+    gap = np.abs(xi_profile(cfg, 1, 0.0, 0.01, 5001) - xi_profile(cfg, 4, 0.0, 0.01, 5001))
     assert gap.max() > 0.1
 
 
@@ -204,10 +204,9 @@ def test_displacement_reduced_mod_n():
 
 def test_profile_matches_scalar_route():
     cfg = RingConfig(7, f=-0.25)
-    betas = np.linspace(0.0, 80.0, 257)
-    prof = xi_profile(cfg, 3, betas)
+    prof = xi_profile(cfg, 3, 0.0, 0.3125, 257)
     for k in (0, 100, 256):
-        assert prof[k] == pytest.approx(xi(cfg, 3, float(betas[k])), abs=1e-14)
+        assert prof[k] == pytest.approx(xi(cfg, 3, k * 0.3125), abs=1e-14)
 
 
 def test_magnitude_clipping_rule():
@@ -248,26 +247,37 @@ def test_kernel_grid_matches_pointwise_sums(n, f, b0, h, count):
     betas = b0 + h * np.arange(count)
     pointwise = point_xi(n, f, range(n), betas)
     assert np.max(np.abs(kernel.xi_grid(b0, h, count) - pointwise)) <= 1e-12
-    # shuffled, the same times leave the grid and are summed point by point
+    # shuffled, the same times summed in one call over a single rate row
     order = np.random.default_rng(count).permutation(count)
-    profile = xi_profile(RingConfig(n, f=f), 1, betas[order])
-    assert np.max(np.abs(profile - pointwise[1, order])) <= 1e-12
+    profile = PointSums(_mode_cosines(n, f), 1).xi(np.zeros(count, int), betas[order])
+    assert np.max(np.abs(np.subtract(profile, pointwise[1, order]))) <= 1e-12
 
 
-@pytest.mark.parametrize(
-    "n, betas",
-    [
-        # 1e14 times in rows of 1e7: the 1e5 x 1e7 baby-step block would be 16 TB
-        (100_000, {"b0": 0.0, "h": 1.0, "count": 10**14}),
-        # 65,536 scattered times at once over 2e6 modes would be 2 TB
-        (2_000_000, np.random.default_rng(1).uniform(0.0, 10.0, 65_536)),
-    ],
-    ids=["baby-steps", "point-block"],
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 16),
+    d=st.integers(-20, 20),
+    f=st.floats(-1.0, 1.0),
+    b0=st.floats(0.0, 1000.0),
+    h=st.floats(1e-3, 10.0),
+    count=st.one_of(st.sampled_from([1, 2, 3]), st.integers(1, 2000)),
 )
-def test_kernel_refuses_a_phase_block_before_allocating(n, betas):
-    kernel = SpectralKernel(np.zeros(n), (1,))
+def test_profiles_are_the_kernel_grid_bit_for_bit(n, d, f, b0, h, count):
+    # the time grids of `sweep` and `entangle` reach the kernel as grids,
+    # whatever their length
+    grid = SpectralKernel(_mode_cosines(n, f), (d,)).xi_grid(b0, h, count)[0]
+    assert np.array_equal(xi_profile(RingConfig(n, f=f), d, b0, h, count), grid)
+    grid = SpectralKernel(_overlap_rates(n, 1), (0,)).xi_grid(0.0, h, count)[0]
+    entropy, overlap = entanglement_curve(h, count, n=n)
+    assert np.array_equal(overlap, grid)
+    assert np.array_equal(entropy, _entropy_from_overlap(grid))
+
+
+def test_kernel_refuses_a_phase_block_before_allocating():
+    # 1e14 times in rows of 1e7: the 1e5 x 1e7 baby-step block would be 16 TB
+    kernel = SpectralKernel(np.zeros(100_000), (1,))
     with pytest.raises(ValueError, match="a block of mode phases of .* exceeds the limit"):
-        kernel.xi_grid(**betas) if isinstance(betas, dict) else kernel.xi_points(betas)
+        kernel.xi_grid(0.0, 1.0, 10**14)
 
 
 @settings(max_examples=40, deadline=None)
@@ -306,9 +316,10 @@ def test_row_bounds_hold_on_and_between_grid_points(n, f, b0, h, count, offsets,
     rates = _mode_cosines(n, f)
     kernel = SpectralKernel(rates, range(n))
     if nudge is None:
-        target, rows, spread = kernel, np.arange(n), 0.0
+        target, target_f, rows, spread = kernel, f, np.arange(n), 0.0
     else:
-        other = _mode_cosines(n, -f + nudge)
+        target_f = -f + nudge
+        other = _mode_cosines(n, target_f)
         target = SpectralKernel(other, range(n))
         rows = (n - np.arange(n)) % n
         spread = float(np.max(np.abs(other - mirrored_rates(rates))))
@@ -319,7 +330,7 @@ def test_row_bounds_hold_on_and_between_grid_points(n, f, b0, h, count, offsets,
     assert np.all(low[rows] <= grid.max(axis=1))
     k = np.arange(count)
     fractions = np.concatenate([k + t for t in [0.0, *offsets]])
-    dense = target.xi_points(b0 + h * fractions)
+    dense = point_xi(n, target_f, range(n), b0 + h * fractions)
     # k + t may round up to k + 1, which for the last k lies past the grid but
     # still on the last row's stretch
     row = np.minimum(fractions.astype(int), count - 1) // stride
@@ -411,6 +422,7 @@ def test_magnitudes_do_not_depend_on_the_gauge(n, f, beta, j, b):
 
 @settings(max_examples=100, deadline=None)
 @given(n=RINGS, d=st.integers(0, 15), f=TWISTS, beta=TIMES, j=COUPLINGS, b=FIELDS)
+@example(n=3, d=0, f=0.0, beta=5e-324, j=1.0, b=0.0)  # beta / 2 rounds to 0
 def test_routes_agree_in_complex_value_under_any_coupling_and_field(n, d, f, beta, j, b):
     q = query(n, d, f, beta, j=j, b=b)
     oracle = amplitude_oracle(q).value

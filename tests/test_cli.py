@@ -8,6 +8,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -160,6 +162,27 @@ def test_bessel_route_answers_on_large_rings(capsys, n):
     assert bessel.keys() == spectral.keys()
     for key, value in bessel.items():
         assert abs(value - spectral[key]) <= 1e-12
+
+
+@pytest.mark.parametrize("method", ["bessel", "all"])
+def test_bessel_route_answers_at_the_least_subnormal_time(capsys, method):
+    # beta / 2 rounds to 0 there, and its logarithm must not be taken
+    argv = ["amplitude", "--n", "3", "--d", "0", "--beta", "5e-324", "--method", method]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert {record["xi"] for record in doc.get("records", [doc])} == {1.0}
+
+
+def test_readme_commands_run(tmp_path):
+    # every `spinring` line in the README's shell blocks, with --out under tmp_path
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    lines = [line for block in re.findall(r"```bash\n(.*?)```", readme, re.S) for line in block.splitlines()]
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("spinring ")]
+    assert len(commands) >= 6
+    for argv in commands:
+        argv = [str(tmp_path / a) if flag == "--out" else a for flag, a in zip(["", *argv], argv)]
+        assert cli.main(argv) == 0, argv
 
 
 def test_table1_full_window_passes(tmp_path, capsys):
@@ -367,9 +390,9 @@ def test_entangle_out_computes_the_curve_once(tmp_path, capsys, monkeypatch):
     points = []
     curve = entangle.entanglement_curve
 
-    def counted(betas, *args, **kwargs):
-        points.append(len(betas))
-        return curve(betas, *args, **kwargs)
+    def counted(step, count, *args, **kwargs):
+        points.append(count)
+        return curve(step, count, *args, **kwargs)
 
     monkeypatch.setattr(cli, "entanglement_curve", counted)
     monkeypatch.setattr(entangle, "entanglement_curve", counted)
@@ -470,7 +493,7 @@ def float_column_sweep(n, d, f_min, f_max, f_step, beta_min, beta_max, beta_step
     """The sweep CSV with every coordinate formatted per row, as plain float columns."""
     twists = [f_min + k * f_step for k in range(grid_count(f_max - f_min, f_step))]
     betas = beta_min + beta_step * np.arange(grid_count(beta_max - beta_min, beta_step))
-    xis = [xi_profile(RingConfig(n, f=f), d, betas) for f in twists]
+    xis = [xi_profile(RingConfig(n, f=f), d, beta_min, beta_step, len(betas)) for f in twists]
     columns = (np.repeat(twists, len(betas)), np.tile(betas, len(twists)), np.ravel(xis))
     return csv_text(("f", "beta", "xi"), columns)
 

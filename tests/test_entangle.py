@@ -13,9 +13,12 @@ from conftest import (
     square_ring_entropy,
     square_ring_overlap,
 )
+from spinring.amplitude import PointSums
 from spinring.entangle import (
     EntanglementReading,
     REFERENCE_BETA,
+    _overlap_rates,
+    _reading,
     entanglement_curve,
     find_entangling_time,
     scan_times,
@@ -72,24 +75,24 @@ def test_high_entanglement_near_five_revivals():
 
 
 def test_matches_closed_form_along_the_curve():
-    betas = np.linspace(0.0, 60.0, 601)
-    entropy, overlap = entanglement_curve(betas)
+    entropy, overlap = entanglement_curve(0.1, 601)
     for k in range(0, 601, 40):
-        assert abs(overlap[k] - square_ring_overlap(float(betas[k]))) <= 1e-9
-        assert abs(entropy[k] - square_ring_entropy(float(betas[k]))) <= 1e-9
+        assert abs(overlap[k] - square_ring_overlap(k * 0.1)) <= 1e-9
+        assert abs(entropy[k] - square_ring_entropy(k * 0.1)) <= 1e-9
 
 
 @pytest.mark.parametrize("n", range(3, 13))
 def test_curve_and_scan_match_the_dense_reference(n):
     # the scan's grid is factored into giant x baby steps; scattered betas
     # are summed point by point
-    grids = (scan_times(500.0, 12.5), np.random.default_rng(n).uniform(0.0, 500.0, 40))
+    grid = scan_times(500.0, 12.5)
+    scattered = np.random.default_rng(n).uniform(0.0, 500.0, 40)
     for start in range(1, n + 1):
         scan = find_entangling_time(20.0, step=0.01, n=n, start_site=start)
-        readings = [scan.best, scan.reference]
-        for betas in grids:
-            entropy, overlap = entanglement_curve(betas, n=n, start_site=start)
-            readings += map(EntanglementReading, betas, entropy, overlap)
+        entropy, overlap = entanglement_curve(12.5, len(grid), n=n, start_site=start)
+        sums = PointSums(_overlap_rates(n, start), 0)
+        readings = [scan.best, scan.reference, *map(EntanglementReading, grid, entropy, overlap)]
+        readings += [_reading(sums, beta) for beta in scattered]
         for got in readings:
             ref = flux_ring_entanglement(evolve_joint(site_state(n, start), got.beta))
             assert abs(got.entropy_ebits - ref.entropy_ebits) <= 1e-12

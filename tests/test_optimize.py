@@ -349,8 +349,10 @@ def test_twist_refinement_moves_an_off_grid_winner():
     # best, 0.99255 at f = -0.2, is beaten by the refined twist
     spec = SearchSpec(beta_max=2000.0, f_candidates=(-0.2, 0.2))
     rec = optimize_transfers(5, [1], spec)[1]
+    count = len(spec.beta_grid())
     grid_best = max(
-        float(xi_profile(RingConfig(5, f=f), 1, spec.beta_grid()).max()) for f in spec.f_candidates
+        float(xi_profile(RingConfig(5, f=f), 1, spec.beta_min, spec.beta_step, count).max())
+        for f in spec.f_candidates
     )
     assert grid_best == pytest.approx(0.99255, abs=1e-5)
     assert rec.f == pytest.approx(-0.19967, abs=1e-5)
