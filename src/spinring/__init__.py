@@ -6,7 +6,7 @@ Library layout:
   mode energies, and a dense-eigendecomposition propagation oracle.
 - bessel: integer-order J_n ladders by Miller's downward recurrence.
 - amplitude: the spectral mode-sum kernel, the three amplitude routes and xi.
-- optimize: twist/time grid search with refinement; pairwise plans; fidelity.
+- optimize: twist/time grid search with a Newton polish; pairwise plans; fidelity.
 - blockage: half-flux diametric blocking checks.
 - entangle: the flux-qubit/ring entanglement curve and entangling-time scans.
 - cli: reproducible command-line front end (`spinring ...`).

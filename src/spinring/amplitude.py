@@ -264,9 +264,9 @@ class PointSums:
 
     Built from K rate rows of one ring, shape (K, N) or (N,), and one
     displacement per row or one for all.  One `exp` covers a block of points
-    and one stacked `np.matmul` a 1 x N by N x 1 product per point, which
-    rounds as one dot whatever points share the call.  A 2-D product, `einsum`
-    or a sum rounds differently, and so does `np.abs` in place of `abs`.
+    and one stacked `np.matmul` a 1 x N by N x 1 product per point (N x 7 in
+    `jet`), which rounds alike whatever points share the call.  A 2-D product,
+    `einsum` or a sum rounds differently, and so does `np.abs` in place of `abs`.
     """
 
     def __init__(self, rates, ds) -> None:
@@ -279,22 +279,51 @@ class PointSums:
 
     def values(self, rows, betas) -> np.ndarray:
         """Complex a_d(betas[i]) of rate row rows[i], for every i."""
-        rows = np.asarray(rows, dtype=np.intp)
-        betas = np.asarray(betas, dtype=float)
-        if betas.shape != rows.shape or rows.ndim != 1:
-            raise ValueError(f"need one beta per row, got {betas.shape} for {rows.shape}")
-        sums = np.empty(len(rows), dtype=complex)
-        per = max(_CHUNK // self.n, 1)
-        for lo in range(0, len(rows), per):
-            at = rows[lo : lo + per]
-            weights = self._weights[at] if len(self._weights) > 1 else self._weights
-            phases = np.exp(betas[lo : lo + per, None] * self._irates[at])
-            sums[lo : lo + per] = np.matmul(phases[:, None, :], weights)[:, 0, 0]
-        return sums / self.n
+        return self._sums(rows, betas, lambda at, weights: weights)[:, 0]
 
     def xi(self, rows, betas) -> list[float]:
         """|a_d(betas[i])| of rate row rows[i], for every i."""
         return [_clip_xi(abs(a)) for a in self.values(rows, betas).tolist()]
+
+    def jet(self, rows, betas, slopes, bends) -> np.ndarray:
+        """g = |a_d|^2, its gradient and its Hessian in (beta, f) at points (rate row,
+        beta): rows g, g_beta, g_f, g_beta_beta, g_beta_f, g_ff of a (6, points) array.
+
+        `slopes` and `bends`, shaped like the rates, hold d c_m/d f and d^2 c_m/d f^2.
+        With phi_m = beta*c_m, a_x = (1/N) sum_m w_m exp(i*phi_m) i*phi_x and a_xy is
+        the same sum of i*phi_xy - phi_x*phi_y: phi_beta = c_m, phi_f = beta*c_m',
+        phi_{beta f} = c_m', phi_ff = beta*c_m''.  Seven weight columns of one product.
+        """
+        slopes, bends = np.asarray(slopes, dtype=float), np.asarray(bends, dtype=float)
+
+        def columns(at, weights):
+            c, s = self._irates[at].imag, slopes[at]
+            return weights * np.stack((c**0, c, c * c, s, c * s, s * s, bends[at]), axis=2)
+
+        a, s_c, s_cc, s_s, s_cs, s_ss, s_b = self._sums(rows, betas, columns).T
+        t = np.asarray(betas, dtype=float)
+        a_b, a_f = 1j * s_c, 1j * t * s_s
+        a_bb, a_bf, a_ff = -s_cc, 1j * s_s - t * s_cs, 1j * t * s_b - t * t * s_ss
+        g_x = [2.0 * np.real(a.conj() * x) for x in (a_b, a_f)]
+        g_xy = [2.0 * np.real(x.conj() * y + a.conj() * xy)
+                for x, y, xy in ((a_b, a_b, a_bb), (a_b, a_f, a_bf), (a_f, a_f, a_ff))]
+        return np.array([abs(a) ** 2, *g_x, *g_xy])
+
+    def _sums(self, rows, betas, columns) -> np.ndarray:
+        """(1/N) sum_m exp(i*betas[i]*c_m) x_m of rate row rows[i], shape (points, K):
+        `columns(rows, weights)` gives a block's K weighted columns x, shape (., N, K)."""
+        rows = np.asarray(rows, dtype=np.intp)
+        betas = np.asarray(betas, dtype=float)
+        if betas.shape != rows.shape or rows.ndim != 1:
+            raise ValueError(f"need one beta per row, got {betas.shape} for {rows.shape}")
+        sums = []
+        per = max(_CHUNK // self.n, 1)
+        for lo in range(0, max(len(rows), 1), per):  # an empty call still has its shape
+            at = rows[lo : lo + per]
+            weights = self._weights[at] if len(self._weights) > 1 else self._weights
+            phases = np.exp(betas[lo : lo + per, None] * self._irates[at])
+            sums.append(np.matmul(phases[:, None, :], columns(at, weights))[:, 0])
+        return (sums[0] if len(sums) == 1 else np.concatenate(sums)) / self.n
 
 
 def amplitude_spectral(query: AmplitudeQuery) -> AmplitudeResult:

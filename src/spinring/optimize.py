@@ -2,9 +2,10 @@
 
 The landscape xi(beta) is a quasi-periodic superposition of N mode phases, so
 the search is a dense coarse grid (step 0.02 oversamples the fastest ~pi
-oscillation by more than a hundredfold) followed by golden-section refinement
-of every coarse local maximum that comes within 1e-3 of the coarse best, and
-finally a confirmation pass over the twist near the winner.
+oscillation by more than a hundredfold), then a Newton polish in beta, at its
+grid twist, of every coarse local maximum within 1e-3 of the coarse best, and
+last a joint (twist, time) polish of each displacement's winner: `_polish` on
+the exact derivatives of `PointSums.jet`, all points of a ring in lockstep.
 
 The coarse grid is pruned by a bound: |a|^2, a = (1/N) sum_m w_m
 exp(i*beta*c_m) with |w_m| = 1, curves down no faster than 2 mean_m c_m^2
@@ -12,15 +13,10 @@ exp(i*beta*c_m) with |w_m| = 1, curves down no faster than 2 mean_m c_m^2
 grid cannot come within 1e-3 of the best (`SpectralKernel.row_bounds`).
 Only the others are evaluated, and the kernel gives them the full grid's
 values bit for bit, so the coarse candidates are the full grid's (see
-`_coarse_pass`).  Near-perfect
-windows at different times can tie to within fractions of 1e-3; all surviving
-refined optima are kept on the record (`near_optima`) so callers can match a
-specific reported window as well as the in-range global best.
-
-Every golden-section search runs its brackets in lockstep (`_golden_max`):
-the refinements of all coarse candidates of a ring, over all its
-displacements, take each step together, and so do the twist confirmations,
-each step being one `PointSums.xi` call that gives every point its lone bits.
+`_coarse_pass`).  Near-perfect windows at different times can tie to within
+fractions of 1e-3; all surviving polished optima are kept on the record
+(`near_optima`) so callers can match a specific reported window as well as
+the in-range global best.
 
 Ties are resolved toward the earliest usable time: smallest beta, then
 smallest |f|, then negative f.
@@ -58,6 +54,8 @@ _MAX_REFINE_PER_TWIST = 64
 # below this the landscape is blocked/noise and searching off the candidate
 # twists would only chase rounding, so the record keeps the candidate twist
 _TWIST_REFINE_FLOOR = 1e-9
+# polish rounds: real maxima take 2-6, blocked landscapes' rounding noise all
+_MAX_POLISH_ROUNDS = 64
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -68,7 +66,12 @@ def default_twist_grid() -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """Search window and grids for the transfer optimizer."""
+    """Search window and grids for the transfer optimizer.
+
+    `refine_tol` bounds the last step of the Newton polish: it stops once a
+    step moves beta, and each mode phase beta*c_m through the twist, by at
+    most `refine_tol` (or by less than an ulp).
+    """
 
     beta_min: float = 0.0
     beta_max: float = 5000.0
@@ -105,7 +108,7 @@ class SearchSpec:
 
 @dataclass(frozen=True)
 class TransferPoint:
-    """One refined optimum in the (twist, time) plane."""
+    """One polished optimum in the (twist, time) plane."""
 
     f: float
     beta: float
@@ -116,8 +119,8 @@ class TransferPoint:
 class TransferRecord:
     """Best transfer found for one (ring size, displacement) task.
 
-    `near_optima` lists every refined local optimum within 1e-3 of the best,
-    the primary included, ordered best-first.
+    `near_optima` lists every polished coarse local maximum within 1e-3 of
+    the best, the primary included, ordered best-first.
     """
 
     n: int
@@ -210,15 +213,6 @@ def _golden_max(fn, brackets, tol: float) -> list[tuple[float, float]]:
     return best
 
 
-def _golden_xi(sums: PointSums, rows, brackets, tol: float) -> list[tuple[float, float]]:
-    """Best (beta, xi) of rate row rows[i] on brackets[i] by golden section, all in lockstep."""
-
-    def xi_at(points):
-        return sums.xi([rows[i] for i, _ in points], [beta for _, beta in points])
-
-    return _golden_max(xi_at, brackets, tol)
-
-
 def _local_maxima(values: np.ndarray) -> np.ndarray:
     """Indices of strict local maxima, endpoints included when they dominate."""
     if len(values) == 1:
@@ -276,12 +270,8 @@ def _coarse_pass(
     same number of them.  Candidates below best - 1e-3 may differ, but the
     final filter drops them all.
 
-    The cap leaves the table's searches alone: on the 1/8, quarter-twist and
-    1/40 twist grids at n = 5 and 7 the kept lists are the uncapped ones, at
-    most 40 per displacement.  It binds on a blocked landscape, whose
-    rounding noise is all in the window: the 6-ring at half flux to beta 500
-    has 8,127 such maxima, 64 are kept, and the unrefined window-start anchor
-    decides the record.
+    The cap binds on blocked landscapes, whose rounding noise is all in the
+    window, and not on the table's twist grids (both pinned by tests).
     """
     count, h = grid_count(spec.beta_max - spec.beta_min, spec.beta_step), spec.beta_step
     kernels = {f: SpectralKernel(rates[f], ds) for f in spec.f_candidates}
@@ -329,54 +319,48 @@ def _select(points: list[TransferPoint]) -> TransferPoint:
     return min(group, key=lambda p: (p.beta, abs(p.f), p.f))
 
 
-def _twist_spacing(candidates: tuple[float, ...]) -> float:
-    if len(candidates) < 2:
-        return 1.0 / 800.0
-    gaps = np.diff(np.asarray(candidates))
-    return min(float(gaps.min()) / 2.0, 1.0 / 800.0)
+def _polish(jet_at, f, beta, lo, hi, tol: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Safeguarded Newton ascent of g = |a_d|^2 from each (f[i], beta[i]), all in lockstep.
 
-
-def _refine_twists(
-    n: int, winners: dict[int, TransferPoint], spec: SearchSpec
-) -> dict[int, TransferPoint]:
-    """Confirmation search over f near each displacement's winner, all in lockstep.
-
-    The outer golden search runs over f, and each of its points runs an inner
-    one over beta; a displacement's result is kept only if it improves.
+    `jet_at(index, f, beta)` is `PointSums.jet` at the points `index` moved to
+    (f, beta), one call a round.  A point takes a Newton step where the Hessian
+    is negative definite, else a gradient step scaled by the absolute diagonal
+    (Newton's in beta alone if the twist slopes are zero), halved until g
+    rises; beta stays in [lo[i], hi[i]].  It stops once a step, taken or
+    refused, moves beta by at most `tol` and each mode phase beta*c_m by at
+    most `tol` through the twist (|c_m'| <= 2*pi/N), or moves nothing.
     """
-    ds = list(winners)
-    df = _twist_spacing(spec.f_candidates)
-    windows = []
-    for d in ds:
-        beta = winners[d].beta
-        # a twist shift df slides each mode phase by at most beta*2*pi*df/n
-        half_window = max(1.0, beta * (2.0 * np.pi / n) * df * 3.0)
-        windows.append(
-            (max(spec.beta_min, beta - half_window), min(spec.beta_max, beta + half_window))
+    f, beta = np.array(f, dtype=float), np.array(beta, dtype=float)
+    lo, hi = np.broadcast_to(lo, beta.shape), np.broadcast_to(hi, beta.shape)
+    moving, scale = np.arange(len(beta)), np.ones(len(beta))
+    here = jet_at(moving, f, beta)
+    for _ in range(_MAX_POLISH_ROUNDS):
+        g, g_b, g_f, h_bb, h_bf, h_ff = here[:, moving]
+        det = h_bb * h_ff - h_bf * h_bf
+        newton = (h_bb < 0) & (det > 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step_b = np.where(newton, (h_bf * g_f - h_ff * g_b) / det, g_b / abs(h_bb))
+            step_f = np.where(newton, (h_bf * g_b - h_bb * g_f) / det, g_f / abs(h_ff))
+        trial_b = beta[moving] + np.nan_to_num(step_b, posinf=0.0, neginf=0.0) * scale[moving]
+        trial_b = np.clip(trial_b, lo[moving], hi[moving])
+        trial_f = f[moving] + np.nan_to_num(step_f, posinf=0.0, neginf=0.0) * scale[moving]
+        there = jet_at(moving, trial_f, trial_b)
+        rose = there[0] > g
+        done = (abs(trial_b - beta[moving]) <= tol) & (
+            abs(trial_f - f[moving]) * beta[moving] * (2.0 * np.pi / n) <= tol
         )
-    seen: list[list[TransferPoint]] = [[] for _ in ds]
-
-    def objective(points):
-        sums = PointSums([_mode_cosines(n, fv) for _, fv in points], [ds[j] for j, _ in points])
-        rows = range(len(points))
-        found = _golden_xi(sums, rows, [windows[j] for j, _ in points], spec.refine_tol)
-        for (j, fv), (beta, value) in zip(points, found):
-            seen[j].append(TransferPoint(f=fv, beta=beta, xi=value))
-        return [value for _, value in found]
-
-    twists = [(winners[d].f - df, winners[d].f + df) for d in ds]
-    _golden_max(objective, twists, max(df * 1e-3, 1e-7))
-    confirmed = {}
-    for d, points in zip(ds, seen):
-        improved = max(points, key=lambda p: p.xi)
-        confirmed[d] = improved if improved.xi > winners[d].xi + _XI_TIE else winners[d]
-    return confirmed
+        taken, scale[moving] = moving[rose], np.where(rose, 1.0, 0.5 * scale[moving])
+        f[taken], beta[taken], here[:, taken] = trial_f[rose], trial_b[rose], there[:, rose]
+        moving = moving[~done]
+        if not len(moving):
+            break
+    return f, beta
 
 
 def optimize_transfers(
     n: int, ds: tuple[int, ...] | list[int], spec: SearchSpec | None = None
 ) -> dict[int, TransferRecord]:
-    """Run the coarse+refine search for several displacements of one ring at once."""
+    """Run the coarse search and Newton polish for several displacements of one ring at once."""
     spec = spec or SearchSpec()
     ds = tuple(dict.fromkeys(int(d) for d in ds))
     for d in ds:
@@ -390,47 +374,53 @@ def optimize_transfers(
     sums = PointSums(np.tile([rates[f] for f in twists], (len(ds), 1)), np.repeat(ds, len(twists)))
     row = {(d, f): j * len(twists) + i for j, d in enumerate(ds) for i, f in enumerate(twists)}
 
-    candidates: dict[int, list[TransferPoint]] = {}
-    moving, rows, brackets = [], [], []  # (d, index into candidates[d]), rate row, bracket
-    for d in ds:
-        candidates[d] = [TransferPoint(f=f, beta=beta_c, xi=xi_c) for f, beta_c, xi_c in coarse[d]]
-        for i, p in enumerate(candidates[d]):
-            lo = max(spec.beta_min, p.beta - spec.beta_step)
-            hi = min(spec.beta_max, p.beta + spec.beta_step)
-            if hi > lo:
-                moving.append((d, i))
-                rows.append(row[d, p.f])
-                brackets.append((lo, hi))
-    found = _golden_xi(sums, rows, brackets, spec.refine_tol)
-    for (d, i), (beta_r, xi_r) in zip(moving, found):
-        candidates[d][i] = TransferPoint(f=candidates[d][i].f, beta=beta_r, xi=xi_r)
-    # unrefined window-start anchors make flat (fully blocked) landscapes
-    # resolve deterministically to beta_min instead of refinement noise
+    # each coarse candidate in beta alone, in +-beta_step: zero twist slopes keep its twist
+    kept = [(d, f, beta) for d in ds for f, beta, _ in coarse[d]]
+    rows = np.array([row[d, f] for d, f, _ in kept], dtype=np.intp)
+    start = np.array([beta for _, _, beta in kept])
+    lo = np.maximum(spec.beta_min, start - spec.beta_step)
+    hi = np.minimum(spec.beta_max, start + spec.beta_step)
+    flat = np.zeros((len(row), n))
+    _, betas = _polish(
+        lambda index, _, betas: sums.jet(rows[index], betas, flat, flat),
+        np.zeros(len(rows)), start, lo, hi, spec.refine_tol, n,
+    )
+    candidates: dict[int, list[TransferPoint]] = {d: [] for d in ds}
+    for (d, f, _), beta, value in zip(kept, betas.tolist(), sums.xi(rows, betas)):
+        candidates[d].append(TransferPoint(f=f, beta=beta, xi=value))
+    # unpolished window-start anchors make flat (fully blocked) landscapes
+    # resolve deterministically to beta_min instead of polish noise
     anchors = iter(sums.xi(range(len(row)), [spec.beta_min] * len(row)))
     for d in ds:
         candidates[d] += [TransferPoint(f=f, beta=spec.beta_min, xi=next(anchors)) for f in twists]
 
+    # each winner jointly in (f, beta); it moves only if xi rises by more than a tie
     winners = {d: _select(points) for d, points in candidates.items()}
-    confirmed = _refine_twists(
-        n, {d: w for d, w in winners.items() if w.xi >= _TWIST_REFINE_FLOOR}, spec
-    )
+    jointly = [d for d in ds if winners[d].xi >= _TWIST_REFINE_FLOOR]
+    k = 2.0 * np.pi / n
+
+    def joint(index, fs, betas):
+        rates = np.array([_mode_cosines(n, f) for f in fs]).reshape(-1, n)
+        slopes = -k * np.sin(k * (np.arange(1, n + 1) + np.reshape(fs, (-1, 1))))
+        twisted = PointSums(rates, [jointly[i] for i in index])
+        return twisted.jet(range(len(fs)), betas, slopes, -k * k * rates)
+
+    start = np.reshape([(winners[d].f, winners[d].beta) for d in jointly], (-1, 2)).T
+    f, beta = _polish(joint, *start, spec.beta_min, spec.beta_max, spec.refine_tol, n)
+    for d, f_p, beta_p in zip(jointly, f.tolist(), beta.tolist()):
+        (xi_p,) = PointSums(_mode_cosines(n, f_p), d).xi([0], [beta_p])
+        if xi_p > winners[d].xi + _XI_TIE:
+            winners[d] = TransferPoint(f=f_p, beta=beta_p, xi=xi_p)
     records: dict[int, TransferRecord] = {}
     for d, refined in candidates.items():
-        winner = confirmed.get(d, winners[d])
+        winner = winners[d]
         keep = sorted(
             (p for p in refined if p.xi >= winner.xi - _NEAR_OPTIMUM_WINDOW),
             key=lambda p: (-p.xi, p.beta, abs(p.f), p.f),
         )
         if winner not in keep:
             keep.insert(0, winner)
-        records[d] = TransferRecord(
-            n=n,
-            d=d,
-            f=winner.f,
-            beta=winner.beta,
-            xi=winner.xi,
-            near_optima=tuple(keep),
-        )
+        records[d] = TransferRecord(n, d, winner.f, winner.beta, winner.xi, tuple(keep))
     return records
 
 

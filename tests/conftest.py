@@ -7,7 +7,9 @@ closed forms for the 4-site ring, plain binary entropy, the full 2^N spin
 Hamiltonian, the flux-ring entanglement from dense propagators and a 2 x N
 Schmidt decomposition, the sector Hamiltonian in the single-bond gauge, the
 optimizer's coarse pass over the whole twist x time grid, unpruned, a
-scalar golden-section search, one bracket and one point at a time, and a
+scalar golden-section search, one bracket and one point at a time, the
+optimizer's former golden-section refinements, which the Newton polish
+must never fall below, the twist derivatives of the mode cosines, and a
 one-point mode sum, one `exp` and one `np.dot`.
 """
 
@@ -18,10 +20,10 @@ import math
 
 import numpy as np
 
-from spinring.amplitude import SpectralKernel
+from spinring.amplitude import PointSums, SpectralKernel
 from spinring.bessel import _start_order
 from spinring.entangle import EntanglementReading
-from spinring.optimize import _INV_PHI, _local_maxima
+from spinring.optimize import _INV_PHI, _coarse_pass, _golden_max, _local_maxima
 from spinring.ring import RingConfig, _mode_cosines, build_hamiltonian, propagate_oracle
 
 # Full-space validation is exponential in N; anything past this is a mistake.
@@ -278,6 +280,80 @@ def golden_max_reference(fn, lo, hi, tol):
             if y > best_y:
                 best_x, best_y = x, y
     return best_x, best_y
+
+
+def golden_search_reference(n, ds, spec):
+    """Best (f, beta, xi) per displacement by the optimizer's former golden searches.
+
+    Every coarse candidate is refined by golden section in beta on its
+    +-beta_step bracket, the window-start anchors join, and each winner at or
+    above 1e-9 then gets a nested confirmation: an outer golden search over
+    the twist in +-df, df = min(half the twist spacing, 1/800), whose every
+    point runs an inner one over beta in +-max(1, 6*pi*beta*df/N).  The
+    confirmed point replaces the winner only if its xi is higher by more
+    than 1e-12.  Brackets step in lockstep (`optimize._golden_max`).
+    """
+    rates = {f: _mode_cosines(n, f) for f in spec.f_candidates}
+
+    def golden_xi(twists, displacements, brackets):
+        rows = [rates[f] if f in rates else _mode_cosines(n, f) for f in twists]
+        sums = PointSums(rows, displacements)
+
+        def xi_at(points):
+            return sums.xi([i for i, _ in points], [beta for _, beta in points])
+
+        return _golden_max(xi_at, brackets, spec.refine_tol)
+
+    best = {}
+    for d, points in _coarse_pass(n, ds, spec, rates).items():
+        brackets = [
+            (max(spec.beta_min, b - spec.beta_step), min(spec.beta_max, b + spec.beta_step))
+            for _, b, _ in points
+        ]
+        moving = [i for i, (lo, hi) in enumerate(brackets) if hi > lo]
+        found = golden_xi(
+            [points[i][0] for i in moving], [d] * len(moving), [brackets[i] for i in moving]
+        )
+        for i, (beta, value) in zip(moving, found):
+            points[i] = (points[i][0], beta, value)
+        anchors = PointSums([rates[f] for f in spec.f_candidates], d)
+        starts = anchors.xi(range(len(rates)), [spec.beta_min] * len(rates))
+        points += [(f, spec.beta_min, value) for f, value in zip(spec.f_candidates, starts)]
+        top = max(p[2] for p in points)
+        tied = [p for p in points if p[2] >= top - 1e-12]
+        best[d] = min(tied, key=lambda p: (p[1], abs(p[0]), p[0]))
+    gaps = np.diff(spec.f_candidates)
+    df = min(float(gaps.min()) / 2.0, 1.0 / 800.0) if len(gaps) else 1.0 / 800.0
+    confirm = [d for d in ds if best[d][2] >= 1e-9]
+    windows = []
+    for d in confirm:
+        half = max(1.0, best[d][1] * (2.0 * np.pi / n) * df * 3.0)
+        beta = best[d][1]
+        windows.append((max(spec.beta_min, beta - half), min(spec.beta_max, beta + half)))
+    seen = [[] for _ in confirm]
+
+    def objective(points):
+        found = golden_xi(
+            [f for _, f in points], [confirm[j] for j, _ in points], [windows[j] for j, _ in points]
+        )
+        for (j, f), (beta, value) in zip(points, found):
+            seen[j].append((f, beta, value))
+        return [value for _, value in found]
+
+    twists = [(best[d][0] - df, best[d][0] + df) for d in confirm]
+    _golden_max(objective, twists, max(df * 1e-3, 1e-7))
+    for d, tried in zip(confirm, seen):
+        top = max(tried, key=lambda p: p[2])
+        if top[2] > best[d][2] + 1e-12:
+            best[d] = top
+    return best
+
+
+def ring_twist_derivatives(n, f):
+    """d c_m/d f and d^2 c_m/d f^2 of c_m(f) = cos(2*pi*(m+f)/N), from the unfolded angle."""
+    k = 2.0 * np.pi / n
+    angle = k * (np.arange(1, n + 1) + f)
+    return -k * np.sin(angle), -k * k * np.cos(angle)
 
 
 def point_sum_reference(rates, d, beta) -> complex:

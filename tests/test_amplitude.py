@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import point_sum_reference, single_bond_hamiltonian
+from conftest import point_sum_reference, ring_twist_derivatives, single_bond_hamiltonian
 from spinring import amplitude
 from spinring.amplitude import (
     AmplitudeQuery,
@@ -481,6 +481,41 @@ def test_point_sums_share_one_displacement_or_refuse():
         PointSums(rates, [1, 2])
     with pytest.raises(ValueError, match="one beta per row"):
         PointSums(rates, 1).values([0, 1], [1.0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    d=st.integers(-12, 12),
+    f=st.floats(-0.5, 0.5),
+    beta=st.one_of(st.floats(0.0, 500.0), st.sampled_from([0.0, 500.0])),
+)
+def test_point_jet_is_the_central_differences_of_the_squared_values(n, d, f, beta):
+    def g(df, db):
+        return abs(PointSums(_mode_cosines(n, f + df), d).values([0], [beta + db])[0]) ** 2
+
+    # a twist step moves each mode phase by up to beta*2*pi/N, so it is scaled down
+    hb = 1e-4
+    hf = hb / (1.0 + beta)
+    g0 = g(0.0, 0.0)
+    diffs = [
+        g0,
+        (g(0.0, hb) - g(0.0, -hb)) / (2 * hb),
+        (g(hf, 0.0) - g(-hf, 0.0)) / (2 * hf),
+        (g(0.0, hb) - 2 * g0 + g(0.0, -hb)) / hb**2,
+        (g(hf, hb) - g(hf, -hb) - g(-hf, hb) + g(-hf, -hb)) / (4 * hf * hb),
+        (g(hf, 0.0) - 2 * g0 + g(-hf, 0.0)) / hf**2,
+    ]
+    scale = np.array([1.0, 1.0, 1.0 + beta, 1.0, 1.0 + beta, (1.0 + beta) ** 2])
+    slopes, bends = ring_twist_derivatives(n, f)
+    sums = PointSums([_mode_cosines(n, f)] * 3, [d + 1, d, d])
+    jet = sums.jet([1], [beta], [slopes] * 3, [bends] * 3)
+    assert jet.shape == (6, 1)
+    assert np.all(np.abs(jet[:, 0] - diffs) <= 2e-4 * scale)
+    # a point's jet does not depend on its batch or on the block it falls in
+    with mock.patch.object(amplitude, "_CHUNK", n):
+        batch = sums.jet([0, 1, 2, 1], [beta + 1.0, beta, beta, beta], [slopes] * 3, [bends] * 3)
+    assert np.array_equal(batch[:, 1:], np.repeat(jet, 3, axis=1))
 
 
 def test_point_sums_over_more_points_than_one_block():

@@ -452,6 +452,61 @@ def test_multiparty_plan_matches_golden(capsys):
     assert out.encode() == (DATA / "multiparty_n9_sites_1_4_7.json").read_bytes()
 
 
+# (f, beta, xi) of each record and near optimum before the Newton polish,
+# when golden-section searches refined them; the same for both twist grids
+GOLDEN_SEARCH_TABLE1 = {
+    (5, 1): ((0.25, 4718.38552536, 0.999999910392), (-0.25, 1214.29640786, 0.999836300361)),
+    (5, 2): ((0.25, 2916.12261646, 0.999999765386), (-0.25, 162.509936157, 0.9999244627)),
+    (5, 3): ((-0.25, 2916.12261646, 0.999999765386), (0.25, 162.509936157, 0.9999244627)),
+    (5, 4): ((-0.25, 4718.38552536, 0.999999910392), (0.25, 1214.29640786, 0.999836300361)),
+    (7, 1): ((-0.25, 4364.96792616, 0.999692326339),) * 2,
+    (7, 2): ((0.25, 1942.59348084, 0.999412491059),) * 2,
+    (7, 3): ((0.25, 3500.43249397, 0.999599553262),) * 2,
+    (7, 4): ((-0.25, 3500.43249397, 0.999599553262),) * 2,
+    (7, 5): ((-0.25, 1942.59348084, 0.999412491059),) * 2,
+    (7, 6): ((0.25, 4364.96792616, 0.999692326339),) * 2,
+}
+GOLDEN_SEARCH_MULTIPARTY = ((1022.97142339, 0.997664854944), (1922.55738354, 0.997551557423))
+
+
+def test_polished_goldens_keep_the_golden_search_values_as_a_floor():
+    # each xi may only rise, each beta stays within the polish tolerance
+    # (`SearchSpec.refine_tol`, 1e-4) and every published window still passes
+    tol = SearchSpec().refine_tol
+    for name in ("table1_eighth_twists.csv", "table1_quarter_twists.csv"):
+        for row in read_rows(DATA / name):
+            assert row["passed"] == "true"
+            old = GOLDEN_SEARCH_TABLE1[int(row["n"]), int(row["d"])]
+            for kind, (f, beta, value) in zip(("best", "match"), old):
+                assert float(row[f"f_{kind}"]) == f
+                assert float(row[f"xi_{kind}"]) >= value - 1e-15
+                assert abs(float(row[f"beta_{kind}"]) - beta) <= tol
+    doc = json.loads((DATA / "multiparty_n9_sites_1_4_7.json").read_text())
+    for pair in doc["pairs"]:
+        best = pair["near_optima"][0]
+        assert (pair["beta"], pair["xi"]) == (best["beta"], best["xi"])
+        for point, (beta, value) in zip(pair["near_optima"], GOLDEN_SEARCH_MULTIPARTY):
+            assert point["xi"] >= value - 1e-15
+            assert abs(point["beta"] - beta) <= tol
+
+
+def test_config_refine_tol_sets_where_the_polish_stops(tmp_path, capsys):
+    # the polish stops once a step moves beta by at most refine_tol: a loose
+    # tolerance from --config stops it one Newton step after the coarse grid
+    argv = ("multiparty", "--n", "9", "--sites", "1,4", "--twists=-0.25,0.25", "--beta-max", "2000")
+    config = tmp_path / "loose.json"
+    config.write_text(json.dumps({"refine_tol": 0.5}))
+    plans = []
+    for extra in ((), ("--config", str(config))):
+        code, out = run_cli(capsys, *argv, *extra)
+        assert code == 0
+        plans.append(json.loads(out)["pairs"][0])
+    tight, loose = plans
+    assert loose["beta"] != tight["beta"]
+    assert abs(loose["beta"] - tight["beta"]) <= 0.5
+    assert loose["xi"] <= tight["xi"]
+
+
 def test_sweep_and_byte_determinism(tmp_path, capsys):
     args = ("sweep", "--n", "5", "--d", "2", "--f-step", "0.25",
             "--beta-max", "20", "--beta-step", "0.1")

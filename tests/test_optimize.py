@@ -7,12 +7,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import coarse_pass_reference, golden_max_reference
+from conftest import (
+    coarse_pass_reference,
+    golden_max_reference,
+    golden_search_reference,
+    ring_twist_derivatives,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinring import amplitude, entangle, optimize
-from spinring.amplitude import _CHUNK, SpectralKernel, _giant_steps, xi, xi_profile
+from spinring.amplitude import _CHUNK, PointSums, SpectralKernel, _giant_steps, xi, xi_profile
 from spinring.optimize import (
     SearchSpec,
     default_twist_grid,
@@ -358,6 +363,45 @@ def test_twist_refinement_moves_an_off_grid_winner():
     assert rec.f == pytest.approx(-0.19967, abs=1e-5)
     assert rec.xi == pytest.approx(0.99463, abs=1e-5)
     assert rec.xi > grid_best + 1e-3
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_table_records_are_strict_two_dimensional_local_maxima(n):
+    # every record of the benchmark's 1/8 twist grid is polished; there g = |a|^2
+    # has a negative definite Hessian in (beta, f), and the Newton step still to
+    # take is far below the polish tolerance in beta and in twist phase
+    spec = SearchSpec(f_candidates=twist_grid(8))
+    k = 2.0 * math.pi / n
+    for d, rec in optimize_transfers(n, range(1, n), spec).items():
+        slopes, bends = ring_twist_derivatives(n, rec.f)
+        sums = PointSums(_mode_cosines(n, rec.f), d)
+        _, g_b, g_f, h_bb, h_bf, h_ff = sums.jet([0], [rec.beta], [slopes], [bends])[:, 0]
+        assert h_bb < 0 and h_bb * h_ff - h_bf**2 > 0, (n, d)
+        step_b, step_f = np.linalg.solve([[h_bb, h_bf], [h_bf, h_ff]], [g_b, g_f])
+        assert abs(step_b) <= 1e-6 and abs(step_f) * k * rec.beta <= 1e-6, (n, d)
+        assert abs(g_b) <= 1e-6 and abs(g_f) <= 1e-9 * k * rec.beta, (n, d)
+
+
+def test_polish_never_falls_below_the_golden_searches():
+    # seeded random searches: every ring size 3..11, 1-5 uniform twists,
+    # windows to 50..2000 and all displacements, where the former nested
+    # golden searches often stopped on the edge of their twist window
+    rng = np.random.default_rng(17)
+    lower, higher, total = [], 0, 0
+    for n in [m for m in range(3, 12) for _ in range(4)]:
+        twists = tuple(float(f) for f in rng.uniform(-0.5, 0.5, int(rng.integers(1, 6))))
+        spec = SearchSpec(beta_max=float(rng.uniform(50.0, 2000.0)), f_candidates=twists)
+        ds = tuple(range(1, n))
+        records = optimize_transfers(n, ds, spec)
+        reference = golden_search_reference(n, ds, spec)
+        for d in ds:
+            rec, total = records[d], total + 1
+            assert all(spec.beta_min <= p.beta <= spec.beta_max for p in rec.near_optima)
+            if rec.xi < reference[d][2] - 1e-12:
+                lower.append((n, d, twists, spec.beta_max, rec.xi - reference[d][2]))
+            higher += rec.xi > reference[d][2] + 1e-12
+    assert lower == []
+    assert total > 200 and higher > total // 2
 
 
 def test_blocked_task_reports_window_start():
