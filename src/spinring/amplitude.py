@@ -61,10 +61,12 @@ BESSEL_BETA_MAX = 12000.0
 
 # Points per displacement evaluated at once; bounds the live phase block.
 _CHUNK = 65536
-# Fine steps between the points of the pre-grid `SpectralKernel.row_bounds`
-# reads.  Its curvature reach grows as the square of this stride and its cost
-# falls as the inverse; see CHANGES.md for the measurement that chose it.
-_PRE_STRIDE = 20
+# Largest curvature reach M*(K*h)^2/8, in |a|^2, of the first and of the last
+# level of `SpectralKernel.row_bounds` (strides K = 64 and 4 at h = 0.02 on a
+# ring): the first still prunes most stretches of a landscape, the last
+# decides which giant rows are evaluated.
+_FIRST_REACH = 0.25
+_LAST_REACH = 1e-3
 
 
 class BesselTruncationError(RuntimeError):
@@ -132,6 +134,12 @@ def _giant_steps(b0: float, h: float, count: int) -> tuple[np.ndarray, int]:
     return b0 + h * (stride * np.arange(-(-count // stride))), stride
 
 
+def _level_stride(h: float, count: int, reach: float, curvature: float) -> int:
+    """The largest power of two K <= 2^ceil(log2(count)) with curvature*(K*h)^2/8 <= reach, or 1."""
+    widest = min(math.sqrt(8.0 * reach / curvature) / h, 1 << (count - 1).bit_length())
+    return 1 << max(math.frexp(widest)[1] - 1, 0)  # floor(log2(widest)), exactly
+
+
 class SpectralKernel:
     """Mode sums a_d(beta) = (1/N) sum_m exp(2*pi*i*d*m/N) exp(i*beta*c_m), m = 1..N.
 
@@ -144,7 +152,8 @@ class SpectralKernel:
     def __init__(self, rates: np.ndarray, ds) -> None:
         n = self.n = len(rates)
         self._irates = 1j * np.asarray(rates, dtype=float)
-        self._columns = _mode_weights(n, [int(d) % n for d in ds])  # one row per displacement
+        self._ds = [int(d) % n for d in ds]
+        self._columns = _mode_weights(n, self._ds)  # one row per displacement
 
     def xi_grid(self, b0: float, h: float, count: int) -> np.ndarray:
         """|a_d| at b0 + k*h for k < count, shape (displacements, count).
@@ -156,26 +165,29 @@ class SpectralKernel:
         starts, stride = _giant_steps(b0, h, count)
         return self._xi_giant(self._columns, starts, self._baby(h, stride))[:, :count]
 
-    def row_bounds(
-        self, b0: float, h: float, count: int, spread: float = 0.0
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Bounds (low, high) on `xi_grid(b0, h, count)`: low[d] <= its maximum for
-        displacement d, and high[d, g] >= its every value on giant row g.
+    def row_bounds(self, b0: float, h: float, count: int, spread: float = 0.0):
+        """Bounds on `xi_grid(b0, h, count)`: (low, rows) with low[d] <= its maximum
+        for displacement d, and rows(floor) a boolean array of shape (displacements,
+        giant rows) that holds wherever row g may hold a value >= floor[d].
 
-        Read off a pre-grid at fine index p*K, K = `_PRE_STRIDE`, with one point
-        past the grid so every fine point lies between two.  The bound is on
-        the curvature of g = |a_d|^2.  With a = (1/N) sum_m w_m exp(i*beta*c_m)
-        and |w_m| = 1, |a| <= 1 and |a''| <= mean_m c_m^2, so
+        The bound is on the curvature of g = |a_d|^2.  With a = (1/N) sum_m
+        w_m exp(i*beta*c_m) and |w_m| = 1, |a| <= 1 and |a''| <= mean_m c_m^2, so
 
             -g'' = -2|a'|^2 - 2 Re(a'' conj(a)) <= 2 mean_m c_m^2 =: M,
 
         which is 1 on a ring.  Then g + (M/2)(beta - u)(beta - v) is convex on
-        the stretch [u, v] between two neighbouring pre points, so it stays
-        below its larger end value, and as (beta - u)(v - beta) <= (v - u)^2/4,
-        g <= max(g(u), g(v)) + M*(K*h)^2/8 there.  high is the square root of
-        that, taken over the pre stretches that cover the row, and it holds
-        between the grid points too.  Both bounds carry a slack for the
-        pre-grid's different rounding.
+        a stretch [u, v], so it stays below its larger end value, and as
+        (beta - u)(v - beta) <= (v - u)^2/4, g <= max(g(u), g(v)) + M*(v - u)^2/8
+        there, between the grid points too.
+
+        A level of stride K, a power of two (`_level_stride`), has stretches
+        between the fine indices p*K.  low is read off the first level, reach
+        M*(K*h)^2/8 at most `_FIRST_REACH`, with one point past the grid so
+        every grid point lies on a stretch.  rows(floor) halves each stretch
+        whose bound still reaches floor[d], evaluating its midpoint by
+        `PointSums`, down to reach `_LAST_REACH`, and keeps the giant rows the
+        stretches left there touch.  Both bounds carry a slack for the
+        levels' different rounding.
 
         `spread` widens that slack by spread * beta: the bounds then also hold
         for a kernel whose weights match these to rounding and whose rates are
@@ -183,33 +195,50 @@ class SpectralKernel:
         beta * max_m |c_m - c'_m| between them.
         """
         starts, stride = _giant_steps(b0, h, count)
-        first = stride * np.arange(len(starts))
-        last = np.minimum(first + stride - 1, count - 1)
-        pre_count = (count - 1) // _PRE_STRIDE + 2
-        beta_end = b0 + (pre_count - 1) * _PRE_STRIDE * h
-        if not math.isfinite(beta_end):
-            # the pre-grid would run past the largest float: bound nothing
-            rows = len(self._columns)
-            return np.full(rows, -np.inf), np.full((rows, len(starts)), np.inf)
-        pre = self.xi_grid(b0, _PRE_STRIDE * h, pre_count)
-        slack = 1e-9 + (16.0 * np.finfo(float).eps + spread) * beta_end
-        # pair[p] is the larger end of the pre stretch from p to p + 1, and
-        # top[g] the largest over the stretches that cover row g
-        pair = np.maximum(pre[:, :-1], pre[:, 1:])
-        top = np.maximum(
-            np.maximum.reduceat(pair, first // _PRE_STRIDE, axis=1), pair[:, last // _PRE_STRIDE]
-        )
+        shape = (len(self._columns), len(starts))
         curvature = 2.0 * float(np.mean(np.abs(self._irates) ** 2))
-        # sqrt((top + slack)^2 + M*(K*h)^2/8), without overflow on a sparse grid
-        high = np.hypot(top + slack, _PRE_STRIDE * h * math.sqrt(curvature / 8.0)) + slack
-        return pre[:, :-1].max(axis=1) - slack, high
+        first = _level_stride(h, count, _FIRST_REACH, curvature)
+        last = _level_stride(h, count, _LAST_REACH, curvature)
+        points = (count - 1) // first + 2
+        beta_end = b0 + (points - 1) * first * h
+        if not math.isfinite(beta_end):
+            # the first level would run past the largest float: bound nothing
+            return np.full(shape[0], -np.inf), lambda floor: np.ones(shape, dtype=bool)
+        level = self.xi_grid(b0, first * h, points)
+        slack = 1e-9 + (16.0 * np.finfo(float).eps + spread) * beta_end
+        sums = PointSums(np.tile(self._irates.imag, (shape[0], 1)), self._ds)
+
+        def rows(floor: np.ndarray) -> np.ndarray:
+            def least(width: int) -> np.ndarray:
+                # sqrt((max(ends) + slack)^2 + M*(width*h)^2/8) + slack >= floor
+                lift = np.maximum(floor - slack, 0.0) ** 2 - curvature * (width * h) ** 2 / 8.0
+                return np.sqrt(np.maximum(lift, 0.0)) - slack
+
+            # the stretches left: displacement d, first fine index k, values at both ends
+            d, p = np.nonzero(np.maximum(level[:, :-1], level[:, 1:]) >= least(first)[:, None])
+            k, ends, width = p * first, (level[d, p], level[d, p + 1]), first
+            while width > last and len(k):
+                width //= 2
+                mid = np.abs(sums.values(d, b0 + h * (k + width)))
+                d, k = np.concatenate((d, d)), np.concatenate((k, k + width))
+                ends = (np.concatenate((ends[0], mid)), np.concatenate((mid, ends[1])))
+                # a half that starts past the grid covers none of it
+                alive = (k < count) & (np.maximum(*ends) >= least(width)[d])
+                d, k, ends = d[alive], k[alive], (ends[0][alive], ends[1][alive])
+            # stretch [k, k + width] touches the giant rows k // S .. (k + width - 1) // S
+            marks = np.zeros((shape[0], shape[1] + 1), dtype=int)
+            np.add.at(marks, (d, k // stride), 1)
+            np.add.at(marks, (d, np.minimum((k + width - 1) // stride + 1, shape[1])), -1)
+            return np.cumsum(marks[:, :-1], axis=1) > 0
+
+        return level[:, :-1].max(axis=1) - slack, rows
 
     def xi_rows(
         self, b0: float, h: float, count: int, keep: np.ndarray
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """`xi_grid(b0, h, count)` on the giant rows where keep[d, g] holds, bit for bit.
 
-        `keep` has the shape of `row_bounds`' `high`.  Returns, per
+        `keep` has the shape `row_bounds`' rows(floor) returns.  Returns, per
         displacement, the grid indices k < count of its kept rows in order and
         the values there.
         """

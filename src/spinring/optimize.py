@@ -9,14 +9,14 @@ the exact derivatives of `PointSums.jet`, all points of a ring in lockstep.
 
 The coarse grid is pruned by a bound: |a|^2, a = (1/N) sum_m w_m
 exp(i*beta*c_m) with |w_m| = 1, curves down no faster than 2 mean_m c_m^2
-(= 1 on a ring), so a thinner pre-grid shows which stretches of the fine
-grid cannot come within 1e-3 of the best (`SpectralKernel.row_bounds`).
-Only the others are evaluated, and the kernel gives them the full grid's
-values bit for bit, so the coarse candidates are the full grid's (see
-`_coarse_pass`).  Near-perfect windows at different times can tie to within
-fractions of 1e-3; all surviving polished optima are kept on the record
-(`near_optima`) so callers can match a specific reported window as well as
-the in-range global best.
+(= 1 on a ring), so a coarse level of points, halved where it can still
+reach, shows which stretches of the fine grid cannot come within 1e-3 of the
+best (`SpectralKernel.row_bounds`).  Only the others are evaluated, and the
+kernel gives them the full grid's values bit for bit, so the coarse
+candidates are the full grid's (see `_coarse_pass`).  Near-perfect windows
+at different times can tie to within fractions of 1e-3; all surviving
+polished optima are kept on the record (`near_optima`) so callers can match
+a specific reported window as well as the in-range global best.
 
 Ties are resolved toward the earliest usable time: smallest beta, then
 smallest |f|, then negative f.
@@ -119,8 +119,8 @@ class TransferPoint:
 class TransferRecord:
     """Best transfer found for one (ring size, displacement) task.
 
-    `near_optima` lists every polished coarse local maximum within 1e-3 of
-    the best, the primary included, ordered best-first.
+    `near_optima` lists every coarse local maximum within 1e-3 of the best,
+    the primary included, best-first, each polished in beta unless blocked (xi < 1e-9).
     """
 
     n: int
@@ -244,21 +244,22 @@ def _coarse_pass(
     Each twist's landscape is `SpectralKernel.xi_grid` on beta_min + k*h,
     k < B, which the kernel factors into giant rows of S = ceil(sqrt(B))
     points.  Only the giant rows that can hold a point within 1e-3 of the
-    best are evaluated, in two stages.  Stage one reads, for every twist, an
-    upper bound on each row and a lower bound on each displacement's best
-    (`row_bounds`).  Stage two evaluates, per twist, the rows whose bound
-    reaches the best lower bound over all twists minus 1e-3 (`xi_rows`,
-    bit for bit the full grid's values).  The runs of evaluated rows are
-    joined with -inf separators and scanned for local maxima once.
+    best are evaluated (`row_bounds`).  Every twist's first level gives a
+    lower bound on each displacement's best, and the floor is the largest
+    over all twists minus 1e-3.  Each twist then halves the stretches whose
+    curvature bound still reaches the floor and evaluates the giant rows the
+    last ones touch (`xi_rows`, bit for bit the full grid's values).  The
+    runs of evaluated rows are joined with -inf separators and scanned for
+    local maxima once.
 
-    Stage one reads twists f and -f off one pre-grid where both are
-    candidates.  Reflecting the ring reverses the twist, a_d(beta, -f) =
-    a_{N-d}(beta, f), as the rates of -f are those of f under m -> N - m.
-    So the bounds of f's rates over the displacements ds and N - ds bound
-    both twists; the rates of a pair whose twists are opposite only up to
-    rounding differ by a spread that widens the slack (`row_bounds`).  The
-    pre-grid need not match any twist's bits, but stage two evaluates each
-    twist with its own kernel.
+    Twists f and -f share one bound where both are candidates.  Reflecting
+    the ring reverses the twist, a_d(beta, -f) = a_{N-d}(beta, f), as the
+    rates of -f are those of f under m -> N - m.  So the bounds of f's rates
+    over the displacements ds and N - ds bound both twists, a row standing
+    for one of each taking the lower floor; the rates of a pair whose twists
+    are opposite only up to rounding differ by a spread that widens the
+    slack (`row_bounds`).  The bound need not match any twist's bits, but
+    each twist's rows are evaluated with its own kernel.
 
     The kept lists equal the full grid's.  Every value of a skipped row lies
     below best - 1e-3, so (i) a point at or above best - 1e-3 keeps its
@@ -275,26 +276,32 @@ def _coarse_pass(
     """
     count, h = grid_count(spec.beta_max - spec.beta_min, spec.beta_step), spec.beta_step
     kernels = {f: SpectralKernel(rates[f], ds) for f in spec.f_candidates}
-    bounds = {}
     mirrored = tuple(n - d for d in ds)
     union = ds + tuple(d for d in mirrored if d not in ds)
-    for f, g in _mirror_pairs(spec.f_candidates):
+    pairs = _mirror_pairs(spec.f_candidates)
+    bounds = []  # per bounding kernel: (low, rows) and the kernel rows of ds per twist
+    for f, g in pairs:
         # a_d(beta, -f) = a_{N-d}(beta, f): the rates of g are those of f
         # under m -> N - m, up to the rounding of the two twists
         spread = float(np.max(np.abs(rates[g] - np.roll(rates[f][::-1], -1))))
         kernel = kernels[f] if len(union) == len(ds) else SpectralKernel(rates[f], union)
-        low, high = kernel.row_bounds(spec.beta_min, h, count, spread)
-        for twist, side in ((f, ds), (g, mirrored)):
-            rows = [union.index(d) for d in side]
-            bounds[twist] = (low[rows], high[rows])
-    for f in spec.f_candidates:
-        if f not in bounds:
-            bounds[f] = kernels[f].row_bounds(spec.beta_min, h, count)
-    floor = np.max([low for low, _ in bounds.values()], axis=0) - _NEAR_OPTIMUM_WINDOW
+        sides = {f: [union.index(d) for d in ds], g: [union.index(d) for d in mirrored]}
+        bounds.append((kernel.row_bounds(spec.beta_min, h, count, spread), sides))
+    bounds += [(kernels[f].row_bounds(spec.beta_min, h, count), {f: list(range(len(ds)))})
+               for f in set(spec.f_candidates).difference(*pairs)]
+    lows = [low[at] for (low, _), sides in bounds for at in sides.values()]
+    floor = np.max(lows, axis=0) - _NEAR_OPTIMUM_WINDOW
+    keep = {}
+    for (low, rows_above), sides in bounds:
+        floors = np.full(len(low), np.inf)
+        for at in sides.values():
+            floors[at] = np.minimum(floors[at], floor)
+        above = rows_above(floors)
+        keep.update({twist: above[at] for twist, at in sides.items()})
     kept: dict[int, list[tuple[float, float, float]]] = {d: [] for d in ds}
     best: dict[int, float] = {d: -1.0 for d in ds}
     for f, kernel in kernels.items():
-        rows = kernel.xi_rows(spec.beta_min, h, count, bounds[f][1] >= floor[:, None])
+        rows = kernel.xi_rows(spec.beta_min, h, count, keep[f])
         for d, (index, values) in zip(ds, rows):
             if not len(index):
                 continue
@@ -374,16 +381,19 @@ def optimize_transfers(
     sums = PointSums(np.tile([rates[f] for f in twists], (len(ds), 1)), np.repeat(ds, len(twists)))
     row = {(d, f): j * len(twists) + i for j, d in enumerate(ds) for i, f in enumerate(twists)}
 
-    # each coarse candidate in beta alone, in +-beta_step: zero twist slopes keep its twist
+    # each coarse candidate at or above the refine floor (below it is blocked
+    # noise) in beta alone, in +-beta_step: zero twist slopes keep its twist
     kept = [(d, f, beta) for d in ds for f, beta, _ in coarse[d]]
     rows = np.array([row[d, f] for d, f, _ in kept], dtype=np.intp)
-    start = np.array([beta for _, _, beta in kept])
+    betas = np.array([beta for _, _, beta in kept])
+    live = np.array([value >= _TWIST_REFINE_FLOOR for d in ds for *_, value in coarse[d]], bool)
+    start, polished = betas[live], rows[live]
     lo = np.maximum(spec.beta_min, start - spec.beta_step)
     hi = np.minimum(spec.beta_max, start + spec.beta_step)
     flat = np.zeros((len(row), n))
-    _, betas = _polish(
-        lambda index, _, betas: sums.jet(rows[index], betas, flat, flat),
-        np.zeros(len(rows)), start, lo, hi, spec.refine_tol, n,
+    _, betas[live] = _polish(
+        lambda index, _, betas: sums.jet(polished[index], betas, flat, flat),
+        np.zeros(len(start)), start, lo, hi, spec.refine_tol, n,
     )
     candidates: dict[int, list[TransferPoint]] = {d: [] for d in ds}
     for (d, f, _), beta, value in zip(kept, betas.tolist(), sums.xi(rows, betas)):

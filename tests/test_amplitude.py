@@ -302,17 +302,20 @@ def mirrored_rates(rates):
     n=st.integers(3, 12),
     f=st.floats(-1.0, 1.0),
     b0=st.floats(0.0, 1000.0),
-    # past h ~ 0.15 the curvature reach of the pre-grid alone exceeds 1
+    # past h ~ 0.7 the bound's levels collapse to the grid itself (stride 1)
     h=st.one_of(st.floats(1e-3, 0.1), st.floats(0.1, 1000.0)),
     count=st.one_of(st.sampled_from([1, 2, 3, 21, 400, 401]), st.integers(1, 3000)),
     offsets=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=4),
     nudge=st.sampled_from([None, 0.0, 1e-13, -3e-13]),
+    # the floor's distance below each displacement's grid maximum
+    depth=st.one_of(st.sampled_from([0.0, 1e-3]), st.floats(-0.05, 0.5)),
 )
-def test_row_bounds_hold_on_and_between_grid_points(n, f, b0, h, count, offsets, nudge):
-    # high[d, g] bounds |a_d| on the whole stretch of giant row g, up to the
-    # next row's first point, and low[d] the grid's maximum.  With a nudge,
-    # the bounds of f with the mirror's spread stand for the twist -f + nudge
-    # at the mirrored displacements, as the coarse pass reads them.
+def test_row_bounds_hold_on_and_between_grid_points(n, f, b0, h, count, offsets, nudge, depth):
+    # rows(floor) keeps every giant row of displacement d that holds a value at
+    # or above floor[d] anywhere on its stretch, up to the next row's first
+    # point, and low[d] is at most the grid's maximum.  With a nudge, the bounds
+    # of f with the mirror's spread stand for the twist -f + nudge at the
+    # mirrored displacements, as the coarse pass reads them.
     rates = _mode_cosines(n, f)
     kernel = SpectralKernel(rates, range(n))
     if nudge is None:
@@ -323,18 +326,22 @@ def test_row_bounds_hold_on_and_between_grid_points(n, f, b0, h, count, offsets,
         target = SpectralKernel(other, range(n))
         rows = (n - np.arange(n)) % n
         spread = float(np.max(np.abs(other - mirrored_rates(rates))))
-    low, high = kernel.row_bounds(b0, h, count, spread)
+    low, rows_above = kernel.row_bounds(b0, h, count, spread)
     starts, stride = _giant_steps(b0, h, count)
-    assert high.shape == (n, len(starts))
     grid = target.xi_grid(b0, h, count)
     assert np.all(low[rows] <= grid.max(axis=1))
+    floor = np.empty(n)
+    floor[rows] = grid.max(axis=1) - depth
+    keep = rows_above(floor)
+    assert keep.shape == (n, len(starts)) and keep.dtype == bool
     k = np.arange(count)
     fractions = np.concatenate([k + t for t in [0.0, *offsets]])
     dense = point_xi(n, target_f, range(n), b0 + h * fractions)
     # k + t may round up to k + 1, which for the last k lies past the grid but
     # still on the last row's stretch
     row = np.minimum(fractions.astype(int), count - 1) // stride
-    assert np.all(dense <= high[rows][:, row])
+    dropped = ~keep[rows][:, row]
+    assert np.all(dense[dropped] < np.broadcast_to(floor[rows][:, None], dense.shape)[dropped])
 
 
 # Properties the optimizer's bound-pruned coarse pass rests on, drawn over

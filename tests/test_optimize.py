@@ -97,8 +97,13 @@ EQUIVALENCE_CASES = {
     "blocked-hexagon-lone-row": (6, (3,), SearchSpec(beta_max=1310.72, f_candidates=(0.5,))),
     "pentagon-lone-row": (5, (2,), SearchSpec(beta_max=1310.72, f_candidates=twist_grid(8))),
     "one-point-window": (5, (1, 2), SearchSpec(beta_max=1.0, beta_step=2.0, f_candidates=RESTRICTED)),
-    "window-under-pre-stride": (5, (2, 3), SearchSpec(beta_max=0.1, f_candidates=twist_grid(8))),
+    "window-under-first-stride": (5, (2, 3), SearchSpec(beta_max=0.1, f_candidates=twist_grid(8))),
     "offset-window": (7, (1, 3), SearchSpec(beta_min=3.7, beta_max=1003.76, f_candidates=twist_grid(8))),
+    # the bound's levels collapse to the grid itself, or run from a wide first stride
+    "coarse-step": (5, (1, 2, 3, 4), SearchSpec(beta_max=2000.0, beta_step=1.0, f_candidates=twist_grid(8))),
+    "fine-step": (7, (1, 3), SearchSpec(beta_max=1500.0, beta_step=0.005, f_candidates=twist_grid(8))),
+    # a step so small that both strides stop at one stretch over the grid (128 >= count)
+    "tiny-step": (5, (1, 2), SearchSpec(beta_max=1e-290, beta_step=1e-292, f_candidates=RESTRICTED)),
     "nonagon-pair": (9, (3,), SearchSpec(beta_max=9000.0, f_candidates=RESTRICTED)),
     # the mirror a_d(beta, -f) = a_{N-d}(beta, f) bounds +-0.25 together;
     # -0.5 and 0.1 have no partner and are bounded alone
@@ -116,6 +121,12 @@ EQUIVALENCE_CASES = {
 }
 
 
+def strides(h, count):
+    """The first and last level strides of `SpectralKernel.row_bounds` on a ring (M = 1)."""
+    return (amplitude._level_stride(h, count, reach, 1.0)
+            for reach in (amplitude._FIRST_REACH, amplitude._LAST_REACH))
+
+
 def coarse_pass(n, ds, spec):
     rates = {f: _mode_cosines(n, f) for f in spec.f_candidates}
     return optimize._coarse_pass(n, ds, spec, rates)
@@ -127,14 +138,21 @@ def test_pruned_coarse_pass_keeps_what_the_full_grid_keeps(case):
     count = len(spec.beta_grid())
     if case == "one-point-window":
         assert count == 1
-    if case == "window-under-pre-stride":
-        assert 1 < count < amplitude._PRE_STRIDE
+    first, last = strides(spec.beta_step, count)
+    if case == "window-under-first-stride":
+        assert 1 < count < first
     if case == "offset-window":
-        assert spec.beta_min > 0 and (count - 1) % amplitude._PRE_STRIDE != 0
+        assert spec.beta_min > 0 and (count - 1) % first != 0
+    if case == "coarse-step":
+        assert first == last == 1
+    if case == "fine-step":
+        assert (first, last) == (256, 16)
+    if case == "tiny-step":
+        assert count == 101 and first == last == 128
     if case == "window-at-the-float-limit":
         kernel = SpectralKernel(_mode_cosines(n, 0.25), ds)
-        low, high = kernel.row_bounds(0.0, spec.beta_step, count)
-        assert np.all(low == -np.inf) and np.all(high == np.inf)
+        low, rows = kernel.row_bounds(0.0, spec.beta_step, count)
+        assert np.all(low == -np.inf) and np.all(rows(np.full(len(ds), 2.0)))
     pairs = optimize._mirror_pairs(spec.f_candidates)
     if case == "unpaired-twists":
         assert pairs == [(-0.25, 0.25)]
@@ -170,10 +188,38 @@ def evaluated_share(monkeypatch, n, ds, spec):
 
 def test_coarse_pass_prunes_the_quarter_twist_landscapes(monkeypatch):
     spec = SearchSpec(f_candidates=twist_grid(8))
-    assert evaluated_share(monkeypatch, 5, (1, 2, 3, 4), spec) < 0.04
-    assert evaluated_share(monkeypatch, 7, tuple(range(1, 7)), spec) < 0.004
+    assert evaluated_share(monkeypatch, 5, (1, 2, 3, 4), spec) < 0.015
+    assert evaluated_share(monkeypatch, 7, tuple(range(1, 7)), spec) < 0.002
     blocked = SearchSpec(beta_max=500.0, f_candidates=(0.5,))
     assert evaluated_share(monkeypatch, 6, (3,), blocked) == 1.0
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_bound_evaluates_a_third_of_a_stride_twenty_pre_grid(monkeypatch, n):
+    # a cost check without a clock: the (displacement, time) values the bound
+    # reads on the 1/8 twist grid, its first level on every bounding kernel and
+    # the midpoints of the stretches it halves, against the 12,502 per kernel
+    # row of one pre-grid at every 20th fine point
+    spec = SearchSpec(f_candidates=twist_grid(8))
+    count = len(spec.beta_grid())
+    points, rows = [], []
+    xi_grid, values = SpectralKernel.xi_grid, PointSums.values
+
+    def grid(kernel, b0, h, count):
+        out = xi_grid(kernel, b0, h, count)
+        points.append(out.size)
+        rows.append(len(out))
+        return out
+
+    def scattered(sums, at, betas):
+        points.append(len(at))
+        return values(sums, at, betas)
+
+    monkeypatch.setattr(SpectralKernel, "xi_grid", grid)
+    monkeypatch.setattr(PointSums, "values", scattered)
+    coarse_pass(n, tuple(range(1, n)), spec)
+    assert len(rows) == 5  # three mirrored pairs, and -1/2 and 0 alone
+    assert sum(points) <= sum(rows) * ((count - 1) // 20 + 2) / 3
 
 
 @pytest.mark.parametrize("n", [5, 7])
