@@ -186,8 +186,9 @@ class SpectralKernel:
         every grid point lies on a stretch.  rows(floor) halves each stretch
         whose bound still reaches floor[d], evaluating its midpoint by
         `PointSums`, down to reach `_LAST_REACH`, and keeps the giant rows the
-        stretches left there touch.  Both bounds carry a slack for the
-        levels' different rounding.
+        stretches left there touch.  A displacement whose floor the last reach
+        brings down to 0 (a blocked landscape) keeps all its rows unhalved.
+        Both bounds carry a slack for the levels' different rounding.
 
         `spread` widens that slack by spread * beta: the bounds then also hold
         for a kernel whose weights match these to rounding and whose rates are
@@ -214,8 +215,12 @@ class SpectralKernel:
                 lift = np.maximum(floor - slack, 0.0) ** 2 - curvature * (width * h) ** 2 / 8.0
                 return np.sqrt(np.maximum(lift, 0.0)) - slack
 
+            # where even the last level's threshold is <= 0, every stretch stays
+            # alive at every level: keep all the rows and halve none
+            everywhere = least(last) <= 0.0
             # the stretches left: displacement d, first fine index k, values at both ends
-            d, p = np.nonzero(np.maximum(level[:, :-1], level[:, 1:]) >= least(first)[:, None])
+            reach = np.maximum(level[:, :-1], level[:, 1:]) >= least(first)[:, None]
+            d, p = np.nonzero(reach & ~everywhere[:, None])
             k, ends, width = p * first, (level[d, p], level[d, p + 1]), first
             while width > last and len(k):
                 width //= 2
@@ -229,7 +234,7 @@ class SpectralKernel:
             marks = np.zeros((shape[0], shape[1] + 1), dtype=int)
             np.add.at(marks, (d, k // stride), 1)
             np.add.at(marks, (d, np.minimum((k + width - 1) // stride + 1, shape[1])), -1)
-            return np.cumsum(marks[:, :-1], axis=1) > 0
+            return (np.cumsum(marks[:, :-1], axis=1) > 0) | everywhere[:, None]
 
         return level[:, :-1].max(axis=1) - slack, rows
 

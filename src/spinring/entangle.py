@@ -25,7 +25,8 @@ branches); the 4-site overlap works out to
 with r2 = sqrt(2).  At beta = pi the zero-flux branch has fully transferred
 to the diametric site, which the half-flux branch can never reach (it is
 blocked), so the branches are exactly orthogonal and the scan finds a full
-ebit there regardless of gauge.
+ebit there regardless of gauge: its Newton polish down |<b0|b1>|^2 lands
+on pi itself (`find_entangling_time`).
 
 The scan also reports the reading at beta = 8.5*pi, a previously suggested
 operating point: the zero-flux branch is only halfway through its transfer
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amplitude import PointSums, SpectralKernel, grid_count
-from .optimize import _golden_max, _local_maxima
+from .optimize import _local_maxima, _polish
 from .ring import RingConfig, _mode_cosines, site_state
 
 # unused here, but benchmarks/spans.py patches `spinring.entangle.propagate_oracle`
@@ -128,27 +129,31 @@ def find_entangling_time(
 ) -> EntanglingScan:
     """Scan [0, beta_max] for the most entangling evolution time.
 
-    Every grid local maximum within 1e-3 of the best is refined by golden
-    section, all of them in lockstep with one batched overlap evaluation per
-    step; exact ties (within 1e-12 ebits) resolve to the smallest beta.
-    The reading at the 8.5*pi reference point rides along for comparison.
+    Entropy falls strictly as |overlap| grows, so every grid local maximum
+    within 1e-3 of the best is polished by Newton steps down g = |overlap|^2
+    in its +-step bracket (`optimize._polish` on `PointSums.jet`), all of
+    them in lockstep, until a step moves beta by at most 1e-7.  The window
+    ends 0 and beta_max are read unpolished: the overlap's slope is 0 at
+    beta = 0, where a polish never moves.  Exact ties (within 1e-12 ebits)
+    resolve to the smallest beta.  The reading at the 8.5*pi reference point
+    rides along for comparison.
     """
     betas = scan_times(beta_max, step)
     sums = PointSums(_overlap_rates(n, start_site), 0)
     entropy, overlap = entanglement_curve(step, len(betas), n=n, start_site=start_site)
 
     idx = _local_maxima(entropy)
-    survivors = idx[entropy[idx] >= float(entropy.max()) - _NEAR_BEST_WINDOW]
-
-    def entropy_at(points):
-        overlaps = sums.xi([0] * len(points), [beta for _, beta in points])
-        return _entropy_from_overlap(np.array(overlaps)).tolist()
-
-    brackets = [(max(0.0, betas[i] - step), min(beta_max, betas[i] + step)) for i in survivors]
-    refined = [(float(betas[0]), float(entropy[0])), *_golden_max(entropy_at, brackets, tol=1e-7)]
-    best_ent = max(e for _, e in refined)
-    group = [(b, e) for b, e in refined if e >= best_ent - _ENTROPY_TIE]
-    beta_best = min(group)[0]
+    start = betas[idx[entropy[idx] >= float(entropy.max()) - _NEAR_BEST_WINDOW]]
+    flat = np.zeros((1, n))
+    _, polished = _polish(
+        lambda index, _, at: -sums.jet(np.zeros(len(index), dtype=np.intp), at, flat, flat),
+        np.zeros(len(start)), start, np.maximum(0.0, start - step),
+        np.minimum(beta_max, start + step), 1e-7, n,
+    )
+    points = [0.0, float(beta_max), *polished.tolist()]
+    values = _entropy_from_overlap(np.array(sums.xi([0] * len(points), points))).tolist()
+    best_ent = max(values)
+    beta_best = min(b for b, e in zip(points, values) if e >= best_ent - _ENTROPY_TIE)
     return EntanglingScan(
         best=_reading(sums, beta_best),
         reference=_reading(sums, REFERENCE_BETA),

@@ -56,7 +56,6 @@ _MAX_REFINE_PER_TWIST = 64
 _TWIST_REFINE_FLOOR = 1e-9
 # polish rounds: real maxima take 2-6, blocked landscapes' rounding noise all
 _MAX_POLISH_ROUNDS = 64
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def default_twist_grid() -> tuple[float, ...]:
@@ -155,62 +154,6 @@ def fidelity_from_xi(value: float) -> float:
     if not (0.0 <= value <= 1.0):
         raise ValueError(f"xi must lie in [0, 1], got {value!r}")
     return 0.5 + value / 3.0 + value * value / 6.0
-
-
-def _golden_search(lo: float, hi: float, tol: float):
-    """Golden-section maximization on [lo, hi], one bracket of `_golden_max`.
-
-    A generator: it yields the points it needs, first lo, hi and the two
-    interior points, then one point a step; it is sent their values and
-    returns the best (x, value) seen.  It stops once the bracket is within
-    `tol`, or within 4 ulps of its larger end where that is wider: below the
-    float spacing the interior points cannot move, and the bracket would
-    never shrink to `tol`.
-    """
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    y_lo, y_hi, yc, yd = yield (lo, hi, c, d)
-    best_x, best_y = lo, y_lo
-    if y_hi > best_y:
-        best_x, best_y = hi, y_hi
-    tol = max(tol, 4.0 * math.ulp(max(abs(lo), abs(hi))))
-    while b - a > tol:
-        if yc >= yd:
-            b, d, yd = d, c, yc
-            c = b - _INV_PHI * (b - a)
-            (yc,) = yield (c,)
-        else:
-            a, c, yc = c, d, yd
-            d = a + _INV_PHI * (b - a)
-            (yd,) = yield (d,)
-        for x, y in ((c, yc), (d, yd)):
-            if y > best_y:
-                best_x, best_y = x, y
-    return best_x, best_y
-
-
-def _golden_max(fn, brackets, tol: float) -> list[tuple[float, float]]:
-    """Golden-section maximization of every bracket (lo, hi), all in lockstep.
-
-    Each step makes one call `fn(points)` with the points every unfinished
-    bracket needs next, as (bracket index, x) pairs, and `fn` returns one
-    value per point.  Each bracket does the arithmetic of a scalar search
-    (`_golden_search`), so a batched `fn` that is bit for bit the scalar one
-    gives the same results.  Returns the best (x, value) per bracket.
-    """
-    searches = [_golden_search(float(lo), float(hi), tol) for lo, hi in brackets]
-    wanted = {i: next(search) for i, search in enumerate(searches)}
-    best: list = [None] * len(searches)
-    while wanted:
-        values = iter(fn([(i, x) for i, xs in wanted.items() for x in xs]))
-        for i, xs in list(wanted.items()):
-            try:
-                wanted[i] = searches[i].send([next(values) for _ in xs])
-            except StopIteration as done:
-                best[i] = done.value
-                del wanted[i]
-    return best
 
 
 def _local_maxima(values: np.ndarray) -> np.ndarray:
@@ -330,7 +273,7 @@ def _polish(jet_at, f, beta, lo, hi, tol: float, n: int) -> tuple[np.ndarray, np
     """Safeguarded Newton ascent of g = |a_d|^2 from each (f[i], beta[i]), all in lockstep.
 
     `jet_at(index, f, beta)` is `PointSums.jet` at the points `index` moved to
-    (f, beta), one call a round.  A point takes a Newton step where the Hessian
+    (f, beta), one call a round (negated, it descends g instead).  A point takes a Newton step where the Hessian
     is negative definite, else a gradient step scaled by the absolute diagonal
     (Newton's in beta alone if the twist slopes are zero), halved until g
     rises; beta stays in [lo[i], hi[i]].  It stops once a step, taken or

@@ -7,10 +7,11 @@ closed forms for the 4-site ring, plain binary entropy, the full 2^N spin
 Hamiltonian, the flux-ring entanglement from dense propagators and a 2 x N
 Schmidt decomposition, the sector Hamiltonian in the single-bond gauge, the
 optimizer's coarse pass over the whole twist x time grid, unpruned, a
-scalar golden-section search, one bracket and one point at a time, the
-optimizer's former golden-section refinements, which the Newton polish
-must never fall below, the twist derivatives of the mode cosines, and a
-one-point mode sum, one `exp` and one `np.dot`.
+scalar golden-section search, one bracket and one point at a time, and its
+lockstep form, the optimizer's and the entangling scan's former
+golden-section refinements, which the Newton polish must never fall below,
+the twist derivatives of the mode cosines, and a one-point mode sum, one
+`exp` and one `np.dot`.
 """
 
 from __future__ import annotations
@@ -22,12 +23,21 @@ import numpy as np
 
 from spinring.amplitude import PointSums, SpectralKernel
 from spinring.bessel import _start_order
-from spinring.entangle import EntanglementReading
-from spinring.optimize import _INV_PHI, _coarse_pass, _golden_max, _local_maxima
+from spinring.entangle import (
+    EntanglementReading,
+    _entropy_from_overlap,
+    _overlap_rates,
+    entanglement_curve,
+    scan_times,
+)
+from spinring.optimize import _coarse_pass, _local_maxima
 from spinring.ring import RingConfig, _mode_cosines, build_hamiltonian, propagate_oracle
 
 # Full-space validation is exponential in N; anything past this is a mistake.
 FULL_SPACE_MAX_SITES = 10
+
+# the golden-section searches shrink their bracket by this factor a step
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def bessel_series(n: int, x: float, terms: int = 30) -> float:
@@ -282,6 +292,62 @@ def golden_max_reference(fn, lo, hi, tol):
     return best_x, best_y
 
 
+def _golden_search(lo: float, hi: float, tol: float):
+    """Golden-section maximization on [lo, hi], one bracket of `golden_max_lockstep`.
+
+    A generator: it yields the points it needs, first lo, hi and the two
+    interior points, then one point a step; it is sent their values and
+    returns the best (x, value) seen.  It stops once the bracket is within
+    `tol`, or within 4 ulps of its larger end where that is wider: below the
+    float spacing the interior points cannot move, and the bracket would
+    never shrink to `tol`.
+    """
+    a, b = lo, hi
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    y_lo, y_hi, yc, yd = yield (lo, hi, c, d)
+    best_x, best_y = lo, y_lo
+    if y_hi > best_y:
+        best_x, best_y = hi, y_hi
+    tol = max(tol, 4.0 * math.ulp(max(abs(lo), abs(hi))))
+    while b - a > tol:
+        if yc >= yd:
+            b, d, yd = d, c, yc
+            c = b - _INV_PHI * (b - a)
+            (yc,) = yield (c,)
+        else:
+            a, c, yc = c, d, yd
+            d = a + _INV_PHI * (b - a)
+            (yd,) = yield (d,)
+        for x, y in ((c, yc), (d, yd)):
+            if y > best_y:
+                best_x, best_y = x, y
+    return best_x, best_y
+
+
+def golden_max_lockstep(fn, brackets, tol: float) -> list[tuple[float, float]]:
+    """Golden-section maximization of every bracket (lo, hi), all in lockstep.
+
+    Each step makes one call `fn(points)` with the points every unfinished
+    bracket needs next, as (bracket index, x) pairs, and `fn` returns one
+    value per point.  Each bracket does the arithmetic of a scalar search
+    (`_golden_search`), so a batched `fn` that is bit for bit the scalar one
+    gives the same results.  Returns the best (x, value) per bracket.
+    """
+    searches = [_golden_search(float(lo), float(hi), tol) for lo, hi in brackets]
+    wanted = {i: next(search) for i, search in enumerate(searches)}
+    best: list = [None] * len(searches)
+    while wanted:
+        values = iter(fn([(i, x) for i, xs in wanted.items() for x in xs]))
+        for i, xs in list(wanted.items()):
+            try:
+                wanted[i] = searches[i].send([next(values) for _ in xs])
+            except StopIteration as done:
+                best[i] = done.value
+                del wanted[i]
+    return best
+
+
 def golden_search_reference(n, ds, spec):
     """Best (f, beta, xi) per displacement by the optimizer's former golden searches.
 
@@ -291,7 +357,7 @@ def golden_search_reference(n, ds, spec):
     the twist in +-df, df = min(half the twist spacing, 1/800), whose every
     point runs an inner one over beta in +-max(1, 6*pi*beta*df/N).  The
     confirmed point replaces the winner only if its xi is higher by more
-    than 1e-12.  Brackets step in lockstep (`optimize._golden_max`).
+    than 1e-12.  Brackets step in lockstep (`golden_max_lockstep`).
     """
     rates = {f: _mode_cosines(n, f) for f in spec.f_candidates}
 
@@ -302,7 +368,7 @@ def golden_search_reference(n, ds, spec):
         def xi_at(points):
             return sums.xi([i for i, _ in points], [beta for _, beta in points])
 
-        return _golden_max(xi_at, brackets, spec.refine_tol)
+        return golden_max_lockstep(xi_at, brackets, spec.refine_tol)
 
     best = {}
     for d, points in _coarse_pass(n, ds, spec, rates).items():
@@ -341,12 +407,36 @@ def golden_search_reference(n, ds, spec):
         return [value for _, value in found]
 
     twists = [(best[d][0] - df, best[d][0] + df) for d in confirm]
-    _golden_max(objective, twists, max(df * 1e-3, 1e-7))
+    golden_max_lockstep(objective, twists, max(df * 1e-3, 1e-7))
     for d, tried in zip(confirm, seen):
         top = max(tried, key=lambda p: p[2])
         if top[2] > best[d][2] + 1e-12:
             best[d] = top
     return best
+
+
+def golden_entangling_scan_reference(beta_max, step, n, start_site):
+    """Best (beta, entropy) of `find_entangling_time`'s former golden-section scan.
+
+    Every grid local maximum of the entropy within 1e-3 of the grid's best is
+    refined by golden section in its +-step bracket, clipped to [0, beta_max],
+    down to 1e-7; the grid's first point joins, and ties within 1e-12 ebits
+    go to the smallest beta.
+    """
+    betas = scan_times(beta_max, step)
+    sums = PointSums(_overlap_rates(n, start_site), 0)
+    entropy, _ = entanglement_curve(step, len(betas), n=n, start_site=start_site)
+    idx = _local_maxima(entropy)
+    survivors = idx[entropy[idx] >= float(entropy.max()) - 1e-3]
+
+    def entropy_at(points):
+        overlaps = sums.xi([0] * len(points), [beta for _, beta in points])
+        return _entropy_from_overlap(np.array(overlaps)).tolist()
+
+    brackets = [(max(0.0, betas[i] - step), min(beta_max, betas[i] + step)) for i in survivors]
+    found = [(0.0, float(entropy[0])), *golden_max_lockstep(entropy_at, brackets, 1e-7)]
+    top = max(value for _, value in found)
+    return min((beta, value) for beta, value in found if value >= top - 1e-12)
 
 
 def ring_twist_derivatives(n, f):

@@ -431,8 +431,8 @@ DATA = Path(__file__).parent / "data"
 
 
 def test_entangle_curve_and_summary_match_golden(tmp_path, capsys):
-    # the scan grid's curve, the refined best time and the reference reading;
-    # written before the searches' point sums moved to `PointSums`
+    # the scan grid's curve, the polished best time and the reference reading;
+    # the curve was written before the searches' point sums moved to `PointSums`
     out_csv = tmp_path / "curve.csv"
     code, out = run_cli(
         capsys, "entangle", "--n", "4", "--beta-max", "20", "--step", "0.01",
@@ -488,6 +488,22 @@ def test_polished_goldens_keep_the_golden_search_values_as_a_floor():
         for point, (beta, value) in zip(pair["near_optima"], GOLDEN_SEARCH_MULTIPARTY):
             assert point["xi"] >= value - 1e-15
             assert abs(point["beta"] - beta) <= tol
+
+
+# the entangle summary's best before the Newton polish, when golden section
+# refined it to a 1e-7 bracket: (beta, entropy_ebits, branch_overlap)
+GOLDEN_SEARCH_ENTANGLE = (3.14159266171, 1.0, 3.22939941455e-09)
+
+
+def test_polished_entangle_golden_keeps_the_golden_search_values_as_a_floor():
+    # the entropy may only rise and the overlap only fall; beta stays within
+    # the former search's 1e-7 bracket, and the polish lands on pi itself
+    doc = json.loads((DATA / "entangle_n4_beta20_summary.json").read_text())
+    best, (beta, entropy, overlap) = doc["best"], GOLDEN_SEARCH_ENTANGLE
+    assert best["entropy_ebits"] >= entropy - 1e-15
+    assert best["branch_overlap"] <= overlap
+    assert abs(best["beta"] - beta) <= 1e-7
+    assert abs(best["beta"] - math.pi) <= 1e-11
 
 
 def test_config_refine_tol_sets_where_the_polish_stops(tmp_path, capsys):

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     JointFluxRingState,
     binary_entropy,
     evolve_joint,
     flux_ring_entanglement,
+    golden_entangling_scan_reference,
     square_ring_entropy,
     square_ring_overlap,
 )
@@ -144,6 +147,45 @@ def test_scan_finds_full_ebit_at_pi():
     assert abs(ref.entropy_ebits - square_ring_entropy(REFERENCE_BETA)) <= 1e-9
     # the quoted operating point is distinctly short of maximal
     assert ref.entropy_ebits < 0.85
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 9),
+    site=st.integers(1, 9),
+    beta_max=st.floats(1e-3, 300.0),
+    step=st.floats(1e-3, 1.0),
+)
+def test_polished_scan_never_falls_below_golden_section(n, site, beta_max, step):
+    # the polish must find at least what the former golden-section scan found,
+    # and a best inside the window is a local maximum to well below 1e-6
+    start = (site - 1) % n + 1
+    best = find_entangling_time(beta_max, step=step, n=n, start_site=start).best
+    _, golden = golden_entangling_scan_reference(beta_max, step, n, start)
+    assert best.entropy_ebits >= golden - 1e-12
+    assert 0.0 <= best.beta <= beta_max
+    if 0.0 < best.beta < beta_max:
+        sums = PointSums(_overlap_rates(n, start), 0)
+        for delta in (1e-6, 1e-4, -1e-6, -1e-4):
+            if 0.0 <= best.beta + delta <= beta_max:
+                nearby = _reading(sums, best.beta + delta).entropy_ebits
+                assert nearby <= best.entropy_ebits + 1e-12, delta
+
+
+def test_scan_polish_takes_a_few_jet_rounds(monkeypatch):
+    # a cost check without a clock: the protocol-shaped scan polishes its
+    # 113 grid survivors in lockstep, one `PointSums.jet` call a round; a
+    # bracketing search would take ~25 steps to its 1e-7 bracket, and no jet
+    calls, jet = [], PointSums.jet
+
+    def counted(sums, rows, betas, slopes, bends):
+        calls.append(len(rows))
+        return jet(sums, rows, betas, slopes, bends)
+
+    monkeypatch.setattr(PointSums, "jet", counted)
+    scan = find_entangling_time(500.0, step=0.005)
+    assert 0 < len(calls) <= 8 and calls[0] == 113
+    assert abs(scan.best.beta - math.pi) <= 1e-11
 
 
 def test_scan_tiny_window_cannot_entangle():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from conftest import (
     coarse_pass_reference,
+    golden_max_lockstep,
     golden_max_reference,
     golden_search_reference,
     ring_twist_derivatives,
@@ -245,6 +246,22 @@ def test_candidate_cap_binds_on_the_blocked_hexagon():
     assert len(rec.near_optima) == 65
 
 
+def test_bound_halves_nothing_on_the_blocked_hexagon(monkeypatch):
+    # a cost check without a clock: nothing prunes a blocked landscape, so the
+    # bound keeps every giant row without reading a midpoint (halving every
+    # stretch to the last level reads 5,862); its candidates are pinned by the
+    # "blocked-hexagon" equivalence case
+    midpoints, values = [], PointSums.values
+
+    def counted(sums, at, betas):
+        midpoints.append(len(at))
+        return values(sums, at, betas)
+
+    monkeypatch.setattr(PointSums, "values", counted)
+    coarse_pass(*EQUIVALENCE_CASES["blocked-hexagon"])
+    assert sum(midpoints) == 0
+
+
 @pytest.mark.parametrize(
     "n, ds, count",
     [(5, (2,), 65537), (7, (1, 2, 3), 250001), (6, (3,), 65537), (4, (1, 2), 2), (5, (1, 2), 1)],
@@ -325,7 +342,7 @@ def scalar_searches(fns, brackets, tol):
 )
 def test_lockstep_golden_is_the_scalar_search_bit_for_bit(shapes, edge, tol):
     # brackets of different widths, clipped at the window edges [0, edge] as the
-    # refinements clip theirs, finish after different numbers of steps
+    # golden-section references clip theirs, finish after different numbers of steps
     fns = [landscape(kind, k, phase) for kind, k, phase, _, _ in shapes]
     brackets = [
         (max(0.0, at * edge - width), min(edge, at * edge + width)) for *_, at, width in shapes
@@ -337,7 +354,7 @@ def test_lockstep_golden_is_the_scalar_search_bit_for_bit(shapes, edge, tol):
         calls.append(points)
         return [fns[i](x) for i, x in points]
 
-    assert optimize._golden_max(batched, brackets, tol) == expected
+    assert golden_max_lockstep(batched, brackets, tol) == expected
     # the first call asks for lo, hi and the two interior points of every
     # bracket, each later one for one new point of each unfinished bracket
     got = [[x for call in calls for i, x in call if i == j] for j in range(len(brackets))]
@@ -355,12 +372,12 @@ def test_lockstep_golden_of_one_and_of_no_bracket():
     def batched(points):
         return [fn(x) for _, x in points]
 
-    assert optimize._golden_max(batched, [(0.0, 2.0)], 1e-7) == expected
+    assert golden_max_lockstep(batched, [(0.0, 2.0)], 1e-7) == expected
 
     def unreachable(points):
         raise AssertionError("called with no brackets")
 
-    assert optimize._golden_max(unreachable, [], 1e-7) == []
+    assert golden_max_lockstep(unreachable, [], 1e-7) == []
 
 
 @pytest.mark.parametrize("lo, hi, tol", [(8e8, 1e9, 1e-7), (0.0, 1e13, 1e-4)])
@@ -375,7 +392,7 @@ def test_golden_search_stops_below_the_float_spacing(lo, hi, tol):
         assert len(calls) < 1000, "the golden search does not stop"
         return [-((x - peak) ** 2) for _, x in points]
 
-    [(x, _)] = optimize._golden_max(fn, [(lo, hi)], tol)
+    [(x, _)] = golden_max_lockstep(fn, [(lo, hi)], tol)
     assert abs(x - peak) <= 8 * math.ulp(hi)
 
 
