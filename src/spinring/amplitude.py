@@ -61,6 +61,10 @@ BESSEL_BETA_MAX = 12000.0
 
 # Points per displacement evaluated at once; bounds the live phase block.
 _CHUNK = 65536
+# Values per block of a grid's BLAS products: at 128 KiB of complex values
+# the allocator reuses a block's memory instead of mapping (and faulting in)
+# fresh pages for every block.
+_BLOCK = 8192
 # Largest curvature reach M*(K*h)^2/8, in |a|^2, of the first and of the last
 # level of `SpectralKernel.row_bounds` (strides K = 64 and 4 at h = 0.02 on a
 # ring): the first still prunes most stretches of a landscape, the last
@@ -143,61 +147,77 @@ def _level_stride(h: float, count: int, reach: float, curvature: float) -> int:
 class SpectralKernel:
     """Mode sums a_d(beta) = (1/N) sum_m exp(2*pi*i*d*m/N) exp(i*beta*c_m), m = 1..N.
 
-    Built from the N per-mode rates c_m.  For a ring, c_m = cos(2*pi*(m+f)/N)
-    from `_mode_cosines`, so the half-flux pair cancellation holds on every
-    path, and a_d is the uniform-gauge amplitude without the global phase
-    exp(-i*D*t), so J and B drop out.
+    Built from K rate rows of N per-mode rates c_m, shape (K, N) or (N,), and
+    the displacements ds that every rate row is summed at.  The kernel's rows
+    are the pairs (rate row, displacement), rate row first: row i is rate row
+    i // len(ds) at ds[i % len(ds)], so one rate row gives one kernel row per
+    displacement.  For a ring, c_m = cos(2*pi*(m+f)/N) from `_mode_cosines`,
+    so the half-flux pair cancellation holds on every path, and a_d is the
+    uniform-gauge amplitude without the global phase exp(-i*D*t), so J and B
+    drop out.  Every kernel row has the bits of the same row in a kernel of
+    its rate row alone.
     """
 
     def __init__(self, rates: np.ndarray, ds) -> None:
-        n = self.n = len(rates)
-        self._irates = 1j * np.asarray(rates, dtype=float)
-        self._ds = [int(d) % n for d in ds]
-        self._columns = _mode_weights(n, self._ds)  # one row per displacement
+        self._irates = 1j * np.atleast_2d(np.asarray(rates, dtype=float))
+        stack, n = self._irates.shape
+        self.n = n
+        self._ds = [int(d) % n for d in ds] * stack  # the displacement of each kernel row
+        self._of = np.repeat(np.arange(stack), len(self._ds) // stack)  # and its rate row
+        self._columns = _mode_weights(n, self._ds)  # one weight row per kernel row
 
     def xi_grid(self, b0: float, h: float, count: int) -> np.ndarray:
-        """|a_d| at b0 + k*h for k < count, shape (displacements, count).
+        """|a_d| at b0 + k*h for k < count, shape (kernel rows, count).
 
         With k = g*S + j and S = ceil(sqrt(count)), each mode phase is a giant
         step exp(i*c_m*(b0 + g*S*h)) times a baby step exp(i*c_m*j*h): about
-        2*sqrt(count)*N exponentials and one matrix product per block of rows.
+        2*sqrt(count)*N exponentials per rate row and one matrix product per
+        rate row and block of giant rows.
         """
         starts, stride = _giant_steps(b0, h, count)
-        return self._xi_giant(self._columns, starts, self._baby(h, stride))[:, :count]
+        require_grid_points(self.n * stride, "a block of mode phases")
+        rows, giants = len(self._columns), len(starts)
+        values = self._xi_giant(
+            np.repeat(np.arange(rows), giants), np.tile(np.arange(giants), rows), starts, h, stride
+        )
+        return values.reshape(rows, -1)[:, :count]
 
-    def row_bounds(self, b0: float, h: float, count: int, spread: float = 0.0):
-        """Bounds on `xi_grid(b0, h, count)`: (low, rows) with low[d] <= its maximum
-        for displacement d, and rows(floor) a boolean array of shape (displacements,
-        giant rows) that holds wherever row g may hold a value >= floor[d].
+    def row_bounds(self, b0: float, h: float, count: int, spread=0.0):
+        """Bounds on `xi_grid(b0, h, count)`: (low, rows) with low[r] <= its maximum
+        on kernel row r, and rows(floor) a boolean array of shape (kernel rows,
+        giant rows) that holds wherever giant row g of kernel row r may hold a
+        value >= floor[r].
 
         The bound is on the curvature of g = |a_d|^2.  With a = (1/N) sum_m
         w_m exp(i*beta*c_m) and |w_m| = 1, |a| <= 1 and |a''| <= mean_m c_m^2, so
 
-            -g'' = -2|a'|^2 - 2 Re(a'' conj(a)) <= 2 mean_m c_m^2 =: M,
+            -g'' = -2|a'|^2 - 2 Re(a'' conj(a)) <= 2 mean_m c_m^2,
 
-        which is 1 on a ring.  Then g + (M/2)(beta - u)(beta - v) is convex on
-        a stretch [u, v], so it stays below its larger end value, and as
-        (beta - u)(v - beta) <= (v - u)^2/4, g <= max(g(u), g(v)) + M*(v - u)^2/8
-        there, between the grid points too.
+        and M, the largest of these over the rate rows, is 1 on a ring.  Then
+        g + (M/2)(beta - u)(beta - v) is convex on a stretch [u, v], so it stays
+        below its larger end value, and as (beta - u)(v - beta) <= (v - u)^2/4,
+        g <= max(g(u), g(v)) + M*(v - u)^2/8 there, between the grid points too.
 
         A level of stride K, a power of two (`_level_stride`), has stretches
         between the fine indices p*K.  low is read off the first level, reach
         M*(K*h)^2/8 at most `_FIRST_REACH`, with one point past the grid so
-        every grid point lies on a stretch.  rows(floor) halves each stretch
-        whose bound still reaches floor[d], evaluating its midpoint by
-        `PointSums`, down to reach `_LAST_REACH`, and keeps the giant rows the
-        stretches left there touch.  A displacement whose floor the last reach
-        brings down to 0 (a blocked landscape) keeps all its rows unhalved.
-        Both bounds carry a slack for the levels' different rounding.
+        every grid point lies on a stretch: one `xi_grid` over every kernel
+        row.  rows(floor) halves each stretch whose bound still reaches
+        floor[r], evaluating the midpoints of all kernel rows by one
+        `PointSums` a level, down to reach `_LAST_REACH`, and keeps the giant
+        rows the stretches left there touch.  A kernel row whose floor the last
+        reach brings down to 0 (a blocked landscape) keeps all its giant rows
+        unhalved, and one whose floor is +inf keeps none.  Both bounds carry a
+        slack for the levels' different rounding.
 
-        `spread` widens that slack by spread * beta: the bounds then also hold
-        for a kernel whose weights match these to rounding and whose rates are
-        within `spread` of these, as |a_d| moves by at most
-        beta * max_m |c_m - c'_m| between them.
+        `spread`, one value or one per rate row, widens that slack by
+        spread * beta: the bounds then also hold for a kernel whose weights
+        match these to rounding and whose rates are within `spread` of these,
+        as |a_d| moves by at most beta * max_m |c_m - c'_m| between them.
         """
         starts, stride = _giant_steps(b0, h, count)
         shape = (len(self._columns), len(starts))
-        curvature = 2.0 * float(np.mean(np.abs(self._irates) ** 2))
+        curvature = 2.0 * float(np.max(np.mean(np.abs(self._irates) ** 2, axis=1)))
         first = _level_stride(h, count, _FIRST_REACH, curvature)
         last = _level_stride(h, count, _LAST_REACH, curvature)
         points = (count - 1) // first + 2
@@ -206,88 +226,108 @@ class SpectralKernel:
             # the first level would run past the largest float: bound nothing
             return np.full(shape[0], -np.inf), lambda floor: np.ones(shape, dtype=bool)
         level = self.xi_grid(b0, first * h, points)
+        spread = np.broadcast_to(np.asarray(spread, dtype=float), len(self._irates))[self._of]
         slack = 1e-9 + (16.0 * np.finfo(float).eps + spread) * beta_end
-        sums = PointSums(np.tile(self._irates.imag, (shape[0], 1)), self._ds)
+        sums = PointSums(self._irates.imag[self._of], self._ds)
 
         def rows(floor: np.ndarray) -> np.ndarray:
             def least(width: int) -> np.ndarray:
-                # sqrt((max(ends) + slack)^2 + M*(width*h)^2/8) + slack >= floor
-                lift = np.maximum(floor - slack, 0.0) ** 2 - curvature * (width * h) ** 2 / 8.0
+                # sqrt((max(ends) + slack)^2 + M*(width*h)^2/8) + slack >= floor;
+                # a step whose square overflows reaches every floor but +inf
+                step = width * h
+                lift = np.maximum(floor - slack, 0.0) ** 2
+                np.subtract(lift, curvature * (step * step) / 8.0, out=lift, where=lift < np.inf)
                 return np.sqrt(np.maximum(lift, 0.0)) - slack
 
             # where even the last level's threshold is <= 0, every stretch stays
             # alive at every level: keep all the rows and halve none
             everywhere = least(last) <= 0.0
-            # the stretches left: displacement d, first fine index k, values at both ends
-            reach = np.maximum(level[:, :-1], level[:, 1:]) >= least(first)[:, None]
-            d, p = np.nonzero(reach & ~everywhere[:, None])
-            k, ends, width = p * first, (level[d, p], level[d, p + 1]), first
-            while width > last and len(k):
-                width //= 2
-                mid = np.abs(sums.values(d, b0 + h * (k + width)))
-                d, k = np.concatenate((d, d)), np.concatenate((k, k + width))
-                ends = (np.concatenate((ends[0], mid)), np.concatenate((mid, ends[1])))
-                # a half that starts past the grid covers none of it
-                alive = (k < count) & (np.maximum(*ends) >= least(width)[d])
-                d, k, ends = d[alive], k[alive], (ends[0][alive], ends[1][alive])
-            # stretch [k, k + width] touches the giant rows k // S .. (k + width - 1) // S
-            marks = np.zeros((shape[0], shape[1] + 1), dtype=int)
-            np.add.at(marks, (d, k // stride), 1)
-            np.add.at(marks, (d, np.minimum((k + width - 1) // stride + 1, shape[1])), -1)
-            return (np.cumsum(marks[:, :-1], axis=1) > 0) | everywhere[:, None]
+            keep = np.zeros(shape, dtype=bool)
+            for r, p in stretches(np.where(everywhere, np.inf, least(first))):
+                k, ends, width = p * first, (level[r, p], level[r, p + 1]), first
+                while width > last and len(k):
+                    width //= 2
+                    mid = np.abs(sums.values(r, b0 + h * (k + width)))
+                    r, k = np.concatenate((r, r)), np.concatenate((k, k + width))
+                    ends = (np.concatenate((ends[0], mid)), np.concatenate((mid, ends[1])))
+                    # a half that starts past the grid covers none of it
+                    alive = (k < count) & (np.maximum(*ends) >= least(width)[r])
+                    r, k, ends = r[alive], k[alive], (ends[0][alive], ends[1][alive])
+                # stretch [k, k + width] touches the giant rows k // S .. (k + width - 1) // S
+                g, end = k // stride, np.minimum((k + width - 1) // stride, shape[1] - 1)
+                while len(g):
+                    keep[r, g] = True
+                    on = g < end
+                    r, g, end = r[on], g[on] + 1, end[on]
+            return keep | everywhere[:, None]
+
+        def stretches(threshold: np.ndarray):
+            """The first level's stretches with an end at or above threshold[r]:
+            (kernel rows r, stretches p) in chunks that each halve into at most
+            16 * `_CHUNK` // 4 stretches."""
+            per = max(16 * _CHUNK // points, 1)  # kernel rows scanned at once
+            for top in range(0, shape[0], per):
+                high = (level[top : top + per] >= threshold[top : top + per, None]).ravel()
+                at = np.flatnonzero(high[:-1] | high[1:])  # flat: 2-D nonzero is slower
+                at = at[at % points < points - 1]  # a stretch ends on its own row
+                for lo in range(0, len(at), _CHUNK // 4):
+                    r, p = np.divmod(at[lo : lo + _CHUNK // 4], points)
+                    yield r + top, p
 
         return level[:, :-1].max(axis=1) - slack, rows
 
     def xi_rows(
-        self, b0: float, h: float, count: int, keep: np.ndarray
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """`xi_grid(b0, h, count)` on the giant rows where keep[d, g] holds, bit for bit.
+        self, b0: float, h: float, count: int, rows: np.ndarray, giants: np.ndarray
+    ) -> np.ndarray:
+        """`xi_grid(b0, h, count)` on giant row giants[i] of kernel row rows[i], bit for bit.
 
-        `keep` has the shape `row_bounds`' rows(floor) returns.  Returns, per
-        displacement, the grid indices k < count of its kept rows in order and
-        the values there.
+        The pairs come in order of kernel row, as `np.nonzero` reads the array
+        `row_bounds`' rows(floor) returns.  Returns their values, shape (pairs,
+        S): giant row g holds the grid points g*S + j, j < S, and a point past
+        the grid, on the last giant row, reads -inf.  The pairs of one rate
+        row, over all its displacements, share its matrix products.
         """
         starts, stride = _giant_steps(b0, h, count)
-        baby = self._baby(h, stride) if np.any(keep) else None
-        out = []
-        for column, rows in zip(self._columns, keep):
-            rows = np.flatnonzero(rows)
-            if not len(rows):
-                out.append((rows, np.empty(0)))
-                continue
-            index = (rows[:, None] * stride + np.arange(stride)).ravel()
-            index = index[: np.searchsorted(index, count)]  # the last row may run past the grid
-            values = self._xi_giant(column[None], starts[rows], baby)[0, : len(index)]
-            out.append((index, values))
-        return out
-
-    def _baby(self, h: float, stride: int) -> np.ndarray:
-        """Baby-step phases exp(i*c_m*j*h), j < stride, shape (N, stride)."""
         require_grid_points(self.n * stride, "a block of mode phases")
-        return np.exp(np.outer(self._irates, h * np.arange(stride)))
+        values = self._xi_giant(rows, giants, starts, h, stride)
+        last = len(starts) - 1
+        values[giants == last, count - last * stride :] = -np.inf
+        return values
 
-    def _xi_giant(self, columns: np.ndarray, starts: np.ndarray, baby: np.ndarray) -> np.ndarray:
-        """|a| at starts[g] + j*h per weight row in `columns`; `baby` is `_baby(h, stride)`.
+    def _xi_giant(
+        self, rows: np.ndarray, giants: np.ndarray, starts: np.ndarray, h: float, stride: int
+    ) -> np.ndarray:
+        """|a| at starts[giants[i]] + j*h, j < stride, on kernel row rows[i], shape
+        (len(rows), stride); `rows` is in order.
 
-        Every grid and every set of kept rows is evaluated here.  Each block of
-        giant rows is one BLAS product of their weighted phases with the baby steps
-        exp(i*c_m*j*h).  BLAS gives a row of a product the same bits whatever
-        rows share it, except in a one-row product (gemv or a dot, which may
-        round differently).  So a lone row is sent twice: a row's bits never
-        depend on its batch, and `xi_rows` matches the full grid by construction.
+        Every grid and every set of kept rows is evaluated here, one rate row
+        at a time: its giant steps exp(i*c_m*starts[g]) (over all g once it
+        has more pairs than giant rows), weighted per kernel row, are BLAS
+        products with its baby steps exp(i*c_m*j*h), a block of pairs each.
+        BLAS gives a row of a product the same bits whatever rows share it,
+        except in a one-row product (gemv or a dot, which may round
+        differently).  So a lone row is sent twice: a row's bits never depend
+        on its batch, and `xi_rows` and a stacked kernel match a one-rate-row
+        kernel's full grid by construction.
         """
-        stride = baby.shape[1]
-        per = max(_CHUNK // stride, 1)
-        phases = self.n * len(columns) * min(len(starts), per)
-        require_grid_points(phases, "a block of mode phases")
-        out = np.empty((len(columns), len(starts), stride))
-        for lo in range(0, len(starts), per):
-            giant = np.exp(np.outer(starts[lo : lo + per], self._irates))
-            rows = (columns[:, None, :] * giant).reshape(-1, self.n)
-            pair = np.repeat(rows, 2, axis=0) if len(rows) == 1 else rows
-            block = (pair @ baby)[: len(rows)].reshape(len(columns), -1, stride)
-            np.abs(block, out=out[:, lo : lo + per])
-        out = out.reshape(len(columns), -1)
+        per = max(_BLOCK // stride, 1)
+        require_grid_points(self.n * min(len(rows), per), "a block of mode phases")
+        out = np.empty((len(rows), stride))
+        block = np.empty((min(per, len(rows)) + 1, stride), dtype=complex)  # for every product
+        # the pairs of rate row k are a = cuts[k] <= i < cuts[k + 1] = b
+        cuts = np.searchsorted(rows, np.searchsorted(self._of, np.arange(len(self._irates) + 1)))
+        for rates, a, b in zip(self._irates, cuts.tolist(), cuts[1:].tolist()):
+            if a == b:
+                continue
+            baby = np.exp(np.outer(rates, h * np.arange(stride)))
+            every = np.exp(np.outer(starts, rates)) if b - a > len(starts) else None
+            for lo in range(a, b, per):
+                hi = min(lo + per, b)
+                at = giants[lo:hi]
+                giant = every[at] if every is not None else np.exp(np.outer(starts[at], rates))
+                phases = self._columns[rows[lo:hi]] * giant
+                pair = np.repeat(phases, 2, axis=0) if hi - lo == 1 else phases
+                np.abs(np.matmul(pair, baby, out=block[: len(pair)])[: hi - lo], out=out[lo:hi])
         out /= self.n
         _clip_xi(out.max(initial=0.0))  # the over-unity check of every other path
         return np.minimum(out, 1.0, out=out)

@@ -13,7 +13,9 @@ exp(i*beta*c_m) with |w_m| = 1, curves down no faster than 2 mean_m c_m^2
 reach, shows which stretches of the fine grid cannot come within 1e-3 of the
 best (`SpectralKernel.row_bounds`).  Only the others are evaluated, and the
 kernel gives them the full grid's values bit for bit, so the coarse
-candidates are the full grid's (see `_coarse_pass`).  Near-perfect windows
+candidates are the full grid's (see `_coarse_pass`).  A ring's twists are
+stacked as rate rows of two kernels, one that bounds and one that evaluates,
+so each stage is one call over all of them.  Near-perfect windows
 at different times can tie to within fractions of 1e-3; all surviving
 polished optima are kept on the record (`near_optima`) so callers can match
 a specific reported window as well as the in-range global best.
@@ -51,6 +53,8 @@ __all__ = [
 _XI_TIE = 1e-12
 _NEAR_OPTIMUM_WINDOW = 1e-3
 _MAX_REFINE_PER_TWIST = 64
+# giant rows the coarse pass evaluates and scans at once
+_SCAN_ROWS = 256
 # below this the landscape is blocked/noise and searching off the candidate
 # twists would only chase rounding, so the record keeps the candidate twist
 _TWIST_REFINE_FLOOR = 1e-9
@@ -156,12 +160,11 @@ def fidelity_from_xi(value: float) -> float:
     return 0.5 + value / 3.0 + value * value / 6.0
 
 
-def _local_maxima(values: np.ndarray) -> np.ndarray:
-    """Indices of strict local maxima, endpoints included when they dominate."""
-    if len(values) == 1:
-        return np.array([0])
-    rising = np.concatenate(([True], values[1:] > values[:-1]))
-    falling = np.concatenate((values[:-1] >= values[1:], [True]))
+def _local_maxima(values: np.ndarray, breaks=False) -> np.ndarray:
+    """Indices of strict local maxima of each run, its endpoints included when they
+    dominate; breaks[i] ends a run at values[i] (default: one run)."""
+    rising = np.concatenate(([True], (values[1:] > values[:-1]) | breaks))
+    falling = np.concatenate(((values[:-1] >= values[1:]) | breaks, [True]))
     return np.nonzero(rising & falling)[0]
 
 
@@ -184,25 +187,20 @@ def _coarse_pass(
 
     `rates` holds each candidate twist's mode cosines, `_mode_cosines(n, f)`.
 
-    Each twist's landscape is `SpectralKernel.xi_grid` on beta_min + k*h,
-    k < B, which the kernel factors into giant rows of S = ceil(sqrt(B))
-    points.  Only the giant rows that can hold a point within 1e-3 of the
-    best are evaluated (`row_bounds`).  Every twist's first level gives a
-    lower bound on each displacement's best, and the floor is the largest
-    over all twists minus 1e-3.  Each twist then halves the stretches whose
-    curvature bound still reaches the floor and evaluates the giant rows the
-    last ones touch (`xi_rows`, bit for bit the full grid's values).  The
-    runs of evaluated rows are joined with -inf separators and scanned for
-    local maxima once.
-
-    Twists f and -f share one bound where both are candidates.  Reflecting
-    the ring reverses the twist, a_d(beta, -f) = a_{N-d}(beta, f), as the
-    rates of -f are those of f under m -> N - m.  So the bounds of f's rates
-    over the displacements ds and N - ds bound both twists, a row standing
-    for one of each taking the lower floor; the rates of a pair whose twists
-    are opposite only up to rounding differ by a spread that widens the
-    slack (`row_bounds`).  The bound need not match any twist's bits, but
-    each twist's rows are evaluated with its own kernel.
+    The landscapes are the rows of a `SpectralKernel` that stacks one rate
+    row per twist: `xi_grid` on beta_min + k*h, k < B, which the kernel
+    factors into giant rows of S = ceil(sqrt(B)) points.  Only the giant rows
+    that can hold a point within 1e-3 of the best are evaluated
+    (`_bounded_rows`).  A bounding kernel stacks one rate row per bound: its
+    first level, one `xi_grid` over all of them, gives a lower bound on each
+    displacement's best at every twist, and the floor is the largest over
+    all twists minus 1e-3; its rows(floor) then halves, a level at a time
+    over all rows, the stretches whose curvature bound still reaches the
+    floor, and keeps the giant rows the last ones touch (`row_bounds`).  The
+    evaluating kernel, with every twist, evaluates those rows in one
+    `xi_rows` call, bit for bit each twist's full grid, and `_run_maxima`
+    scans the runs of evaluated points for local maxima, about `_SCAN_ROWS`
+    giant rows at a time.
 
     The kept lists equal the full grid's.  Every value of a skipped row lies
     below best - 1e-3, so (i) a point at or above best - 1e-3 keeps its
@@ -217,50 +215,95 @@ def _coarse_pass(
     The cap binds on blocked landscapes, whose rounding noise is all in the
     window, and not on the table's twist grids (both pinned by tests).
     """
-    count, h = grid_count(spec.beta_max - spec.beta_min, spec.beta_step), spec.beta_step
-    kernels = {f: SpectralKernel(rates[f], ds) for f in spec.f_candidates}
+    b0, h = spec.beta_min, spec.beta_step
+    count = grid_count(spec.beta_max - b0, h)
+    twists = spec.f_candidates
+    # the kept giant rows of one kernel row per (twist, displacement), in order
+    rows, giants = np.nonzero(_bounded_rows(n, ds, spec, rates, count))
+    evaluating = SpectralKernel([rates[f] for f in twists], ds)
+    top = np.full(len(twists) * len(ds), -np.inf)  # each kernel row's maximum
+    # whole kernel rows at a time, about _SCAN_ROWS giant rows each, bound the memory
+    firsts = np.flatnonzero(np.diff(rows, prepend=-1))
+    cuts = firsts[np.flatnonzero(np.diff(firsts // _SCAN_ROWS)) + 1]
+    found = []
+    for at, g in zip(np.split(rows, cuts), np.split(giants, cuts)):
+        found.append(_run_maxima(at, g, evaluating.xi_rows(b0, h, count, at, g), b0, h, top))
+    row, beta, value = (np.concatenate(x) for x in zip(*found))
+    twist, place = np.divmod(row, len(ds))
+    best = top.reshape(len(twists), len(ds)).max(axis=0)
+    near = value >= best[place] - _NEAR_OPTIMUM_WINDOW
+    kept: dict[int, list[tuple[float, float, float]]] = {d: [] for d in ds}
+    for t, j, b, v in zip(*(x[near].tolist() for x in (twist, place, beta, value))):
+        kept[ds[j]].append((twists[t], b, v))
+    return kept
+
+
+def _bounded_rows(
+    n: int, ds: tuple[int, ...], spec: SearchSpec, rates: dict[float, np.ndarray], count: int
+) -> np.ndarray:
+    """The giant rows `_coarse_pass` evaluates, as a boolean array with one row per
+    (twist, displacement), twist first: those that can hold a point within 1e-3
+    of the best (`SpectralKernel.row_bounds`, `count` grid points).
+
+    Twists f and -f share one bounding rate row where both are candidates.
+    Reflecting the ring reverses the twist, a_d(beta, -f) = a_{N-d}(beta, f),
+    as the rates of -f are those of f under m -> N - m.  So the bounds of f's
+    rates over the displacements ds and N - ds bound both twists, a kernel row
+    standing for one of each taking the lower floor, and one that stands for
+    neither a floor of +inf; the rates of a pair whose twists are opposite
+    only up to rounding differ by a spread that widens that row's slack
+    (`row_bounds`).  An unpaired twist has a rate row of its own, over the
+    same displacements.  The bound need not match any twist's bits, but the
+    evaluating kernel gives each twist's rows the bits of its own grid.
+    """
+    twists = spec.f_candidates
     mirrored = tuple(n - d for d in ds)
     union = ds + tuple(d for d in mirrored if d not in ds)
-    pairs = _mirror_pairs(spec.f_candidates)
-    bounds = []  # per bounding kernel: (low, rows) and the kernel rows of ds per twist
-    for f, g in pairs:
-        # a_d(beta, -f) = a_{N-d}(beta, f): the rates of g are those of f
-        # under m -> N - m, up to the rounding of the two twists
-        spread = float(np.max(np.abs(rates[g] - np.roll(rates[f][::-1], -1))))
-        kernel = kernels[f] if len(union) == len(ds) else SpectralKernel(rates[f], union)
-        sides = {f: [union.index(d) for d in ds], g: [union.index(d) for d in mirrored]}
-        bounds.append((kernel.row_bounds(spec.beta_min, h, count, spread), sides))
-    bounds += [(kernels[f].row_bounds(spec.beta_min, h, count), {f: list(range(len(ds)))})
-               for f in set(spec.f_candidates).difference(*pairs)]
-    lows = [low[at] for (low, _), sides in bounds for at in sides.values()]
-    floor = np.max(lows, axis=0) - _NEAR_OPTIMUM_WINDOW
-    keep = {}
-    for (low, rows_above), sides in bounds:
-        floors = np.full(len(low), np.inf)
-        for at in sides.values():
-            floors[at] = np.minimum(floors[at], floor)
-        above = rows_above(floors)
-        keep.update({twist: above[at] for twist, at in sides.items()})
-    kept: dict[int, list[tuple[float, float, float]]] = {d: [] for d in ds}
-    best: dict[int, float] = {d: -1.0 for d in ds}
-    for f, kernel in kernels.items():
-        rows = kernel.xi_rows(spec.beta_min, h, count, keep[f])
-        for d, (index, values) in zip(ds, rows):
-            if not len(index):
-                continue
-            # -inf stands in for each skipped run and beyond the window edges
-            at = np.concatenate(([0], np.flatnonzero(np.diff(index) != 1) + 1, [len(index)]))
-            g = np.insert(values, at, -np.inf)
-            betas = spec.beta_min + h * np.insert(index, at, -1)  # no candidate is a separator
-            best[d] = max(best[d], float(g.max()))
-            cand = _local_maxima(g)
-            cand = cand[g[cand] >= g.max() - _NEAR_OPTIMUM_WINDOW]
-            order = np.lexsort((betas[cand], -g[cand]))
-            for i in cand[order][:_MAX_REFINE_PER_TWIST]:
-                kept[d].append((f, float(betas[i]), float(g[i])))
-    for d in ds:
-        kept[d] = [p for p in kept[d] if p[2] >= best[d] - _NEAR_OPTIMUM_WINDOW]
-    return kept
+    pairs = _mirror_pairs(twists)
+    paired = {f for pair in pairs for f in pair}
+    alone = [f for f in twists if f not in paired]
+    # a_d(beta, -f) = a_{N-d}(beta, f): the rates of g are those of f under
+    # m -> N - m, up to the rounding of the two twists
+    spread = [float(np.max(np.abs(rates[g] - np.roll(rates[f][::-1], -1)))) for f, g in pairs]
+    bounding = SpectralKernel([rates[f] for f, _ in pairs] + [rates[f] for f in alone], union)
+    spread += [0.0] * len(alone)
+    low, rows_above = bounding.row_bounds(spec.beta_min, spec.beta_step, count, spread)
+    # the bounding kernel rows of each twist's displacements ds
+    own, other = (np.array([union.index(d) for d in side]) for side in (ds, mirrored))
+    reads = {f: i * len(union) + own for i, f in enumerate([f for f, _ in pairs] + alone)}
+    reads.update({g: i * len(union) + other for i, (_, g) in enumerate(pairs)})
+    source = np.array([reads[f] for f in twists])
+    floor = low[source].max(axis=0) - _NEAR_OPTIMUM_WINDOW
+    floors = np.full(len(low), np.inf)
+    np.minimum.at(floors, source, np.broadcast_to(floor, source.shape))
+    return rows_above(floors)[source.ravel()]
+
+
+def _run_maxima(rows, giants, values, b0: float, h: float, top: np.ndarray):
+    """The candidates of evaluated giant rows: (kernel row, beta, value) arrays of
+    the local maxima within 1e-3 of their kernel row's maximum, by kernel row and
+    best first, at most 64 a row.
+
+    Line i of `values` holds the S points of giant row giants[i] of kernel row
+    rows[i] (`SpectralKernel.xi_rows`), and each kernel row's lines are all
+    here; top[r] is set to kernel row r's maximum.  A run of grid points ends
+    where the next line is not the next giant row of the same kernel row.
+    """
+    stride = values.shape[1]
+    breaks = np.zeros(values.shape, dtype=bool)
+    breaks[:-1, -1] = (np.diff(rows) != 0) | (np.diff(giants) != 1)
+    values = values.ravel()
+    firsts = np.flatnonzero(np.diff(rows, prepend=-1))
+    top[rows[firsts]] = np.maximum.reduceat(values, firsts * stride)
+    cand = _local_maxima(values, breaks.ravel()[:-1])
+    line, j = np.divmod(cand, stride)
+    near = values[cand] >= top[rows[line]] - _NEAR_OPTIMUM_WINDOW
+    line, j, cand = line[near], j[near], cand[near]
+    row, value, beta = rows[line], values[cand], b0 + h * (giants[line] * stride + j)
+    order = np.lexsort((beta, -value, row))
+    row, beta, value = row[order], beta[order], value[order]
+    capped = np.arange(len(row)) - np.searchsorted(row, row) < _MAX_REFINE_PER_TWIST
+    return row[capped], beta[capped], value[capped]
 
 
 def _select(points: list[TransferPoint]) -> TransferPoint:

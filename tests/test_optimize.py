@@ -2,6 +2,7 @@
 
 import ast
 import math
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinring import amplitude, entangle, optimize
-from spinring.amplitude import _CHUNK, PointSums, SpectralKernel, _giant_steps, xi, xi_profile
+from spinring.amplitude import PointSums, SpectralKernel, _giant_steps, xi, xi_profile
 from spinring.optimize import (
     SearchSpec,
     default_twist_grid,
@@ -95,8 +96,8 @@ EQUIVALENCE_CASES = {
     # fully blocked: nothing can be pruned
     "blocked-hexagon": (6, (3,), SearchSpec(beta_max=500.0, f_candidates=(0.5,))),
     # one displacement, and the full grid hands BLAS its last giant row alone
-    "blocked-hexagon-lone-row": (6, (3,), SearchSpec(beta_max=1310.72, f_candidates=(0.5,))),
-    "pentagon-lone-row": (5, (2,), SearchSpec(beta_max=1310.72, f_candidates=twist_grid(8))),
+    "blocked-hexagon-lone-row": (6, (3,), SearchSpec(beta_max=490.0, f_candidates=(0.5,))),
+    "pentagon-lone-row": (5, (2,), SearchSpec(beta_max=490.0, f_candidates=twist_grid(8))),
     "one-point-window": (5, (1, 2), SearchSpec(beta_max=1.0, beta_step=2.0, f_candidates=RESTRICTED)),
     "window-under-first-stride": (5, (2, 3), SearchSpec(beta_max=0.1, f_candidates=twist_grid(8))),
     "offset-window": (7, (1, 3), SearchSpec(beta_min=3.7, beta_max=1003.76, f_candidates=twist_grid(8))),
@@ -119,6 +120,15 @@ EQUIVALENCE_CASES = {
     ),
     # a pair that is mirrored only up to the rounding of the twists
     "rounded-mirror": (5, (2, 3), SearchSpec(f_candidates=(-0.3, 0.1 + 0.2))),
+    # a step whose square overflows: the bound reaches everywhere and prunes nothing
+    "step-squared-overflows": (
+        5, (1, 2), SearchSpec(beta_max=1e300, beta_step=1e299, f_candidates=RESTRICTED)
+    ),
+    # one bounding kernel stacks a mirror pair, a rounded mirror and an unpaired
+    # twist over mirrored displacements that are not all searched
+    "mixed-stack": (
+        7, (1, 2, 4), SearchSpec(beta_max=2000.0, f_candidates=(-0.5, -0.3, -0.25, 0.25, 0.1 + 0.2))
+    ),
 }
 
 
@@ -163,28 +173,32 @@ def test_pruned_coarse_pass_keeps_what_the_full_grid_keeps(case):
         ((f, g),) = pairs
         mirrored = np.roll(_mode_cosines(n, f)[::-1], -1)
         assert g != -f and not np.array_equal(_mode_cosines(n, g), mirrored)
+    if case == "step-squared-overflows":
+        assert count == 11 and math.isinf(spec.beta_step * spec.beta_step)
+    if case == "mixed-stack":
+        assert pairs == [(-0.3, 0.1 + 0.2), (-0.25, 0.25)] and not {n - d for d in ds} <= set(ds)
     if case.endswith("lone-row"):
         starts, stride = _giant_steps(spec.beta_min, spec.beta_step, count)
-        assert len(starts) % (_CHUNK // stride) == 1
+        assert len(starts) % (amplitude._BLOCK // stride) == 1
     kept = coarse_pass(n, ds, spec)
     assert kept == coarse_pass_reference(n, ds, spec)
     assert all(kept[d] for d in ds)
 
 
 def evaluated_share(monkeypatch, n, ds, spec):
-    """Share of the (displacement, giant row) pairs the coarse pass evaluates."""
-    kept, total = [], []
+    """Share of the (twist, displacement, giant row) triples the coarse pass evaluates."""
+    kept = []
     xi_rows = SpectralKernel.xi_rows
 
-    def counted(kernel, b0, h, count, keep):
-        kept.append(np.count_nonzero(keep))
-        total.append(keep.size)
-        return xi_rows(kernel, b0, h, count, keep)
+    def counted(kernel, b0, h, count, rows, giants):
+        kept.append(len(rows))
+        return xi_rows(kernel, b0, h, count, rows, giants)
 
     monkeypatch.setattr(SpectralKernel, "xi_rows", counted)
     coarse_pass(n, ds, spec)
-    assert len(total) == len(spec.f_candidates)
-    return sum(kept) / sum(total)
+    assert len(kept) == 1  # the kept rows of every twist in one stacked call
+    starts, _ = _giant_steps(spec.beta_min, spec.beta_step, len(spec.beta_grid()))
+    return sum(kept) / (len(spec.f_candidates) * len(ds) * len(starts))
 
 
 def test_coarse_pass_prunes_the_quarter_twist_landscapes(monkeypatch):
@@ -198,7 +212,7 @@ def test_coarse_pass_prunes_the_quarter_twist_landscapes(monkeypatch):
 @pytest.mark.parametrize("n", [5, 7])
 def test_bound_evaluates_a_third_of_a_stride_twenty_pre_grid(monkeypatch, n):
     # a cost check without a clock: the (displacement, time) values the bound
-    # reads on the 1/8 twist grid, its first level on every bounding kernel and
+    # reads on the 1/8 twist grid, its first level on every bounding row and
     # the midpoints of the stretches it halves, against the 12,502 per kernel
     # row of one pre-grid at every 20th fine point
     spec = SearchSpec(f_candidates=twist_grid(8))
@@ -219,8 +233,31 @@ def test_bound_evaluates_a_third_of_a_stride_twenty_pre_grid(monkeypatch, n):
     monkeypatch.setattr(SpectralKernel, "xi_grid", grid)
     monkeypatch.setattr(PointSums, "values", scattered)
     coarse_pass(n, tuple(range(1, n)), spec)
-    assert len(rows) == 5  # three mirrored pairs, and -1/2 and 0 alone
+    # one stacked first level: three mirrored pairs, and -1/2 and 0 alone
+    assert rows == [5 * (n - 1)]
     assert sum(points) <= sum(rows) * ((count - 1) // 20 + 2) / 3
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_coarse_pass_calls_do_not_grow_with_the_twist_grid(monkeypatch, n):
+    # a cost check without a clock: the stacked kernels take every twist at
+    # once, so five times the twists adds rows to the kernels' calls, not calls
+    calls = []
+    methods = ((SpectralKernel, "xi_grid"), (SpectralKernel, "xi_rows"), (PointSums, "values"))
+    for cls, name in methods:
+        def counted(self, *args, _method=getattr(cls, name), _name=name):
+            calls.append(_name)
+            return _method(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+    counts = []
+    for resolution in (8, 40):
+        calls.clear()
+        coarse_pass(n, tuple(range(1, n)), SearchSpec(f_candidates=twist_grid(resolution)))
+        counts.append(Counter(calls))
+    first, last = strides(0.02, len(SearchSpec().beta_grid()))
+    halvings = (first // last).bit_length() - 1  # 64 -> 4
+    assert counts[0] == counts[1] == {"xi_grid": 1, "xi_rows": 1, "values": halvings}
 
 
 @pytest.mark.parametrize("n", [5, 7])
@@ -267,23 +304,33 @@ def test_bound_halves_nothing_on_the_blocked_hexagon(monkeypatch):
     [(5, (2,), 65537), (7, (1, 2, 3), 250001), (6, (3,), 65537), (4, (1, 2), 2), (5, (1, 2), 1)],
 )
 def test_fine_rows_match_the_full_grid_bit_for_bit(n, ds, count):
-    # `xi_rows` on a few giant rows of one displacement, the pruned pass's request
+    # a kernel stacked from three twists, one the rounding mirror 0.1 + 0.2 of
+    # -0.3, gives each (twist, displacement) the bits of that twist's kernel
+    # alone, on the full grid and on a few giant rows (the pruned pass's
+    # request): twist 0.2 keeps the picked rows of one displacement, -0.3 one
+    # row alone in its product, and 0.1 + 0.2 none
     rng = np.random.default_rng(count)
-    kernel = SpectralKernel(_mode_cosines(n, 0.2), ds)
-    full = kernel.xi_grid(1.5, 0.02, count)
+    twists = (0.2, -0.3, 0.1 + 0.2)
+    full = [SpectralKernel(_mode_cosines(n, f), ds).xi_grid(1.5, 0.02, count) for f in twists]
+    stacked = SpectralKernel([_mode_cosines(n, f) for f in twists], ds)
+    assert np.array_equal(stacked.xi_grid(1.5, 0.02, count), np.concatenate(full))
     starts, stride = _giant_steps(1.5, 0.02, count)
     last = len(starts) - 1
     some = sorted(rng.choice(len(starts), min(7, len(starts)), replace=False))
     picks = [[0], [last], sorted({0, last}), some]
     for rows in map(np.array, picks):
-        index = (rows[:, None] * stride + np.arange(stride)).ravel()
-        index = index[index < count]
         for i in range(len(ds)):
-            keep = np.zeros((len(ds), len(starts)), dtype=bool)
+            keep = np.zeros((len(twists) * len(ds), len(starts)), dtype=bool)
             keep[i, rows] = True
-            got_index, got = kernel.xi_rows(1.5, 0.02, count, keep)[i]
-            assert np.array_equal(got_index, index), (rows, i)
-            assert np.array_equal(got, full[i, index]), (rows, i)
+            keep[len(ds) + i, rows[-1]] = True
+            pairs, giants = np.nonzero(keep)
+            values = stacked.xi_rows(1.5, 0.02, count, pairs, giants)
+            assert values.shape == (len(rows) + 1, stride)
+            for pair, g, got in zip(pairs, giants, values):
+                twist, d = divmod(pair, len(ds))
+                want = full[twist][d, g * stride : (g + 1) * stride]
+                assert np.array_equal(got[: len(want)], want), (rows, i, pair, g)
+                assert np.all(got[len(want) :] == -np.inf), (rows, i, pair, g)
 
 
 def test_optimize_uses_only_the_public_kernel():
