@@ -3,7 +3,7 @@
 Three independent routes give the same complex amplitude (uniform gauge):
 
 * the spectral route sums the N plane-wave modes, O(N) per point
-  (`PointSums` at scattered points, `SpectralKernel` on grids),
+  (`SpectralKernel`, on time grids and at scattered points),
 * the Bessel route expands each mode phase with the Jacobi-Anger identity
   and resums into two ladders of Bessel functions J_{d+kN}(beta) and
   J_{d'+kN}(beta), d' = N - d, and
@@ -31,12 +31,13 @@ __all__ = [
     "BESSEL_BETA_MAX",
     "BesselTruncationError",
     "MAX_GRID_POINTS",
-    "PointSums",
     "SpectralKernel",
     "amplitude_spectral",
     "amplitude_bessel",
     "amplitude_oracle",
     "grid_count",
+    "local_maxima",
+    "polish",
     "require_grid_points",
     "xi",
     "xi_profile",
@@ -71,6 +72,8 @@ _BLOCK = 8192
 # decides which giant rows are evaluated.
 _FIRST_REACH = 0.25
 _LAST_REACH = 1e-3
+# polish rounds: real maxima take 2-6, blocked landscapes' rounding noise all
+_MAX_POLISH_ROUNDS = 64
 
 
 class BesselTruncationError(RuntimeError):
@@ -154,17 +157,17 @@ class SpectralKernel:
     displacement.  For a ring, c_m = cos(2*pi*(m+f)/N) from `_mode_cosines`,
     so the half-flux pair cancellation holds on every path, and a_d is the
     uniform-gauge amplitude without the global phase exp(-i*D*t), so J and B
-    drop out.  Every kernel row has the bits of the same row in a kernel of
-    its rate row alone.
+    drop out.  Time grids are BLAS products of giant and baby steps (`xi_grid`,
+    `xi_rows`), scattered points (kernel row, beta) one product each (`values`,
+    `jet`); on both, every kernel row has the bits of a kernel of its rate row
+    and displacement alone.
     """
 
     def __init__(self, rates: np.ndarray, ds) -> None:
         self._irates = 1j * np.atleast_2d(np.asarray(rates, dtype=float))
-        stack, n = self._irates.shape
-        self.n = n
-        self._ds = [int(d) % n for d in ds] * stack  # the displacement of each kernel row
-        self._of = np.repeat(np.arange(stack), len(self._ds) // stack)  # and its rate row
-        self._columns = _mode_weights(n, self._ds)  # one weight row per kernel row
+        self.n = self._irates.shape[1]
+        self._ds = [int(d) % self.n for d in ds]
+        self._weights = _mode_weights(self.n, self._ds)  # one weight row per displacement
 
     def xi_grid(self, b0: float, h: float, count: int) -> np.ndarray:
         """|a_d| at b0 + k*h for k < count, shape (kernel rows, count).
@@ -176,7 +179,7 @@ class SpectralKernel:
         """
         starts, stride = _giant_steps(b0, h, count)
         require_grid_points(self.n * stride, "a block of mode phases")
-        rows, giants = len(self._columns), len(starts)
+        rows, giants = len(self._irates) * len(self._ds), len(starts)
         values = self._xi_giant(
             np.repeat(np.arange(rows), giants), np.tile(np.arange(giants), rows), starts, h, stride
         )
@@ -204,7 +207,7 @@ class SpectralKernel:
         every grid point lies on a stretch: one `xi_grid` over every kernel
         row.  rows(floor) halves each stretch whose bound still reaches
         floor[r], evaluating the midpoints of all kernel rows by one
-        `PointSums` a level, down to reach `_LAST_REACH`, and keeps the giant
+        `values` call a level, down to reach `_LAST_REACH`, and keeps the giant
         rows the stretches left there touch.  A kernel row whose floor the last
         reach brings down to 0 (a blocked landscape) keeps all its giant rows
         unhalved, and one whose floor is +inf keeps none.  Both bounds carry a
@@ -216,7 +219,7 @@ class SpectralKernel:
         as |a_d| moves by at most beta * max_m |c_m - c'_m| between them.
         """
         starts, stride = _giant_steps(b0, h, count)
-        shape = (len(self._columns), len(starts))
+        shape = (len(self._irates) * len(self._ds), len(starts))
         curvature = 2.0 * float(np.max(np.mean(np.abs(self._irates) ** 2, axis=1)))
         first = _level_stride(h, count, _FIRST_REACH, curvature)
         last = _level_stride(h, count, _LAST_REACH, curvature)
@@ -226,9 +229,8 @@ class SpectralKernel:
             # the first level would run past the largest float: bound nothing
             return np.full(shape[0], -np.inf), lambda floor: np.ones(shape, dtype=bool)
         level = self.xi_grid(b0, first * h, points)
-        spread = np.broadcast_to(np.asarray(spread, dtype=float), len(self._irates))[self._of]
+        spread = np.repeat(np.broadcast_to(spread, len(self._irates)), len(self._ds))
         slack = 1e-9 + (16.0 * np.finfo(float).eps + spread) * beta_end
-        sums = PointSums(self._irates.imag[self._of], self._ds)
 
         def rows(floor: np.ndarray) -> np.ndarray:
             def least(width: int) -> np.ndarray:
@@ -247,7 +249,7 @@ class SpectralKernel:
                 k, ends, width = p * first, (level[r, p], level[r, p + 1]), first
                 while width > last and len(k):
                     width //= 2
-                    mid = np.abs(sums.values(r, b0 + h * (k + width)))
+                    mid = np.abs(self.values(r, b0 + h * (k + width)))
                     r, k = np.concatenate((r, r)), np.concatenate((k, k + width))
                     ends = (np.concatenate((ends[0], mid)), np.concatenate((mid, ends[1])))
                     # a half that starts past the grid covers none of it
@@ -315,7 +317,7 @@ class SpectralKernel:
         out = np.empty((len(rows), stride))
         block = np.empty((min(per, len(rows)) + 1, stride), dtype=complex)  # for every product
         # the pairs of rate row k are a = cuts[k] <= i < cuts[k + 1] = b
-        cuts = np.searchsorted(rows, np.searchsorted(self._of, np.arange(len(self._irates) + 1)))
+        cuts = np.searchsorted(rows, len(self._ds) * np.arange(len(self._irates) + 1))
         for rates, a, b in zip(self._irates, cuts.tolist(), cuts[1:].tolist()):
             if a == b:
                 continue
@@ -325,67 +327,57 @@ class SpectralKernel:
                 hi = min(lo + per, b)
                 at = giants[lo:hi]
                 giant = every[at] if every is not None else np.exp(np.outer(starts[at], rates))
-                phases = self._columns[rows[lo:hi]] * giant
+                phases = self._weights[rows[lo:hi] % len(self._ds)] * giant
                 pair = np.repeat(phases, 2, axis=0) if hi - lo == 1 else phases
                 np.abs(np.matmul(pair, baby, out=block[: len(pair)])[: hi - lo], out=out[lo:hi])
         out /= self.n
         _clip_xi(out.max(initial=0.0))  # the over-unity check of every other path
         return np.minimum(out, 1.0, out=out)
 
-
-class PointSums:
-    """Mode sums a_d(beta) (see `SpectralKernel`) at points (rate row, beta).
-
-    Built from K rate rows of one ring, shape (K, N) or (N,), and one
-    displacement per row or one for all.  One `exp` covers a block of points
-    and one stacked `np.matmul` a 1 x N by N x 1 product per point (N x 7 in
-    `jet`), which rounds alike whatever points share the call.  A 2-D product,
-    `einsum` or a sum rounds differently, and so does `np.abs` in place of `abs`.
-    """
-
-    def __init__(self, rates, ds) -> None:
-        self._irates = 1j * np.atleast_2d(np.asarray(rates, dtype=float))
-        rows, self.n = self._irates.shape
-        ds = [int(d) % self.n for d in np.atleast_1d(ds).tolist()]
-        if len(ds) not in (1, rows):
-            raise ValueError(f"need one displacement or one per rate row, got {len(ds)} for {rows}")
-        self._weights = _mode_weights(self.n, ds)[:, :, None]  # one weight column is shared
-
     def values(self, rows, betas) -> np.ndarray:
-        """Complex a_d(betas[i]) of rate row rows[i], for every i."""
-        return self._sums(rows, betas, lambda at, weights: weights)[:, 0]
+        """Complex a_d(betas[i]) on kernel row rows[i], for every i.
+
+        One `exp` covers a block of points and one stacked `np.matmul` a 1 x N
+        by N x 1 product per point (N x 7 in `jet`), which rounds alike
+        whatever points share the call.  A 2-D product, `einsum` or a sum
+        rounds differently, and so does `np.abs` in place of `abs`.
+        """
+        return self._sums(rows, betas, lambda of, weights: weights)[:, 0]
 
     def xi(self, rows, betas) -> list[float]:
-        """|a_d(betas[i])| of rate row rows[i], for every i."""
+        """|a_d(betas[i])| on kernel row rows[i], for every i."""
         return [_clip_xi(abs(a)) for a in self.values(rows, betas).tolist()]
 
     def jet(self, rows, betas, slopes, bends) -> np.ndarray:
-        """g = |a_d|^2, its gradient and its Hessian in (beta, f) at points (rate row,
+        """g = |a_d|^2, its gradient and its Hessian in (beta, f) at points (kernel row,
         beta): rows g, g_beta, g_f, g_beta_beta, g_beta_f, g_ff of a (6, points) array.
 
         `slopes` and `bends`, shaped like the rates, hold d c_m/d f and d^2 c_m/d f^2.
         With phi_m = beta*c_m, a_x = (1/N) sum_m w_m exp(i*phi_m) i*phi_x and a_xy is
         the same sum of i*phi_xy - phi_x*phi_y: phi_beta = c_m, phi_f = beta*c_m',
         phi_{beta f} = c_m', phi_ff = beta*c_m''.  Seven weight columns of one product.
+        Past beta ~ 1e154 the twist terms overflow, quietly: `polish` steps around them.
         """
         slopes, bends = np.asarray(slopes, dtype=float), np.asarray(bends, dtype=float)
 
-        def columns(at, weights):
-            c, s = self._irates[at].imag, slopes[at]
-            return weights * np.stack((c**0, c, c * c, s, c * s, s * s, bends[at]), axis=2)
+        def columns(of, weights):
+            c, s = self._irates[of].imag, slopes[of]
+            return weights * np.stack((c**0, c, c * c, s, c * s, s * s, bends[of]), axis=2)
 
         a, s_c, s_cc, s_s, s_cs, s_ss, s_b = self._sums(rows, betas, columns).T
         t = np.asarray(betas, dtype=float)
-        a_b, a_f = 1j * s_c, 1j * t * s_s
-        a_bb, a_bf, a_ff = -s_cc, 1j * s_s - t * s_cs, 1j * t * s_b - t * t * s_ss
-        g_x = [2.0 * np.real(a.conj() * x) for x in (a_b, a_f)]
-        g_xy = [2.0 * np.real(x.conj() * y + a.conj() * xy)
-                for x, y, xy in ((a_b, a_b, a_bb), (a_b, a_f, a_bf), (a_f, a_f, a_ff))]
+        with np.errstate(over="ignore", invalid="ignore"):
+            a_b, a_f = 1j * s_c, 1j * t * s_s
+            a_bb, a_bf, a_ff = -s_cc, 1j * s_s - t * s_cs, 1j * t * s_b - t * t * s_ss
+            g_x = [2.0 * np.real(a.conj() * x) for x in (a_b, a_f)]
+            g_xy = [2.0 * np.real(x.conj() * y + a.conj() * xy)
+                    for x, y, xy in ((a_b, a_b, a_bb), (a_b, a_f, a_bf), (a_f, a_f, a_ff))]
         return np.array([abs(a) ** 2, *g_x, *g_xy])
 
     def _sums(self, rows, betas, columns) -> np.ndarray:
-        """(1/N) sum_m exp(i*betas[i]*c_m) x_m of rate row rows[i], shape (points, K):
-        `columns(rows, weights)` gives a block's K weighted columns x, shape (., N, K)."""
+        """(1/N) sum_m exp(i*betas[i]*c_m) x_m on kernel row rows[i], shape (points, K):
+        `columns(of, weights)` gives a block's K weighted columns x, shape (., N, K),
+        from its points' rate rows and weight columns (shape (., N, 1))."""
         rows = np.asarray(rows, dtype=np.intp)
         betas = np.asarray(betas, dtype=float)
         if betas.shape != rows.shape or rows.ndim != 1:
@@ -393,11 +385,58 @@ class PointSums:
         sums = []
         per = max(_CHUNK // self.n, 1)
         for lo in range(0, max(len(rows), 1), per):  # an empty call still has its shape
-            at = rows[lo : lo + per]
-            weights = self._weights[at] if len(self._weights) > 1 else self._weights
-            phases = np.exp(betas[lo : lo + per, None] * self._irates[at])
-            sums.append(np.matmul(phases[:, None, :], columns(at, weights))[:, 0])
+            of, at = np.divmod(rows[lo : lo + per], len(self._ds))
+            phases = np.exp(betas[lo : lo + per, None] * self._irates[of])
+            weighted = columns(of, self._weights[at, :, None])
+            sums.append(np.matmul(phases[:, None, :], weighted)[:, 0])
         return (sums[0] if len(sums) == 1 else np.concatenate(sums)) / self.n
+
+
+def local_maxima(values: np.ndarray, breaks=False) -> np.ndarray:
+    """Indices of strict local maxima of each run, its endpoints included when they
+    dominate; breaks[i] ends a run at values[i] (default: one run)."""
+    rising = np.concatenate(([True], (values[1:] > values[:-1]) | breaks))
+    falling = np.concatenate(((values[:-1] >= values[1:]) | breaks, [True]))
+    return np.nonzero(rising & falling)[0]
+
+
+def polish(jet_at, f, beta, lo, hi, tol: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Safeguarded Newton ascent of g = |a_d|^2 from each (f[i], beta[i]), all in lockstep.
+
+    `jet_at(index, f, beta)` is `SpectralKernel.jet` at the points `index` moved
+    to (f, beta), one call a round (negated, it descends g instead).  A point
+    takes a Newton step where the Hessian is negative definite, else a
+    gradient step scaled by the absolute diagonal (Newton's in beta alone if
+    the twist slopes are zero), halved until g rises; a step that is not finite
+    is none, and beta stays in [lo[i], hi[i]].  It stops once a step, taken or
+    refused, moves beta by at most `tol` and each mode phase beta*c_m by at
+    most `tol` through the twist (|c_m'| <= 2*pi/N), or moves nothing.
+    """
+    f, beta = np.array(f, dtype=float), np.array(beta, dtype=float)
+    lo, hi = np.broadcast_to(lo, beta.shape), np.broadcast_to(hi, beta.shape)
+    moving, scale = np.arange(len(beta)), np.ones(len(beta))
+    here = jet_at(moving, f, beta)
+    for _ in range(_MAX_POLISH_ROUNDS):
+        g, g_b, g_f, h_bb, h_bf, h_ff = here[:, moving]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            det = h_bb * h_ff - h_bf * h_bf
+            newton = (h_bb < 0) & (det > 0)
+            step_b = np.where(newton, (h_bf * g_f - h_ff * g_b) / det, g_b / abs(h_bb))
+            step_f = np.where(newton, (h_bf * g_b - h_bb * g_f) / det, g_f / abs(h_ff))
+        trial_b = beta[moving] + np.nan_to_num(step_b, posinf=0.0, neginf=0.0) * scale[moving]
+        trial_b = np.clip(trial_b, lo[moving], hi[moving])
+        trial_f = f[moving] + np.nan_to_num(step_f, posinf=0.0, neginf=0.0) * scale[moving]
+        there = jet_at(moving, trial_f, trial_b)
+        rose = there[0] > g
+        done = (abs(trial_b - beta[moving]) <= tol) & (
+            abs(trial_f - f[moving]) * beta[moving] * (2.0 * np.pi / n) <= tol
+        )
+        taken, scale[moving] = moving[rose], np.where(rose, 1.0, 0.5 * scale[moving])
+        f[taken], beta[taken], here[:, taken] = trial_f[rose], trial_b[rose], there[:, rose]
+        moving = moving[~done]
+        if not len(moving):
+            break
+    return f, beta
 
 
 def amplitude_spectral(query: AmplitudeQuery) -> AmplitudeResult:
@@ -407,8 +446,8 @@ def amplitude_spectral(query: AmplitudeQuery) -> AmplitudeResult:
     exactly field-independent.
     """
     cfg = query.config
-    sums = PointSums(_mode_cosines(cfg.n, cfg.f), query.d)
-    reduced = complex(sums.values([0], [query.beta])[0])
+    kernel = SpectralKernel(_mode_cosines(cfg.n, cfg.f), (query.d,))
+    reduced = complex(kernel.values([0], [query.beta])[0])
     t = query.beta / (4.0 * cfg.j)
     value = complex(np.exp(-1j * cfg.diagonal * t) * reduced)
     return AmplitudeResult(value=value, xi=_clip_xi(abs(reduced)), method="spectral")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitude import PointSums, bessel_ladders, unit_phase
+from .amplitude import SpectralKernel, bessel_ladders, unit_phase
 from .ring import RingConfig, _mode_cosines
 
 # unused here, but benchmarks/spans.py patches `spinring.blockage.xi` in its
@@ -71,9 +71,9 @@ def verify_blockage(quarter_rings: int, beta_samples) -> BlockageReport:
     cfg = RingConfig(n, f=0.5)  # refuses a ring too large to build its modes
     # one point sum per sample, each with the bits of `xi(cfg, d, b)`; a block
     # of samples at a time bounds the list of xi values `.xi` returns
-    sums = PointSums(_mode_cosines(cfg.n, cfg.f), d)
+    kernel = SpectralKernel(_mode_cosines(cfg.n, cfg.f), (d,))
     blocks = (samples[lo : lo + _SAMPLE_BLOCK] for lo in range(0, len(samples), _SAMPLE_BLOCK))
-    worst = max(max(sums.xi(np.zeros(len(block), np.intp), block)) for block in blocks)
+    worst = max(max(kernel.xi(np.zeros(len(block), np.intp), block)) for block in blocks)
     return BlockageReport(
         n=n,
         d=d,

@@ -11,7 +11,7 @@ branches b0, b1, with Schmidt weights (1 +- |<b0|b1>|)/2, so the flux-ring
 entanglement is their binary entropy.  In the uniform gauge of `ring` both
 branches share the DFT eigenvectors and a site-localized start puts weight
 1/N on every mode, so the overlap is one mode sum, the d = 0 sum with rates
-c_m(1/2) - c_m(0) (`SpectralKernel` on the scan grid, `PointSums` at points):
+c_m(1/2) - c_m(0) (`SpectralKernel`, on the scan grid and at points):
 
     <b0|b1> = (1/N) sum_m exp(i*beta*(c_m(1/2) - c_m(0))).
 
@@ -42,8 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitude import PointSums, SpectralKernel, grid_count
-from .optimize import _local_maxima, _polish
+from .amplitude import SpectralKernel, grid_count, local_maxima, polish
 from .ring import RingConfig, _mode_cosines, site_state
 
 # unused here, but benchmarks/spans.py patches `spinring.entangle.propagate_oracle`
@@ -110,8 +109,8 @@ def entanglement_curve(
     return _entropy_from_overlap(overlap), overlap
 
 
-def _reading(sums: PointSums, beta: float) -> EntanglementReading:
-    (overlap,) = sums.xi([0], [beta])
+def _reading(kernel: SpectralKernel, beta: float) -> EntanglementReading:
+    (overlap,) = kernel.xi([0], [beta])
     return EntanglementReading(float(beta), float(_entropy_from_overlap(overlap)), overlap)
 
 
@@ -131,7 +130,7 @@ def find_entangling_time(
 
     Entropy falls strictly as |overlap| grows, so every grid local maximum
     within 1e-3 of the best is polished by Newton steps down g = |overlap|^2
-    in its +-step bracket (`optimize._polish` on `PointSums.jet`), all of
+    in its +-step bracket (`polish` on `SpectralKernel.jet`), all of
     them in lockstep, until a step moves beta by at most 1e-7.  The window
     ends 0 and beta_max are read unpolished: the overlap's slope is 0 at
     beta = 0, where a polish never moves.  Exact ties (within 1e-12 ebits)
@@ -139,24 +138,24 @@ def find_entangling_time(
     rides along for comparison.
     """
     betas = scan_times(beta_max, step)
-    sums = PointSums(_overlap_rates(n, start_site), 0)
+    kernel = SpectralKernel(_overlap_rates(n, start_site), (0,))
     entropy, overlap = entanglement_curve(step, len(betas), n=n, start_site=start_site)
 
-    idx = _local_maxima(entropy)
+    idx = local_maxima(entropy)
     start = betas[idx[entropy[idx] >= float(entropy.max()) - _NEAR_BEST_WINDOW]]
     flat = np.zeros((1, n))
-    _, polished = _polish(
-        lambda index, _, at: -sums.jet(np.zeros(len(index), dtype=np.intp), at, flat, flat),
+    _, polished = polish(
+        lambda index, _, at: -kernel.jet(np.zeros(len(index), dtype=np.intp), at, flat, flat),
         np.zeros(len(start)), start, np.maximum(0.0, start - step),
         np.minimum(beta_max, start + step), 1e-7, n,
     )
     points = [0.0, float(beta_max), *polished.tolist()]
-    values = _entropy_from_overlap(np.array(sums.xi([0] * len(points), points))).tolist()
+    values = _entropy_from_overlap(np.array(kernel.xi([0] * len(points), points))).tolist()
     best_ent = max(values)
     beta_best = min(b for b, e in zip(points, values) if e >= best_ent - _ENTROPY_TIE)
     return EntanglingScan(
-        best=_reading(sums, beta_best),
-        reference=_reading(sums, REFERENCE_BETA),
+        best=_reading(kernel, beta_best),
+        reference=_reading(kernel, REFERENCE_BETA),
         betas=betas,
         entropy=entropy,
         overlap=overlap,

@@ -4,8 +4,8 @@ The landscape xi(beta) is a quasi-periodic superposition of N mode phases, so
 the search is a dense coarse grid (step 0.02 oversamples the fastest ~pi
 oscillation by more than a hundredfold), then a Newton polish in beta, at its
 grid twist, of every coarse local maximum within 1e-3 of the coarse best, and
-last a joint (twist, time) polish of each displacement's winner: `_polish` on
-the exact derivatives of `PointSums.jet`, all points of a ring in lockstep.
+last a joint (twist, time) polish of each displacement's winner: `polish` on
+the exact derivatives of `SpectralKernel.jet`, all points of a ring in lockstep.
 
 The coarse grid is pruned by a bound: |a|^2, a = (1/N) sum_m w_m
 exp(i*beta*c_m) with |w_m| = 1, curves down no faster than 2 mean_m c_m^2
@@ -15,10 +15,11 @@ best (`SpectralKernel.row_bounds`).  Only the others are evaluated, and the
 kernel gives them the full grid's values bit for bit, so the coarse
 candidates are the full grid's (see `_coarse_pass`).  A ring's twists are
 stacked as rate rows of two kernels, one that bounds and one that evaluates,
-so each stage is one call over all of them.  Near-perfect windows
-at different times can tie to within fractions of 1e-3; all surviving
-polished optima are kept on the record (`near_optima`) so callers can match
-a specific reported window as well as the in-range global best.
+so each stage is one call over all of them; the beta polish and the anchors
+read the evaluating kernel's rows too.  Near-perfect windows at different
+times can tie to within fractions of 1e-3; all surviving polished optima are
+kept on the record (`near_optima`) so callers can match a specific reported
+window as well as the in-range global best.
 
 Ties are resolved toward the earliest usable time: smallest beta, then
 smallest |f|, then negative f.
@@ -32,7 +33,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .amplitude import PointSums, SpectralKernel, grid_count
+from .amplitude import SpectralKernel, grid_count, local_maxima, polish
 
 # unused here, but benchmarks/spans.py patches `spinring.optimize.xi` in its
 # traced mode, so the name must stay a module attribute
@@ -58,8 +59,6 @@ _SCAN_ROWS = 256
 # below this the landscape is blocked/noise and searching off the candidate
 # twists would only chase rounding, so the record keeps the candidate twist
 _TWIST_REFINE_FLOOR = 1e-9
-# polish rounds: real maxima take 2-6, blocked landscapes' rounding noise all
-_MAX_POLISH_ROUNDS = 64
 
 
 def default_twist_grid() -> tuple[float, ...]:
@@ -160,14 +159,6 @@ def fidelity_from_xi(value: float) -> float:
     return 0.5 + value / 3.0 + value * value / 6.0
 
 
-def _local_maxima(values: np.ndarray, breaks=False) -> np.ndarray:
-    """Indices of strict local maxima of each run, its endpoints included when they
-    dominate; breaks[i] ends a run at values[i] (default: one run)."""
-    rising = np.concatenate(([True], (values[1:] > values[:-1]) | breaks))
-    falling = np.concatenate(((values[:-1] >= values[1:]) | breaks, [True]))
-    return np.nonzero(rising & falling)[0]
-
-
 def _mirror_pairs(twists: tuple[float, ...]) -> list[tuple[float, float]]:
     """Pairs (f, g) of distinct twists with g = -f to within 1e-12, one pair per twist at most."""
     by_size = {round(f, 12): f for f in twists}
@@ -181,23 +172,26 @@ def _mirror_pairs(twists: tuple[float, ...]) -> list[tuple[float, float]]:
 
 
 def _coarse_pass(
-    n: int, ds: tuple[int, ...], spec: SearchSpec, rates: dict[float, np.ndarray]
+    evaluating: SpectralKernel,
+    ds: tuple[int, ...],
+    spec: SearchSpec,
+    rates: dict[float, np.ndarray],
 ) -> dict[int, list[tuple[float, float, float]]]:
     """Coarse grid sweep; returns per-d lists of (f, beta, xi) keep-worthy points.
 
-    `rates` holds each candidate twist's mode cosines, `_mode_cosines(n, f)`.
+    `rates` holds each candidate twist's mode cosines, `_mode_cosines(n, f)`,
+    and `evaluating` stacks them in the order of `spec.f_candidates` over ds.
 
-    The landscapes are the rows of a `SpectralKernel` that stacks one rate
-    row per twist: `xi_grid` on beta_min + k*h, k < B, which the kernel
-    factors into giant rows of S = ceil(sqrt(B)) points.  Only the giant rows
-    that can hold a point within 1e-3 of the best are evaluated
-    (`_bounded_rows`).  A bounding kernel stacks one rate row per bound: its
-    first level, one `xi_grid` over all of them, gives a lower bound on each
-    displacement's best at every twist, and the floor is the largest over
-    all twists minus 1e-3; its rows(floor) then halves, a level at a time
-    over all rows, the stretches whose curvature bound still reaches the
-    floor, and keeps the giant rows the last ones touch (`row_bounds`).  The
-    evaluating kernel, with every twist, evaluates those rows in one
+    The landscapes are the rows of that kernel: `xi_grid` on beta_min + k*h,
+    k < B, which the kernel factors into giant rows of S = ceil(sqrt(B))
+    points.  Only the giant rows that can hold a point within 1e-3 of the best
+    are evaluated (`_bounded_rows`).  A bounding kernel stacks one rate row
+    per bound: its first level, one `xi_grid` over all of them, gives a lower
+    bound on each displacement's best at every twist, and the floor is the
+    largest over all twists minus 1e-3; its rows(floor) then halves, a level
+    at a time over all rows, the stretches whose curvature bound still
+    reaches the floor, and keeps the giant rows the last ones touch
+    (`row_bounds`).  The evaluating kernel evaluates those rows in one
     `xi_rows` call, bit for bit each twist's full grid, and `_run_maxima`
     scans the runs of evaluated points for local maxima, about `_SCAN_ROWS`
     giant rows at a time.
@@ -219,8 +213,7 @@ def _coarse_pass(
     count = grid_count(spec.beta_max - b0, h)
     twists = spec.f_candidates
     # the kept giant rows of one kernel row per (twist, displacement), in order
-    rows, giants = np.nonzero(_bounded_rows(n, ds, spec, rates, count))
-    evaluating = SpectralKernel([rates[f] for f in twists], ds)
+    rows, giants = np.nonzero(_bounded_rows(evaluating.n, ds, spec, rates, count))
     top = np.full(len(twists) * len(ds), -np.inf)  # each kernel row's maximum
     # whole kernel rows at a time, about _SCAN_ROWS giant rows each, bound the memory
     firsts = np.flatnonzero(np.diff(rows, prepend=-1))
@@ -295,7 +288,7 @@ def _run_maxima(rows, giants, values, b0: float, h: float, top: np.ndarray):
     values = values.ravel()
     firsts = np.flatnonzero(np.diff(rows, prepend=-1))
     top[rows[firsts]] = np.maximum.reduceat(values, firsts * stride)
-    cand = _local_maxima(values, breaks.ravel()[:-1])
+    cand = local_maxima(values, breaks.ravel()[:-1])
     line, j = np.divmod(cand, stride)
     near = values[cand] >= top[rows[line]] - _NEAR_OPTIMUM_WINDOW
     line, j, cand = line[near], j[near], cand[near]
@@ -312,44 +305,6 @@ def _select(points: list[TransferPoint]) -> TransferPoint:
     return min(group, key=lambda p: (p.beta, abs(p.f), p.f))
 
 
-def _polish(jet_at, f, beta, lo, hi, tol: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Safeguarded Newton ascent of g = |a_d|^2 from each (f[i], beta[i]), all in lockstep.
-
-    `jet_at(index, f, beta)` is `PointSums.jet` at the points `index` moved to
-    (f, beta), one call a round (negated, it descends g instead).  A point takes a Newton step where the Hessian
-    is negative definite, else a gradient step scaled by the absolute diagonal
-    (Newton's in beta alone if the twist slopes are zero), halved until g
-    rises; beta stays in [lo[i], hi[i]].  It stops once a step, taken or
-    refused, moves beta by at most `tol` and each mode phase beta*c_m by at
-    most `tol` through the twist (|c_m'| <= 2*pi/N), or moves nothing.
-    """
-    f, beta = np.array(f, dtype=float), np.array(beta, dtype=float)
-    lo, hi = np.broadcast_to(lo, beta.shape), np.broadcast_to(hi, beta.shape)
-    moving, scale = np.arange(len(beta)), np.ones(len(beta))
-    here = jet_at(moving, f, beta)
-    for _ in range(_MAX_POLISH_ROUNDS):
-        g, g_b, g_f, h_bb, h_bf, h_ff = here[:, moving]
-        det = h_bb * h_ff - h_bf * h_bf
-        newton = (h_bb < 0) & (det > 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step_b = np.where(newton, (h_bf * g_f - h_ff * g_b) / det, g_b / abs(h_bb))
-            step_f = np.where(newton, (h_bf * g_b - h_bb * g_f) / det, g_f / abs(h_ff))
-        trial_b = beta[moving] + np.nan_to_num(step_b, posinf=0.0, neginf=0.0) * scale[moving]
-        trial_b = np.clip(trial_b, lo[moving], hi[moving])
-        trial_f = f[moving] + np.nan_to_num(step_f, posinf=0.0, neginf=0.0) * scale[moving]
-        there = jet_at(moving, trial_f, trial_b)
-        rose = there[0] > g
-        done = (abs(trial_b - beta[moving]) <= tol) & (
-            abs(trial_f - f[moving]) * beta[moving] * (2.0 * np.pi / n) <= tol
-        )
-        taken, scale[moving] = moving[rose], np.where(rose, 1.0, 0.5 * scale[moving])
-        f[taken], beta[taken], here[:, taken] = trial_f[rose], trial_b[rose], there[:, rose]
-        moving = moving[~done]
-        if not len(moving):
-            break
-    return f, beta
-
-
 def optimize_transfers(
     n: int, ds: tuple[int, ...] | list[int], spec: SearchSpec | None = None
 ) -> dict[int, TransferRecord]:
@@ -360,35 +315,36 @@ def optimize_transfers(
         if not 1 <= d <= n - 1:
             raise ValueError(f"displacement must be in 1..{n - 1}, got {d}")
     RingConfig(n)  # validates the ring size early
-    rates = {f: _mode_cosines(n, f) for f in spec.f_candidates}
-    coarse = _coarse_pass(n, ds, spec, rates)
-    # one rate row per (displacement, twist): the twist table once per displacement
     twists = spec.f_candidates
-    sums = PointSums(np.tile([rates[f] for f in twists], (len(ds), 1)), np.repeat(ds, len(twists)))
-    row = {(d, f): j * len(twists) + i for j, d in enumerate(ds) for i, f in enumerate(twists)}
+    rates = {f: _mode_cosines(n, f) for f in twists}
+    # one kernel row per (twist, displacement), twist first: twist f's rows start at first[f]
+    kernel = SpectralKernel([rates[f] for f in twists], ds)
+    first = {f: t * len(ds) for t, f in enumerate(twists)}
+    coarse = _coarse_pass(kernel, ds, spec, rates)
 
     # each coarse candidate at or above the refine floor (below it is blocked
     # noise) in beta alone, in +-beta_step: zero twist slopes keep its twist
     kept = [(d, f, beta) for d in ds for f, beta, _ in coarse[d]]
-    rows = np.array([row[d, f] for d, f, _ in kept], dtype=np.intp)
+    rows = np.array([first[f] + ds.index(d) for d, f, _ in kept], dtype=np.intp)
     betas = np.array([beta for _, _, beta in kept])
     live = np.array([value >= _TWIST_REFINE_FLOOR for d in ds for *_, value in coarse[d]], bool)
     start, polished = betas[live], rows[live]
     lo = np.maximum(spec.beta_min, start - spec.beta_step)
     hi = np.minimum(spec.beta_max, start + spec.beta_step)
-    flat = np.zeros((len(row), n))
-    _, betas[live] = _polish(
-        lambda index, _, betas: sums.jet(polished[index], betas, flat, flat),
+    flat = np.zeros((len(twists), n))
+    _, betas[live] = polish(
+        lambda index, _, betas: kernel.jet(polished[index], betas, flat, flat),
         np.zeros(len(start)), start, lo, hi, spec.refine_tol, n,
     )
     candidates: dict[int, list[TransferPoint]] = {d: [] for d in ds}
-    for (d, f, _), beta, value in zip(kept, betas.tolist(), sums.xi(rows, betas)):
+    for (d, f, _), beta, value in zip(kept, betas.tolist(), kernel.xi(rows, betas)):
         candidates[d].append(TransferPoint(f=f, beta=beta, xi=value))
     # unpolished window-start anchors make flat (fully blocked) landscapes
     # resolve deterministically to beta_min instead of polish noise
-    anchors = iter(sums.xi(range(len(row)), [spec.beta_min] * len(row)))
-    for d in ds:
-        candidates[d] += [TransferPoint(f=f, beta=spec.beta_min, xi=next(anchors)) for f in twists]
+    every = len(twists) * len(ds)
+    anchors = kernel.xi(range(every), [spec.beta_min] * every)
+    for j, d in enumerate(ds):
+        candidates[d] += [TransferPoint(f, spec.beta_min, anchors[first[f] + j]) for f in twists]
 
     # each winner jointly in (f, beta); it moves only if xi rises by more than a tie
     winners = {d: _select(points) for d, points in candidates.items()}
@@ -398,13 +354,13 @@ def optimize_transfers(
     def joint(index, fs, betas):
         rates = np.array([_mode_cosines(n, f) for f in fs]).reshape(-1, n)
         slopes = -k * np.sin(k * (np.arange(1, n + 1) + np.reshape(fs, (-1, 1))))
-        twisted = PointSums(rates, [jointly[i] for i in index])
-        return twisted.jet(range(len(fs)), betas, slopes, -k * k * rates)
+        rows = np.arange(len(fs)) * len(jointly) + index  # point i at jointly[index[i]]
+        return SpectralKernel(rates, jointly).jet(rows, betas, slopes, -k * k * rates)
 
     start = np.reshape([(winners[d].f, winners[d].beta) for d in jointly], (-1, 2)).T
-    f, beta = _polish(joint, *start, spec.beta_min, spec.beta_max, spec.refine_tol, n)
+    f, beta = polish(joint, *start, spec.beta_min, spec.beta_max, spec.refine_tol, n)
     for d, f_p, beta_p in zip(jointly, f.tolist(), beta.tolist()):
-        (xi_p,) = PointSums(_mode_cosines(n, f_p), d).xi([0], [beta_p])
+        (xi_p,) = SpectralKernel(_mode_cosines(n, f_p), (d,)).xi([0], [beta_p])
         if xi_p > winners[d].xi + _XI_TIE:
             winners[d] = TransferPoint(f=f_p, beta=beta_p, xi=xi_p)
     records: dict[int, TransferRecord] = {}

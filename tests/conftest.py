@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from spinring.amplitude import PointSums, SpectralKernel
+from spinring.amplitude import SpectralKernel, local_maxima
 from spinring.bessel import _start_order
 from spinring.entangle import (
     EntanglementReading,
@@ -30,7 +30,7 @@ from spinring.entangle import (
     entanglement_curve,
     scan_times,
 )
-from spinring.optimize import _coarse_pass, _local_maxima
+from spinring.optimize import _coarse_pass
 from spinring.ring import RingConfig, _mode_cosines, build_hamiltonian, propagate_oracle
 
 # Full-space validation is exponential in N; anything past this is a mistake.
@@ -253,7 +253,7 @@ def coarse_pass_reference(n, ds, spec, window=1e-3, cap=64):
         profiles = kernel.xi_grid(spec.beta_min, spec.beta_step, len(betas))
         for d, g in zip(ds, profiles):
             best[d] = max(best[d], float(g.max()))
-            cand = _local_maxima(g)
+            cand = local_maxima(g)
             cand = cand[g[cand] >= g.max() - window]
             order = np.lexsort((betas[cand], -g[cand]))
             for i in cand[order][:cap]:
@@ -362,16 +362,19 @@ def golden_search_reference(n, ds, spec):
     rates = {f: _mode_cosines(n, f) for f in spec.f_candidates}
 
     def golden_xi(twists, displacements, brackets):
+        # point i sums rate row i at displacements[i]: kernel row i*n + displacements[i]
         rows = [rates[f] if f in rates else _mode_cosines(n, f) for f in twists]
-        sums = PointSums(rows, displacements)
+        kernel = SpectralKernel(np.reshape(rows, (-1, n)), range(n))
 
         def xi_at(points):
-            return sums.xi([i for i, _ in points], [beta for _, beta in points])
+            at = [i * n + displacements[i] for i, _ in points]
+            return kernel.xi(at, [beta for _, beta in points])
 
         return golden_max_lockstep(xi_at, brackets, spec.refine_tol)
 
+    evaluating = SpectralKernel([rates[f] for f in spec.f_candidates], ds)
     best = {}
-    for d, points in _coarse_pass(n, ds, spec, rates).items():
+    for d, points in _coarse_pass(evaluating, ds, spec, rates).items():
         brackets = [
             (max(spec.beta_min, b - spec.beta_step), min(spec.beta_max, b + spec.beta_step))
             for _, b, _ in points
@@ -382,7 +385,7 @@ def golden_search_reference(n, ds, spec):
         )
         for i, (beta, value) in zip(moving, found):
             points[i] = (points[i][0], beta, value)
-        anchors = PointSums([rates[f] for f in spec.f_candidates], d)
+        anchors = SpectralKernel([rates[f] for f in spec.f_candidates], (d,))
         starts = anchors.xi(range(len(rates)), [spec.beta_min] * len(rates))
         points += [(f, spec.beta_min, value) for f, value in zip(spec.f_candidates, starts)]
         top = max(p[2] for p in points)
@@ -424,13 +427,13 @@ def golden_entangling_scan_reference(beta_max, step, n, start_site):
     go to the smallest beta.
     """
     betas = scan_times(beta_max, step)
-    sums = PointSums(_overlap_rates(n, start_site), 0)
+    kernel = SpectralKernel(_overlap_rates(n, start_site), (0,))
     entropy, _ = entanglement_curve(step, len(betas), n=n, start_site=start_site)
-    idx = _local_maxima(entropy)
+    idx = local_maxima(entropy)
     survivors = idx[entropy[idx] >= float(entropy.max()) - 1e-3]
 
     def entropy_at(points):
-        overlaps = sums.xi([0] * len(points), [beta for _, beta in points])
+        overlaps = kernel.xi([0] * len(points), [beta for _, beta in points])
         return _entropy_from_overlap(np.array(overlaps)).tolist()
 
     brackets = [(max(0.0, betas[i] - step), min(beta_max, betas[i] + step)) for i in survivors]
@@ -450,8 +453,8 @@ def point_sum_reference(rates, d, beta) -> complex:
     """Mode sum a_d(beta) = (1/N) sum_m exp(2*pi*i*d*m/N) exp(i*beta*c_m), one point.
 
     The package's former scalar route: one `exp` and one `np.dot` of the
-    phases with an N x 1 weight column.  `PointSums` must round exactly
-    like it, point by point.
+    phases with an N x 1 weight column.  `SpectralKernel.values` must round
+    exactly like it, point by point.
     """
     n = len(rates)
     weights = np.exp(1j * np.outer(np.arange(1, n + 1), [2.0 * np.pi * (int(d) % n) / n]))

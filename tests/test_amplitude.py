@@ -12,7 +12,6 @@ from conftest import point_sum_reference, ring_twist_derivatives, single_bond_ha
 from spinring import amplitude
 from spinring.amplitude import (
     AmplitudeQuery,
-    PointSums,
     SpectralKernel,
     amplitude_bessel,
     amplitude_oracle,
@@ -226,11 +225,11 @@ def test_query_validation():
 
 
 def point_xi(n, f, ds, betas):
-    """|a_d(beta)| from `PointSums` at every (d, beta) pair, shape (len(ds), len(betas))."""
+    """|a_d(beta)| from `SpectralKernel.xi` at every (d, beta) pair, shape (len(ds), len(betas))."""
     ds, betas = list(ds), np.asarray(betas, dtype=float)
-    sums = PointSums(np.tile(_mode_cosines(n, f), (len(ds), 1)), ds)
+    kernel = SpectralKernel(_mode_cosines(n, f), ds)
     rows = np.repeat(np.arange(len(ds)), len(betas))
-    return np.reshape(sums.xi(rows, np.tile(betas, len(ds))), (len(ds), len(betas)))
+    return np.reshape(kernel.xi(rows, np.tile(betas, len(ds))), (len(ds), len(betas)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -249,7 +248,7 @@ def test_kernel_grid_matches_pointwise_sums(n, f, b0, h, count):
     assert np.max(np.abs(kernel.xi_grid(b0, h, count) - pointwise)) <= 1e-12
     # shuffled, the same times summed in one call over a single rate row
     order = np.random.default_rng(count).permutation(count)
-    profile = PointSums(_mode_cosines(n, f), 1).xi(np.zeros(count, int), betas[order])
+    profile = SpectralKernel(_mode_cosines(n, f), (1,)).xi(np.zeros(count, int), betas[order])
     assert np.max(np.abs(np.subtract(profile, pointwise[1, order]))) <= 1e-12
 
 
@@ -463,31 +462,31 @@ def test_point_sums_are_the_scalar_dot_bit_for_bit(n, points, block):
     rates = [_mode_cosines(n, f) for _, f, _ in points]
     betas = [beta for *_, beta in points]
     expected = [point_sum_reference(r, d, b) for r, (d, _, b) in zip(rates, points)]
-    sums = PointSums(rates, [d for d, *_ in points])
-    rows = np.arange(len(points))
+    # point i is rate row i at its displacement, of all n a kernel holds
+    kernel = SpectralKernel(rates, range(n))
+    rows = np.arange(len(points)) * n + [d % n for d, *_ in points]
     with mock.patch.object(amplitude, "_CHUNK", block * n):
-        assert same_bits(sums.values(rows, betas), expected)
-    assert same_bits(sums.values(rows, betas), expected)
-    assert same_bits([sums.values([i], [b])[0] for i, b in zip(rows, betas)], expected)
+        assert same_bits(kernel.values(rows, betas), expected)
+    assert same_bits(kernel.values(rows, betas), expected)
+    assert same_bits([kernel.values([i], [b])[0] for i, b in zip(rows, betas)], expected)
     # rows in any order and repeated, and the magnitudes
-    assert same_bits(sums.values(rows[::-1], betas[::-1]), expected[::-1])
-    assert sums.xi(np.repeat(rows, 2), np.repeat(betas, 2)) == [
+    assert same_bits(kernel.values(rows[::-1], betas[::-1]), expected[::-1])
+    assert kernel.xi(np.repeat(rows, 2), np.repeat(betas, 2)) == [
         min(abs(a), 1.0) for a in expected for _ in range(2)
     ]
 
 
 def test_point_sums_share_one_displacement_or_refuse():
+    # displacement 7 = 2 mod 5 shared by three rate rows, alone or beside displacement 1
     rates = np.array([_mode_cosines(5, f) for f in (0.1, -0.3, 0.25)])
-    shared = PointSums(rates, 7).values([2, 0, 1], [3.0, 1.0, 2.0])
-    own = PointSums(rates, [2, 2, 2]).values([2, 0, 1], [3.0, 1.0, 2.0])
-    assert same_bits(shared, own)
+    shared = SpectralKernel(rates, (7,)).values([2, 0, 1], [3.0, 1.0, 2.0])
+    crossed = SpectralKernel(rates, (1, 2)).values([5, 1, 3], [3.0, 1.0, 2.0])
+    assert same_bits(shared, crossed)
     points = ((2, 3.0), (0, 1.0), (1, 2.0))
     assert same_bits(shared, [point_sum_reference(rates[i], 2, b) for i, b in points])
-    assert PointSums(rates, 1).xi([], []) == []
-    with pytest.raises(ValueError):
-        PointSums(rates, [1, 2])
+    assert SpectralKernel(rates, (1,)).xi([], []) == []
     with pytest.raises(ValueError, match="one beta per row"):
-        PointSums(rates, 1).values([0, 1], [1.0])
+        SpectralKernel(rates, (1,)).values([0, 1], [1.0])
 
 
 @settings(max_examples=80, deadline=None)
@@ -499,7 +498,7 @@ def test_point_sums_share_one_displacement_or_refuse():
 )
 def test_point_jet_is_the_central_differences_of_the_squared_values(n, d, f, beta):
     def g(df, db):
-        return abs(PointSums(_mode_cosines(n, f + df), d).values([0], [beta + db])[0]) ** 2
+        return abs(SpectralKernel(_mode_cosines(n, f + df), (d,)).values([0], [beta + db])[0]) ** 2
 
     # a twist step moves each mode phase by up to beta*2*pi/N, so it is scaled down
     hb = 1e-4
@@ -515,13 +514,14 @@ def test_point_jet_is_the_central_differences_of_the_squared_values(n, d, f, bet
     ]
     scale = np.array([1.0, 1.0, 1.0 + beta, 1.0, 1.0 + beta, (1.0 + beta) ** 2])
     slopes, bends = ring_twist_derivatives(n, f)
-    sums = PointSums([_mode_cosines(n, f)] * 3, [d + 1, d, d])
-    jet = sums.jet([1], [beta], [slopes] * 3, [bends] * 3)
+    # three equal rate rows at d + 1 and d: kernel rows 1, 3 and 5 are at d
+    kernel = SpectralKernel([_mode_cosines(n, f)] * 3, (d + 1, d))
+    jet = kernel.jet([3], [beta], [slopes] * 3, [bends] * 3)
     assert jet.shape == (6, 1)
     assert np.all(np.abs(jet[:, 0] - diffs) <= 2e-4 * scale)
     # a point's jet does not depend on its batch or on the block it falls in
     with mock.patch.object(amplitude, "_CHUNK", n):
-        batch = sums.jet([0, 1, 2, 1], [beta + 1.0, beta, beta, beta], [slopes] * 3, [bends] * 3)
+        batch = kernel.jet([0, 3, 5, 1], [beta + 1.0, beta, beta, beta], [slopes] * 3, [bends] * 3)
     assert np.array_equal(batch[:, 1:], np.repeat(jet, 3, axis=1))
 
 
@@ -533,4 +533,33 @@ def test_point_sums_over_more_points_than_one_block():
     betas = rng.uniform(0.0, 5000.0, 4100)
     assert 4100 > amplitude._CHUNK // 16
     expected = [point_sum_reference(r, d, b) for r, d, b in zip(rates, ds, betas)]
-    assert same_bits(PointSums(rates, ds).values(np.arange(4100), betas), expected)
+    # one kernel row per (twist, displacement 0..15): 65,600 rows, 16 weight rows
+    kernel = SpectralKernel(rates, range(16))
+    assert same_bits(kernel.values(np.arange(4100) * 16 + ds, betas), expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=RINGS,
+    twists=st.lists(TWISTS, min_size=1, max_size=4),
+    ds=st.lists(st.integers(-20, 20), min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_point_values_ignore_the_rest_of_the_stack(n, twists, ds, data):
+    # kernel row (i, d) has the bits of a kernel of rate row i at d alone,
+    # whatever other rate rows and displacements the kernel stacks
+    rates = [_mode_cosines(n, f) for f in twists]
+    slopes, bends = zip(*(ring_twist_derivatives(n, f) for f in twists))
+    kernel = SpectralKernel(rates, ds)
+    rows = data.draw(st.lists(st.integers(0, len(twists) * len(ds) - 1), min_size=1, max_size=6))
+    betas = data.draw(st.lists(TIMES, min_size=len(rows), max_size=len(rows)))
+    values, jet = kernel.values(rows, betas), kernel.jet(rows, betas, slopes, bends)
+    for k, (row, beta) in enumerate(zip(rows, betas)):
+        i, j = divmod(row, len(ds))
+        alone = SpectralKernel(rates[i], (ds[j],))
+        assert same_bits(values[[k]], alone.values([0], [beta]))
+        assert same_bits(jet[:, [k]], alone.jet([0], [beta], [slopes[i]], [bends[i]]))
+    # a kernel of no rate rows has no rows, and its empty reads keep their shapes
+    empty = SpectralKernel(np.zeros((0, n)), ds)
+    assert empty.values([], []).shape == (0,) and empty.xi([], []) == []
+    assert empty.jet([], [], np.zeros((0, n)), np.zeros((0, n))).shape == (6, 0)

@@ -432,7 +432,7 @@ DATA = Path(__file__).parent / "data"
 
 def test_entangle_curve_and_summary_match_golden(tmp_path, capsys):
     # the scan grid's curve, the polished best time and the reference reading;
-    # the curve was written before the searches' point sums moved to `PointSums`
+    # the curve was written before the searches moved to per-point mode sums
     out_csv = tmp_path / "curve.csv"
     code, out = run_cli(
         capsys, "entangle", "--n", "4", "--beta-max", "20", "--step", "0.01",
@@ -854,6 +854,29 @@ def test_refinement_below_the_float_spacing_ends(argv):
     proc = run_child("-m", "spinring.cli", *argv, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["multiparty", "--n", "5", "--sites", "1,3", "--beta-max", "1e300", "--beta-step", "1e299"],
+        ["multiparty", "--n", "7", "--sites", "1,3,6", "--beta-max", "1.7e308",
+         "--beta-step", "1e307"],
+        ["entangle", "--n", "5", "--beta-max", "1.7e308", "--step", "1e307"],
+    ],
+    ids=["multiparty-1e300", "multiparty-max", "entangle-max"],
+)
+def test_windows_near_the_largest_float_warn_nothing(capsys, argv):
+    # past beta ~ 1e154 the twist terms of the polish's derivatives overflow;
+    # the polish takes no such step, and numpy's warnings stay quiet
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if argv[-1] == "1e299":
+        (pair,) = json.loads(captured.out)["pairs"]
+        assert (pair["f"], pair["beta"], pair["xi"]) == (0.465, 1e299, 0.983058515525)
 
 
 # what a numeric flag may be given in place of a valid value

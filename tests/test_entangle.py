@@ -16,7 +16,7 @@ from conftest import (
     square_ring_entropy,
     square_ring_overlap,
 )
-from spinring.amplitude import PointSums
+from spinring.amplitude import SpectralKernel
 from spinring.entangle import (
     EntanglementReading,
     REFERENCE_BETA,
@@ -93,9 +93,9 @@ def test_curve_and_scan_match_the_dense_reference(n):
     for start in range(1, n + 1):
         scan = find_entangling_time(20.0, step=0.01, n=n, start_site=start)
         entropy, overlap = entanglement_curve(12.5, len(grid), n=n, start_site=start)
-        sums = PointSums(_overlap_rates(n, start), 0)
+        kernel = SpectralKernel(_overlap_rates(n, start), (0,))
         readings = [scan.best, scan.reference, *map(EntanglementReading, grid, entropy, overlap)]
-        readings += [_reading(sums, beta) for beta in scattered]
+        readings += [_reading(kernel, beta) for beta in scattered]
         for got in readings:
             ref = flux_ring_entanglement(evolve_joint(site_state(n, start), got.beta))
             assert abs(got.entropy_ebits - ref.entropy_ebits) <= 1e-12
@@ -165,24 +165,24 @@ def test_polished_scan_never_falls_below_golden_section(n, site, beta_max, step)
     assert best.entropy_ebits >= golden - 1e-12
     assert 0.0 <= best.beta <= beta_max
     if 0.0 < best.beta < beta_max:
-        sums = PointSums(_overlap_rates(n, start), 0)
+        kernel = SpectralKernel(_overlap_rates(n, start), (0,))
         for delta in (1e-6, 1e-4, -1e-6, -1e-4):
             if 0.0 <= best.beta + delta <= beta_max:
-                nearby = _reading(sums, best.beta + delta).entropy_ebits
+                nearby = _reading(kernel, best.beta + delta).entropy_ebits
                 assert nearby <= best.entropy_ebits + 1e-12, delta
 
 
 def test_scan_polish_takes_a_few_jet_rounds(monkeypatch):
     # a cost check without a clock: the protocol-shaped scan polishes its
-    # 113 grid survivors in lockstep, one `PointSums.jet` call a round; a
+    # 113 grid survivors in lockstep, one `SpectralKernel.jet` call a round; a
     # bracketing search would take ~25 steps to its 1e-7 bracket, and no jet
-    calls, jet = [], PointSums.jet
+    calls, jet = [], SpectralKernel.jet
 
-    def counted(sums, rows, betas, slopes, bends):
+    def counted(kernel, rows, betas, slopes, bends):
         calls.append(len(rows))
-        return jet(sums, rows, betas, slopes, bends)
+        return jet(kernel, rows, betas, slopes, bends)
 
-    monkeypatch.setattr(PointSums, "jet", counted)
+    monkeypatch.setattr(SpectralKernel, "jet", counted)
     scan = find_entangling_time(500.0, step=0.005)
     assert 0 < len(calls) <= 8 and calls[0] == 113
     assert abs(scan.best.beta - math.pi) <= 1e-11

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinring import amplitude, entangle, optimize
-from spinring.amplitude import PointSums, SpectralKernel, _giant_steps, xi, xi_profile
+from spinring.amplitude import SpectralKernel, _giant_steps, xi, xi_profile
 from spinring.optimize import (
     SearchSpec,
     default_twist_grid,
@@ -140,7 +140,8 @@ def strides(h, count):
 
 def coarse_pass(n, ds, spec):
     rates = {f: _mode_cosines(n, f) for f in spec.f_candidates}
-    return optimize._coarse_pass(n, ds, spec, rates)
+    evaluating = SpectralKernel([rates[f] for f in spec.f_candidates], ds)
+    return optimize._coarse_pass(evaluating, ds, spec, rates)
 
 
 @pytest.mark.parametrize("case", EQUIVALENCE_CASES)
@@ -218,7 +219,7 @@ def test_bound_evaluates_a_third_of_a_stride_twenty_pre_grid(monkeypatch, n):
     spec = SearchSpec(f_candidates=twist_grid(8))
     count = len(spec.beta_grid())
     points, rows = [], []
-    xi_grid, values = SpectralKernel.xi_grid, PointSums.values
+    xi_grid, values = SpectralKernel.xi_grid, SpectralKernel.values
 
     def grid(kernel, b0, h, count):
         out = xi_grid(kernel, b0, h, count)
@@ -226,12 +227,12 @@ def test_bound_evaluates_a_third_of_a_stride_twenty_pre_grid(monkeypatch, n):
         rows.append(len(out))
         return out
 
-    def scattered(sums, at, betas):
+    def scattered(kernel, at, betas):
         points.append(len(at))
-        return values(sums, at, betas)
+        return values(kernel, at, betas)
 
     monkeypatch.setattr(SpectralKernel, "xi_grid", grid)
-    monkeypatch.setattr(PointSums, "values", scattered)
+    monkeypatch.setattr(SpectralKernel, "values", scattered)
     coarse_pass(n, tuple(range(1, n)), spec)
     # one stacked first level: three mirrored pairs, and -1/2 and 0 alone
     assert rows == [5 * (n - 1)]
@@ -243,13 +244,12 @@ def test_coarse_pass_calls_do_not_grow_with_the_twist_grid(monkeypatch, n):
     # a cost check without a clock: the stacked kernels take every twist at
     # once, so five times the twists adds rows to the kernels' calls, not calls
     calls = []
-    methods = ((SpectralKernel, "xi_grid"), (SpectralKernel, "xi_rows"), (PointSums, "values"))
-    for cls, name in methods:
-        def counted(self, *args, _method=getattr(cls, name), _name=name):
+    for name in ("xi_grid", "xi_rows", "values"):
+        def counted(self, *args, _method=getattr(SpectralKernel, name), _name=name):
             calls.append(_name)
             return _method(self, *args)
 
-        monkeypatch.setattr(cls, name, counted)
+        monkeypatch.setattr(SpectralKernel, name, counted)
     counts = []
     for resolution in (8, 40):
         calls.clear()
@@ -288,13 +288,13 @@ def test_bound_halves_nothing_on_the_blocked_hexagon(monkeypatch):
     # bound keeps every giant row without reading a midpoint (halving every
     # stretch to the last level reads 5,862); its candidates are pinned by the
     # "blocked-hexagon" equivalence case
-    midpoints, values = [], PointSums.values
+    midpoints, values = [], SpectralKernel.values
 
-    def counted(sums, at, betas):
+    def counted(kernel, at, betas):
         midpoints.append(len(at))
-        return values(sums, at, betas)
+        return values(kernel, at, betas)
 
-    monkeypatch.setattr(PointSums, "values", counted)
+    monkeypatch.setattr(SpectralKernel, "values", counted)
     coarse_pass(*EQUIVALENCE_CASES["blocked-hexagon"])
     assert sum(midpoints) == 0
 
@@ -484,8 +484,8 @@ def test_table_records_are_strict_two_dimensional_local_maxima(n):
     k = 2.0 * math.pi / n
     for d, rec in optimize_transfers(n, range(1, n), spec).items():
         slopes, bends = ring_twist_derivatives(n, rec.f)
-        sums = PointSums(_mode_cosines(n, rec.f), d)
-        _, g_b, g_f, h_bb, h_bf, h_ff = sums.jet([0], [rec.beta], [slopes], [bends])[:, 0]
+        kernel = SpectralKernel(_mode_cosines(n, rec.f), (d,))
+        _, g_b, g_f, h_bb, h_bf, h_ff = kernel.jet([0], [rec.beta], [slopes], [bends])[:, 0]
         assert h_bb < 0 and h_bb * h_ff - h_bf**2 > 0, (n, d)
         step_b, step_f = np.linalg.solve([[h_bb, h_bf], [h_bf, h_ff]], [g_b, g_f])
         assert abs(step_b) <= 1e-6 and abs(step_f) * k * rec.beta <= 1e-6, (n, d)
