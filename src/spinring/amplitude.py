@@ -47,17 +47,20 @@ __all__ = [
 # a real bug, not noise.
 XI_EXCESS = 1e-12
 
-# Ladder terms whose order exceeds beta by this many cube-root widths are far
-# past the turning point and decay super-exponentially.
-_ORDER_MARGIN = 40.0
+# Ladder terms whose order exceeds beta by this many cube-root widths
+# max(beta^(1/3), 2) are far past the turning point and decay
+# super-exponentially.  |J_o(beta)| stays below _TERM_FLOOR from at most 13.4
+# widths past beta on (at beta ~8.1; 11.5 at 12000), so 20 keeps a 1.5x margin.
+_ORDER_MARGIN = 20.0
 _TERM_FLOOR = 1e-18
 _TAIL_RUN = 3
 # log of half the least subnormal double: a positive value below it rounds to 0
 _LOG_UNDERFLOW = -1075.0 * math.log(2.0)
 # Largest beta the Bessel route accepts: the ladder's 1e-12 accuracy is tested
-# out to this argument.  The ladder is one pure-Python sweep over (odd, even)
-# order pairs that starts past beta + 40 cube-root widths, so its cost grows
-# with beta: ~13,000 orders and ~2 ms at this bound.
+# out to this argument.  The ladder's sweep starts past beta + 20 cube-root
+# widths and runs in numpy lanes below the turning point, so its cost grows
+# with beta: ~12,700 orders and ~1.5 ms at this bound (2 vCPUs, Python 3.11,
+# numpy 2.4).
 BESSEL_BETA_MAX = 12000.0
 
 # Points per displacement evaluated at once; bounds the live phase block.
@@ -97,6 +100,13 @@ class AmplitudeQuery:
                 raise ValueError(f"{name} must be an integer site in 1..{n}, got {v!r}")
         if not math.isfinite(self.beta) or self.beta < 0:
             raise ValueError(f"beta must be finite and >= 0, got {self.beta!r}")
+        # a subnormal coupling can make t = beta/(4J) overflow, a huge field D*t
+        t = self.beta / (4.0 * self.config.j)
+        if not math.isfinite(t) or not math.isfinite(self.config.diagonal * t):
+            raise ValueError(
+                f"time beta/(4J) and global phase D*t must be finite, got t={t!r} "
+                f"for beta={self.beta!r}, j={self.config.j!r}, b={self.config.b!r}"
+            )
 
     @property
     def d(self) -> int:
@@ -183,7 +193,7 @@ class SpectralKernel:
         values = self._xi_giant(
             np.repeat(np.arange(rows), giants), np.tile(np.arange(giants), rows), starts, h, stride
         )
-        return values.reshape(rows, -1)[:, :count]
+        return values.reshape(rows, giants * stride)[:, :count]
 
     def row_bounds(self, b0: float, h: float, count: int, spread=0.0):
         """Bounds on `xi_grid(b0, h, count)`: (low, rows) with low[r] <= its maximum
@@ -503,7 +513,7 @@ def amplitude_bessel(query: AmplitudeQuery) -> AmplitudeResult:
     """Bessel-ladder amplitude; same complex value as amplitude_spectral.
 
     The two infinite k-sums are truncated once the order passes
-    beta + 40*max(beta^(1/3), 2) and the last three computed terms of each
+    beta + 20*max(beta^(1/3), 2) and the last three computed terms of each
     ladder sit below 1e-18.  The sweep stops where the bound (beta/2)^o / o!
     on |J_o(beta)| underflows, and higher orders read 0, so a large ring's
     tail rungs cost nothing.  A beta outside [0, `BESSEL_BETA_MAX`] is

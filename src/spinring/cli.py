@@ -176,6 +176,11 @@ def _amplitude_record(args: argparse.Namespace, method: str) -> dict:
     }
 
 
+def _spread(values: list) -> float:
+    """The largest |a - b| over pairs of values: nan if one is nan, which max would skip."""
+    return float(np.max([abs(a - b) for a in values for b in values]))
+
+
 def cmd_amplitude(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     if args.method != "all":
@@ -184,14 +189,14 @@ def cmd_amplitude(args: argparse.Namespace) -> int:
     records = [_amplitude_record(args, m) for m in ("spectral", "bessel", "oracle")]
     xis = [r["xi"] for r in records]
     values = [complex(r["value_re"], r["value_im"]) for r in records]
-    value_deviation = max(abs(a - b) for a in values for b in values)
+    value_deviation = _spread(values)
     doc = {
         "n": args.n,
         "d": args.d % args.n,
         "f": args.f,
         "beta": args.beta,
         "records": records,
-        "max_xi_deviation": max(abs(a - b) for a in xis for b in xis),
+        "max_xi_deviation": _spread(xis),
         "max_value_deviation": value_deviation,
     }
     _emit(args, dumps(doc), started)

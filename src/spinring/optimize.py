@@ -311,6 +311,8 @@ def optimize_transfers(
     """Run the coarse search and Newton polish for several displacements of one ring at once."""
     spec = spec or SearchSpec()
     ds = tuple(dict.fromkeys(int(d) for d in ds))
+    if not ds:
+        raise ValueError("need at least one displacement to optimize, got an empty list")
     for d in ds:
         if not 1 <= d <= n - 1:
             raise ValueError(f"displacement must be in 1..{n - 1}, got {d}")

@@ -1,9 +1,10 @@
 """Shared independent oracles for the test suite.
 
 Everything here is deliberately computed by a different route than the
-package code: ascending power series for Bessel functions, the scalar
-Miller sweep the Bessel ladder must reproduce bit for bit, hand-derived
-closed forms for the 4-site ring, plain binary entropy, the full 2^N spin
+package code: ascending power series for Bessel functions, the Miller
+sweep the Bessel ladder must reproduce bit for bit, one order at a time,
+and the former all-scalar sweep it must stay within rounding of,
+hand-derived closed forms for the 4-site ring, plain binary entropy, the full 2^N spin
 Hamiltonian, the flux-ring entanglement from dense propagators and a 2 x N
 Schmidt decomposition, the sector Hamiltonian in the single-bond gauge, the
 optimizer's coarse pass over the whole twist x time grid, unpruned, a
@@ -22,7 +23,7 @@ import math
 import numpy as np
 
 from spinring.amplitude import SpectralKernel, local_maxima
-from spinring.bessel import _start_order
+from spinring.bessel import _LANE, _lane_split, _start_order
 from spinring.entangle import (
     EntanglementReading,
     _entropy_from_overlap,
@@ -54,12 +55,55 @@ def bessel_series(n: int, x: float, terms: int = 30) -> float:
 
 
 def bessel_ladder_reference(n_max: int, x: float) -> np.ndarray:
-    """The Miller sweep of `spinring.bessel.bessel_j_ladder`, one order at a time.
+    """The sweep of `spinring.bessel.bessel_j_ladder`, one order at a time.
 
-    For x >= 1e-6 (below, the ladder takes a series branch instead).  Every
-    step stores its trial value, adds it to the Kahan-compensated norm when
-    the order is even and rescales the whole output in place when the value
-    passes 1e250, so it shows what the paired sweep must equal bit for bit.
+    For x >= 1e-6 (below, the ladder takes a series branch instead).  Above
+    the split, every step stores its trial value and rescales the whole
+    output in place when the value passes 1e250.  Below it, each lane of 16
+    orders runs its fundamental solutions U (0 then 1) and W (1 then 0) one
+    order at a time, fills its orders with a*u + p*w from the two values
+    above it, and hands its lowest two on.  The norm is 2*fsum(even orders)
+    - J_0 over every order of the sweep.  So it shows what the lane sweep
+    must equal bit for bit.
+    """
+    start = _start_order(n_max, x)
+    split = _lane_split(x)
+    out = np.zeros(start)
+    two_over_x = 2.0 / x
+    jp = 0.0
+    jc = 1e-30
+    for nu in range(start, split, -1):
+        jm = nu * two_over_x * jc - jp
+        jp, jc = jc, jm
+        out[nu - 1] = jc
+        if abs(jc) > 1e250:
+            jc *= 1e-250
+            jp *= 1e-250
+            out *= 1e-250
+    a, p = jc, jp
+    for top in range(split, 0, -_LANE):
+        u_prev, u, w_prev, w = 0.0, 1.0, 1.0, 0.0
+        us, ws = [], []
+        for nu in range(top, top - _LANE, -1):
+            c = nu * two_over_x
+            u_prev, u = u, c * u - u_prev
+            w_prev, w = w, c * w - w_prev
+            us.append(u)
+            ws.append(w)
+        for order, u, w in zip(range(top - 1, top - _LANE - 1, -1), us, ws):
+            out[order] = a * u + p * w
+        a, p = a * us[-1] + p * ws[-1], a * us[-2] + p * ws[-2]
+    norm = 2.0 * math.fsum(out[::2]) - out[0]
+    return out[: n_max + 1] / norm
+
+
+def bessel_ladder_reference_paired(n_max: int, x: float) -> np.ndarray:
+    """The former scalar Miller sweep of the ladder, one order at a time.
+
+    For x >= 1e-6.  Every step stores its trial value, adds it to the
+    Kahan-compensated norm when the order is even and rescales the whole
+    output in place when the value passes 1e250, all the way down to order
+    0; the ladder's lanes and `fsum` norm must stay within rounding of it.
     """
     out = np.zeros(n_max + 1)
     start = _start_order(n_max, x)

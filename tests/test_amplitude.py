@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import point_sum_reference, ring_twist_derivatives, single_bond_hamiltonian
 from spinring import amplitude
 from spinring.amplitude import (
+    BESSEL_BETA_MAX,
     AmplitudeQuery,
     SpectralKernel,
     amplitude_bessel,
@@ -100,6 +101,38 @@ def test_bessel_route_blocked_square_ring():
 def test_bessel_matches_spectral_at_published_window():
     q = query(5, 2, -0.25, 162.51)
     assert abs(amplitude_bessel(q).xi - amplitude_spectral(q).xi) <= 1e-9
+
+
+def tail_widths(beta):
+    """How many widths max(beta^(1/3), 2) past beta |J_o(beta)| stays below the term floor."""
+    width = max(beta ** (1.0 / 3.0), 2.0)
+    ladder = bessel_j_ladder(int(beta + 30.0 * width) + 10, beta)
+    return (np.nonzero(np.abs(ladder) >= amplitude._TERM_FLOOR)[0][-1] + 1 - beta) / width
+
+
+def test_series_cut_keeps_a_margin_over_the_measured_tail():
+    # the tail reaches furthest at beta ~8.1 (13.4 widths), which a 0.01 grid resolves
+    widths = [tail_widths(beta) for beta in np.arange(0.0, 40.0, 0.01)]
+    widths += [tail_widths(beta) for beta in np.geomspace(40.0, BESSEL_BETA_MAX, 40)]
+    assert max(widths) >= 13.35
+    assert amplitude._ORDER_MARGIN >= max(widths)
+
+
+# a log grid through the small times where the tail reaches furthest, then a
+# linear one out to the route's bound
+SERIES_CUT_BETAS = [
+    0.0, *np.geomspace(1e-7, 40.0, 16).tolist(), *np.linspace(60.0, BESSEL_BETA_MAX, 8).tolist()
+]
+
+
+def test_series_cut_holds_on_every_ring_and_displacement():
+    # a BesselTruncationError would escape here
+    for n in range(3, 17):
+        for beta in SERIES_CUT_BETAS:
+            for d in range(n):
+                q = query(n, d, 0.15, beta)
+                gap = abs(amplitude_bessel(q).value - amplitude_spectral(q).value)
+                assert gap <= phase_tolerance(q.config, beta), (n, d, beta)
 
 
 def test_large_ring_reduces_to_single_bessel_order():
@@ -230,6 +263,12 @@ def point_xi(n, f, ds, betas):
     kernel = SpectralKernel(_mode_cosines(n, f), ds)
     rows = np.repeat(np.arange(len(ds)), len(betas))
     return np.reshape(kernel.xi(rows, np.tile(betas, len(ds))), (len(ds), len(betas)))
+
+
+def test_kernel_with_no_rows_has_an_empty_grid():
+    for rates, ds in ((_mode_cosines(5, 0.1), ()), (np.empty((0, 5)), (1, 2))):
+        grid = SpectralKernel(rates, ds).xi_grid(0.0, 0.5, 7)
+        assert grid.shape == (0, 7)
 
 
 @settings(max_examples=60, deadline=None)

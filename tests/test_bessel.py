@@ -3,14 +3,15 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import jv
 
-from conftest import bessel_ladder_reference, bessel_series
-from spinring.bessel import _start_order, bessel_j_ladder
+from conftest import bessel_ladder_reference, bessel_ladder_reference_paired, bessel_series
+from spinring.bessel import _LANE, _LANE_CHUNK, _lane_split, _start_order, bessel_j_ladder
 from spinring.ring import MAX_GRID_POINTS
 
 
@@ -74,6 +75,14 @@ def bits(values):
     return np.asarray(values).view(np.int64)
 
 
+def assert_is_the_sweep(n_max, x):
+    # bit for bit the lane sweep restated one order at a time, and within
+    # rounding of the former all-scalar sweep
+    lad = bessel_j_ladder(n_max, x)
+    assert np.array_equal(bits(lad), bits(bessel_ladder_reference(n_max, x)))
+    assert np.max(np.abs(lad - bessel_ladder_reference_paired(n_max, x))) <= 1e-14
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     log_x=st.floats(math.log(1e-6), math.log(12000.0)),
@@ -89,16 +98,49 @@ def test_ladder_is_the_scalar_sweep_bit_for_bit(log_x, reach, odd_top):
         # one order past max(n_max, x) moves the sweep's start by one
         n_max = max(n_max, math.ceil(x)) + 1
     assert (_start_order(n_max, x) - 1) % 2 == odd_top
-    assert np.array_equal(bits(bessel_j_ladder(n_max, x)), bits(bessel_ladder_reference(n_max, x)))
+    assert_is_the_sweep(n_max, x)
 
 
 @pytest.mark.parametrize(
     "n_max, x",
     [(2000, 3.0), (2001, 3.0), (4000, 1.0), (4001, 1.0), (0, 1e-6), (30000, 1.5e-6),
-     (0, 12000.0), (1, 12000.0), (12345, 11999.5), (40, 17.25)],
+     (0, 12000.0), (1, 12000.0), (12345, 11999.5), (40, 17.25),
+     # no lane and one lane below the split; one chunk of lanes and one lane more
+     (100, 21.0), (100, 22.5), (0, 4130.0), (0, 4150.0)],
 )
 def test_rescale_heavy_and_edge_ladders_are_bit_for_bit(n_max, x):
-    assert np.array_equal(bits(bessel_j_ladder(n_max, x)), bits(bessel_ladder_reference(n_max, x)))
+    assert_is_the_sweep(n_max, x)
+
+
+def test_edge_ladders_reach_the_lane_and_chunk_boundaries():
+    assert _lane_split(21.0) == 0
+    assert _lane_split(22.5) == _LANE
+    assert _lane_split(4130.0) == _LANE * _LANE_CHUNK
+    assert _lane_split(4150.0) == _LANE * (_LANE_CHUNK + 1)
+
+
+# (x, orders): each side of the split between the scalar sweep and the lanes,
+# int(x) +- 1 and the turning point, and the Bessel route's series cut
+# x + 20*max(x^(1/3), 2); at x = 12000 the order next to the turning point
+# takes mpmath ~0.7 s, so it gets one
+MPMATH_POINTS = [
+    (8.1, (8, 48)),
+    (100.5, (79, 80, 81, 101)),
+    (2000.5, (1967, 1968, 1969, 1999, 2000, 2001, 2252)),
+    (12000.0, (0, 12001)),
+]
+
+
+def test_ladder_against_forty_digits():
+    for x, orders in MPMATH_POINTS:
+        lad = bessel_j_ladder(max(orders), x)
+        for n in orders:
+            with mpmath.workdps(40):
+                exact = mpmath.besselj(n, mpmath.mpf(x), maxprec=20000)
+            assert abs(lad[n] - float(exact)) <= 1e-13, (n, x)
+    # the points sit where they say
+    assert _lane_split(100.5) == 80 and _lane_split(2000.5) == 1968
+    assert int(2000.5 + 20.0 * 2000.5 ** (1.0 / 3.0)) == 2252
 
 
 def test_ladder_stores_eight_bytes_per_order():

@@ -76,6 +76,34 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "nosuchcommand")[0] == 2
 
 
+@pytest.mark.parametrize("method", ["spectral", "bessel", "oracle", "all"])
+@pytest.mark.parametrize(
+    "flags",
+    [("--j", "1e-320"),  # t = beta/(4J) overflows
+     ("--b", "1e308")],  # the diagonal D, so D*t, overflows
+)
+def test_a_query_whose_time_or_phase_overflows_exits_2(capsys, method, flags):
+    code, out = run_cli(
+        capsys, "amplitude", "--n", "5", "--d", "1", "--beta", "10", *flags, "--method", method,
+    )
+    assert code == 2
+    assert out == ""
+
+
+def test_a_nan_route_is_a_nan_deviation(capsys, monkeypatch):
+    # a route that reads nan must not leave max_xi_deviation at a vacuous 0.0
+    def lost(query):
+        return AmplitudeResult(value=complex(math.nan, math.nan), xi=math.nan, method="bessel")
+
+    monkeypatch.setattr(cli, "amplitude_bessel", lost)
+    code, out = run_cli(
+        capsys, "amplitude", "--n", "5", "--d", "1", "--beta", "3.0", "--method", "all",
+    )
+    assert code == 3
+    doc = json.loads(out)
+    assert math.isnan(doc["max_xi_deviation"]) and math.isnan(doc["max_value_deviation"])
+
+
 def test_method_disagreement_exits_3(capsys, monkeypatch):
     def skewed(query):
         res = cli.amplitude_spectral(query)

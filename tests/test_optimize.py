@@ -619,3 +619,8 @@ def test_validation_errors():
         multiparty_plan(9, [1, 40])
     with pytest.raises(ValueError):
         optimize_transfers(5, (1, 2, 9))
+
+
+def test_an_empty_displacement_list_is_refused_by_name():
+    with pytest.raises(ValueError, match="at least one displacement"):
+        optimize_transfers(5, [])
