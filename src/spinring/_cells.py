@@ -1,8 +1,9 @@
 """CSV cells as NUL-padded bytes: the numpy layout of `serialize`'s float cell.
 
 The `serialize` module docstring states the cell contract and why the layout
-below meets it.  `serialize.csv_text` imports this module when it first writes
-a CSV, so a command that writes none neither compiles it nor builds its tables.
+below meets it.  `serialize._csv_blocks` imports this module when it first
+lays out a CSV, so a command that writes none neither compiles it nor builds
+its tables.
 """
 
 from __future__ import annotations
@@ -115,9 +116,7 @@ def float_cells(values: np.ndarray) -> np.ndarray:
 
 
 def text_cells(texts: list[str]) -> np.ndarray:
-    """Texts, NUL-padded at their ends, shape (k, width)."""
-    if any("\0" in t for t in texts):
-        raise ValueError("CSV text cells must not contain NUL")
+    """Texts, NUL-padded at their ends, shape (k, width); none may hold a NUL."""
     return _bytes_cells(np.array([t.encode() for t in texts], dtype=bytes))
 
 

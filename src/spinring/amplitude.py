@@ -23,7 +23,7 @@ import numpy as np
 
 from .bessel import bessel_j_ladder
 from .ring import MAX_GRID_POINTS, RingConfig, _mode_cosines, propagate_oracle, site_state
-from .ring import require_grid_points
+from .ring import _scaled_time, require_grid_points
 
 __all__ = [
     "AmplitudeQuery",
@@ -100,13 +100,7 @@ class AmplitudeQuery:
                 raise ValueError(f"{name} must be an integer site in 1..{n}, got {v!r}")
         if not math.isfinite(self.beta) or self.beta < 0:
             raise ValueError(f"beta must be finite and >= 0, got {self.beta!r}")
-        # a subnormal coupling can make t = beta/(4J) overflow, a huge field D*t
-        t = self.beta / (4.0 * self.config.j)
-        if not math.isfinite(t) or not math.isfinite(self.config.diagonal * t):
-            raise ValueError(
-                f"time beta/(4J) and global phase D*t must be finite, got t={t!r} "
-                f"for beta={self.beta!r}, j={self.config.j!r}, b={self.config.b!r}"
-            )
+        _scaled_time(self.config, self.beta)
 
     @property
     def d(self) -> int:

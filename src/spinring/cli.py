@@ -46,6 +46,7 @@ from .serialize import (
     dumps,
     load_manifest,
     read_json,
+    write_csv,
     write_manifest,
     write_text,
 )
@@ -143,16 +144,29 @@ def _manifest_params(args: argparse.Namespace) -> dict:
     }
 
 
+def _manifest(args: argparse.Namespace, started: float) -> None:
+    write_manifest(
+        command=args.command,
+        parameters=_manifest_params(args),
+        argv=args._argv,
+        results_path=args.out,
+        started=started,
+    )
+
+
 def _emit(args: argparse.Namespace, text: str, started: float) -> None:
     write_text(args.out, text)
     if args.out is not None:
-        write_manifest(
-            command=args.command,
-            parameters=_manifest_params(args),
-            argv=args._argv,
-            results_path=args.out,
-            started=started,
-        )
+        _manifest(args, started)
+
+
+def _emit_csv(args: argparse.Namespace, header: tuple, columns, started: float) -> None:
+    """Stream the CSV to `--out` and then write its manifest, or print it."""
+    if args.out is None:
+        write_text(None, csv_text(header, columns))
+        return
+    write_csv(args.out, header, columns)
+    _manifest(args, started)
 
 
 def _amplitude_record(args: argparse.Namespace, method: str) -> dict:
@@ -234,7 +248,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
         "f_best", "beta_best", "xi_best", "f_match", "beta_match", "xi_match",
         "passed",
     )
-    _emit(args, csv_text(header, list(zip(*rows))), started)
+    _emit_csv(args, header, list(zip(*rows)), started)
     return EXIT_OK if all_pass else EXIT_PHYSICS
 
 
@@ -287,8 +301,7 @@ def cmd_entangle(args: argparse.Namespace) -> int:
     }
     if args.out is not None:
         columns = (scan.betas, scan.entropy, scan.overlap)
-        curve = csv_text(("beta", "entropy_ebits", "branch_overlap"), columns)
-        _emit(args, curve, started)
+        _emit_csv(args, ("beta", "entropy_ebits", "branch_overlap"), columns, started)
     print(dumps(summary), end="")
     return EXIT_OK
 
@@ -339,7 +352,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # one row per (twist, time); csv_text lays out the broadcast twists and times once each
     f_column = np.broadcast_to(np.array(twists)[:, None], profiles.shape)
     columns = (f_column, np.broadcast_to(betas, profiles.shape), profiles)
-    _emit(args, csv_text(("f", "beta", "xi"), columns), started)
+    _emit_csv(args, ("f", "beta", "xi"), columns, started)
     return EXIT_OK
 
 

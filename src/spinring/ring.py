@@ -160,6 +160,19 @@ def _check_beta(beta: float) -> float:
     return beta
 
 
+def _scaled_time(config: RingConfig, beta: float) -> float:
+    """The time t = beta/(4J) of a scaled time beta; ValueError where t or the
+    global phase D*t is not finite (a subnormal coupling can make t overflow,
+    a huge field D*t)."""
+    t = beta / (4.0 * config.j)
+    if not math.isfinite(t) or not math.isfinite(config.diagonal * t):
+        raise ValueError(
+            f"time beta/(4J) and global phase D*t must be finite, got t={t!r} "
+            f"for beta={beta!r}, j={config.j!r}, b={config.b!r}"
+        )
+    return t
+
+
 def propagate_oracle(config: RingConfig, psi0: np.ndarray, beta: float) -> np.ndarray:
     """Evolve psi0 for scaled time beta by dense eigendecomposition.
 
@@ -170,6 +183,6 @@ def propagate_oracle(config: RingConfig, psi0: np.ndarray, beta: float) -> np.nd
     """
     beta = _check_beta(beta)
     psi0 = _check_state(psi0, config.n)
+    t = _scaled_time(config, beta)
     w, v = np.linalg.eigh(build_hamiltonian(config))
-    t = beta / (4.0 * config.j)
     return v @ (np.exp(-1j * w * t) * (v.conj().T @ psi0))

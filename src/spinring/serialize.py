@@ -2,7 +2,9 @@
 
 Every float that leaves the package is rounded to 12 significant digits
 before formatting, so identical invocations produce byte-identical files on
-any platform and the outputs diff cleanly as golden files.
+any platform and the outputs diff cleanly as golden files.  JSON has no nan or
+infinity, so `dumps` writes a non-finite float as the string %.12g gives it
+("nan", "inf" or "-inf").
 
 The CSV float cell is exactly the text of `"%.12g" % v`.  `csv_text` lays out
 the cells of a finite value with 1e-4 <= |v| < 1e12, whose text is positional,
@@ -20,15 +22,23 @@ and the value goes to Python.  Python's own %.12g writes every other value into
 the same cell layout: zeros, nan, inf, the exponent form, the guarded ties and
 each block of floats too short to repay numpy's fixed cost.  The layout lives in
 `spinring._cells`.
+
+A CSV is made a block of 8,192 rows at a time, as bytes (`_csv_blocks`), and has
+two sinks: `write_csv` streams the blocks to a file, so its peak memory does not
+grow with the rows, and `csv_text` joins them into the text printed to stdout.
+Both check the columns before they lay out a row, so a refused table leaves the
+file unopened.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -42,6 +52,7 @@ __all__ = [
     "dumps",
     "write_text",
     "csv_text",
+    "write_csv",
     "manifest_path_for",
     "write_manifest",
     "read_json",
@@ -64,7 +75,9 @@ def canonical(value: Any) -> Any:
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):
-        return round_sig(value)
+        rounded = round_sig(value)
+        # JSON has no nan or infinity: they go as the text %.12g gives them
+        return rounded if math.isfinite(rounded) else _FLOAT % rounded
     if isinstance(value, dict):
         return {str(k): canonical(v) for k, v in value.items()}
     if isinstance(value, (list, tuple, np.ndarray)):
@@ -73,24 +86,15 @@ def canonical(value: Any) -> Any:
 
 
 def dumps(obj: Any) -> str:
-    return json.dumps(canonical(obj), indent=2) + "\n"
-
-
-_WRITE_CHARS = 1 << 20
+    return json.dumps(canonical(obj), indent=2, allow_nan=False) + "\n"
 
 
 def write_text(path: str | Path | None, text: str) -> None:
-    """Write to the path, or stdout when no path is given.
-
-    A file is written `_WRITE_CHARS` characters at a time, the bytes
-    `Path.write_text` would write without its encoded copy of the whole text.
-    """
+    """Write to the path as UTF-8, or to stdout when no path is given."""
     if path is None:
         print(text, end="")
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        for lo in range(0, len(text), _WRITE_CHARS):
-            fh.write(text[lo : lo + _WRITE_CHARS])
+    Path(path).write_text(text, encoding="utf-8")
 
 
 # Rows laid out at once.  Larger blocks leave a fragmented heap behind and
@@ -104,30 +108,50 @@ def csv_text(header: Sequence[str], columns: Sequence[Any]) -> str:
     anything else as str(v).
 
     A column may be 1-D or an N-D grid; a broadcast view (`np.broadcast_to`)
-    has the values along each of its zero-stride axes laid out once.  Each
-    block of rows is laid out as NUL-padded cells (`_cells`: numpy for most
-    floats, Python's text for the rest), the NULs are dropped with
-    `bytes.translate` and the block is decoded once.
+    has the values along each of its zero-stride axes laid out once.
+    """
+    return "".join(block.decode() for block in _csv_blocks(header, columns))
+
+
+def write_csv(path: str | Path, header: Sequence[str], columns: Sequence[Any]) -> None:
+    """Write the bytes of `csv_text(header, columns)` to the path a block of
+    rows at a time.  Columns that `csv_text` refuses leave the path unopened."""
+    blocks = _csv_blocks(header, columns)
+    with open(path, "wb") as fh:
+        fh.writelines(blocks)
+
+
+def _csv_blocks(header: Sequence[str], columns: Sequence[Any]) -> Iterator[bytes]:
+    """The header line, then the UTF-8 lines of each block of `_BLOCK_ROWS` rows.
+
+    The columns are checked here, before any block is laid out.  Each block is
+    laid out as NUL-padded cells (`_cells`: numpy for most floats, Python's
+    text for the rest) and the NULs are dropped with `bytes.translate`, so no
+    text cell may hold a NUL of its own.
     """
     from . import _cells  # on first use, so that commands without a CSV skip it
 
     cols = [np.asarray(c) for c in columns]
     if not cols or len({c.shape for c in cols}) > 1 or cols[0].ndim == 0:
         raise ValueError("CSV columns must all have one shape of at least one axis")
+    for c in cols:
+        if c.dtype.kind not in "biuf" and any("\0" in str(v) for v in c.flat):
+            raise ValueError("CSV text cells must not contain NUL")
     laid = [_cells.cells(c, _BLOCK_ROWS) for c in cols]
-    parts = [",".join(header) + "\n"]
-    for _ in range(0, cols[0].size, _BLOCK_ROWS):
-        # one block's cells and bytes are freed before the next is laid out
-        parts.append(_block_text([next(column) for column in laid]))
-    return "".join(parts)
+    # one block's cells and bytes are freed before the next is laid out
+    blocks = (
+        _block_bytes([next(column) for column in laid])
+        for _ in range(0, cols[0].size, _BLOCK_ROWS)
+    )
+    return itertools.chain([(",".join(header) + "\n").encode()], blocks)
 
 
-def _block_text(cells: list[np.ndarray]) -> str:
+def _block_bytes(cells: list[np.ndarray]) -> bytes:
     """The CSV lines of a block of rows from its columns' NUL-padded cells."""
     comma = np.full((len(cells[0]), 1), ord(","), dtype=np.uint8)
     block = np.concatenate([x for c in cells for x in (c, comma)], axis=1)
     block[:, -1] = ord("\n")
-    return block.tobytes().translate(None, b"\0").decode()
+    return block.tobytes().translate(None, b"\0")
 
 
 @dataclass(frozen=True)

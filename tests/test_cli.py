@@ -35,6 +35,11 @@ def run_cli(capsys, *argv):
     return code, out
 
 
+def refuse_constant(token):
+    """`json.loads` hook: the bare tokens NaN and Infinity are not JSON."""
+    raise ValueError(f"{token} is not JSON")
+
+
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -100,8 +105,9 @@ def test_a_nan_route_is_a_nan_deviation(capsys, monkeypatch):
         capsys, "amplitude", "--n", "5", "--d", "1", "--beta", "3.0", "--method", "all",
     )
     assert code == 3
-    doc = json.loads(out)
-    assert math.isnan(doc["max_xi_deviation"]) and math.isnan(doc["max_value_deviation"])
+    doc = json.loads(out, parse_constant=refuse_constant)
+    assert doc["max_xi_deviation"] == "nan" and doc["max_value_deviation"] == "nan"
+    assert doc["records"][1]["xi"] == "nan"
 
 
 def test_method_disagreement_exits_3(capsys, monkeypatch):
@@ -772,6 +778,89 @@ def test_manifest_replay_reproduces_bytes(tmp_path, capsys):
     code, _ = run_cli(capsys, "replay", "--manifest", str(manifest_path_for(out_csv)))
     assert code == 0
     assert out_csv.read_bytes() == original
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (("table1", "--twists=-0.25,0.25"), "table1_quarter_twists.csv"),
+        (OFFSET_GRID, "sweep_offset_grid.csv"),
+    ],
+    ids=["table1", "sweep"],
+)
+def test_streamed_out_is_the_printed_csv_and_replays(tmp_path, capsys, argv, golden):
+    # `--out` streams the CSV a block at a time; stdout prints `csv_text`
+    code, printed = run_cli(capsys, *argv)
+    assert code == 0
+    out_csv = tmp_path / "out.csv"
+    code, _ = run_cli(capsys, *argv, "--out", str(out_csv))
+    assert code == 0
+    written = out_csv.read_bytes()
+    assert written == printed.encode() == (DATA / golden).read_bytes()
+    out_csv.unlink()
+    assert cli.main(["replay", "--manifest", str(manifest_path_for(out_csv))]) == 0
+    assert out_csv.read_bytes() == written
+
+
+def test_streamed_entangle_curve_is_its_csv_text_and_replays(tmp_path, capsys):
+    out_csv = tmp_path / "curve.csv"
+    code, _ = run_cli(
+        capsys, "entangle", "--n", "4", "--beta-max", "20", "--step", "0.01", "--out", str(out_csv),
+    )
+    assert code == 0
+    scan = entangle.find_entangling_time(20.0, step=0.01, n=4)
+    columns = (scan.betas, scan.entropy, scan.overlap)
+    text = csv_text(("beta", "entropy_ebits", "branch_overlap"), columns)
+    written = out_csv.read_bytes()
+    assert written == text.encode() == (DATA / "entangle_n4_beta20.csv").read_bytes()
+    out_csv.unlink()
+    assert cli.main(["replay", "--manifest", str(manifest_path_for(out_csv))]) == 0
+    assert out_csv.read_bytes() == written
+
+
+@pytest.mark.parametrize("fault", ["shapes", "nul"])
+def test_a_refused_csv_leaves_out_unopened_and_exits_2(tmp_path, capsys, monkeypatch, fault):
+    # the columns are checked before `--out` is opened, even where the fault
+    # lies in the last of the curve's two blocks
+    scan_for = cli.find_entangling_time
+
+    def faulty(*args, **kwargs):
+        scan = scan_for(*args, **kwargs)
+        if fault == "shapes":
+            return dataclasses.replace(scan, overlap=scan.overlap[:-1])
+        entropy = scan.entropy.astype(object)
+        entropy[-1] = "x\0y"
+        return dataclasses.replace(scan, entropy=entropy)
+
+    monkeypatch.setattr(cli, "find_entangling_time", faulty)
+    out_csv = tmp_path / "curve.csv"
+    out_csv.write_bytes(b"kept\n")
+    code = cli.main(["entangle", "--beta-max", "50", "--out", str(out_csv)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert out_csv.read_bytes() == b"kept\n"
+    assert not manifest_path_for(out_csv).exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        SWEEP_ARGV,
+        ("entangle", "--beta-max", "2"),
+        ("amplitude", "--n", "5", "--d", "1", "--beta", "3"),
+    ],
+    ids=["sweep", "entangle", "amplitude"],
+)
+def test_an_out_that_names_a_directory_exits_2(tmp_path, capsys, argv):
+    target = tmp_path / "results"
+    target.mkdir()
+    code = cli.main([*argv, "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert not manifest_path_for(target).exists()
+    assert list(target.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Sector Hamiltonian, analytic spectrum, and the two propagation oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -188,3 +189,13 @@ def test_state_validation():
         propagate_oracle(RingConfig(4), site_state(4, 1), float("nan"))
     with pytest.raises(ValueError):
         site_state(4, 5)
+
+
+@pytest.mark.parametrize("config", [RingConfig(5, j=1e-320), RingConfig(5, b=1e308)], ids=["j", "b"])
+def test_oracle_refuses_a_time_or_phase_that_overflows(config):
+    # t = beta/(4J) overflows for a subnormal coupling, D*t for a huge field;
+    # every warning is an error here, so a nan result cannot slip through
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must be finite"):
+            propagate_oracle(config, site_state(5, 1), 10.0)

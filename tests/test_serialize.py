@@ -1,7 +1,9 @@
 """Column-wise CSV formatting against the per-cell reference."""
 
+import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,10 +156,69 @@ def test_unequal_columns_are_rejected():
 
 
 def test_write_text_writes_the_bytes_of_one_encode(tmp_path):
-    text = "\u00e9,1\n" * serialize._WRITE_CHARS  # four slices, two bytes to the first character
-    serialize.write_text(tmp_path / "sliced", text)
-    (tmp_path / "whole").write_text(text, encoding="utf-8")
-    assert (tmp_path / "sliced").read_bytes() == (tmp_path / "whole").read_bytes()
+    text = "\u00e9,1\n" * (1 << 20)  # two bytes to the first character
+    serialize.write_text(tmp_path / "written", text)
+    assert (tmp_path / "written").read_bytes() == text.encode("utf-8")
+
+
+def test_dumps_writes_non_finite_floats_as_their_text():
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    text = serialize.dumps({"a": [math.nan, math.inf, -math.inf, np.float64(-math.inf)], "b": 0.1})
+    doc = json.loads(text, parse_constant=refuse)
+    assert doc == {"a": ["nan", "inf", "-inf", "-inf"], "b": 0.1}
+
+
+def grid_columns(twists, betas, seed=0):
+    """A sweep-like (f, beta, xi) table: broadcast coordinates, random values."""
+    xi = np.random.default_rng(seed).random((twists, betas))
+    f = np.broadcast_to(np.linspace(-0.5, 0.5, twists)[:, None], xi.shape)
+    beta = np.broadcast_to(0.00731 + 0.01 * np.arange(betas), xi.shape)
+    return f, beta, xi
+
+
+def test_write_csv_writes_the_bytes_of_csv_text(tmp_path):
+    rows = 2 * serialize._BLOCK_ROWS + 5
+    tables = [
+        (("f", "beta", "xi"), grid_columns(3, rows // 3)),
+        (("x", "k", "flag", "s"),
+         (np.linspace(-1, 1, rows), np.arange(rows), np.arange(rows) % 3 == 0,
+          [f"\u00e9{k}" for k in range(rows)])),
+    ]
+    for header, columns in tables:
+        serialize.write_csv(tmp_path / "out.csv", header, columns)
+        assert (tmp_path / "out.csv").read_bytes() == csv_text(header, columns).encode()
+
+
+def test_write_csv_peak_memory_does_not_grow_with_rows(tmp_path):
+    # 40,000 and 320,000 rows: a CSV held whole would differ by ~14 MiB
+    peaks = []
+    for twists in (4, 32):
+        columns = grid_columns(twists, 10_000)
+        tracemalloc.start()
+        try:
+            serialize.write_csv(tmp_path / "grid.csv", ("f", "beta", "xi"), columns)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 1 << 20, peaks
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        ([1.0, 2.0], [1.0]),
+        ([0.5] * (serialize._BLOCK_ROWS + 2), [""] * (serialize._BLOCK_ROWS + 1) + ["x\0y"]),
+    ],
+    ids=["shapes", "nul-in-the-second-block"],
+)
+def test_refused_columns_leave_the_file_unopened(tmp_path, columns):
+    path = tmp_path / "kept.csv"
+    path.write_bytes(b"kept\n")
+    with pytest.raises(ValueError):
+        serialize.write_csv(path, ("a", "b"), columns)
+    assert path.read_bytes() == b"kept\n"
 
 
 def test_a_text_cell_holding_nul_is_rejected():
