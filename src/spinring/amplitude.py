@@ -495,8 +495,10 @@ def unit_phase(multiplier: float, k: np.ndarray) -> np.ndarray:
 
 def bessel_ladders(n: int, d: int, f: float) -> tuple[tuple[int, complex, float], ...]:
     """The Bessel ladders (first order b, prefactor p, multiplier u) of the amplitude
-    for displacement d in 0..N-1, each adding p * sum_k unit_phase(u, k) * J_{b+kN}(beta)."""
+    for displacement d in 0..N-1, each adding p * sum_k unit_phase(u, k) * J_{b+kN}(beta).
+    Both are N-periodic in f, which is reduced exactly mod N first."""
     dprime = n - d if d else n
+    f = math.remainder(f, n)
     return (
         (d, (1j) ** (d % 4), n / 4.0 - f),
         (dprime, (1j) ** (dprime % 4) * np.exp(1j * 2.0 * np.pi * f), n / 4.0 + f),
@@ -539,7 +541,8 @@ def amplitude_bessel(query: AmplitudeQuery) -> AmplitudeResult:
     total += pre_p * ladder_sum(orders_dp, turns_p)
     # the ladders carry the single-bond gauge factor exp(2*pi*i*d*f/N); divide it out
     t = beta / (4.0 * cfg.j)
-    value = complex(np.exp(-1j * (cfg.diagonal * t + 2.0 * np.pi * d * cfg.f / n)) * total)
+    gauge = 2.0 * np.pi * d * math.remainder(cfg.f, n) / n
+    value = complex(np.exp(-1j * (cfg.diagonal * t + gauge)) * total)
     return AmplitudeResult(value=value, xi=_clip_xi(abs(value)), method="bessel")
 
 

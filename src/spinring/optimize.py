@@ -15,11 +15,12 @@ best (`SpectralKernel.row_bounds`).  Only the others are evaluated, and the
 kernel gives them the full grid's values bit for bit, so the coarse
 candidates are the full grid's (see `_coarse_pass`).  A ring's twists are
 stacked as rate rows of two kernels, one that bounds and one that evaluates,
-so each stage is one call over all of them; the beta polish and the anchors
-read the evaluating kernel's rows too.  Near-perfect windows at different
-times can tie to within fractions of 1e-3; all surviving polished optima are
-kept on the record (`near_optima`) so callers can match a specific reported
-window as well as the in-range global best.
+so each stage is one call over all of them; from the coarse pass to the
+records a point is a (kernel row, beta) of the evaluating kernel.
+Near-perfect windows at different times can tie to within fractions of
+1e-3; all surviving polished optima are kept on the record (`near_optima`)
+so callers can match a specific reported window as well as the in-range
+global best.
 
 Ties are resolved toward the earliest usable time: smallest beta, then
 smallest |f|, then negative f.
@@ -53,7 +54,7 @@ __all__ = [
 
 _XI_TIE = 1e-12
 _NEAR_OPTIMUM_WINDOW = 1e-3
-_MAX_REFINE_PER_TWIST = 64
+_MAX_CANDIDATES_PER_ROW = 64
 # giant rows the coarse pass evaluates and scans at once
 _SCAN_ROWS = 256
 # below this the landscape is blocked/noise and searching off the candidate
@@ -176,11 +177,13 @@ def _coarse_pass(
     ds: tuple[int, ...],
     spec: SearchSpec,
     rates: dict[float, np.ndarray],
-) -> dict[int, list[tuple[float, float, float]]]:
-    """Coarse grid sweep; returns per-d lists of (f, beta, xi) keep-worthy points.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coarse grid sweep; returns the keep-worthy points as (kernel row, beta, xi)
+    arrays, by kernel row, best first within a row (ties by beta), at most 64 a row.
 
     `rates` holds each candidate twist's mode cosines, `_mode_cosines(n, f)`,
-    and `evaluating` stacks them in the order of `spec.f_candidates` over ds.
+    and `evaluating` stacks them in the order of `spec.f_candidates` over ds:
+    kernel row t*len(ds) + j is twist t at displacement ds[j].
 
     The landscapes are the rows of that kernel: `xi_grid` on beta_min + k*h,
     k < B, which the kernel factors into giant rows of S = ceil(sqrt(B))
@@ -196,39 +199,36 @@ def _coarse_pass(
     scans the runs of evaluated points for local maxima, about `_SCAN_ROWS`
     giant rows at a time.
 
-    The kept lists equal the full grid's.  Every value of a skipped row lies
+    The points equal the full grid's.  Every value of a skipped row lies
     below best - 1e-3, so (i) a point at or above best - 1e-3 keeps its
-    local-maximum status, its neighbours being below it either way; (ii) a
-    twist holding such a point has its maximum in an evaluated row, so its
-    `g.max()` filter threshold is unchanged, and the best is too; (iii) the
-    per-twist cap of 64 takes candidates best-first, so the ones at or above
-    best - 1e-3 come first in the same order in both, and the cap keeps the
-    same number of them.  Candidates below best - 1e-3 may differ, but the
-    final filter drops them all.
+    local-maximum status, its neighbours being below it either way; (ii) the
+    best is unchanged; (iii) the cap of 64 a row takes local maxima
+    best-first, so the ones at or above best - 1e-3 come first in the same
+    order in both, and the cap keeps the same number of them.  The window
+    drops the rest, and with them all that a window below each row's own
+    maximum would drop, as no row's maximum exceeds its displacement's best.
 
     The cap binds on blocked landscapes, whose rounding noise is all in the
     window, and not on the table's twist grids (both pinned by tests).
     """
     b0, h = spec.beta_min, spec.beta_step
     count = grid_count(spec.beta_max - b0, h)
-    twists = spec.f_candidates
     # the kept giant rows of one kernel row per (twist, displacement), in order
     rows, giants = np.nonzero(_bounded_rows(evaluating.n, ds, spec, rates, count))
-    top = np.full(len(twists) * len(ds), -np.inf)  # each kernel row's maximum
     # whole kernel rows at a time, about _SCAN_ROWS giant rows each, bound the memory
     firsts = np.flatnonzero(np.diff(rows, prepend=-1))
     cuts = firsts[np.flatnonzero(np.diff(firsts // _SCAN_ROWS)) + 1]
-    found = []
-    for at, g in zip(np.split(rows, cuts), np.split(giants, cuts)):
-        found.append(_run_maxima(at, g, evaluating.xi_rows(b0, h, count, at, g), b0, h, top))
+    found = [
+        _run_maxima(at, g, evaluating.xi_rows(b0, h, count, at, g), b0, h)
+        for at, g in zip(np.split(rows, cuts), np.split(giants, cuts))
+    ]
     row, beta, value = (np.concatenate(x) for x in zip(*found))
-    twist, place = np.divmod(row, len(ds))
-    best = top.reshape(len(twists), len(ds)).max(axis=0)
+    # each row's maximum is among its local maxima, so this is each displacement's best
+    place = row % len(ds)
+    best = np.full(len(ds), -np.inf)
+    np.maximum.at(best, place, value)
     near = value >= best[place] - _NEAR_OPTIMUM_WINDOW
-    kept: dict[int, list[tuple[float, float, float]]] = {d: [] for d in ds}
-    for t, j, b, v in zip(*(x[near].tolist() for x in (twist, place, beta, value))):
-        kept[ds[j]].append((twists[t], b, v))
-    return kept
+    return row[near], beta[near], value[near]
 
 
 def _bounded_rows(
@@ -272,30 +272,25 @@ def _bounded_rows(
     return rows_above(floors)[source.ravel()]
 
 
-def _run_maxima(rows, giants, values, b0: float, h: float, top: np.ndarray):
-    """The candidates of evaluated giant rows: (kernel row, beta, value) arrays of
-    the local maxima within 1e-3 of their kernel row's maximum, by kernel row and
-    best first, at most 64 a row.
+def _run_maxima(rows, giants, values, b0: float, h: float):
+    """The local maxima of evaluated giant rows as (kernel row, beta, value) arrays,
+    by kernel row and best first (ties by beta), at most 64 a row.
 
     Line i of `values` holds the S points of giant row giants[i] of kernel row
     rows[i] (`SpectralKernel.xi_rows`), and each kernel row's lines are all
-    here; top[r] is set to kernel row r's maximum.  A run of grid points ends
-    where the next line is not the next giant row of the same kernel row.
+    here, so a row's first candidate is its maximum.  A run of grid points
+    ends where the next line is not the next giant row of the same kernel row.
     """
     stride = values.shape[1]
     breaks = np.zeros(values.shape, dtype=bool)
     breaks[:-1, -1] = (np.diff(rows) != 0) | (np.diff(giants) != 1)
     values = values.ravel()
-    firsts = np.flatnonzero(np.diff(rows, prepend=-1))
-    top[rows[firsts]] = np.maximum.reduceat(values, firsts * stride)
     cand = local_maxima(values, breaks.ravel()[:-1])
     line, j = np.divmod(cand, stride)
-    near = values[cand] >= top[rows[line]] - _NEAR_OPTIMUM_WINDOW
-    line, j, cand = line[near], j[near], cand[near]
     row, value, beta = rows[line], values[cand], b0 + h * (giants[line] * stride + j)
     order = np.lexsort((beta, -value, row))
     row, beta, value = row[order], beta[order], value[order]
-    capped = np.arange(len(row)) - np.searchsorted(row, row) < _MAX_REFINE_PER_TWIST
+    capped = np.arange(len(row)) - np.searchsorted(row, row) < _MAX_CANDIDATES_PER_ROW
     return row[capped], beta[capped], value[capped]
 
 
@@ -319,18 +314,14 @@ def optimize_transfers(
     RingConfig(n)  # validates the ring size early
     twists = spec.f_candidates
     rates = {f: _mode_cosines(n, f) for f in twists}
-    # one kernel row per (twist, displacement), twist first: twist f's rows start at first[f]
+    # one kernel row per (twist, displacement), twist first
     kernel = SpectralKernel([rates[f] for f in twists], ds)
-    first = {f: t * len(ds) for t, f in enumerate(twists)}
-    coarse = _coarse_pass(kernel, ds, spec, rates)
+    rows, betas, values = _coarse_pass(kernel, ds, spec, rates)
 
     # each coarse candidate at or above the refine floor (below it is blocked
     # noise) in beta alone, in +-beta_step: zero twist slopes keep its twist
-    kept = [(d, f, beta) for d in ds for f, beta, _ in coarse[d]]
-    rows = np.array([first[f] + ds.index(d) for d, f, _ in kept], dtype=np.intp)
-    betas = np.array([beta for _, _, beta in kept])
-    live = np.array([value >= _TWIST_REFINE_FLOOR for d in ds for *_, value in coarse[d]], bool)
-    start, polished = betas[live], rows[live]
+    live = values >= _TWIST_REFINE_FLOOR
+    polished, start = rows[live], betas[live]
     lo = np.maximum(spec.beta_min, start - spec.beta_step)
     hi = np.minimum(spec.beta_max, start + spec.beta_step)
     flat = np.zeros((len(twists), n))
@@ -338,15 +329,15 @@ def optimize_transfers(
         lambda index, _, betas: kernel.jet(polished[index], betas, flat, flat),
         np.zeros(len(start)), start, lo, hi, spec.refine_tol, n,
     )
-    candidates: dict[int, list[TransferPoint]] = {d: [] for d in ds}
-    for (d, f, _), beta, value in zip(kept, betas.tolist(), kernel.xi(rows, betas)):
-        candidates[d].append(TransferPoint(f=f, beta=beta, xi=value))
-    # unpolished window-start anchors make flat (fully blocked) landscapes
-    # resolve deterministically to beta_min instead of polish noise
+    # and an unpolished window-start anchor a kernel row, so that flat (fully
+    # blocked) landscapes resolve deterministically to beta_min, not polish noise
     every = len(twists) * len(ds)
-    anchors = kernel.xi(range(every), [spec.beta_min] * every)
-    for j, d in enumerate(ds):
-        candidates[d] += [TransferPoint(f, spec.beta_min, anchors[first[f] + j]) for f in twists]
+    rows = np.concatenate((rows, np.arange(every)))
+    betas = np.concatenate((betas, np.full(every, spec.beta_min)))
+    candidates: dict[int, list[TransferPoint]] = {d: [] for d in ds}
+    for row, beta, value in zip(rows.tolist(), betas.tolist(), kernel.xi(rows, betas)):
+        t, j = divmod(row, len(ds))
+        candidates[ds[j]].append(TransferPoint(f=twists[t], beta=beta, xi=value))
 
     # each winner jointly in (f, beta); it moves only if xi rises by more than a tie
     winners = {d: _select(points) for d, points in candidates.items()}
@@ -355,7 +346,9 @@ def optimize_transfers(
 
     def joint(index, fs, betas):
         rates = np.array([_mode_cosines(n, f) for f in fs]).reshape(-1, n)
-        slopes = -k * np.sin(k * (np.arange(1, n + 1) + np.reshape(fs, (-1, 1))))
+        # the phases are N-periodic in the twist: reduce it exactly first
+        turns = np.reshape([math.remainder(f, n) for f in fs], (-1, 1))
+        slopes = -k * np.sin(k * (np.arange(1, n + 1) + turns))
         rows = np.arange(len(fs)) * len(jointly) + index  # point i at jointly[index[i]]
         return SpectralKernel(rates, jointly).jet(rows, betas, slopes, -k * k * rates)
 

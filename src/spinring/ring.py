@@ -67,8 +67,10 @@ class RingConfig:
     j: exchange coupling, strictly positive (ferromagnetic convention).
     b: uniform field.  In the one-excitation sector it only shifts the
        constant diagonal, i.e. a global phase of the evolution.
-    f: boundary twist as a fraction of a full winding; physics is periodic
-       in f with period 1, and f is kept as given (no reduction).
+    f: boundary twist as a fraction of a full winding; magnitudes are
+       periodic in f with period 1 and the uniform-gauge amplitudes with
+       period N.  f is kept as given, and every phase reads it as
+       math.remainder(f, N), which is exact and equals f for |f| <= N/2.
     """
 
     n: int
@@ -120,11 +122,11 @@ def build_hamiltonian(config: RingConfig) -> np.ndarray:
     """One-excitation sector Hamiltonian as an explicit N x N Hermitian matrix.
 
     Uniform gauge: the hop from site k+1 to k+2 (1-based, the last bond
-    closing the ring) carries the phase exp(-2*pi*i*f/N).
+    closing the ring) carries the phase exp(-2*pi*i*f/N), f reduced mod N.
     """
     n = config.n
     require_grid_points(n * n, "a dense N x N matrix")
-    hop = -2.0 * config.j * np.exp(1j * (-2.0 * np.pi * config.f / n))
+    hop = -2.0 * config.j * np.exp(1j * (-2.0 * np.pi * math.remainder(config.f, n) / n))
     h = np.zeros((n, n), dtype=complex)
     np.fill_diagonal(h, config.diagonal)
     k = np.arange(n)
@@ -136,12 +138,13 @@ def build_hamiltonian(config: RingConfig) -> np.ndarray:
 def _mode_cosines(n: int, f: float) -> np.ndarray:
     """cos(2*pi*(m+f)/N) for m = 1..N.
 
+    f is first reduced exactly mod N, so m + f keeps m for any finite twist.
     The argument is folded onto [0, N/2] before the cosine so that modes
     related by m+f -> N-(m+f) evaluate the cosine at the bit-identical float
     and degenerate pairs come out exactly equal.  That exactness is what the
     half-flux blocking cancellation rests on numerically.
     """
-    x = np.mod(np.arange(1, n + 1) + f, n)
+    x = np.mod(np.arange(1, n + 1) + math.remainder(f, n), n)
     folded = np.minimum(x, n - x)
     return np.cos(2.0 * np.pi * folded / n)
 

@@ -307,6 +307,18 @@ def coarse_pass_reference(n, ds, spec, window=1e-3, cap=64):
     return kept
 
 
+def coarse_pass(n, ds, spec):
+    """`optimize._coarse_pass` on the kernel `optimize_transfers` builds, turned back
+    from (kernel row, beta, xi) arrays into the per-d lists of `coarse_pass_reference`."""
+    rates = {f: _mode_cosines(n, f) for f in spec.f_candidates}
+    evaluating = SpectralKernel([rates[f] for f in spec.f_candidates], ds)
+    kept = {d: [] for d in ds}
+    for row, beta, value in zip(*(x.tolist() for x in _coarse_pass(evaluating, ds, spec, rates))):
+        twist, j = divmod(row, len(ds))
+        kept[ds[j]].append((spec.f_candidates[twist], beta, value))
+    return kept
+
+
 def golden_max_reference(fn, lo, hi, tol):
     """Scalar golden-section maximization on [lo, hi]: one `fn(x)` call per point.
 
@@ -416,9 +428,8 @@ def golden_search_reference(n, ds, spec):
 
         return golden_max_lockstep(xi_at, brackets, spec.refine_tol)
 
-    evaluating = SpectralKernel([rates[f] for f in spec.f_candidates], ds)
     best = {}
-    for d, points in _coarse_pass(evaluating, ds, spec, rates).items():
+    for d, points in coarse_pass(n, ds, spec).items():
         brackets = [
             (max(spec.beta_min, b - spec.beta_step), min(spec.beta_max, b + spec.beta_step))
             for _, b, _ in points

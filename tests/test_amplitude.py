@@ -480,6 +480,26 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=RINGS,
+    d=st.integers(0, 15),
+    turns=st.integers(-1535, 1535),
+    k=st.integers(-(2**31 - 1), 2**31 - 1),
+    beta=st.floats(0.0, 1000.0),
+    j=COUPLINGS,
+    b=FIELDS,
+)
+@example(n=5, d=1, turns=256, k=2**30, beta=3.0, j=1.0, b=0.0)
+def test_every_route_is_n_periodic_in_the_twist_bit_for_bit(n, d, turns, k, beta, j, b):
+    # f = turns/1024 lies inside (-N/2, N/2) and |k*N| < 2^35, so f + k*N is
+    # exact and reduces mod N to f itself: each route must not see the shift
+    f = turns / 1024
+    for route in (amplitude_spectral, amplitude_bessel, amplitude_oracle):
+        shifted = route(query(n, d, f + k * n, beta, j=j, b=b)).value
+        assert same_bits([shifted], [route(query(n, d, f, beta, j=j, b=b)).value]), route
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     n=RINGS,

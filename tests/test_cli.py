@@ -58,6 +58,17 @@ def test_amplitude_all_methods_agree(capsys):
     assert doc["max_xi_deviation"] < 1e-8
 
 
+def test_routes_agree_at_a_twist_of_two_to_the_fortieth(capsys):
+    # f = 2^40 is an untwisted ring: every route reduces the twist mod N
+    # before it forms a phase, so they agree as closely as at f = 0
+    code, out = run_cli(
+        capsys, "amplitude", "--n", "5", "--d", "1", "--f", "1099511627776",
+        "--beta", "3", "--method", "all",
+    )
+    assert code == 0
+    assert json.loads(out)["max_value_deviation"] <= 1e-12
+
+
 def test_amplitude_blocked_configuration(capsys):
     code, out = run_cli(
         capsys, "amplitude", "--n", "4", "--d", "2", "--f", "0.5",
@@ -259,6 +270,12 @@ def test_table1_short_window_reports_best_in_window(tmp_path, capsys):
         assert float(row["beta_best"]) <= 200.0
 
 
+def assert_failing_published_rows(rows):
+    # the ten published rows first, so that an empty file cannot pass
+    assert [(int(r["n"]), int(r["d"])) for r in rows] == [w[:2] for w in cli.PUBLISHED_WINDOWS]
+    assert all(float(r["xi_best"]) < 0.99 for r in rows)
+
+
 def test_table1_degenerate_window_fails_everywhere(tmp_path, capsys):
     out_csv = tmp_path / "tiny.csv"
     code, _ = run_cli(
@@ -266,7 +283,7 @@ def test_table1_degenerate_window_fails_everywhere(tmp_path, capsys):
         "--out", str(out_csv),
     )
     assert code == 4
-    assert all(float(r["xi_best"]) < 0.99 for r in read_rows(out_csv))
+    assert_failing_published_rows(read_rows(out_csv))
 
 
 def test_table1_config_document(tmp_path, capsys):
@@ -286,7 +303,7 @@ def test_table1_config_document(tmp_path, capsys):
         capsys, "table1", "--config", str(config), "--beta-max", "1", "--out", str(out_c)
     )
     assert code_c == 4
-    assert all(float(r["xi_best"]) < 0.99 for r in read_rows(out_c))
+    assert_failing_published_rows(read_rows(out_c))
 
 
 def test_blockage_command(tmp_path, capsys):

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import (
+    coarse_pass,
     coarse_pass_reference,
     golden_max_lockstep,
     golden_max_reference,
@@ -138,12 +139,6 @@ def strides(h, count):
             for reach in (amplitude._FIRST_REACH, amplitude._LAST_REACH))
 
 
-def coarse_pass(n, ds, spec):
-    rates = {f: _mode_cosines(n, f) for f in spec.f_candidates}
-    evaluating = SpectralKernel([rates[f] for f in spec.f_candidates], ds)
-    return optimize._coarse_pass(evaluating, ds, spec, rates)
-
-
 @pytest.mark.parametrize("case", EQUIVALENCE_CASES)
 def test_pruned_coarse_pass_keeps_what_the_full_grid_keeps(case):
     n, ds, spec = EQUIVALENCE_CASES[case]
@@ -184,6 +179,24 @@ def test_pruned_coarse_pass_keeps_what_the_full_grid_keeps(case):
     kept = coarse_pass(n, ds, spec)
     assert kept == coarse_pass_reference(n, ds, spec)
     assert all(kept[d] for d in ds)
+
+
+@pytest.mark.parametrize("case", EQUIVALENCE_CASES)
+def test_coarse_pass_keeps_rows_in_order_best_first_and_capped(case):
+    # optimize_transfers groups the candidates by kernel row in this order;
+    # each displacement's best itself is pinned by the equivalence test above
+    n, ds, spec = EQUIVALENCE_CASES[case]
+    rates = {f: _mode_cosines(n, f) for f in spec.f_candidates}
+    kernel = SpectralKernel([rates[f] for f in spec.f_candidates], ds)
+    row, beta, value = optimize._coarse_pass(kernel, ds, spec, rates)
+    assert len(row) and np.all(np.diff(row) >= 0)
+    same = np.diff(row) == 0
+    assert np.all(np.diff(value)[same] <= 0)
+    assert np.all(np.diff(beta)[same & (np.diff(value) == 0)] > 0)
+    assert np.bincount(row).max() <= 64
+    best = np.full(len(ds), -np.inf)
+    np.maximum.at(best, row % len(ds), value)
+    assert np.all(value >= best[row % len(ds)] - 1e-3)
 
 
 def evaluated_share(monkeypatch, n, ds, spec):
