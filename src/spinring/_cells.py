@@ -3,7 +3,8 @@
 The `serialize` module docstring states the cell contract and why the layout
 below meets it.  `serialize._csv_blocks` imports this module when it first
 lays out a CSV, so a command that writes none neither compiles it nor builds
-its tables.
+its tables.  A column is laid out a block at a time and never copied whole; a
+float block holds about a dozen arrays of its length in 8-byte values at once.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .serialize import _FLOAT
 # Below this many values numpy's fixed cost (~0.1 ms a block) exceeds that of
 # Python's own %.12g, so a shorter block of floats is written by Python.
 NUMPY_MIN = 128
-_POW10 = np.array([float(10**k) for k in range(16)])  # every 10**k, k <= 15, is an exact double
+_SCALE = np.array([float(10**k) for k in range(15, -1, -1)])  # 10**(11 - e) by row e + 4, exact
 
 
 def _masks(counts) -> tuple[np.ndarray, np.ndarray]:
@@ -52,11 +53,11 @@ def _tables() -> dict[str, np.ndarray]:
     tables = {
         "text": text,
         "zeros": zeros,
-        "point": np.array(point),
+        "point": np.array(point, dtype=np.uint8),
         "dot_low": np.array([d & (2**64 - 1) for d in dot], dtype=np.uint64),
         "dot_high": np.array([d >> 64 for d in dot], dtype=np.uint64),
         "prefix": np.array([int.from_bytes(b, "little") for b in prefix], dtype=np.uint64),
-        "prefix_len": np.array([len(b) for b in prefix]),
+        "prefix_len": np.array([len(b) for b in prefix], dtype=np.uint8),
     }
     tables["head_low"], tables["head_high"] = _masks(point)
     tables["keep_low"], tables["keep_high"] = _masks(range(14))
@@ -67,48 +68,59 @@ _T = _tables()
 
 
 def float_cells(values: np.ndarray) -> np.ndarray:
-    """The %.12g text of each float64 value, NUL-padded at its end, shape (k, width)."""
+    """The %.12g text of each float64 value, NUL-padded at its end, shape (k, width);
+    steps write into earlier steps' buffers, so about a dozen k-value arrays are live."""
     if len(values) < NUMPY_MIN:
         return text_cells([_FLOAT % v for v in values.tolist()])
     mag = np.abs(values)
-    slow = ~((mag >= 1e-4) & (mag < 1e12))
-    mag[slow] = 1.0
-    e = np.floor(np.log10(mag)).clip(-4, 11).astype(np.intp)
-    scaled = mag * _POW10.take(11 - e)
-    m = np.rint(scaled)
-    slow |= (m > 1e12) | (np.abs(scaled - m) >= 0.5 - 2**-10)
+    slow = (mag < 1e-4) | ~(mag < 1e12)  # nan too
+    np.copyto(mag, 1.0, where=slow)
+    scaled = np.log10(mag)
+    np.minimum(np.maximum(np.floor(scaled, out=scaled), -4.0, out=scaled), 11.0, out=scaled)
+    row = np.add(scaled, 4, out=np.empty(len(mag), dtype=np.intp), casting="unsafe")  # e + 4
+    np.multiply(mag, _SCALE.take(row, mode="clip", out=scaled), out=scaled)
+    m = np.rint(scaled, out=mag)
+    slow |= (m > 1e12) | (np.abs(np.subtract(scaled, m, out=scaled), out=scaled) >= 0.5 - 2**-10)
     carry = m == 1e12  # 9.9999999999996 rounds to 10.0000000000
-    m[carry], e = 1e11, e + carry
-    slow |= e > 11
-    m[slow], e[slow] = 1e11, 0  # Python writes these cells
-    row = e + 4 + 16 * np.signbit(values)
-
-    m = m.astype(np.int64)
-    high = m // 10**8
-    m -= high * 10**8
-    mid = m // 10**4
-    low = m - mid * 10**4
-    head = _T["text"].take(high) | _T["text"].take(mid) << 32
-    tail = _T["text"].take(low)
-    zeros = _T["zeros"]
+    np.add(row, 1, out=row, where=carry)
+    slow |= row > 15
+    np.copyto(m, 1e11, where=carry | slow)
+    np.copyto(row, 4, where=slow)  # Python writes these cells
+    np.add(row, 16, out=row, where=np.signbit(values))
+    low = np.positive(m, out=scaled.view(np.int64), casting="unsafe")  # into a free buffer
+    high = np.floor_divide(low, 10**8, out=mag.view(np.int64))  # three groups of 4 digits
+    low -= high * 10**8
+    mid = low // 10**4
+    low -= mid * 10**4
+    text, zeros = _T["text"], _T["zeros"]
+    head = text.take(high) | text.take(mid) << 32
+    tail = text.take(low)
     digits = 12 - (zeros.take(low) + (low == 0) * (zeros.take(mid) + (mid == 0) * zeros.take(high)))
     point = _T["point"].take(row)
-    keep = np.where(digits > point, digits + 1, point)
-    # insert the dot: the bytes after it move up one
-    before = _T["head_low"].take(row)
-    moved = head & ~before
-    head = (head & before | moved << 8 | _T["dot_low"].take(row)) & _T["keep_low"].take(keep)
-    before = _T["head_high"].take(row)
-    tail = (tail & before | (tail & ~before) << 8 | moved >> 56 | _T["dot_high"].take(row))
-    tail &= _T["keep_high"].take(keep)
+    keep = np.maximum(digits + (digits > point), point).astype(np.intp)
+    # insert the dot: the bytes after it move up one (the digit groups' buffers are free)
+    mask, lower, moved = high.view(np.uint64), mid.view(np.uint64), low.view(np.uint64)
+    np.bitwise_and(head, _T["head_low"].take(row, mode="clip", out=mask), out=lower)
+    np.bitwise_xor(head, lower, out=moved)
+    np.left_shift(moved, 8, out=head)
+    head |= lower
+    head |= _T["dot_low"].take(row, mode="clip", out=lower)
+    head &= _T["keep_low"].take(keep, mode="clip", out=lower)
+    tail ^= np.bitwise_and(tail, _T["head_high"].take(row, mode="clip", out=mask), out=lower)
+    tail <<= 8
+    tail |= lower
+    tail |= np.right_shift(moved, 56, out=moved)
+    tail |= _T["dot_high"].take(row, mode="clip", out=lower)
+    tail &= _T["keep_high"].take(keep, mode="clip", out=lower)
     # put the prefix first: the digits move up by its length
-    shift = 8 * _T["prefix_len"].take(row).astype(np.uint64)
+    shift = _T["prefix_len"].take(row) << 3
     cells = np.empty((len(values), 3), dtype=np.uint64)
-    cells[:, 0] = _T["prefix"].take(row) | head << shift
-    cells[:, 1] = head >> 64 - shift | tail << shift
-    cells[:, 2] = tail >> 64 - shift
-    width = int((_T["prefix_len"].take(row) + keep).max())
-    if slow.any():
+    cells[:, 0] = np.left_shift(head, shift, out=lower) | _T["prefix"].take(row)
+    np.right_shift(head, np.subtract(64, shift, out=moved), out=head)
+    cells[:, 1] = head | np.left_shift(tail, shift, out=lower)
+    cells[:, 2] = np.right_shift(tail, moved, out=tail)
+    width = int(((shift >> 3) + keep).max())
+    if len(slow := np.flatnonzero(slow)):
         texts = np.array([(_FLOAT % v).encode() for v in values[slow].tolist()], dtype=bytes)
         cells[slow] = texts.astype("S24").view(np.uint64).reshape(-1, 3)
         width = max(width, texts.itemsize)
@@ -134,9 +146,9 @@ def cells(col: np.ndarray, rows: int):
     """
     repeated = [a for a in range(col.ndim) if col.shape[a] > 1 and not col.strides[a]]
     if not repeated:
-        flat = col.reshape(-1)
-        for lo in range(0, len(flat), rows):
-            yield _laid_out(flat[lo : lo + rows])
+        grid = col.reshape(-1, col.shape[-1]) if col.size else col  # xi_grid's rows are padded
+        for lo in range(0, col.size, rows):
+            yield _laid_out(_c_order(grid, lo, min(lo + rows, col.size)))
         return
     distinct = col[tuple(slice(0, 1) if a in repeated else slice(None) for a in range(col.ndim))]
     parts = list(cells(distinct, rows))
@@ -145,6 +157,16 @@ def cells(col: np.ndarray, rows: int):
         laid[lo : lo + len(part), : part.shape[1]] = part
     for lo in range(0, col.size, rows):
         yield laid.take(_distinct_index(lo, min(lo + rows, col.size), col.shape, repeated), axis=0)
+
+
+def _c_order(grid: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Values lo..hi-1 of a 2-D grid of any strides in C order, copying under three blocks."""
+    (first, start), (last, end) = divmod(lo, grid.shape[1]), divmod(hi - 1, grid.shape[1])
+    if last - first > 1:
+        return grid[first : last + 1].reshape(-1)[start : start + hi - lo]
+    if last == first:
+        return grid[first, start : end + 1]
+    return np.concatenate((grid[first, start:], grid[last, : end + 1]))
 
 
 def _distinct_index(lo: int, hi: int, shape: tuple[int, ...], repeated: list[int]) -> np.ndarray:

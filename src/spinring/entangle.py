@@ -63,6 +63,7 @@ __all__ = [
 REFERENCE_BETA = 8.5 * math.pi
 
 _ENTROPY_TIE = 1e-12
+_ENTROPY_BLOCK = 8192  # overlaps whose entropy is evaluated at once
 _NEAR_BEST_WINDOW = 1e-3
 
 
@@ -92,10 +93,15 @@ def _overlap_rates(n: int, start_site: int) -> np.ndarray:
     return _mode_cosines(n, 0.5) - _mode_cosines(n, 0.0)
 
 
-def _entropy_from_overlap(overlap):
-    """Binary entropy (ebits) of the Schmidt weights (1 +- overlap)/2, elementwise."""
-    weights = np.stack([1.0 + overlap, 1.0 - overlap]) / 2.0
-    return -np.sum(weights * np.log2(np.where(weights > 0.0, weights, 1.0)), axis=0)
+def _entropy_from_overlap(overlap) -> np.ndarray:
+    """Binary entropy (ebits) of the Schmidt weights (1 +- overlap)/2, elementwise,
+    `_ENTROPY_BLOCK` values at a time, so its temporaries stay block-sized."""
+    overlap = np.asarray(overlap, dtype=float)
+    entropy, cuts = np.empty(overlap.shape), range(_ENTROPY_BLOCK, overlap.size, _ENTROPY_BLOCK)
+    for part, out in zip(np.split(overlap.reshape(-1), cuts), np.split(entropy.reshape(-1), cuts)):
+        weights = np.stack([1.0 + part, 1.0 - part]) / 2.0
+        out[:] = -np.sum(weights * np.log2(np.where(weights > 0.0, weights, 1.0)), axis=0)
+    return entropy
 
 
 def entanglement_curve(

@@ -11,14 +11,16 @@ optimizer's coarse pass over the whole twist x time grid, unpruned, a
 scalar golden-section search, one bracket and one point at a time, and its
 lockstep form, the optimizer's and the entangling scan's former
 golden-section refinements, which the Newton polish must never fall below,
-the twist derivatives of the mode cosines, and a one-point mode sum, one
-`exp` and one `np.dot`.
+the twist derivatives of the mode cosines, a one-point mode sum, one
+`exp` and one `np.dot`, and the entropy of an overlap in one shot.  Also a
+`tracemalloc` reading of the peak memory of a call.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -515,3 +517,22 @@ def point_sum_reference(rates, d, beta) -> complex:
     weights = np.exp(1j * np.outer(np.arange(1, n + 1), [2.0 * np.pi * (int(d) % n) / n]))
     phases = np.exp(beta * (1j * np.asarray(rates, dtype=float)))
     return complex((np.dot(phases, weights) / n)[0])
+
+
+def entropy_from_overlap_reference(overlap) -> np.ndarray:
+    """Binary entropy (ebits) of the Schmidt weights (1 +- overlap)/2 over the whole
+    array at once: the formula `entangle._entropy_from_overlap` evaluates a block
+    at a time, which must give the same bits, signed zeros and nan included."""
+    overlap = np.asarray(overlap, dtype=float)
+    weights = np.stack([1.0 + overlap, 1.0 - overlap]) / 2.0
+    return -np.sum(weights * np.log2(np.where(weights > 0.0, weights, 1.0)), axis=0)
+
+
+def peak_bytes(fn) -> int:
+    """The peak of the memory `tracemalloc` traces while fn() runs, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -1,7 +1,6 @@
 """Miller-recurrence Bessel ladder against series, identity and scipy checks."""
 
 import math
-import tracemalloc
 
 import mpmath
 import numpy as np
@@ -10,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import jv
 
-from conftest import bessel_ladder_reference, bessel_ladder_reference_paired, bessel_series
+from conftest import (
+    bessel_ladder_reference,
+    bessel_ladder_reference_paired,
+    bessel_series,
+    peak_bytes,
+)
 from spinring.bessel import _LANE, _LANE_CHUNK, _lane_split, _start_order, bessel_j_ladder
 from spinring.ring import MAX_GRID_POINTS
 
@@ -149,13 +153,9 @@ def test_ladder_stores_eight_bytes_per_order():
     # Tracing slows every float operation ~10x, so the ladder is 10^5 orders
     # long; the peak per order is the same at 10^6 (about 1.0 x 8 bytes)
     orders = 100_000
-    tracemalloc.start()
-    try:
-        lad = bessel_j_ladder(orders - 1, 1e5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert lad.shape == (orders,)
+    ladders = []
+    peak = peak_bytes(lambda: ladders.append(bessel_j_ladder(orders - 1, 1e5)))
+    assert ladders[0].shape == (orders,)
     assert peak < 1.5 * 8 * orders
 
 

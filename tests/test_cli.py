@@ -400,12 +400,38 @@ def test_sweep_bounds_twists_times_times(tmp_path, capsys, monkeypatch):
     def unreachable(*args):
         raise AssertionError("a profile was computed")
 
-    monkeypatch.setattr(cli, "xi_profile", unreachable)
+    monkeypatch.setattr(cli, "SpectralKernel", unreachable)
     out = tmp_path / "out"
     argv = ["sweep", "--n", "5", "--d", "1", "--f-step", "1e-6", "--out", str(out)]
     assert cli.main(argv) == 2
     assert "exceeds the limit" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("stack", [cli._TWIST_STACK, 10, 1])
+def test_stacked_twist_profiles_are_each_twists_profile_bit_for_bit(monkeypatch, stack):
+    # the landscape benchmark's 26 twists on a 7-ring, in stacks of 8,192, 10 and 1
+    monkeypatch.setattr(cli, "_TWIST_STACK", stack)
+    tables = []
+    monkeypatch.setattr(cli, "_emit_csv", lambda args, header, columns, started: tables.append(columns))
+    argv = ["sweep", "--n", "7", "--d", "3", "--f-min=-0.4951", "--f-max=0.5049", "--f-step=0.04",
+            "--beta-min=0.0053", "--beta-max=99.0053", "--beta-step=0.01"]
+    assert cli.main(argv) == 0
+    twists, _, profiles = tables[0]
+    assert profiles.shape == (26, 9901)
+    for f, row in zip(twists[:, 0], profiles):
+        expected = xi_profile(RingConfig(7, f=f), 3, 0.0053, 0.01, 9901)
+        assert np.array_equal(row.view(np.uint64), expected.view(np.uint64)), f
+
+
+def test_main_builds_one_parser_per_process(tmp_path):
+    # replay's inner main reuses the parser too
+    cli.build_parser.cache_clear()
+    out = tmp_path / "amp.json"
+    assert cli.main(["amplitude", "--n", "5", "--d", "1", "--beta", "3", "--out", str(out)]) == 0
+    assert cli.main(["replay", "--manifest", str(manifest_path_for(out))]) == 0
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_documented_grids_fit():

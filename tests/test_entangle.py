@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from conftest import (
     JointFluxRingState,
     binary_entropy,
+    entropy_from_overlap_reference,
     evolve_joint,
     flux_ring_entanglement,
     golden_entangling_scan_reference,
+    peak_bytes,
     square_ring_entropy,
     square_ring_overlap,
 )
@@ -20,6 +22,8 @@ from spinring.amplitude import SpectralKernel
 from spinring.entangle import (
     EntanglementReading,
     REFERENCE_BETA,
+    _ENTROPY_BLOCK,
+    _entropy_from_overlap,
     _overlap_rates,
     _reading,
     entanglement_curve,
@@ -212,3 +216,40 @@ def test_reading_fields():
     assert reading.beta == 2.0
     assert 0.0 <= reading.entropy_ebits <= 1.0
     assert 0.0 <= reading.branch_overlap <= 1.0
+
+
+# overlaps at the ends of the entropy's domain: signed zeros, +-1 and their
+# neighbours, values past 1 by rounding, nan and subnormals
+EDGE_OVERLAPS = [
+    0.0, -0.0, 1.0, -1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0),
+    math.nextafter(-1.0, -2.0), math.nextafter(-1.0, 0.0), 1.0 + 4e-16, 1.0 + 1e-12,
+    -1.0 - 1e-12, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    length=st.sampled_from([None, 0, 1, _ENTROPY_BLOCK - 1, _ENTROPY_BLOCK, _ENTROPY_BLOCK + 1,
+                            2 * _ENTROPY_BLOCK - 1, 2 * _ENTROPY_BLOCK + 1]),
+    seed=st.integers(0, 2**32 - 1),
+    drawn=st.lists(st.one_of(st.sampled_from(EDGE_OVERLAPS), st.floats(-1.5, 1.5)), max_size=40),
+)
+def test_blockwise_entropy_is_the_one_shot_formula_bit_for_bit(length, seed, drawn):
+    # compared as bits, so a -0.0 or a nan payload cannot hide; None is a 0-d overlap
+    if length is None:
+        overlap = np.array(drawn[0] if drawn else 0.5)
+    else:
+        rng = np.random.default_rng(seed)
+        overlap = rng.uniform(-1.0, 1.0, length)
+        if length:
+            overlap[rng.integers(0, length, len(drawn))] = drawn
+    got = _entropy_from_overlap(overlap)
+    want = entropy_from_overlap_reference(overlap)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_entropy_of_a_long_curve_holds_block_sized_temporaries():
+    # the one-shot formula holds ~5 output-sized arrays at once (40 MB here)
+    overlap = np.linspace(0.0, 1.0, 10**6)
+    assert peak_bytes(lambda: _entropy_from_overlap(overlap)) <= overlap.nbytes + (1 << 20)

@@ -3,13 +3,13 @@
 import json
 import math
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import peak_bytes
 from spinring import _cells, serialize
 from spinring.serialize import csv_text
 
@@ -95,12 +95,13 @@ def test_mixed_columns_as_in_table1():
 
 
 # grids of 8,191, 8,192 and 8,193 rows: one short of, equal to and one past a
-# block of `serialize._BLOCK_ROWS`
-EDGE_GRIDS = [(1, 8191), (8191, 1), (2, 4096), (8, 1024), (3, 2731), (2731, 3)]
-# how each column is made: a broadcast of a (T, 1), (1, B) or (1, 1) base, or a full grid
+# block of `serialize._BLOCK_ROWS`; and one whose rows are longer than a block
+EDGE_GRIDS = [(1, 8191), (8191, 1), (2, 4096), (8, 1024), (3, 2731), (2731, 3), (3, 8193)]
+# how each column is made: a broadcast of a (T, 1), (1, B) or (1, 1) base, a full
+# grid, or the first B columns of a wider one (a view whose rows are padded)
 BASES = {
     "twist": lambda t, b: (t, 1), "time": lambda t, b: (1, b), "point": lambda t, b: (1, 1),
-    "full": lambda t, b: (t, b),
+    "full": lambda t, b: (t, b), "padded": lambda t, b: (t, b + 3),
 }
 
 
@@ -119,7 +120,7 @@ def grid_tables(draw):
             pool += draw(st.lists(st.sampled_from(EDGE_FLOATS), max_size=4))
         base_shape = BASES[draw(st.sampled_from(sorted(BASES)))](*shape)
         base = np.array(pool)[rng.integers(len(pool), size=base_shape)]
-        columns.append(np.broadcast_to(base, shape))
+        columns.append(np.broadcast_to(base[:, : shape[1]], shape))
     return columns
 
 
@@ -196,13 +197,36 @@ def test_write_csv_peak_memory_does_not_grow_with_rows(tmp_path):
     peaks = []
     for twists in (4, 32):
         columns = grid_columns(twists, 10_000)
-        tracemalloc.start()
-        try:
-            serialize.write_csv(tmp_path / "grid.csv", ("f", "beta", "xi"), columns)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(peak_bytes(
+            lambda: serialize.write_csv(tmp_path / "grid.csv", ("f", "beta", "xi"), columns)
+        ))
     assert abs(peaks[1] - peaks[0]) < 1 << 20, peaks
+
+
+@pytest.mark.parametrize("shape", [(40, 10_000), (4_000, 100)])
+def test_a_padded_grid_is_laid_out_a_block_at_a_time(shape):
+    # `SpectralKernel.xi_grid` returns the first columns of a wider array, which
+    # is not C-contiguous; a flattened copy of these 400,000 values takes 3.2 MB
+    wide = np.linspace(0.0, 1.0, shape[0] * (shape[1] + 7)).reshape(shape[0], shape[1] + 7)
+    grid = wide[:, : shape[1]]
+
+    def lay_out():
+        for _ in _cells.cells(grid, serialize._BLOCK_ROWS):
+            pass
+
+    assert peak_bytes(lay_out) < 3 << 19  # two blocks' cells and one's layout
+    blocks = list(_cells.cells(grid, serialize._BLOCK_ROWS))
+    copied = list(_cells.cells(grid.copy(), serialize._BLOCK_ROWS))
+    assert len(blocks) == len(copied)
+    assert all(np.array_equal(a, b) for a, b in zip(blocks, copied))
+
+
+def test_float_cells_of_a_block_peak_below_a_dozen_block_arrays():
+    # the cells themselves are 3 arrays of 8,192 uint64 (192 KiB); laying them out
+    # takes about a dozen such arrays at once, not one per step
+    values = np.random.default_rng(5).uniform(-1e3, 1e3, serialize._BLOCK_ROWS)
+    values[::97] = np.nan  # some cells are Python's
+    assert peak_bytes(lambda: _cells.float_cells(values)) <= 0.9 * (1 << 20)
 
 
 @pytest.mark.parametrize(
