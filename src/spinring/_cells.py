@@ -151,10 +151,22 @@ def cells(col: np.ndarray, rows: int):
             yield _laid_out(_c_order(grid, lo, min(lo + rows, col.size)))
         return
     distinct = col[tuple(slice(0, 1) if a in repeated else slice(None) for a in range(col.ndim))]
-    parts = list(cells(distinct, rows))
-    laid = np.zeros((distinct.size, max((p.shape[1] for p in parts), default=0)), dtype=np.uint8)
-    for lo, part in zip(range(0, distinct.size, rows), parts):
-        laid[lo : lo + len(part), : part.shape[1]] = part
+    size, width, lo = distinct.size, 0, 0
+    laid = np.zeros(0, dtype=np.uint8)  # the distinct cells so far, `width` bytes each
+    for part in cells(distinct, rows):
+        if part.shape[1] > width:
+            # widen in place: `resize` reallocates (no view of `laid` is alive) and
+            # zeroes the new bytes; the rows laid so far move to the wider stride,
+            # the last block first, so none lands on a row still to move
+            wide = part.shape[1]
+            laid.resize(size * wide, refcheck=False)
+            for hi in range(lo, 0, -rows):
+                moved = laid[(hi - rows) * wide : hi * wide].reshape(rows, wide)
+                moved[:, :width], moved[:, width:] = laid[(hi - rows) * width : hi * width].reshape(rows, width), 0
+            width = wide
+        laid.reshape(size, width)[lo : lo + len(part), : part.shape[1]] = part
+        lo, part = lo + len(part), None  # freed before the next block is laid out
+    laid = laid.reshape(size, width)
     for lo in range(0, col.size, rows):
         yield laid.take(_distinct_index(lo, min(lo + rows, col.size), col.shape, repeated), axis=0)
 

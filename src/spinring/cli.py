@@ -44,7 +44,7 @@ from .optimize import SearchSpec, multiparty_plan, optimize_transfers
 from .ring import RingConfig, _mode_cosines
 from .serialize import (
     ARTIFACT_VERSION,
-    csv_text,
+    csv_text,  # noqa: F401  unused here, but benchmarks/spans.py patches it
     dumps,
     load_manifest,
     read_json,
@@ -140,36 +140,12 @@ def _search_spec(args: argparse.Namespace) -> SearchSpec:
     return SearchSpec(**fields)
 
 
-def _manifest_params(args: argparse.Namespace) -> dict:
-    skip = {"func", "command"}
-    return {
-        k: v for k, v in vars(args).items() if k not in skip and not k.startswith("_")
-    }
-
-
-def _manifest(args: argparse.Namespace, started: float) -> None:
-    write_manifest(
-        command=args.command,
-        parameters=_manifest_params(args),
-        argv=args._argv,
-        results_path=args.out,
-        started=started,
-    )
-
-
-def _emit(args: argparse.Namespace, text: str, started: float) -> None:
-    write_text(args.out, text)
+def _emit(args: argparse.Namespace, started: float, write, *content) -> None:
+    """`write(path, *content)` to `--out` and then its manifest, or to stdout."""
+    write(args.out, *content)
     if args.out is not None:
-        _manifest(args, started)
-
-
-def _emit_csv(args: argparse.Namespace, header: tuple, columns, started: float) -> None:
-    """Stream the CSV to `--out` and then write its manifest, or print it."""
-    if args.out is None:
-        write_text(None, csv_text(header, columns))
-        return
-    write_csv(args.out, header, columns)
-    _manifest(args, started)
+        params = {k: v for k, v in vars(args).items() if k not in ("func", "command") and not k.startswith("_")}
+        write_manifest(args.command, params, args._argv, args.out, started)
 
 
 def _amplitude_record(args: argparse.Namespace, method: str) -> dict:
@@ -201,7 +177,7 @@ def _spread(values: list) -> float:
 def cmd_amplitude(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     if args.method != "all":
-        _emit(args, dumps(_amplitude_record(args, args.method)), started)
+        _emit(args, started, write_text, dumps(_amplitude_record(args, args.method)))
         return EXIT_OK
     records = [_amplitude_record(args, m) for m in ("spectral", "bessel", "oracle")]
     xis = [r["xi"] for r in records]
@@ -216,7 +192,7 @@ def cmd_amplitude(args: argparse.Namespace) -> int:
         "max_xi_deviation": _spread(xis),
         "max_value_deviation": value_deviation,
     }
-    _emit(args, dumps(doc), started)
+    _emit(args, started, write_text, dumps(doc))
     return EXIT_OK if value_deviation <= METHOD_AGREEMENT_TOL else EXIT_METHOD_DISAGREEMENT
 
 
@@ -241,7 +217,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
                 and match.xi >= xi_pub - TABLE1_XI_SLACK
             )
             all_pass &= passed
-            # the text csv_text writes for a float, or empty cells when nothing matched
+            # the text a CSV float cell holds, or empty cells when nothing matched
             found = ["%.12g" % v for v in (match.f, match.beta, match.xi)] if match else ["", "", ""]
             rows.append(
                 (n, d, f_pub, beta_pub, xi_pub, xi_at_pub, rec.f, rec.beta, rec.xi, *found, passed)
@@ -251,7 +227,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
         "f_best", "beta_best", "xi_best", "f_match", "beta_match", "xi_match",
         "passed",
     )
-    _emit_csv(args, header, list(zip(*rows)), started)
+    _emit(args, started, write_csv, header, list(zip(*rows)))
     return EXIT_OK if all_pass else EXIT_PHYSICS
 
 
@@ -278,7 +254,7 @@ def cmd_blockage(args: argparse.Namespace) -> int:
         "threshold": BLOCKED_XI,
         "reports": reports,
     }
-    _emit(args, dumps(doc), started)
+    _emit(args, started, write_text, dumps(doc))
     return EXIT_OK if all_pass else EXIT_PHYSICS
 
 
@@ -304,7 +280,7 @@ def cmd_entangle(args: argparse.Namespace) -> int:
     }
     if args.out is not None:
         columns = (scan.betas, scan.entropy, scan.overlap)
-        _emit_csv(args, ("beta", "entropy_ebits", "branch_overlap"), columns, started)
+        _emit(args, started, write_csv, ("beta", "entropy_ebits", "branch_overlap"), columns)
     print(dumps(summary), end="")
     return EXIT_OK
 
@@ -333,7 +309,7 @@ def cmd_multiparty(args: argparse.Namespace) -> int:
             for p in plan
         ],
     }
-    _emit(args, dumps(doc), started)
+    _emit(args, started, write_text, dumps(doc))
     return EXIT_OK
 
 
@@ -356,10 +332,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         .xi_grid(b0, h, count) for k in range(0, twist_count, _TWIST_STACK)
     ]
     profiles = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
-    # one row per (twist, time); csv_text lays out the broadcast twists and times once each
+    # one row per (twist, time); write_csv lays out the broadcast twists and times once each
     f_column = np.broadcast_to(np.array(twists)[:, None], profiles.shape)
     columns = (f_column, np.broadcast_to(betas, profiles.shape), profiles)
-    _emit_csv(args, ("f", "beta", "xi"), columns, started)
+    _emit(args, started, write_csv, ("f", "beta", "xi"), columns)
     return EXIT_OK
 
 

@@ -23,12 +23,13 @@ the same cell layout: zeros, nan, inf, the exponent form, the guarded ties and
 each block of floats too short to repay numpy's fixed cost.  The layout lives in
 `spinring._cells`.
 
-A CSV is made a block of 8,192 rows at a time, as bytes (`_csv_blocks`), and has
-two sinks: `write_csv` streams the blocks to a file, so its peak memory does not
-grow with the rows, and `csv_text` joins them into the text printed to stdout.
-Both check the columns before they lay out a row, so a refused table leaves the
-file unopened.  A block holds its columns' cells (laying out a float column takes
-about a dozen arrays of 8,192 8-byte values), then the joined block, then its bytes.
+A CSV is made a block of 8,192 rows at a time, as bytes (`_csv_blocks`).
+`write_csv` streams the blocks to a file or to stdout, so its peak memory does
+not grow with the rows; `csv_text` joins them into one string.  The columns are
+checked before a row is laid out, so a refused table leaves the file unopened
+and prints nothing.  A block holds its columns' cells (laying out a float column
+takes about a dozen arrays of 8,192 8-byte values), then the joined block, then
+its bytes.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -104,9 +106,10 @@ _BLOCK_ROWS = 8192
 
 
 def csv_text(header: Sequence[str], columns: Sequence[Any]) -> str:
-    """Columns of one shape as CSV, one row per element in C order: floats as
-    %.12g (the bytes of f"{v:.12g}"), bools as true/false, integers as %d and
-    anything else as str(v).
+    """Columns of one shape as one CSV string, one row per element in C order:
+    floats as %.12g (the bytes of f"{v:.12g}"), bools as true/false, integers as
+    %d and anything else as str(v).  The package itself writes CSVs a block at a
+    time with `write_csv`; this joins the same blocks whole.
 
     A column may be 1-D or an N-D grid; a broadcast view (`np.broadcast_to`)
     has the values along each of its zero-stride axes laid out once.
@@ -114,10 +117,14 @@ def csv_text(header: Sequence[str], columns: Sequence[Any]) -> str:
     return "".join(block.decode() for block in _csv_blocks(header, columns))
 
 
-def write_csv(path: str | Path, header: Sequence[str], columns: Sequence[Any]) -> None:
-    """Write the bytes of `csv_text(header, columns)` to the path a block of
-    rows at a time.  Columns that `csv_text` refuses leave the path unopened."""
+def write_csv(path: str | Path | None, header: Sequence[str], columns: Sequence[Any]) -> None:
+    """Write `csv_text(header, columns)` a block of rows at a time: to the path as
+    UTF-8, or to stdout as text when no path is given.  Columns that `csv_text`
+    refuses leave the path unopened and print nothing."""
     blocks = _csv_blocks(header, columns)
+    if path is None:
+        sys.stdout.writelines(block.decode() for block in blocks)
+        return
     with open(path, "wb") as fh:
         fh.writelines(blocks)
 

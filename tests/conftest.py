@@ -19,6 +19,7 @@ the twist derivatives of the mode cosines, a one-point mode sum, one
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import tracemalloc
 
@@ -291,8 +292,16 @@ def coarse_pass_reference(n, ds, spec, window=1e-3, cap=64):
     within `window` of its maximum, at most `cap` of them best-first, then
     those within `window` of the best over all twists.
     """
+    best, ranked = _full_grid_maxima(n, tuple(ds), spec, window)
+    return {d: [p for maxima in ranked[d] for p in maxima[:cap] if p[2] >= best[d] - window] for d in ds}
+
+
+@functools.cache  # each full grid is evaluated once a session, whatever the cap
+def _full_grid_maxima(n, ds, spec, window):
+    """Per d, the best xi over every twist and time, and per twist the local maxima
+    within `window` of the twist's maximum as (f, beta, xi), best first."""
     betas = spec.beta_grid()
-    kept = {d: [] for d in ds}
+    ranked = {d: [] for d in ds}
     best = {d: -1.0 for d in ds}
     for f in spec.f_candidates:
         kernel = SpectralKernel(_mode_cosines(n, f), ds)
@@ -302,11 +311,8 @@ def coarse_pass_reference(n, ds, spec, window=1e-3, cap=64):
             cand = local_maxima(g)
             cand = cand[g[cand] >= g.max() - window]
             order = np.lexsort((betas[cand], -g[cand]))
-            for i in cand[order][:cap]:
-                kept[d].append((f, float(betas[i]), float(g[i])))
-    for d in ds:
-        kept[d] = [p for p in kept[d] if p[2] >= best[d] - window]
-    return kept
+            ranked[d].append(tuple((f, float(betas[i]), float(g[i])) for i in cand[order]))
+    return best, ranked
 
 
 def coarse_pass(n, ds, spec):

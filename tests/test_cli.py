@@ -21,7 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinring import __version__, amplitude, cli, entangle
+from conftest import peak_bytes
+from spinring import __version__, amplitude, cli, entangle, serialize
 from spinring.amplitude import AmplitudeResult, BesselTruncationError, grid_count, xi_profile
 from spinring.bessel import bessel_j_ladder
 from spinring.optimize import SearchSpec
@@ -413,7 +414,7 @@ def test_stacked_twist_profiles_are_each_twists_profile_bit_for_bit(monkeypatch,
     # the landscape benchmark's 26 twists on a 7-ring, in stacks of 8,192, 10 and 1
     monkeypatch.setattr(cli, "_TWIST_STACK", stack)
     tables = []
-    monkeypatch.setattr(cli, "_emit_csv", lambda args, header, columns, started: tables.append(columns))
+    monkeypatch.setattr(cli, "_emit", lambda args, started, write, header, columns: tables.append(columns))
     argv = ["sweep", "--n", "7", "--d", "3", "--f-min=-0.4951", "--f-max=0.5049", "--f-step=0.04",
             "--beta-min=0.0053", "--beta-max=99.0053", "--beta-step=0.01"]
     assert cli.main(argv) == 0
@@ -619,6 +620,29 @@ def test_sweep_stdout_matches_out_file(tmp_path, capsys):
     assert stdout.count("\n") == 1 + 11 * 101
 
 
+class Discard(io.TextIOBase):
+    """A text stream that keeps nothing it is sent."""
+
+    def write(self, text):
+        return len(text)
+
+
+def test_printed_sweep_peaks_as_its_out_run(tmp_path):
+    # stdout streams the blocks `--out` writes, at 40,000 and 320,000 rows alike;
+    # a CSV joined whole before it is printed adds ~0.9 and ~15 MB
+    peaks = {}
+    for twists in (4, 32):
+        argv = ["sweep", "--n", "5", "--d", "1", "--f-min", "0", f"--f-max={(twists - 1) / 8}",
+                "--f-step", "0.125", "--beta-max", "99.99", "--beta-step", "0.01"]
+        with contextlib.redirect_stdout(Discard()):
+            assert cli.main(argv) == 0  # the first run builds what every later run reuses
+            for sink in ("stdout", "out"):
+                out = [] if sink == "stdout" else ["--out", str(tmp_path / "grid.csv")]
+                peaks[twists, sink] = peak_bytes(lambda: cli.main([*argv, *out]))
+        assert (tmp_path / "grid.csv").read_bytes().count(b"\n") == 1 + twists * 10_000
+        assert abs(peaks[twists, "stdout"] - peaks[twists, "out"]) < 1 << 20, peaks
+
+
 # twist x time offsets off the step grid on both axes, as in the benchmark's
 # landscape sweep, so coordinates print at full 12-digit width
 OFFSET_GRID = (
@@ -787,20 +811,19 @@ def test_traced_names_resolve():
         assert callable(getattr(importlib.import_module(module), attr)), f"{module}.{attr}"
 
 
-def test_traced_csv_counters_read_the_sweep_text(capsys, monkeypatch):
-    # the benchmark counts rows and bytes from what `cli.csv_text` returns
-    spans, counted = load_benchmark_spans(), []
+def test_a_printed_csv_is_never_joined_whole(capsys, monkeypatch):
+    # stdout streams the blocks `--out` writes; `cli.csv_text` stays a name the
+    # benchmark's traced mode patches, and its CSV counters read 0 for every sink
+    def joined(header, columns):
+        raise AssertionError("a CSV was joined into one string")
 
-    def traced(header, columns):
-        text = csv_text(header, columns)
-        assert isinstance(text, str)
-        counted.append(spans._csv_size((header, columns), {}, text))
-        return text
-
-    monkeypatch.setattr(cli, "csv_text", traced)
-    code, out = run_cli(capsys, "sweep", "--n", "6", "--d", "2", "--f-step", "0.1", "--beta-max", "5")
-    assert code == 0
-    assert counted == [{"serialize.csv_text.rows": 11 * 101, "serialize.csv_text.bytes": len(out)}]
+    monkeypatch.setattr(cli, "csv_text", joined)
+    monkeypatch.setattr(serialize, "csv_text", joined)
+    for argv in (("sweep", "--n", "6", "--d", "2", "--f-step", "0.1", "--beta-max", "5"),
+                 ("table1", "--twists=-0.25,0.25")):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.count("\n") == {"sweep": 1 + 11 * 101, "table1": 11}[argv[0]]
 
 
 SWEEP_ARGV = ("sweep", "--n", "4", "--d", "2", "--f-step", "0.5", "--beta-max", "10")
@@ -832,7 +855,7 @@ def test_manifest_replay_reproduces_bytes(tmp_path, capsys):
     ids=["table1", "sweep"],
 )
 def test_streamed_out_is_the_printed_csv_and_replays(tmp_path, capsys, argv, golden):
-    # `--out` streams the CSV a block at a time; stdout prints `csv_text`
+    # `--out` and stdout stream the same blocks of the CSV
     code, printed = run_cli(capsys, *argv)
     assert code == 0
     out_csv = tmp_path / "out.csv"
@@ -863,25 +886,27 @@ def test_streamed_entangle_curve_is_its_csv_text_and_replays(tmp_path, capsys):
 
 @pytest.mark.parametrize("fault", ["shapes", "nul"])
 def test_a_refused_csv_leaves_out_unopened_and_exits_2(tmp_path, capsys, monkeypatch, fault):
-    # the columns are checked before `--out` is opened, even where the fault
-    # lies in the last of the curve's two blocks
-    scan_for = cli.find_entangling_time
-
-    def faulty(*args, **kwargs):
-        scan = scan_for(*args, **kwargs)
+    # the columns are checked before `--out` is opened or a byte is printed, even
+    # where the fault lies in the last block of the CSV: the curve's second of
+    # two, the sweep's fourth of four
+    def faulty(path, header, columns):
+        columns = [np.array(c, dtype=object).reshape(-1) for c in columns]
         if fault == "shapes":
-            return dataclasses.replace(scan, overlap=scan.overlap[:-1])
-        entropy = scan.entropy.astype(object)
-        entropy[-1] = "x\0y"
-        return dataclasses.replace(scan, entropy=entropy)
+            columns[-1] = columns[-1][:-1]
+        else:
+            columns[-1][-1] = "x\0y"
+        serialize.write_csv(path, header, columns)
 
-    monkeypatch.setattr(cli, "find_entangling_time", faulty)
+    monkeypatch.setattr(cli, "write_csv", faulty)
     out_csv = tmp_path / "curve.csv"
     out_csv.write_bytes(b"kept\n")
-    code = cli.main(["entangle", "--beta-max", "50", "--out", str(out_csv)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    for argv in (["entangle", "--beta-max", "50", "--out", str(out_csv)],
+                 [*SWEEP_ARGV, "--beta-step", "0.001"]):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert captured.out == ""
     assert out_csv.read_bytes() == b"kept\n"
     assert not manifest_path_for(out_csv).exists()
 

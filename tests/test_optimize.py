@@ -278,6 +278,7 @@ def test_coarse_pass_calls_do_not_grow_with_the_twist_grid(monkeypatch, n):
     "twists", [twist_grid(8), RESTRICTED, twist_grid(40)], ids=["8", "quarter", "40"]
 )
 def test_candidate_cap_does_not_bind_on_the_table_grids(n, twists):
+    # both references select from one full-grid pass, shared with the equivalence cases
     spec = SearchSpec(f_candidates=twists)
     ds = tuple(range(1, n))
     uncapped = coarse_pass_reference(n, ds, spec, cap=10**9)
