@@ -98,8 +98,6 @@ class AmplitudeQuery:
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or not 1 <= v <= n:
                 raise ValueError(f"{name} must be an integer site in 1..{n}, got {v!r}")
-        if not math.isfinite(self.beta) or self.beta < 0:
-            raise ValueError(f"beta must be finite and >= 0, got {self.beta!r}")
         _scaled_time(self.config, self.beta)
 
     @property
@@ -161,10 +159,10 @@ class SpectralKernel:
     displacement.  For a ring, c_m = cos(2*pi*(m+f)/N) from `_mode_cosines`,
     so the half-flux pair cancellation holds on every path, and a_d is the
     uniform-gauge amplitude without the global phase exp(-i*D*t), so J and B
-    drop out.  Time grids are BLAS products of giant and baby steps (`xi_grid`,
-    `xi_rows`), scattered points (kernel row, beta) one product each (`values`,
-    `jet`); on both, every kernel row has the bits of a kernel of its rate row
-    and displacement alone.
+    drop out.  Time grids are BLAS products of giant and baby steps on chosen
+    giant rows (`xi_rows`) or on all of them (`xi_grid`), scattered points
+    (kernel row, beta) one product each (`values`, `jet`); on both, every
+    kernel row has the bits of a kernel of its rate row and displacement alone.
     """
 
     def __init__(self, rates: np.ndarray, ds) -> None:
@@ -174,20 +172,13 @@ class SpectralKernel:
         self._weights = _mode_weights(self.n, self._ds)  # one weight row per displacement
 
     def xi_grid(self, b0: float, h: float, count: int) -> np.ndarray:
-        """|a_d| at b0 + k*h for k < count, shape (kernel rows, count).
-
-        With k = g*S + j and S = ceil(sqrt(count)), each mode phase is a giant
-        step exp(i*c_m*(b0 + g*S*h)) times a baby step exp(i*c_m*j*h): about
-        2*sqrt(count)*N exponentials per rate row and one matrix product per
-        rate row and block of giant rows.
-        """
+        """|a_d| at b0 + k*h for k < count, shape (kernel rows, count): `xi_rows`
+        over every (kernel row, giant row) pair, laid end to end and cut to
+        count, so the -inf past the grid falls in the cut."""
         starts, stride = _giant_steps(b0, h, count)
-        require_grid_points(self.n * stride, "a block of mode phases")
         rows, giants = len(self._irates) * len(self._ds), len(starts)
-        values = self._xi_giant(
-            np.repeat(np.arange(rows), giants), np.tile(np.arange(giants), rows), starts, h, stride
-        )
-        return values.reshape(rows, giants * stride)[:, :count]
+        pairs = np.repeat(np.arange(rows), giants), np.tile(np.arange(giants), rows)
+        return self.xi_rows(b0, h, count, *pairs).reshape(rows, giants * stride)[:, :count]
 
     def row_bounds(self, b0: float, h: float, count: int, spread=0.0):
         """Bounds on `xi_grid(b0, h, count)`: (low, rows) with low[r] <= its maximum
@@ -285,37 +276,26 @@ class SpectralKernel:
     def xi_rows(
         self, b0: float, h: float, count: int, rows: np.ndarray, giants: np.ndarray
     ) -> np.ndarray:
-        """`xi_grid(b0, h, count)` on giant row giants[i] of kernel row rows[i], bit for bit.
+        """|a_d| on giant row giants[i] of kernel row rows[i] of the grid b0 + k*h,
+        k < count: shape (pairs, S), giant row g holding the points k = g*S + j,
+        j < S = ceil(sqrt(count)), and a point past the grid, on the last giant
+        row, reading -inf.
 
         The pairs come in order of kernel row, as `np.nonzero` reads the array
-        `row_bounds`' rows(floor) returns.  Returns their values, shape (pairs,
-        S): giant row g holds the grid points g*S + j, j < S, and a point past
-        the grid, on the last giant row, reads -inf.  The pairs of one rate
-        row, over all its displacements, share its matrix products.
+        `row_bounds`' rows(floor) returns.  Each mode phase is a giant step
+        exp(i*c_m*(b0 + g*S*h)) times a baby step exp(i*c_m*j*h), one rate row
+        at a time: its giant steps (over all g once it has more pairs than
+        giant rows), weighted per kernel row, are BLAS products with its baby
+        steps, a block of pairs each, so the pairs of one rate row, over all
+        its displacements, share its products.  BLAS gives a row of a product
+        the same bits whatever rows share it, except in a one-row product
+        (gemv or a dot, which may round differently).  So a lone row is sent
+        twice: a pair's bits never depend on its batch, and every subset of
+        pairs, on a stacked kernel too, matches a one-rate-row kernel's
+        `xi_grid` by construction.
         """
         starts, stride = _giant_steps(b0, h, count)
         require_grid_points(self.n * stride, "a block of mode phases")
-        values = self._xi_giant(rows, giants, starts, h, stride)
-        last = len(starts) - 1
-        values[giants == last, count - last * stride :] = -np.inf
-        return values
-
-    def _xi_giant(
-        self, rows: np.ndarray, giants: np.ndarray, starts: np.ndarray, h: float, stride: int
-    ) -> np.ndarray:
-        """|a| at starts[giants[i]] + j*h, j < stride, on kernel row rows[i], shape
-        (len(rows), stride); `rows` is in order.
-
-        Every grid and every set of kept rows is evaluated here, one rate row
-        at a time: its giant steps exp(i*c_m*starts[g]) (over all g once it
-        has more pairs than giant rows), weighted per kernel row, are BLAS
-        products with its baby steps exp(i*c_m*j*h), a block of pairs each.
-        BLAS gives a row of a product the same bits whatever rows share it,
-        except in a one-row product (gemv or a dot, which may round
-        differently).  So a lone row is sent twice: a row's bits never depend
-        on its batch, and `xi_rows` and a stacked kernel match a one-rate-row
-        kernel's full grid by construction.
-        """
         per = max(_BLOCK // stride, 1)
         require_grid_points(self.n * min(len(rows), per), "a block of mode phases")
         out = np.empty((len(rows), stride))
@@ -336,7 +316,10 @@ class SpectralKernel:
                 np.abs(np.matmul(pair, baby, out=block[: len(pair)])[: hi - lo], out=out[lo:hi])
         out /= self.n
         _clip_xi(out.max(initial=0.0))  # the over-unity check of every other path
-        return np.minimum(out, 1.0, out=out)
+        np.minimum(out, 1.0, out=out)
+        last = len(starts) - 1
+        out[giants == last, count - last * stride :] = -np.inf
+        return out
 
     def values(self, rows, betas) -> np.ndarray:
         """Complex a_d(betas[i]) on kernel row rows[i], for every i.
@@ -452,8 +435,7 @@ def amplitude_spectral(query: AmplitudeQuery) -> AmplitudeResult:
     cfg = query.config
     kernel = SpectralKernel(_mode_cosines(cfg.n, cfg.f), (query.d,))
     reduced = complex(kernel.values([0], [query.beta])[0])
-    t = query.beta / (4.0 * cfg.j)
-    value = complex(np.exp(-1j * cfg.diagonal * t) * reduced)
+    value = complex(np.exp(-1j * cfg.diagonal * _scaled_time(cfg, query.beta)) * reduced)
     return AmplitudeResult(value=value, xi=_clip_xi(abs(reduced)), method="spectral")
 
 
@@ -540,9 +522,8 @@ def amplitude_bessel(query: AmplitudeQuery) -> AmplitudeResult:
     total = pre * ladder_sum(orders_d, turns)
     total += pre_p * ladder_sum(orders_dp, turns_p)
     # the ladders carry the single-bond gauge factor exp(2*pi*i*d*f/N); divide it out
-    t = beta / (4.0 * cfg.j)
     gauge = 2.0 * np.pi * d * math.remainder(cfg.f, n) / n
-    value = complex(np.exp(-1j * (cfg.diagonal * t + gauge)) * total)
+    value = complex(np.exp(-1j * (cfg.diagonal * _scaled_time(cfg, beta) + gauge)) * total)
     return AmplitudeResult(value=value, xi=_clip_xi(abs(value)), method="bessel")
 
 

@@ -140,12 +140,13 @@ def _search_spec(args: argparse.Namespace) -> SearchSpec:
     return SearchSpec(**fields)
 
 
-def _emit(args: argparse.Namespace, started: float, write, *content) -> None:
-    """`write(path, *content)` to `--out` and then its manifest, or to stdout."""
+def _emit(args: argparse.Namespace, write, *content) -> None:
+    """`write(path, *content)` to `--out` and then its manifest, timed from `main`'s
+    start, or to stdout."""
     write(args.out, *content)
     if args.out is not None:
         params = {k: v for k, v in vars(args).items() if k not in ("func", "command") and not k.startswith("_")}
-        write_manifest(args.command, params, args._argv, args.out, started)
+        write_manifest(args.command, params, args._argv, args.out, args._started)
 
 
 def _amplitude_record(args: argparse.Namespace, method: str) -> dict:
@@ -175,9 +176,8 @@ def _spread(values: list) -> float:
 
 
 def cmd_amplitude(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
     if args.method != "all":
-        _emit(args, started, write_text, dumps(_amplitude_record(args, args.method)))
+        _emit(args, write_text, dumps(_amplitude_record(args, args.method)))
         return EXIT_OK
     records = [_amplitude_record(args, m) for m in ("spectral", "bessel", "oracle")]
     xis = [r["xi"] for r in records]
@@ -192,12 +192,11 @@ def cmd_amplitude(args: argparse.Namespace) -> int:
         "max_xi_deviation": _spread(xis),
         "max_value_deviation": value_deviation,
     }
-    _emit(args, started, write_text, dumps(doc))
+    _emit(args, write_text, dumps(doc))
     return EXIT_OK if value_deviation <= METHOD_AGREEMENT_TOL else EXIT_METHOD_DISAGREEMENT
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
     spec = _search_spec(args)
     rows = []
     all_pass = True
@@ -227,12 +226,11 @@ def cmd_table1(args: argparse.Namespace) -> int:
         "f_best", "beta_best", "xi_best", "f_match", "beta_match", "xi_match",
         "passed",
     )
-    _emit(args, started, write_csv, header, list(zip(*rows)))
+    _emit(args, write_csv, header, list(zip(*rows)))
     return EXIT_OK if all_pass else EXIT_PHYSICS
 
 
 def cmd_blockage(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
     if not (np.isfinite(args.beta_max) and args.beta_max >= 0.0):
@@ -254,12 +252,11 @@ def cmd_blockage(args: argparse.Namespace) -> int:
         "threshold": BLOCKED_XI,
         "reports": reports,
     }
-    _emit(args, started, write_text, dumps(doc))
+    _emit(args, write_text, dumps(doc))
     return EXIT_OK if all_pass else EXIT_PHYSICS
 
 
 def cmd_entangle(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
     scan = find_entangling_time(args.beta_max, step=args.step, n=args.n, start_site=args.start_site)
     summary = {
         "n": args.n,
@@ -280,13 +277,12 @@ def cmd_entangle(args: argparse.Namespace) -> int:
     }
     if args.out is not None:
         columns = (scan.betas, scan.entropy, scan.overlap)
-        _emit(args, started, write_csv, ("beta", "entropy_ebits", "branch_overlap"), columns)
-    print(dumps(summary), end="")
+        _emit(args, write_csv, ("beta", "entropy_ebits", "branch_overlap"), columns)
+    write_text(None, dumps(summary))
     return EXIT_OK
 
 
 def cmd_multiparty(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
     spec = _search_spec(args)
     plan = multiparty_plan(args.n, args.sites, spec)
     doc = {
@@ -309,12 +305,11 @@ def cmd_multiparty(args: argparse.Namespace) -> int:
             for p in plan
         ],
     }
-    _emit(args, started, write_text, dumps(doc))
+    _emit(args, write_text, dumps(doc))
     return EXIT_OK
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
     RingConfig(args.n)  # validates n early
     for flag, step in (("--f-step", args.f_step), ("--beta-step", args.beta_step)):
         if not 0.0 < step < math.inf:
@@ -335,7 +330,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # one row per (twist, time); write_csv lays out the broadcast twists and times once each
     f_column = np.broadcast_to(np.array(twists)[:, None], profiles.shape)
     columns = (f_column, np.broadcast_to(betas, profiles.shape), profiles)
-    _emit(args, started, write_csv, ("f", "beta", "xi"), columns)
+    _emit(args, write_csv, ("f", "beta", "xi"), columns)
     return EXIT_OK
 
 
@@ -438,7 +433,7 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
-    args._argv = argv
+    args._argv, args._started = argv, time.perf_counter()
     try:
         return args.func(args)
     except (ValueError, OverflowError, OSError) as exc:

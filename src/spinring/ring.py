@@ -154,19 +154,13 @@ def mode_energies(config: RingConfig) -> np.ndarray:
     return -4.0 * config.j * _mode_cosines(config.n, config.f) + config.diagonal
 
 
-def _check_beta(beta: float) -> float:
-    beta = float(beta)
-    if not math.isfinite(beta):
-        raise ValueError(f"beta must be finite, got {beta!r}")
-    if beta < 0:
-        raise ValueError(f"beta must be non-negative, got {beta}")
-    return beta
-
-
 def _scaled_time(config: RingConfig, beta: float) -> float:
-    """The time t = beta/(4J) of a scaled time beta; ValueError where t or the
-    global phase D*t is not finite (a subnormal coupling can make t overflow,
-    a huge field D*t)."""
+    """The time t = beta/(4J) of a scaled time beta, the one place a beta is
+    checked and turned into a time: ValueError for a beta that is not finite
+    and >= 0, and where t or the global phase D*t is not finite (a subnormal
+    coupling can make t overflow, a huge field D*t)."""
+    if not math.isfinite(beta) or beta < 0:
+        raise ValueError(f"beta must be finite and >= 0, got {beta!r}")
     t = beta / (4.0 * config.j)
     if not math.isfinite(t) or not math.isfinite(config.diagonal * t):
         raise ValueError(
@@ -184,8 +178,7 @@ def propagate_oracle(config: RingConfig, psi0: np.ndarray, beta: float) -> np.nd
     check of every analytic path.  Degenerate spectra are fine; any
     orthonormal eigenbasis gives the same propagator.
     """
-    beta = _check_beta(beta)
-    psi0 = _check_state(psi0, config.n)
     t = _scaled_time(config, beta)
+    psi0 = _check_state(psi0, config.n)
     w, v = np.linalg.eigh(build_hamiltonian(config))
     return v @ (np.exp(-1j * w * t) * (v.conj().T @ psi0))

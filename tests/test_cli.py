@@ -414,7 +414,7 @@ def test_stacked_twist_profiles_are_each_twists_profile_bit_for_bit(monkeypatch,
     # the landscape benchmark's 26 twists on a 7-ring, in stacks of 8,192, 10 and 1
     monkeypatch.setattr(cli, "_TWIST_STACK", stack)
     tables = []
-    monkeypatch.setattr(cli, "_emit", lambda args, started, write, header, columns: tables.append(columns))
+    monkeypatch.setattr(cli, "_emit", lambda args, write, header, columns: tables.append(columns))
     argv = ["sweep", "--n", "7", "--d", "3", "--f-min=-0.4951", "--f-max=0.5049", "--f-step=0.04",
             "--beta-min=0.0053", "--beta-max=99.0053", "--beta-step=0.01"]
     assert cli.main(argv) == 0

@@ -199,17 +199,31 @@ def test_coarse_pass_keeps_rows_in_order_best_first_and_capped(case):
     assert np.all(value >= best[row % len(ds)] - 1e-3)
 
 
+def kernel_calls(monkeypatch):
+    """Patch the kernel's evaluations `xi_grid`, `xi_rows` and `values` to log
+    (name, arguments) of each call, but not the `xi_rows` call that `xi_grid`
+    makes inside itself: one evaluation, one entry."""
+    calls, in_grid = [], [False]
+    for name in ("xi_grid", "xi_rows", "values"):
+        def logged(self, *args, _method=getattr(SpectralKernel, name), _name=name):
+            if not in_grid[0]:
+                calls.append((_name, args))
+            outer, in_grid[0] = in_grid[0], in_grid[0] or _name == "xi_grid"
+            try:
+                return _method(self, *args)
+            finally:
+                in_grid[0] = outer
+
+        monkeypatch.setattr(SpectralKernel, name, logged)
+    return calls
+
+
 def evaluated_share(monkeypatch, n, ds, spec):
     """Share of the (twist, displacement, giant row) triples the coarse pass evaluates."""
-    kept = []
-    xi_rows = SpectralKernel.xi_rows
-
-    def counted(kernel, b0, h, count, rows, giants):
-        kept.append(len(rows))
-        return xi_rows(kernel, b0, h, count, rows, giants)
-
-    monkeypatch.setattr(SpectralKernel, "xi_rows", counted)
-    coarse_pass(n, ds, spec)
+    with monkeypatch.context() as patch:
+        calls = kernel_calls(patch)
+        coarse_pass(n, ds, spec)
+    kept = [len(args[3]) for name, args in calls if name == "xi_rows"]
     assert len(kept) == 1  # the kept rows of every twist in one stacked call
     starts, _ = _giant_steps(spec.beta_min, spec.beta_step, len(spec.beta_grid()))
     return sum(kept) / (len(spec.f_candidates) * len(ds) * len(starts))
@@ -256,18 +270,12 @@ def test_bound_evaluates_a_third_of_a_stride_twenty_pre_grid(monkeypatch, n):
 def test_coarse_pass_calls_do_not_grow_with_the_twist_grid(monkeypatch, n):
     # a cost check without a clock: the stacked kernels take every twist at
     # once, so five times the twists adds rows to the kernels' calls, not calls
-    calls = []
-    for name in ("xi_grid", "xi_rows", "values"):
-        def counted(self, *args, _method=getattr(SpectralKernel, name), _name=name):
-            calls.append(_name)
-            return _method(self, *args)
-
-        monkeypatch.setattr(SpectralKernel, name, counted)
+    calls = kernel_calls(monkeypatch)
     counts = []
     for resolution in (8, 40):
         calls.clear()
         coarse_pass(n, tuple(range(1, n)), SearchSpec(f_candidates=twist_grid(resolution)))
-        counts.append(Counter(calls))
+        counts.append(Counter(name for name, _ in calls))
     first, last = strides(0.02, len(SearchSpec().beta_grid()))
     halvings = (first // last).bit_length() - 1  # 64 -> 4
     assert counts[0] == counts[1] == {"xi_grid": 1, "xi_rows": 1, "values": halvings}

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import full_space_oracle, single_bond_hamiltonian
+from spinring.amplitude import AmplitudeQuery
 from spinring.ring import (
     RingConfig,
     build_hamiltonian,
@@ -191,11 +192,26 @@ def test_state_validation():
         site_state(4, 5)
 
 
-@pytest.mark.parametrize("config", [RingConfig(5, j=1e-320), RingConfig(5, b=1e308)], ids=["j", "b"])
-def test_oracle_refuses_a_time_or_phase_that_overflows(config):
-    # t = beta/(4J) overflows for a subnormal coupling, D*t for a huge field;
-    # every warning is an error here, so a nan result cannot slip through
+@pytest.mark.parametrize(
+    "config, beta",
+    [
+        (RingConfig(5, j=1e-320), 10.0),
+        (RingConfig(5, b=1e308), 10.0),
+        (RingConfig(5), -1.0),
+        (RingConfig(5), math.nan),
+        (RingConfig(5), math.inf),
+    ],
+    ids=["j", "b", "beta=-1", "beta=nan", "beta=inf"],
+)
+def test_oracle_refuses_a_time_or_phase_that_overflows(config, beta):
+    # t = beta/(4J) overflows for a subnormal coupling, D*t for a huge field,
+    # and a beta that is not finite and >= 0 is no time at all; every warning
+    # is an error here, so a nan result cannot slip through.  The query and
+    # the oracle refuse it with the same message.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="must be finite"):
-            propagate_oracle(config, site_state(5, 1), 10.0)
+        with pytest.raises(ValueError, match="must be finite") as query:
+            AmplitudeQuery(config, 1, 1, beta)
+        with pytest.raises(ValueError, match="must be finite") as oracle:
+            propagate_oracle(config, site_state(5, 1), beta)
+    assert str(oracle.value) == str(query.value)
