@@ -4,7 +4,8 @@ The `serialize` module docstring states the cell contract and why the layout
 below meets it.  `serialize._csv_blocks` imports this module when it first
 lays out a CSV, so a command that writes none neither compiles it nor builds
 its tables.  A column is laid out a block at a time and never copied whole; a
-float block holds about a dozen arrays of its length in 8-byte values at once.
+float block steps through seven arrays of its length in 8-byte values into its
+cells, which a CSV lays out in one buffer a float column from block to block.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .serialize import _FLOAT
 # Python's own %.12g, so a shorter block of floats is written by Python.
 NUMPY_MIN = 128
 _SCALE = np.array([float(10**k) for k in range(15, -1, -1)])  # 10**(11 - e) by row e + 4, exact
+_TEMPS = 7  # arrays of 8-byte values `float_cells` steps through
 
 
 def _masks(counts) -> tuple[np.ndarray, np.ndarray]:
@@ -67,17 +69,22 @@ def _tables() -> dict[str, np.ndarray]:
 _T = _tables()
 
 
-def float_cells(values: np.ndarray) -> np.ndarray:
-    """The %.12g text of each float64 value, NUL-padded at its end, shape (k, width);
-    steps write into earlier steps' buffers, so about a dozen k-value arrays are live."""
-    if len(values) < NUMPY_MIN:
+def float_cells(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The %.12g text of each float64 value, NUL-padded at its end, shape (k, width):
+    a view of `out`, (k, 3) uint64, when given, else of a new such array.  Steps
+    write into earlier steps' buffers, `_TEMPS` arrays of k 8-byte values."""
+    k = len(values)
+    if k < NUMPY_MIN:
         return text_cells([_FLOAT % v for v in values.tolist()])
-    mag = np.abs(values)
+    cells = np.empty((k, 3), np.uint64) if out is None else out
+    temps = np.empty((_TEMPS, k), np.uint64)
+    f8, i8, u8 = temps.view(np.float64), temps.view(np.int64), temps
+    mag = np.abs(values, out=f8[0])
     slow = (mag < 1e-4) | ~(mag < 1e12)  # nan too
     np.copyto(mag, 1.0, where=slow)
-    scaled = np.log10(mag)
+    scaled = np.log10(mag, out=f8[1])
     np.minimum(np.maximum(np.floor(scaled, out=scaled), -4.0, out=scaled), 11.0, out=scaled)
-    row = np.add(scaled, 4, out=np.empty(len(mag), dtype=np.intp), casting="unsafe")  # e + 4
+    row = np.add(scaled, 4, out=i8[2], casting="unsafe")  # e + 4
     np.multiply(mag, _SCALE.take(row, mode="clip", out=scaled), out=scaled)
     m = np.rint(scaled, out=mag)
     slow |= (m > 1e12) | (np.abs(np.subtract(scaled, m, out=scaled), out=scaled) >= 0.5 - 2**-10)
@@ -89,15 +96,16 @@ def float_cells(values: np.ndarray) -> np.ndarray:
     np.add(row, 16, out=row, where=np.signbit(values))
     low = np.positive(m, out=scaled.view(np.int64), casting="unsafe")  # into a free buffer
     high = np.floor_divide(low, 10**8, out=mag.view(np.int64))  # three groups of 4 digits
-    low -= high * 10**8
-    mid = low // 10**4
-    low -= mid * 10**4
+    low -= np.multiply(high, 10**8, out=i8[3])
+    mid = np.floor_divide(low, 10**4, out=i8[3])
+    low -= np.multiply(mid, 10**4, out=i8[4])
     text, zeros = _T["text"], _T["zeros"]
-    head = text.take(high) | text.take(mid) << 32
-    tail = text.take(low)
+    head = text.take(high, mode="clip", out=u8[4])  # the groups are 0..9999
+    head |= np.left_shift(text.take(mid, mode="clip", out=u8[5]), 32, out=u8[5])
+    tail = text.take(low, mode="clip", out=u8[5])
     digits = 12 - (zeros.take(low) + (low == 0) * (zeros.take(mid) + (mid == 0) * zeros.take(high)))
     point = _T["point"].take(row)
-    keep = np.maximum(digits + (digits > point), point).astype(np.intp)
+    keep = np.maximum(digits + (digits > point), point, out=i8[6], casting="unsafe")
     # insert the dot: the bytes after it move up one (the digit groups' buffers are free)
     mask, lower, moved = high.view(np.uint64), mid.view(np.uint64), low.view(np.uint64)
     np.bitwise_and(head, _T["head_low"].take(row, mode="clip", out=mask), out=lower)
@@ -114,12 +122,12 @@ def float_cells(values: np.ndarray) -> np.ndarray:
     tail &= _T["keep_high"].take(keep, mode="clip", out=lower)
     # put the prefix first: the digits move up by its length
     shift = _T["prefix_len"].take(row) << 3
-    cells = np.empty((len(values), 3), dtype=np.uint64)
-    cells[:, 0] = np.left_shift(head, shift, out=lower) | _T["prefix"].take(row)
+    prefix = _T["prefix"].take(row, mode="clip", out=mask)
+    np.bitwise_or(np.left_shift(head, shift, out=lower), prefix, out=cells[:, 0])
     np.right_shift(head, np.subtract(64, shift, out=moved), out=head)
-    cells[:, 1] = head | np.left_shift(tail, shift, out=lower)
-    cells[:, 2] = np.right_shift(tail, moved, out=tail)
-    width = int(((shift >> 3) + keep).max())
+    np.bitwise_or(head, np.left_shift(tail, shift, out=lower), out=cells[:, 1])
+    np.right_shift(tail, moved, out=cells[:, 2])
+    width = int(np.add(keep, shift >> 3, out=keep).max())
     if len(slow := np.flatnonzero(slow)):
         texts = np.array([(_FLOAT % v).encode() for v in values[slow].tolist()], dtype=bytes)
         cells[slow] = texts.astype("S24").view(np.uint64).reshape(-1, 3)
@@ -136,9 +144,11 @@ def _bytes_cells(col: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(col).view(np.uint8).reshape(len(col), col.itemsize)
 
 
-def cells(col: np.ndarray, rows: int):
+def cells(col: np.ndarray, rows: int, out: np.ndarray | None = None):
     """The text of a column's values, C order, as NUL-padded bytes: one (k, width)
-    array for each block of `rows` values, the last one shorter.
+    array for each block of `rows` values, the last one shorter.  With `out`, a
+    (rows, 3) uint64 buffer, a float block's cells are laid out in it, so each
+    block is a view of it that the next block overwrites.
 
     Along an axis of zero stride (a broadcast view) the values repeat, so a column
     with such axes has its distinct values laid out once and each block gathers
@@ -148,7 +158,7 @@ def cells(col: np.ndarray, rows: int):
     if not repeated:
         grid = col.reshape(-1, col.shape[-1]) if col.size else col  # xi_grid's rows are padded
         for lo in range(0, col.size, rows):
-            yield _laid_out(_c_order(grid, lo, min(lo + rows, col.size)))
+            yield _laid_out(_c_order(grid, lo, min(lo + rows, col.size)), out)
         return
     distinct = col[tuple(slice(0, 1) if a in repeated else slice(None) for a in range(col.ndim))]
     size, width, lo = distinct.size, 0, 0
@@ -194,10 +204,11 @@ def _distinct_index(lo: int, hi: int, shape: tuple[int, ...], repeated: list[int
     return index
 
 
-def _laid_out(col: np.ndarray) -> np.ndarray:
-    """The text of each value of a 1-D column as NUL-padded bytes, shape (k, width)."""
+def _laid_out(col: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The text of each value of a 1-D column as NUL-padded bytes, shape (k, width);
+    a float column's cells go into `out` when it is given."""
     if col.dtype.kind == "f":
-        return float_cells(col.astype(float, copy=False))
+        return float_cells(col.astype(float, copy=False), None if out is None else out[: len(col)])
     if col.dtype.kind == "b":
         return _bytes_cells(np.where(col, b"true", b"false"))
     return text_cells([str(v) for v in col.tolist()])  # str(v) is %d for an integer

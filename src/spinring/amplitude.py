@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -137,9 +138,14 @@ def _mode_weights(n: int, ds) -> np.ndarray:
     return np.exp(1j * np.outer([2.0 * np.pi * d / n for d in ds], np.arange(1, n + 1)))
 
 
+def _giant_stride(count: int) -> int:
+    """The stride S = ceil(sqrt(count)) of a grid's giant steps."""
+    return math.isqrt(count - 1) + 1 if count > 1 else 1
+
+
 def _giant_steps(b0: float, h: float, count: int) -> tuple[np.ndarray, int]:
-    """The giant-step starts b0 + g*S*h and the stride S = ceil(sqrt(count)) of `xi_grid`."""
-    stride = math.isqrt(count - 1) + 1 if count > 1 else 1
+    """The giant-step starts b0 + g*S*h and the stride S of `xi_grid`."""
+    stride = _giant_stride(count)
     return b0 + h * (stride * np.arange(-(-count // stride))), stride
 
 
@@ -160,9 +166,10 @@ class SpectralKernel:
     so the half-flux pair cancellation holds on every path, and a_d is the
     uniform-gauge amplitude without the global phase exp(-i*D*t), so J and B
     drop out.  Time grids are BLAS products of giant and baby steps on chosen
-    giant rows (`xi_rows`) or on all of them (`xi_grid`), scattered points
-    (kernel row, beta) one product each (`values`, `jet`); on both, every
-    kernel row has the bits of a kernel of its rate row and displacement alone.
+    giant rows (`xi_rows`) or on all of them (`xi_grid`, or `xi_blocks` a block
+    of giant rows at a time), scattered points (kernel row, beta) one product
+    each (`values`, `jet`); on both, every kernel row has the bits of a kernel
+    of its rate row and displacement alone.
     """
 
     def __init__(self, rates: np.ndarray, ds) -> None:
@@ -173,12 +180,28 @@ class SpectralKernel:
 
     def xi_grid(self, b0: float, h: float, count: int) -> np.ndarray:
         """|a_d| at b0 + k*h for k < count, shape (kernel rows, count): `xi_rows`
-        over every (kernel row, giant row) pair, laid end to end and cut to
-        count, so the -inf past the grid falls in the cut."""
-        starts, stride = _giant_steps(b0, h, count)
-        rows, giants = len(self._irates) * len(self._ds), len(starts)
-        pairs = np.repeat(np.arange(rows), giants), np.tile(np.arange(giants), rows)
-        return self.xi_rows(b0, h, count, *pairs).reshape(rows, giants * stride)[:, :count]
+        over every (kernel row, giant row) pair (`_xi_giants`)."""
+        return self._xi_giants(b0, h, count, 0, None)
+
+    def xi_blocks(self, b0: float, h: float, count: int) -> Iterator[np.ndarray]:
+        """`xi_grid(b0, h, count)` a block of columns at a time, bit for bit: each
+        block is `xi_rows` on the next whole giant rows of every kernel row, at
+        most `_BLOCK` values a kernel row (one giant row where that is longer)."""
+        stride = _giant_stride(count)
+        per = self._phase_block(stride, 1)  # giant rows a block; a too-wide one is refused
+        for g in range(0, -(-count // stride), per):
+            yield self._xi_giants(b0, h, count, g, per)
+
+    def _xi_giants(self, b0: float, h: float, count: int, g: int, per: int | None) -> np.ndarray:
+        """`xi_rows` over giant rows g .. g + per - 1 (g onwards when per is None) of
+        every kernel row, each kernel row's laid end to end and cut to count, so the
+        -inf past the grid falls in the cut."""
+        stride = _giant_stride(count)
+        rows, giants = len(self._irates) * len(self._ds), -(-count // stride)
+        k = giants - g if per is None else min(per, giants - g)
+        self._phase_block(stride, rows * k)  # before the pairs are laid out
+        pairs = np.repeat(np.arange(rows), k), np.tile(np.arange(g, g + k), rows)
+        return self.xi_rows(b0, h, count, *pairs).reshape(rows, k * stride)[:, : count - g * stride]
 
     def row_bounds(self, b0: float, h: float, count: int, spread=0.0):
         """Bounds on `xi_grid(b0, h, count)`: (low, rows) with low[r] <= its maximum
@@ -213,8 +236,8 @@ class SpectralKernel:
         match these to rounding and whose rates are within `spread` of these,
         as |a_d| moves by at most beta * max_m |c_m - c'_m| between them.
         """
-        starts, stride = _giant_steps(b0, h, count)
-        shape = (len(self._irates) * len(self._ds), len(starts))
+        stride = _giant_stride(count)
+        shape = (len(self._irates) * len(self._ds), -(-count // stride))
         curvature = 2.0 * float(np.max(np.mean(np.abs(self._irates) ** 2, axis=1)))
         first = _level_stride(h, count, _FIRST_REACH, curvature)
         last = _level_stride(h, count, _LAST_REACH, curvature)
@@ -294,10 +317,8 @@ class SpectralKernel:
         pairs, on a stacked kernel too, matches a one-rate-row kernel's
         `xi_grid` by construction.
         """
+        per = self._phase_block(_giant_stride(count), len(rows))
         starts, stride = _giant_steps(b0, h, count)
-        require_grid_points(self.n * stride, "a block of mode phases")
-        per = max(_BLOCK // stride, 1)
-        require_grid_points(self.n * min(len(rows), per), "a block of mode phases")
         out = np.empty((len(rows), stride))
         block = np.empty((min(per, len(rows)) + 1, stride), dtype=complex)  # for every product
         # the pairs of rate row k are a = cuts[k] <= i < cuts[k + 1] = b
@@ -320,6 +341,15 @@ class SpectralKernel:
         last = len(starts) - 1
         out[giants == last, count - last * stride :] = -np.inf
         return out
+
+    def _phase_block(self, stride: int, pairs: int) -> int:
+        """The pairs a BLAS block of `xi_rows` takes at giant stride S, of `pairs` in
+        all.  A block of mode phases past `MAX_GRID_POINTS` is refused here, before
+        a giant start or a pair of `xi_rows` or `_xi_giants` is laid out."""
+        per = max(_BLOCK // stride, 1)
+        require_grid_points(self.n * stride, "a block of mode phases")
+        require_grid_points(self.n * min(pairs, per), "a block of mode phases")
+        return per
 
     def values(self, rows, betas) -> np.ndarray:
         """Complex a_d(betas[i]) on kernel row rows[i], for every i.

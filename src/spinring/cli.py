@@ -49,6 +49,7 @@ from .serialize import (
     load_manifest,
     read_json,
     write_csv,
+    write_csv_chunks,
     write_manifest,
     write_text,
 )
@@ -141,12 +142,16 @@ def _search_spec(args: argparse.Namespace) -> SearchSpec:
 
 
 def _emit(args: argparse.Namespace, write, *content) -> None:
-    """`write(path, *content)` to `--out` and then its manifest, timed from `main`'s
-    start, or to stdout."""
+    """`write(path, *content)` to `--out` and then its manifest, or to stdout."""
     write(args.out, *content)
     if args.out is not None:
-        params = {k: v for k, v in vars(args).items() if k not in ("func", "command") and not k.startswith("_")}
-        write_manifest(args.command, params, args._argv, args.out, args._started)
+        _manifest(args)
+
+
+def _manifest(args: argparse.Namespace) -> None:
+    """The manifest of the `--out` file, timed from `main`'s start."""
+    params = {k: v for k, v in vars(args).items() if k not in ("func", "command") and not k.startswith("_")}
+    write_manifest(args.command, params, args._argv, args.out, args._started)
 
 
 def _amplitude_record(args: argparse.Namespace, method: str) -> dict:
@@ -257,7 +262,12 @@ def cmd_blockage(args: argparse.Namespace) -> int:
 
 
 def cmd_entangle(args: argparse.Namespace) -> int:
-    scan = find_entangling_time(args.beta_max, step=args.step, n=args.n, start_site=args.start_site)
+    # with --out, the scan streams its curve's blocks to the CSV as it makes them
+    header = ("beta", "entropy_ebits", "branch_overlap")
+    write = None if args.out is None else functools.partial(write_csv_chunks, args.out, header)
+    scan = find_entangling_time(
+        args.beta_max, step=args.step, n=args.n, start_site=args.start_site, write=write
+    )
     summary = {
         "n": args.n,
         "start_site": args.start_site,
@@ -275,9 +285,8 @@ def cmd_entangle(args: argparse.Namespace) -> int:
             ),
         },
     }
-    if args.out is not None:
-        columns = (scan.betas, scan.entropy, scan.overlap)
-        _emit(args, write_csv, ("beta", "entropy_ebits", "branch_overlap"), columns)
+    if args.out is not None:  # once the whole command has run, as `_emit` writes it
+        _manifest(args)
     write_text(None, dumps(summary))
     return EXIT_OK
 

@@ -28,6 +28,13 @@ blocked), so the branches are exactly orthogonal and the scan finds a full
 ebit there regardless of gauge: its Newton polish down |<b0|b1>|^2 lands
 on pi itself (`find_entangling_time`).
 
+The scan never holds its curve whole.  It makes the curve a block of whole
+giant rows at a time (`SpectralKernel.xi_blocks`, so every value has the bits
+of one `xi_grid` over the grid), reads each block's local maxima as it comes,
+with the last points before each block edge carried across it, and hands the
+block on, to the CSV under `entangle --out`.  So its memory does not grow with
+the points; `entanglement_curve` lays the same blocks end to end.
+
 The scan also reports the reading at beta = 8.5*pi, a previously suggested
 operating point: the zero-flux branch is only halfway through its transfer
 there (perfect transfer needs an odd multiple of pi), so the entanglement
@@ -39,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -76,14 +84,10 @@ class EntanglementReading:
 
 @dataclass(frozen=True)
 class EntanglingScan:
-    """Result of an entangling-time scan: the argmax, the 8.5*pi reference
-    reading and the `entanglement_curve` over the scan grid `betas`."""
+    """Result of an entangling-time scan: the argmax and the 8.5*pi reference reading."""
 
     best: EntanglementReading
     reference: EntanglementReading
-    betas: np.ndarray
-    entropy: np.ndarray
-    overlap: np.ndarray
 
 
 def _overlap_rates(n: int, start_site: int) -> np.ndarray:
@@ -93,26 +97,82 @@ def _overlap_rates(n: int, start_site: int) -> np.ndarray:
     return _mode_cosines(n, 0.5) - _mode_cosines(n, 0.0)
 
 
-def _entropy_from_overlap(overlap) -> np.ndarray:
+def _entropy_from_overlap(overlap, out=None) -> np.ndarray:
     """Binary entropy (ebits) of the Schmidt weights (1 +- overlap)/2, elementwise,
-    `_ENTROPY_BLOCK` values at a time, so its temporaries stay block-sized."""
+    into `out` if given, `_ENTROPY_BLOCK` values at a time, so its temporaries
+    stay block-sized."""
     overlap = np.asarray(overlap, dtype=float)
-    entropy, cuts = np.empty(overlap.shape), range(_ENTROPY_BLOCK, overlap.size, _ENTROPY_BLOCK)
-    for part, out in zip(np.split(overlap.reshape(-1), cuts), np.split(entropy.reshape(-1), cuts)):
-        weights = np.stack([1.0 + part, 1.0 - part]) / 2.0
-        out[:] = -np.sum(weights * np.log2(np.where(weights > 0.0, weights, 1.0)), axis=0)
+    entropy = np.empty(overlap.shape) if out is None else out
+    cuts = range(_ENTROPY_BLOCK, overlap.size, _ENTROPY_BLOCK)
+    for part, into in zip(np.split(overlap.reshape(-1), cuts), np.split(entropy.reshape(-1), cuts)):
+        weights = np.stack([1.0 + part, 1.0 - part])
+        weights /= 2.0
+        logs = np.log2(np.where(weights > 0.0, weights, 1.0))
+        logs *= weights
+        np.negative(np.sum(logs, axis=0, out=into), out=into)
     return entropy
+
+
+def _curve_blocks(kernel: SpectralKernel, step: float, count: int) -> Iterator[tuple]:
+    """(betas, entropy, overlap) on the scan grid k*step, k < count, a block of whole
+    giant rows, at most 8,192 points, at a time: the overlap of `kernel.xi_blocks`,
+    so every value has the bits of one `xi_grid` over the whole grid.  betas and
+    entropy are views of buffers the next block overwrites, so they stay resident."""
+    lo, betas, entropy = 0, np.empty(0), np.empty(0)
+    for (overlap,) in kernel.xi_blocks(0.0, step, count):
+        k = len(overlap)
+        if k > len(betas):  # the first block is the longest
+            betas, entropy = np.empty(k), np.empty(k)
+        yield (
+            np.multiply(step, np.arange(lo, lo + k), out=betas[:k]),
+            _entropy_from_overlap(overlap, entropy[:k]),
+            overlap,
+        )
+        lo += k
 
 
 def entanglement_curve(
     step: float, count: int, n: int = 4, start_site: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(entropy, overlap) arrays on the scan grid k*step, k < count, one mode sum a point.
+    """(entropy, overlap) arrays on the scan grid k*step, k < count, one mode sum a point:
+    the blocks `find_entangling_time` scans and writes, laid end to end.
 
     Same readings as the dense reference propagator and Schmidt decomposition.
     """
-    overlap = SpectralKernel(_overlap_rates(n, start_site), (0,)).xi_grid(0.0, step, count)[0]
-    return _entropy_from_overlap(overlap), overlap
+    entropy, overlap = np.empty(count), np.empty(count)
+    lo = 0
+    for _, block_entropy, block_overlap in _curve_blocks(
+        SpectralKernel(_overlap_rates(n, start_site), (0,)), step, count
+    ):
+        hi = lo + len(block_entropy)
+        entropy[lo:hi], overlap[lo:hi], lo = block_entropy, block_overlap, hi
+    return entropy, overlap
+
+
+class _NearBestMaxima:
+    """The grid local maxima of a curve read a block at a time, as `local_maxima`
+    finds them on the whole curve, kept while within `_NEAR_BEST_WINDOW` of the
+    best value read so far.  The last two points read are carried across each
+    block edge, so every point is judged with both of its neighbours."""
+
+    def __init__(self) -> None:
+        self.best = -math.inf
+        self.tail = self.kept = (np.empty(0), np.empty(0))  # (betas, values) each
+
+    def read(self, betas: np.ndarray, values: np.ndarray, last: bool) -> None:
+        at, ys = (np.concatenate(pair) for pair in zip(self.tail, (betas, values)))
+        idx = local_maxima(ys)
+        # the tail's first point was judged with the block before; the block's
+        # last point waits for its successor unless it ends the curve
+        idx = idx[(idx >= len(self.tail[0]) - 1) & ((idx < len(ys) - 1) | last)]
+        self.best = max(self.best, float(values.max()))
+        kept_at, kept = (np.concatenate(pair) for pair in zip(self.kept, (at[idx], ys[idx])))
+        near = kept >= self.best - _NEAR_BEST_WINDOW
+        self.kept, self.tail = (kept_at[near], kept[near]), (at[-2:], ys[-2:])
+
+    def betas(self) -> np.ndarray:
+        """The betas of the maxima within the window of the best, in curve order."""
+        return self.kept[0]
 
 
 def _reading(kernel: SpectralKernel, beta: float) -> EntanglementReading:
@@ -120,35 +180,62 @@ def _reading(kernel: SpectralKernel, beta: float) -> EntanglementReading:
     return EntanglementReading(float(beta), float(_entropy_from_overlap(overlap)), overlap)
 
 
-def scan_times(beta_max: float, step: float) -> np.ndarray:
-    """The scan grid 0, step, 2*step, ... up to beta_max; at most `MAX_GRID_POINTS`."""
+def _scan_count(beta_max: float, step: float) -> int:
+    """The number of points of the scan grid 0, step, 2*step, ... up to beta_max, checked."""
     if not beta_max > 0:
         raise ValueError(f"--beta-max must be positive, got {beta_max!r}")
     if not 0.0 < step < math.inf:
         raise ValueError(f"--step must be positive and finite, got {step!r}")
-    return step * np.arange(grid_count(beta_max, step))
+    return grid_count(beta_max, step)
+
+
+def scan_times(beta_max: float, step: float) -> np.ndarray:
+    """The scan grid 0, step, 2*step, ... up to beta_max; at most `MAX_GRID_POINTS`."""
+    return step * np.arange(_scan_count(beta_max, step))
 
 
 def find_entangling_time(
-    beta_max: float, step: float = 0.005, n: int = 4, start_site: int = 1
+    beta_max: float,
+    step: float = 0.005,
+    n: int = 4,
+    start_site: int = 1,
+    write: Callable[[Iterator[tuple]], None] | None = None,
 ) -> EntanglingScan:
     """Scan [0, beta_max] for the most entangling evolution time.
 
+    The curve on the scan grid is made, scanned and handed on a block at a
+    time: `write`, when given, is called once with an iterator of its
+    (betas, entropy, overlap) column blocks, as `serialize.write_csv_chunks`
+    takes them.  A block's betas and entropy are views of buffers the next
+    block overwrites, and the blocks `write` leaves unread are still made and
+    scanned.
+
     Entropy falls strictly as |overlap| grows, so every grid local maximum
     within 1e-3 of the best is polished by Newton steps down g = |overlap|^2
-    in its +-step bracket (`polish` on `SpectralKernel.jet`), all of
-    them in lockstep, until a step moves beta by at most 1e-7.  The window
-    ends 0 and beta_max are read unpolished: the overlap's slope is 0 at
-    beta = 0, where a polish never moves.  Exact ties (within 1e-12 ebits)
-    resolve to the smallest beta.  The reading at the 8.5*pi reference point
-    rides along for comparison.
+    in its +-step bracket (`polish` on `SpectralKernel.jet`), all of them in
+    lockstep, until a step moves beta by at most 1e-7.  The window ends 0 and
+    beta_max are read unpolished: the overlap's slope is 0 at beta = 0, where
+    a polish never moves.  Exact ties (within 1e-12 ebits) resolve to the
+    smallest beta.  The reading at the 8.5*pi reference point rides along for
+    comparison.
     """
-    betas = scan_times(beta_max, step)
+    count = _scan_count(beta_max, step)
     kernel = SpectralKernel(_overlap_rates(n, start_site), (0,))
-    entropy, overlap = entanglement_curve(step, len(betas), n=n, start_site=start_site)
+    maxima = _NearBestMaxima()
 
-    idx = local_maxima(entropy)
-    start = betas[idx[entropy[idx] >= float(entropy.max()) - _NEAR_BEST_WINDOW]]
+    def scanned() -> Iterator[tuple]:
+        read = 0
+        for block in _curve_blocks(kernel, step, count):
+            read += len(block[0])
+            maxima.read(*block[:2], last=read == count)
+            yield block
+
+    blocks = scanned()
+    if write is not None:
+        write(blocks)
+    for _ in blocks:  # what `write` left of the curve, or all of it
+        pass
+    start = maxima.betas()
     flat = np.zeros((1, n))
     _, polished = polish(
         lambda index, _, at: -kernel.jet(np.zeros(len(index), dtype=np.intp), at, flat, flat),
@@ -160,9 +247,5 @@ def find_entangling_time(
     best_ent = max(values)
     beta_best = min(b for b, e in zip(points, values) if e >= best_ent - _ENTROPY_TIE)
     return EntanglingScan(
-        best=_reading(kernel, beta_best),
-        reference=_reading(kernel, REFERENCE_BETA),
-        betas=betas,
-        entropy=entropy,
-        overlap=overlap,
+        best=_reading(kernel, beta_best), reference=_reading(kernel, REFERENCE_BETA)
     )

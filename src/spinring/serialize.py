@@ -23,13 +23,18 @@ the same cell layout: zeros, nan, inf, the exponent form, the guarded ties and
 each block of floats too short to repay numpy's fixed cost.  The layout lives in
 `spinring._cells`.
 
-A CSV is made a block of 8,192 rows at a time, as bytes (`_csv_blocks`).
-`write_csv` streams the blocks to a file or to stdout, so its peak memory does
-not grow with the rows; `csv_text` joins them into one string.  The columns are
-checked before a row is laid out, so a refused table leaves the file unopened
-and prints nothing.  A block holds its columns' cells (laying out a float column
-takes about a dozen arrays of 8,192 8-byte values), then the joined block, then
-its bytes.
+A CSV is made a block of 8,192 rows at a time, as bytes (`_csv_blocks`), from
+chunks of columns whose rows follow one another: `write_csv` writes one table,
+a single chunk, and `write_csv_chunks` a stream of them, as `entangle --out`
+writes the curve it makes a block at a time.  Both stream the blocks to a file
+or to stdout, so peak memory does not grow with the rows; `csv_text` joins them
+into one string.  Each chunk's columns are checked before a row of it is laid
+out: a refused table or first chunk leaves the file unopened and prints
+nothing, and a refused later chunk, which did not exist when the file was
+opened, stops the CSV after the rows before it.  Each float column's cells are
+laid out in one buffer that every block of the CSV reuses, so a long CSV does
+not fault their pages in again for every block; a block's lines are joined in a
+`bytearray`, and dropping their NULs makes its one copy.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -56,6 +61,7 @@ __all__ = [
     "write_text",
     "csv_text",
     "write_csv",
+    "write_csv_chunks",
     "manifest_path_for",
     "write_manifest",
     "read_json",
@@ -114,55 +120,80 @@ def csv_text(header: Sequence[str], columns: Sequence[Any]) -> str:
     A column may be 1-D or an N-D grid; a broadcast view (`np.broadcast_to`)
     has the values along each of its zero-stride axes laid out once.
     """
-    return "".join(block.decode() for block in _csv_blocks(header, columns))
+    return "".join(block.decode() for block in _csv_blocks(header, [columns]))
 
 
 def write_csv(path: str | Path | None, header: Sequence[str], columns: Sequence[Any]) -> None:
     """Write `csv_text(header, columns)` a block of rows at a time: to the path as
     UTF-8, or to stdout as text when no path is given.  Columns that `csv_text`
     refuses leave the path unopened and print nothing."""
-    blocks = _csv_blocks(header, columns)
+    write_csv_chunks(path, header, [columns])
+
+
+def write_csv_chunks(
+    path: str | Path | None, header: Sequence[str], chunks: Iterable[Sequence[Any]]
+) -> None:
+    """Write a CSV whose rows come as chunks of columns, each chunk's rows after
+    those of the chunk before, as `write_csv` writes one table: the text of the
+    chunks' columns laid end to end.  A chunk is checked when it comes, so a
+    refused first chunk leaves the path unopened and prints nothing, and a
+    refused later one stops the CSV after the rows of the chunks before it."""
+    blocks = _csv_blocks(header, chunks)
+    lines = itertools.chain([next(blocks)], blocks)  # the first chunk is checked here
     if path is None:
-        sys.stdout.writelines(block.decode() for block in blocks)
+        sys.stdout.writelines(block.decode() for block in lines)
         return
     with open(path, "wb") as fh:
-        fh.writelines(blocks)
+        fh.writelines(lines)
 
 
-def _csv_blocks(header: Sequence[str], columns: Sequence[Any]) -> Iterator[bytes]:
-    """The header line, then the UTF-8 lines of each block of `_BLOCK_ROWS` rows.
+def _csv_blocks(header: Sequence[str], chunks: Iterable[Sequence[Any]]) -> Iterator[bytes]:
+    """The header line once the first chunk is checked, then the UTF-8 lines of
+    each chunk, a block of `_BLOCK_ROWS` rows at a time.
 
-    The columns are checked here, before any block is laid out.  Each block is
-    laid out as NUL-padded cells (`_cells`: numpy for most floats, Python's
-    text for the rest) and the NULs are dropped with `bytes.translate`, so no
-    text cell may hold a NUL of its own.
+    Each chunk's columns are checked before any of its blocks is laid out.  Each
+    block is laid out as NUL-padded cells (`_cells`: numpy for most floats,
+    Python's text for the rest) and the NULs are dropped with
+    `bytearray.translate`, so no text cell may hold a NUL of its own.
     """
     from . import _cells  # on first use, so that commands without a CSV skip it
 
-    cols = [np.asarray(c) for c in columns]
-    if not cols or len({c.shape for c in cols}) > 1 or cols[0].ndim == 0:
-        raise ValueError("CSV columns must all have one shape of at least one axis")
-    for c in cols:
-        if c.dtype.kind not in "biuf" and any("\0" in str(v) for v in c.flat):
-            raise ValueError("CSV text cells must not contain NUL")
-    laid = [_cells.cells(c, _BLOCK_ROWS) for c in cols]
-    # one block's cells and bytes are freed before the next is laid out
-    blocks = (
-        _block_bytes([next(column) for column in laid])
-        for _ in range(0, cols[0].size, _BLOCK_ROWS)
-    )
-    return itertools.chain([(",".join(header) + "\n").encode()], blocks)
+    head = (",".join(header) + "\n").encode()
+    width, buffers = None, []
+    for columns in chunks:
+        cols = [np.asarray(c) for c in columns]
+        if not cols or len({c.shape for c in cols}) > 1 or cols[0].ndim == 0:
+            raise ValueError("CSV columns must all have one shape of at least one axis")
+        if width is not None and len(cols) != width:
+            raise ValueError(f"every chunk of a CSV must have {width} columns, got {len(cols)}")
+        for c in cols:
+            if c.dtype.kind not in "biuf" and any("\0" in str(v) for v in c.flat):
+                raise ValueError("CSV text cells must not contain NUL")
+        if width is None:
+            width = len(cols)
+            # a float column's cells buffer, reused by every block of the CSV
+            buffers = [
+                np.empty((_BLOCK_ROWS, 3), np.uint64) if c.dtype.kind == "f" else None for c in cols
+            ]
+            yield head
+        laid = [_cells.cells(c, _BLOCK_ROWS, out) for c, out in zip(cols, buffers)]
+        for _ in range(0, cols[0].size, _BLOCK_ROWS):
+            yield _block_bytes([next(column) for column in laid])
+    if width is None:
+        raise ValueError("a CSV needs at least one chunk of columns")
 
 
-def _block_bytes(cells: list[np.ndarray]) -> bytes:
-    """The CSV lines of a block from its columns' NUL-padded cells, each freed once copied."""
+def _block_bytes(cells: list[np.ndarray]) -> bytearray:
+    """The CSV lines of a block from its columns' NUL-padded cells, each let go
+    once copied, joined in a bytearray whose NULs are then dropped in one copy."""
     ends = np.cumsum([c.shape[1] + 1 for c in cells]).tolist()
-    block = np.full((len(cells[0]), ends[-1]), ord(","), dtype=np.uint8)
+    text = bytearray(len(cells[0]) * ends[-1])
+    block = np.frombuffer(text, np.uint8).reshape(len(cells[0]), ends[-1])
+    block[...] = ord(",")
     for i, end in enumerate(ends):
         w = cells[i].shape[1]  # a row's cell copies as one w-byte item, not w single bytes
         block[:, end - 1 - w : end - 1].view(f"V{w}")[...], cells[i] = cells[i].view(f"V{w}"), None
     block[:, -1] = ord("\n")
-    text, block = block.tobytes(), None  # the block is freed before the NULs are dropped
     return text.translate(None, b"\0")
 
 

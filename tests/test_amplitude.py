@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import point_sum_reference, ring_twist_derivatives, single_bond_hamiltonian
+from conftest import peak_bytes, point_sum_reference, ring_twist_derivatives, single_bond_hamiltonian
 from spinring import amplitude
 from spinring.amplitude import (
     BESSEL_BETA_MAX,
@@ -312,10 +312,40 @@ def test_profiles_are_the_kernel_grid_bit_for_bit(n, d, f, b0, h, count):
 
 
 def test_kernel_refuses_a_phase_block_before_allocating():
-    # 1e14 times in rows of 1e7: the 1e5 x 1e7 baby-step block would be 16 TB
+    # 1e14 times in rows of 1e7: the 1e5 x 1e7 baby-step block would be 16 TB, and
+    # the grid's 1e7 giant starts and (kernel row, giant row) pairs 80 MB each
     kernel = SpectralKernel(np.zeros(100_000), (1,))
-    with pytest.raises(ValueError, match="a block of mode phases of .* exceeds the limit"):
-        kernel.xi_grid(0.0, 1.0, 10**14)
+    one = np.zeros(1, dtype=np.intp)
+
+    def refuse(evaluate):
+        with pytest.raises(ValueError, match="a block of mode phases of .* exceeds the limit"):
+            evaluate()
+
+    for evaluate in (
+        lambda: kernel.xi_grid(0.0, 1.0, 10**14),
+        lambda: kernel.xi_rows(0.0, 1.0, 10**14, one, one),
+        lambda: next(kernel.xi_blocks(0.0, 1.0, 10**14)),
+    ):
+        assert peak_bytes(lambda: refuse(evaluate)) < 1 << 20
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(3, 12),
+    twists=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3),
+    ds=st.lists(st.integers(-12, 12), max_size=3),
+    b0=st.floats(0.0, 1000.0),
+    h=st.floats(1e-3, 10.0),
+    count=st.one_of(st.sampled_from([1, 2, 3, 8191, 8192, 8193]), st.integers(1, 20_000)),
+)
+def test_grid_blocks_are_the_kernel_grid_bit_for_bit(n, twists, ds, b0, h, count):
+    # the blocks of whole giant rows, at most 8,192 values a kernel row, laid end
+    # to end, are `xi_grid`
+    kernel = SpectralKernel([_mode_cosines(n, f) for f in twists], ds)
+    blocks = list(kernel.xi_blocks(b0, h, count))
+    stride = math.isqrt(count - 1) + 1 if count > 1 else 1
+    assert all(block.shape[1] <= 8192 // stride * stride for block in blocks)
+    assert np.array_equal(np.concatenate(blocks, axis=1), kernel.xi_grid(b0, h, count))
 
 
 @settings(max_examples=40, deadline=None)

@@ -465,20 +465,26 @@ def test_entangle_command(tmp_path, capsys):
 
 
 def test_entangle_out_computes_the_curve_once(tmp_path, capsys, monkeypatch):
-    points = []
-    curve = entangle.entanglement_curve
+    # the scan makes each block of its curve once, on its way to the CSV, and
+    # no whole-grid evaluation runs beside it
+    points, blocks = [], entangle._curve_blocks
 
-    def counted(step, count, *args, **kwargs):
-        points.append(count)
-        return curve(step, count, *args, **kwargs)
+    def counted(kernel, step, count):
+        for block in blocks(kernel, step, count):
+            points.extend(block[0].tolist())
+            yield block
 
-    monkeypatch.setattr(cli, "entanglement_curve", counted)
-    monkeypatch.setattr(entangle, "entanglement_curve", counted)
+    def whole_grid(*args):
+        raise AssertionError("the curve was evaluated whole")
+
+    monkeypatch.setattr(entangle, "_curve_blocks", counted)
+    monkeypatch.setattr(amplitude.SpectralKernel, "xi_grid", whole_grid)
     code, _ = run_cli(
         capsys, "entangle", "--beta-max", "5", "--step", "0.01", "--out", str(tmp_path / "c.csv")
     )
     assert code == 0
-    assert points == [501]
+    assert points == (0.01 * np.arange(501)).tolist()
+    assert (tmp_path / "c.csv").read_bytes().count(b"\n") == 1 + 501
 
 
 def test_entangle_window_shorter_than_step(capsys):
@@ -641,6 +647,21 @@ def test_printed_sweep_peaks_as_its_out_run(tmp_path):
                 peaks[twists, sink] = peak_bytes(lambda: cli.main([*argv, *out]))
         assert (tmp_path / "grid.csv").read_bytes().count(b"\n") == 1 + twists * 10_000
         assert abs(peaks[twists, "stdout"] - peaks[twists, "out"]) < 1 << 20, peaks
+
+
+def test_streamed_entangle_peaks_alike_at_any_length(tmp_path):
+    # the scan makes, scans and writes its curve a block at a time, so its peak
+    # does not grow with points: a curve held whole until the CSV is written
+    # adds 24 bytes a point, ~6.7 MB from 40,001 to 320,001 points
+    peaks = {}
+    out = str(tmp_path / "curve.csv")
+    with contextlib.redirect_stdout(Discard()):
+        assert cli.main(["entangle", "--beta-max", "1", "--out", out]) == 0  # imports and tables
+        for beta_max in ("400", "3200"):
+            argv = ["entangle", "--beta-max", beta_max, "--step", "0.01", "--out", out]
+            peaks[beta_max] = peak_bytes(lambda: cli.main(argv))
+            assert (tmp_path / "curve.csv").read_bytes().count(b"\n") == 1 + 100 * int(beta_max) + 1
+    assert abs(peaks["3200"] - peaks["400"]) < 1 << 20, peaks
 
 
 # twist x time offsets off the step grid on both axes, as in the benchmark's
@@ -869,14 +890,15 @@ def test_streamed_out_is_the_printed_csv_and_replays(tmp_path, capsys, argv, gol
 
 
 def test_streamed_entangle_curve_is_its_csv_text_and_replays(tmp_path, capsys):
+    # the blocks streamed to --out are those `entanglement_curve` lays end to end
     out_csv = tmp_path / "curve.csv"
     code, _ = run_cli(
         capsys, "entangle", "--n", "4", "--beta-max", "20", "--step", "0.01", "--out", str(out_csv),
     )
     assert code == 0
-    scan = entangle.find_entangling_time(20.0, step=0.01, n=4)
-    columns = (scan.betas, scan.entropy, scan.overlap)
-    text = csv_text(("beta", "entropy_ebits", "branch_overlap"), columns)
+    betas = entangle.scan_times(20.0, 0.01)
+    entropy, overlap = entangle.entanglement_curve(0.01, len(betas), n=4)
+    text = csv_text(("beta", "entropy_ebits", "branch_overlap"), (betas, entropy, overlap))
     written = out_csv.read_bytes()
     assert written == text.encode() == (DATA / "entangle_n4_beta20.csv").read_bytes()
     out_csv.unlink()
@@ -884,30 +906,80 @@ def test_streamed_entangle_curve_is_its_csv_text_and_replays(tmp_path, capsys):
     assert out_csv.read_bytes() == written
 
 
+def spoiled(columns, fault):
+    """A chunk's columns as object arrays, spoiled in their last cell: one row short
+    in the last column, or a text cell that holds a NUL."""
+    columns = [np.array(c, dtype=object).reshape(-1) for c in columns]
+    if fault == "shapes":
+        columns[-1] = columns[-1][:-1]
+    else:
+        columns[-1][-1] = "x\0y"
+    return columns
+
+
 @pytest.mark.parametrize("fault", ["shapes", "nul"])
 def test_a_refused_csv_leaves_out_unopened_and_exits_2(tmp_path, capsys, monkeypatch, fault):
     # the columns are checked before `--out` is opened or a byte is printed, even
-    # where the fault lies in the last block of the CSV: the curve's second of
-    # two, the sweep's fourth of four
+    # where the fault lies in the last block of the CSV: the sweep's fourth of four
     def faulty(path, header, columns):
-        columns = [np.array(c, dtype=object).reshape(-1) for c in columns]
-        if fault == "shapes":
-            columns[-1] = columns[-1][:-1]
-        else:
-            columns[-1][-1] = "x\0y"
-        serialize.write_csv(path, header, columns)
+        serialize.write_csv(path, header, spoiled(columns, fault))
 
     monkeypatch.setattr(cli, "write_csv", faulty)
     out_csv = tmp_path / "curve.csv"
     out_csv.write_bytes(b"kept\n")
-    for argv in (["entangle", "--beta-max", "50", "--out", str(out_csv)],
-                 [*SWEEP_ARGV, "--beta-step", "0.001"]):
-        code = cli.main(argv)
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
-        assert captured.out == ""
+    code = cli.main([*SWEEP_ARGV, "--beta-step", "0.001", "--out", str(out_csv)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert captured.out == ""
     assert out_csv.read_bytes() == b"kept\n"
+    assert not manifest_path_for(out_csv).exists()
+
+
+@pytest.mark.parametrize("chunk", [0, 1], ids=["first-chunk", "later-chunk"])
+@pytest.mark.parametrize("fault", ["shapes", "nul"])
+def test_a_refused_chunk_of_the_streamed_curve_exits_2(tmp_path, capsys, monkeypatch, fault, chunk):
+    # the curve is streamed: a chunk is checked when it comes, and the later ones
+    # do not exist yet when `--out` is opened.  A refused first chunk leaves
+    # `--out` unopened; a refused later one leaves the rows before it.  Either
+    # way nothing is printed and no manifest is written.
+    def faulty(path, header, chunks):
+        serialize.write_csv_chunks(
+            path, header, (spoiled(c, fault) if i == chunk else c for i, c in enumerate(chunks))
+        )
+
+    monkeypatch.setattr(cli, "write_csv_chunks", faulty)
+    out_csv = tmp_path / "curve.csv"
+    out_csv.write_bytes(b"kept\n")
+    code = cli.main(["entangle", "--beta-max", "50", "--out", str(out_csv)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not manifest_path_for(out_csv).exists()
+    if chunk == 0:
+        assert out_csv.read_bytes() == b"kept\n"
+        return
+    # the grid's 10,001 points go in blocks of 81 giant rows of 101 points
+    betas = entangle.scan_times(50.0, 0.005)
+    entropy, overlap = entangle.entanglement_curve(0.005, len(betas))
+    lines = csv_text(("beta", "entropy_ebits", "branch_overlap"), (betas, entropy, overlap))
+    assert out_csv.read_text() == "".join(lines.splitlines(keepends=True)[: 1 + 81 * 101])
+
+
+def test_a_fault_after_the_streamed_curve_leaves_no_manifest(tmp_path, capsys, monkeypatch):
+    # the manifest is written once the whole command has run, not with the CSV:
+    # a fault in the polish, after the curve's last block, exits 2 without one
+    def faulty(*args, **kwargs):
+        raise ValueError("polish refused")
+
+    monkeypatch.setattr(entangle, "polish", faulty)
+    out_csv = tmp_path / "curve.csv"
+    code = cli.main(["entangle", "--beta-max", "20", "--step", "0.01", "--out", str(out_csv)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "polish refused" in captured.err and captured.out == ""
+    assert out_csv.read_bytes() == (DATA / "entangle_n4_beta20.csv").read_bytes()
     assert not manifest_path_for(out_csv).exists()
 
 

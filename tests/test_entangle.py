@@ -1,5 +1,6 @@
 """Flux-conditioned evolution and the flux-ring entanglement scan."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,11 +19,15 @@ from conftest import (
     square_ring_entropy,
     square_ring_overlap,
 )
-from spinring.amplitude import SpectralKernel
+from spinring.amplitude import SpectralKernel, local_maxima
 from spinring.entangle import (
     EntanglementReading,
+    EntanglingScan,
     REFERENCE_BETA,
     _ENTROPY_BLOCK,
+    _NEAR_BEST_WINDOW,
+    _NearBestMaxima,
+    _curve_blocks,
     _entropy_from_overlap,
     _overlap_rates,
     _reading,
@@ -253,3 +258,102 @@ def test_entropy_of_a_long_curve_holds_block_sized_temporaries():
     # the one-shot formula holds ~5 output-sized arrays at once (40 MB here)
     overlap = np.linspace(0.0, 1.0, 10**6)
     assert peak_bytes(lambda: _entropy_from_overlap(overlap)) <= overlap.nbytes + (1 << 20)
+
+
+def near_best_maxima_reference(betas, values):
+    """The betas of `local_maxima` over the whole curve within the scan's window of
+    its best, and the best: what the scan polishes, read off the curve held whole."""
+    idx = local_maxima(values)
+    best = float(values.max())
+    return betas[idx[values[idx] >= best - _NEAR_BEST_WINDOW]], best
+
+
+def streamed_maxima(blocks):
+    """`_NearBestMaxima` read over (betas, values) blocks: its betas and best."""
+    maxima, read, count = _NearBestMaxima(), 0, sum(len(b) for b, _ in blocks)
+    for betas, values in blocks:
+        read += len(betas)
+        maxima.read(betas, values, last=read == count)
+    return maxima.betas(), maxima.best
+
+
+@st.composite
+def cut_curves(draw):
+    """A curve of few distinct values, so plateaus of equal neighbours and maxima
+    within the window abound, cut into blocks of 1 to 5 points: blocks of one
+    point, edges on a maximum, on a plateau and next to either window end."""
+    values = draw(st.lists(st.sampled_from([0.0, 0.5, 0.9995, 0.9999, 1.0]), min_size=1, max_size=40))
+    cuts, at = [], 0
+    while at < len(values):
+        at += draw(st.integers(1, 5))
+        cuts.append(min(at, len(values)))
+    return np.array(values), cuts
+
+
+@settings(max_examples=300, deadline=None)
+@given(curve=cut_curves())
+def test_block_edges_keep_the_whole_curves_maxima(curve):
+    values, cuts = curve
+    betas = 0.25 * np.arange(len(values))
+    blocks = [(betas[lo:hi], values[lo:hi]) for lo, hi in zip([0, *cuts], cuts)]
+    got, best = streamed_maxima(blocks)
+    want, want_best = near_best_maxima_reference(betas, values)
+    assert np.array_equal(got, want) and best == want_best
+
+
+@pytest.mark.parametrize(
+    "values, cut",
+    [
+        ([0.1, 0.9, 0.2, 0.3], 2),  # a maximum ends a block
+        ([0.1, 0.9, 0.2, 0.3], 1),  # a maximum starts a block
+        ([0.1, 0.9, 0.9, 0.9, 0.2], 2),  # a plateau spans the edge: its first point counts
+        ([0.1, 0.9, 0.9, 0.9, 0.2], 3),
+        ([0.9, 0.9, 0.2], 1),  # the plateau starts the window
+        ([0.2, 0.9, 0.9], 2),  # and ends it: no point of it falls after a rise and before a fall
+        ([0.9, 0.2, 0.3], 1),  # the window's first point is a maximum of its own
+        ([0.2, 0.3, 0.9], 2),  # and the last
+        ([0.2, 0.9], 1),
+        ([0.9], 1),
+    ],
+)
+def test_named_block_edges_keep_the_whole_curves_maxima(values, cut):
+    values = np.array(values)
+    betas = np.arange(len(values), dtype=float)
+    blocks = [(betas[:cut], values[:cut]), (betas[cut:], values[cut:])]
+    want = near_best_maxima_reference(betas, values)
+    got = streamed_maxima([b for b in blocks if len(b[0])])
+    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+
+def scanned_curve(n, start, step, count):
+    """The streamed scan's maxima and best over the curve's own blocks, and the
+    curve's blocks laid end to end."""
+    kernel = SpectralKernel(_overlap_rates(n, start), (0,))
+    blocks = [(b.copy(), e.copy()) for b, e, _ in _curve_blocks(kernel, step, count)]
+    return streamed_maxima(blocks), np.concatenate([e for _, e in blocks])
+
+
+@pytest.mark.parametrize("count", [1, 2, 8191, 8192, 8193])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_streamed_scan_keeps_the_whole_curves_maxima(n, count):
+    # 8,191 to 8,193 points take two blocks: 90 giant rows of 91, then 1 to 3 points
+    for start in range(1, n + 1):
+        (got, best), blocked = scanned_curve(n, start, 0.037, count)
+        entropy, _ = entanglement_curve(0.037, count, n=n, start_site=start)
+        assert np.array_equal(blocked, entropy)
+        want, want_best = near_best_maxima_reference(0.037 * np.arange(count), entropy)
+        assert np.array_equal(got, want) and best == want_best
+
+
+def test_scan_no_longer_carries_its_curve():
+    # the scan hands its curve to `write` a block at a time and keeps only its readings
+    assert [f.name for f in dataclasses.fields(EntanglingScan)] == ["best", "reference"]
+    chunks = []
+    scan = find_entangling_time(50.0, write=lambda blocks: chunks.extend(
+        tuple(column.copy() for column in block) for block in blocks))
+    betas = np.concatenate([c[0] for c in chunks])
+    entropy, overlap = entanglement_curve(0.005, len(betas))
+    assert len(chunks) == 2 and np.array_equal(betas, scan_times(50.0, 0.005))
+    assert np.array_equal(np.concatenate([c[1] for c in chunks]), entropy)
+    assert np.array_equal(np.concatenate([c[2] for c in chunks]), overlap)
+    assert scan == find_entangling_time(50.0)

@@ -270,6 +270,72 @@ def test_refused_columns_leave_the_file_unopened(tmp_path, columns):
     assert path.read_bytes() == b"kept\n"
 
 
+@settings(max_examples=100, deadline=None)
+@given(columns=tables(), cuts=st.lists(st.integers(0, 40), max_size=4))
+def test_chunks_write_the_csv_of_their_rows_laid_end_to_end(tmp_path_factory, columns, cuts):
+    # empty chunks and chunks of one row included, to a file and to stdout alike
+    header = [f"c{j}" for j in range(len(columns))]
+    edges = [0, *sorted(min(c, len(columns[0])) for c in cuts), len(columns[0])]
+    chunks = [[c[lo:hi] for c in columns] for lo, hi in zip(edges, edges[1:])]
+    path = tmp_path_factory.mktemp("chunks") / "t.csv"
+    serialize.write_csv_chunks(path, header, iter(chunks))
+    assert path.read_bytes() == csv_text(header, columns).encode()
+
+
+@pytest.mark.parametrize("sizes", [(8192, 200, 8192), (130, 8193, 1), (5000, 5000, 5000)])
+def test_chunks_of_any_length_reuse_their_buffers_cleanly(tmp_path, capsys, sizes):
+    # a chunk's float cells are laid out in the buffers the chunk before used,
+    # wider or narrower text alike: none of its cells may show through
+    rng = np.random.default_rng(len(sizes) + sizes[0])
+    chunks = [
+        (rng.standard_normal(k) * 10.0 ** rng.integers(-6, 14, k), rng.uniform(0, 1, k) < 0.5,
+         np.full(k, 0.5) if i % 2 else rng.uniform(-1e3, 1e3, k))
+        for i, k in enumerate(sizes)
+    ]
+    columns = [np.concatenate(c) for c in zip(*chunks)]
+    want = reference_csv(("x", "flag", "y"), [c.tolist() for c in columns])
+    serialize.write_csv_chunks(tmp_path / "t.csv", ("x", "flag", "y"), chunks)
+    assert_same_text((tmp_path / "t.csv").read_text(), want)
+    serialize.write_csv_chunks(None, ("x", "flag", "y"), chunks)
+    assert_same_text(capsys.readouterr().out, want)
+
+
+@pytest.mark.parametrize(
+    "later",
+    [([0.5, 0.25], [1.0]), ([0.5],), (["x\0y"], ["z"])],
+    ids=["shapes", "columns", "nul"],
+)
+def test_a_refused_later_chunk_keeps_the_rows_before_it(tmp_path, later):
+    path = tmp_path / "kept.csv"
+    first = ([0.125] * 300, [2.0] * 300)
+    with pytest.raises(ValueError):
+        serialize.write_csv_chunks(path, ("a", "b"), iter([first, later]))
+    assert path.read_text() == csv_text(("a", "b"), first)
+
+
+def test_a_csv_of_no_chunks_is_refused(tmp_path):
+    path = tmp_path / "kept.csv"
+    path.write_bytes(b"kept\n")
+    with pytest.raises(ValueError):
+        serialize.write_csv_chunks(path, ("a",), iter([]))
+    assert path.read_bytes() == b"kept\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lengths=st.lists(st.integers(_cells.NUMPY_MIN, 3000), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_float_cells_in_a_reused_buffer_are_fresh_cells(lengths, seed):
+    # each block's cells overwrite the last block's, wider or narrower text alike
+    out, rng = np.empty((3000, 3), np.uint64), np.random.default_rng(seed)
+    for k in lengths:
+        values = rng.standard_normal(k) * 10.0 ** rng.integers(-8, 16, k)
+        values[rng.integers(0, k, 3)] = (np.nan, -0.0, 1e300)
+        got = _cells.float_cells(values, out[:k])
+        assert np.array_equal(got, _cells.float_cells(values))
+
+
 def test_a_text_cell_holding_nul_is_rejected():
     # the writer drops NUL padding, so such a cell could not be written as it is
     with pytest.raises(ValueError):
