@@ -2,8 +2,9 @@
 
 Library layout:
 
-- ring: configurations, the uniform-gauge sector Hamiltonian, the closed-form
-  mode energies, and a dense-eigendecomposition propagation oracle.
+- ring: configurations, the uniform-gauge sector Hamiltonian, the mode cosines
+  its closed-form energies rest on (`_mode_cosines`), and a dense
+  eigendecomposition propagation oracle.
 - bessel: integer-order J_n ladders by Miller's downward recurrence.
 - amplitude: the spectral mode-sum kernel, the three amplitude routes and xi.
 - optimize: twist/time grid search with a Newton polish; pairwise plans; fidelity.

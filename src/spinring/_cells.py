@@ -4,8 +4,8 @@ The `serialize` module docstring states the cell contract and why the layout
 below meets it.  `serialize._csv_blocks` imports this module when it first
 lays out a CSV, so a command that writes none neither compiles it nor builds
 its tables.  A column is laid out a block at a time and never copied whole; a
-float block steps through seven arrays of its length in 8-byte values into its
-cells, which a CSV lays out in one buffer a float column from block to block.
+float block steps through seven arrays of its length in 8-byte values into
+fresh cells of its own, which a caller may keep.
 """
 
 from __future__ import annotations
@@ -69,14 +69,13 @@ def _tables() -> dict[str, np.ndarray]:
 _T = _tables()
 
 
-def float_cells(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The %.12g text of each float64 value, NUL-padded at its end, shape (k, width):
-    a view of `out`, (k, 3) uint64, when given, else of a new such array.  Steps
-    write into earlier steps' buffers, `_TEMPS` arrays of k 8-byte values."""
+def float_cells(values: np.ndarray) -> np.ndarray:
+    """The %.12g text of each float64 value, NUL-padded at its end, shape (k, width);
+    steps write into earlier steps' buffers, `_TEMPS` arrays of k 8-byte values."""
     k = len(values)
     if k < NUMPY_MIN:
         return text_cells([_FLOAT % v for v in values.tolist()])
-    cells = np.empty((k, 3), np.uint64) if out is None else out
+    cells = np.empty((k, 3), np.uint64)
     temps = np.empty((_TEMPS, k), np.uint64)
     f8, i8, u8 = temps.view(np.float64), temps.view(np.int64), temps
     mag = np.abs(values, out=f8[0])
@@ -144,11 +143,9 @@ def _bytes_cells(col: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(col).view(np.uint8).reshape(len(col), col.itemsize)
 
 
-def cells(col: np.ndarray, rows: int, out: np.ndarray | None = None):
+def cells(col: np.ndarray, rows: int):
     """The text of a column's values, C order, as NUL-padded bytes: one (k, width)
-    array for each block of `rows` values, the last one shorter.  With `out`, a
-    (rows, 3) uint64 buffer, a float block's cells are laid out in it, so each
-    block is a view of it that the next block overwrites.
+    array for each block of `rows` values, the last one shorter.
 
     Along an axis of zero stride (a broadcast view) the values repeat, so a column
     with such axes has its distinct values laid out once and each block gathers
@@ -158,7 +155,7 @@ def cells(col: np.ndarray, rows: int, out: np.ndarray | None = None):
     if not repeated:
         grid = col.reshape(-1, col.shape[-1]) if col.size else col  # xi_grid's rows are padded
         for lo in range(0, col.size, rows):
-            yield _laid_out(_c_order(grid, lo, min(lo + rows, col.size)), out)
+            yield _laid_out(_c_order(grid, lo, min(lo + rows, col.size)))
         return
     distinct = col[tuple(slice(0, 1) if a in repeated else slice(None) for a in range(col.ndim))]
     size, width, lo = distinct.size, 0, 0
@@ -204,11 +201,10 @@ def _distinct_index(lo: int, hi: int, shape: tuple[int, ...], repeated: list[int
     return index
 
 
-def _laid_out(col: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The text of each value of a 1-D column as NUL-padded bytes, shape (k, width);
-    a float column's cells go into `out` when it is given."""
+def _laid_out(col: np.ndarray) -> np.ndarray:
+    """The text of each value of a 1-D column as NUL-padded bytes, shape (k, width)."""
     if col.dtype.kind == "f":
-        return float_cells(col.astype(float, copy=False), None if out is None else out[: len(col)])
+        return float_cells(col.astype(float, copy=False))
     if col.dtype.kind == "b":
         return _bytes_cells(np.where(col, b"true", b"false"))
     return text_cells([str(v) for v in col.tolist()])  # str(v) is %d for an integer

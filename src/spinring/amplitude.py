@@ -166,10 +166,10 @@ class SpectralKernel:
     so the half-flux pair cancellation holds on every path, and a_d is the
     uniform-gauge amplitude without the global phase exp(-i*D*t), so J and B
     drop out.  Time grids are BLAS products of giant and baby steps on chosen
-    giant rows (`xi_rows`) or on all of them (`xi_grid`, or `xi_blocks` a block
-    of giant rows at a time), scattered points (kernel row, beta) one product
-    each (`values`, `jet`); on both, every kernel row has the bits of a kernel
-    of its rate row and displacement alone.
+    giant rows (`xi_rows`) or on all of them (`xi_grid`, or, for a one-row
+    kernel, `xi_blocks` a block of giant rows at a time), scattered points
+    (kernel row, beta) one product each (`values`, `jet`); on both, every
+    kernel row has the bits of a kernel of its rate row and displacement alone.
     """
 
     def __init__(self, rates: np.ndarray, ds) -> None:
@@ -180,28 +180,25 @@ class SpectralKernel:
 
     def xi_grid(self, b0: float, h: float, count: int) -> np.ndarray:
         """|a_d| at b0 + k*h for k < count, shape (kernel rows, count): `xi_rows`
-        over every (kernel row, giant row) pair (`_xi_giants`)."""
-        return self._xi_giants(b0, h, count, 0, None)
-
-    def xi_blocks(self, b0: float, h: float, count: int) -> Iterator[np.ndarray]:
-        """`xi_grid(b0, h, count)` a block of columns at a time, bit for bit: each
-        block is `xi_rows` on the next whole giant rows of every kernel row, at
-        most `_BLOCK` values a kernel row (one giant row where that is longer)."""
-        stride = _giant_stride(count)
-        per = self._phase_block(stride, 1)  # giant rows a block; a too-wide one is refused
-        for g in range(0, -(-count // stride), per):
-            yield self._xi_giants(b0, h, count, g, per)
-
-    def _xi_giants(self, b0: float, h: float, count: int, g: int, per: int | None) -> np.ndarray:
-        """`xi_rows` over giant rows g .. g + per - 1 (g onwards when per is None) of
-        every kernel row, each kernel row's laid end to end and cut to count, so the
-        -inf past the grid falls in the cut."""
+        over every (kernel row, giant row) pair, laid end to end and cut to
+        count, so the -inf past the grid falls in the cut."""
         stride = _giant_stride(count)
         rows, giants = len(self._irates) * len(self._ds), -(-count // stride)
-        k = giants - g if per is None else min(per, giants - g)
-        self._phase_block(stride, rows * k)  # before the pairs are laid out
-        pairs = np.repeat(np.arange(rows), k), np.tile(np.arange(g, g + k), rows)
-        return self.xi_rows(b0, h, count, *pairs).reshape(rows, k * stride)[:, : count - g * stride]
+        self._phase_block(stride, rows * giants)  # before the pairs are laid out
+        pairs = np.repeat(np.arange(rows), giants), np.tile(np.arange(giants), rows)
+        return self.xi_rows(b0, h, count, *pairs).reshape(rows, giants * stride)[:, :count]
+
+    def xi_blocks(self, b0: float, h: float, count: int) -> Iterator[np.ndarray]:
+        """Kernel row 0 of `xi_grid(b0, h, count)`, all of a one-row kernel's grid, a
+        block at a time, bit for bit, each block a fresh 1-D array: `xi_rows` on the
+        next whole giant rows, at most `_BLOCK` values (one giant row where that is
+        longer), cut to count."""
+        stride = _giant_stride(count)
+        per = self._phase_block(stride, 1)  # giant rows a block; a too-wide one is refused
+        giants = -(-count // stride)
+        for g in range(0, giants, per):
+            at = np.arange(g, min(g + per, giants))
+            yield self.xi_rows(b0, h, count, np.zeros_like(at), at).reshape(-1)[: count - g * stride]
 
     def row_bounds(self, b0: float, h: float, count: int, spread=0.0):
         """Bounds on `xi_grid(b0, h, count)`: (low, rows) with low[r] <= its maximum
@@ -345,7 +342,7 @@ class SpectralKernel:
     def _phase_block(self, stride: int, pairs: int) -> int:
         """The pairs a BLAS block of `xi_rows` takes at giant stride S, of `pairs` in
         all.  A block of mode phases past `MAX_GRID_POINTS` is refused here, before
-        a giant start or a pair of `xi_rows` or `_xi_giants` is laid out."""
+        a giant start or a pair of `xi_rows`, `xi_grid` or `xi_blocks` is laid out."""
         per = max(_BLOCK // stride, 1)
         require_grid_points(self.n * stride, "a block of mode phases")
         require_grid_points(self.n * min(pairs, per), "a block of mode phases")

@@ -62,7 +62,6 @@ __all__ = [
     "EntanglingScan",
     "REFERENCE_BETA",
     "entanglement_curve",
-    "scan_times",
     "find_entangling_time",
 ]
 
@@ -71,7 +70,6 @@ __all__ = [
 REFERENCE_BETA = 8.5 * math.pi
 
 _ENTROPY_TIE = 1e-12
-_ENTROPY_BLOCK = 8192  # overlaps whose entropy is evaluated at once
 _NEAR_BEST_WINDOW = 1e-3
 
 
@@ -97,38 +95,25 @@ def _overlap_rates(n: int, start_site: int) -> np.ndarray:
     return _mode_cosines(n, 0.5) - _mode_cosines(n, 0.0)
 
 
-def _entropy_from_overlap(overlap, out=None) -> np.ndarray:
-    """Binary entropy (ebits) of the Schmidt weights (1 +- overlap)/2, elementwise,
-    into `out` if given, `_ENTROPY_BLOCK` values at a time, so its temporaries
-    stay block-sized."""
+def _entropy_from_overlap(overlap) -> np.ndarray:
+    """Binary entropy (ebits) of the Schmidt weights (1 +- overlap)/2, elementwise."""
     overlap = np.asarray(overlap, dtype=float)
-    entropy = np.empty(overlap.shape) if out is None else out
-    cuts = range(_ENTROPY_BLOCK, overlap.size, _ENTROPY_BLOCK)
-    for part, into in zip(np.split(overlap.reshape(-1), cuts), np.split(entropy.reshape(-1), cuts)):
-        weights = np.stack([1.0 + part, 1.0 - part])
-        weights /= 2.0
-        logs = np.log2(np.where(weights > 0.0, weights, 1.0))
-        logs *= weights
-        np.negative(np.sum(logs, axis=0, out=into), out=into)
-    return entropy
+    weights = np.stack([1.0 + overlap, 1.0 - overlap])
+    weights /= 2.0
+    logs = np.log2(np.where(weights > 0.0, weights, 1.0))
+    logs *= weights
+    return np.negative(np.sum(logs, axis=0))
 
 
 def _curve_blocks(kernel: SpectralKernel, step: float, count: int) -> Iterator[tuple]:
     """(betas, entropy, overlap) on the scan grid k*step, k < count, a block of whole
     giant rows, at most 8,192 points, at a time: the overlap of `kernel.xi_blocks`,
-    so every value has the bits of one `xi_grid` over the whole grid.  betas and
-    entropy are views of buffers the next block overwrites, so they stay resident."""
-    lo, betas, entropy = 0, np.empty(0), np.empty(0)
-    for (overlap,) in kernel.xi_blocks(0.0, step, count):
-        k = len(overlap)
-        if k > len(betas):  # the first block is the longest
-            betas, entropy = np.empty(k), np.empty(k)
-        yield (
-            np.multiply(step, np.arange(lo, lo + k), out=betas[:k]),
-            _entropy_from_overlap(overlap, entropy[:k]),
-            overlap,
-        )
-        lo += k
+    so every value has the bits of one `xi_grid` over the whole grid.  Each block's
+    three arrays are fresh, so a caller may keep them."""
+    lo = 0
+    for overlap in kernel.xi_blocks(0.0, step, count):
+        yield step * np.arange(lo, lo + len(overlap)), _entropy_from_overlap(overlap), overlap
+        lo += len(overlap)
 
 
 def entanglement_curve(
@@ -189,11 +174,6 @@ def _scan_count(beta_max: float, step: float) -> int:
     return grid_count(beta_max, step)
 
 
-def scan_times(beta_max: float, step: float) -> np.ndarray:
-    """The scan grid 0, step, 2*step, ... up to beta_max; at most `MAX_GRID_POINTS`."""
-    return step * np.arange(_scan_count(beta_max, step))
-
-
 def find_entangling_time(
     beta_max: float,
     step: float = 0.005,
@@ -206,9 +186,8 @@ def find_entangling_time(
     The curve on the scan grid is made, scanned and handed on a block at a
     time: `write`, when given, is called once with an iterator of its
     (betas, entropy, overlap) column blocks, as `serialize.write_csv_chunks`
-    takes them.  A block's betas and entropy are views of buffers the next
-    block overwrites, and the blocks `write` leaves unread are still made and
-    scanned.
+    takes them.  Each block's arrays are fresh, so `write` may keep them, and
+    the blocks `write` leaves unread are still made and scanned.
 
     Entropy falls strictly as |overlap| grows, so every grid local maximum
     within 1e-3 of the best is polished by Newton steps down g = |overlap|^2

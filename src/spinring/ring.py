@@ -41,7 +41,6 @@ __all__ = [
     "RingConfig",
     "site_state",
     "build_hamiltonian",
-    "mode_energies",
     "propagate_oracle",
     "require_grid_points",
 ]
@@ -147,11 +146,6 @@ def _mode_cosines(n: int, f: float) -> np.ndarray:
     x = np.mod(np.arange(1, n + 1) + math.remainder(f, n), n)
     folded = np.minimum(x, n - x)
     return np.cos(2.0 * np.pi * folded / n)
-
-
-def mode_energies(config: RingConfig) -> np.ndarray:
-    """Closed-form sector energies E_m, m = 1..N."""
-    return -4.0 * config.j * _mode_cosines(config.n, config.f) + config.diagonal
 
 
 def _scaled_time(config: RingConfig, beta: float) -> float:

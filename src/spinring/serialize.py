@@ -31,10 +31,10 @@ or to stdout, so peak memory does not grow with the rows; `csv_text` joins them
 into one string.  Each chunk's columns are checked before a row of it is laid
 out: a refused table or first chunk leaves the file unopened and prints
 nothing, and a refused later chunk, which did not exist when the file was
-opened, stops the CSV after the rows before it.  Each float column's cells are
-laid out in one buffer that every block of the CSV reuses, so a long CSV does
-not fault their pages in again for every block; a block's lines are joined in a
-`bytearray`, and dropping their NULs makes its one copy.
+opened, stops the CSV after the rows before it.  Every block lays its cells out
+in fresh arrays and no buffer is reused, so nothing a caller keeps, a chunk or
+a block of cells, is overwritten by a later block; a block's lines are joined
+in a `bytearray`, and dropping their NULs makes its one copy.
 """
 
 from __future__ import annotations
@@ -159,7 +159,7 @@ def _csv_blocks(header: Sequence[str], chunks: Iterable[Sequence[Any]]) -> Itera
     from . import _cells  # on first use, so that commands without a CSV skip it
 
     head = (",".join(header) + "\n").encode()
-    width, buffers = None, []
+    width = None
     for columns in chunks:
         cols = [np.asarray(c) for c in columns]
         if not cols or len({c.shape for c in cols}) > 1 or cols[0].ndim == 0:
@@ -171,12 +171,8 @@ def _csv_blocks(header: Sequence[str], chunks: Iterable[Sequence[Any]]) -> Itera
                 raise ValueError("CSV text cells must not contain NUL")
         if width is None:
             width = len(cols)
-            # a float column's cells buffer, reused by every block of the CSV
-            buffers = [
-                np.empty((_BLOCK_ROWS, 3), np.uint64) if c.dtype.kind == "f" else None for c in cols
-            ]
             yield head
-        laid = [_cells.cells(c, _BLOCK_ROWS, out) for c, out in zip(cols, buffers)]
+        laid = [_cells.cells(c, _BLOCK_ROWS) for c in cols]
         for _ in range(0, cols[0].size, _BLOCK_ROWS):
             yield _block_bytes([next(column) for column in laid])
     if width is None:

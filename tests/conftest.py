@@ -12,7 +12,8 @@ scalar golden-section search, one bracket and one point at a time, and its
 lockstep form, the optimizer's and the entangling scan's former
 golden-section refinements, which the Newton polish must never fall below,
 the twist derivatives of the mode cosines, a one-point mode sum, one
-`exp` and one `np.dot`, and the entropy of an overlap in one shot.  Also a
+`exp` and one `np.dot`, and the entropy of an overlap in one shot.  Also the
+closed-form mode energies, the entangling scan's time grid, and a
 `tracemalloc` reading of the peak memory of a call.
 """
 
@@ -31,8 +32,8 @@ from spinring.entangle import (
     EntanglementReading,
     _entropy_from_overlap,
     _overlap_rates,
+    _scan_count,
     entanglement_curve,
-    scan_times,
 )
 from spinring.optimize import _coarse_pass
 from spinring.ring import RingConfig, _mode_cosines, build_hamiltonian, propagate_oracle
@@ -479,6 +480,17 @@ def golden_search_reference(n, ds, spec):
         if top[2] > best[d][2] + 1e-12:
             best[d] = top
     return best
+
+
+def mode_energies(config: RingConfig) -> np.ndarray:
+    """Closed-form sector energies E_m = -4*J*c_m + D, m = 1..N, from the mode cosines."""
+    return -4.0 * config.j * _mode_cosines(config.n, config.f) + config.diagonal
+
+
+def scan_times(beta_max: float, step: float) -> np.ndarray:
+    """The entangling scan's grid 0, step, 2*step, ... up to beta_max, checked as
+    `find_entangling_time` checks it."""
+    return step * np.arange(_scan_count(beta_max, step))
 
 
 def golden_entangling_scan_reference(beta_max, step, n, start_site):

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from conftest import mode_energies
 from spinring import amplitude, blockage
 from spinring.amplitude import AmplitudeQuery, amplitude_bessel, xi, xi_profile
 from spinring.blockage import BLOCKED_XI, bessel_pair_coefficients, verify_blockage
-from spinring.ring import RingConfig, mode_energies
+from spinring.ring import RingConfig
 
 ROOT2 = math.sqrt(2.0)
 

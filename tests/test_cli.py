@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import peak_bytes
+from conftest import peak_bytes, scan_times
 from spinring import __version__, amplitude, cli, entangle, serialize
 from spinring.amplitude import AmplitudeResult, BesselTruncationError, grid_count, xi_profile
 from spinring.bessel import bessel_j_ladder
@@ -896,7 +896,7 @@ def test_streamed_entangle_curve_is_its_csv_text_and_replays(tmp_path, capsys):
         capsys, "entangle", "--n", "4", "--beta-max", "20", "--step", "0.01", "--out", str(out_csv),
     )
     assert code == 0
-    betas = entangle.scan_times(20.0, 0.01)
+    betas = scan_times(20.0, 0.01)
     entropy, overlap = entangle.entanglement_curve(0.01, len(betas), n=4)
     text = csv_text(("beta", "entropy_ebits", "branch_overlap"), (betas, entropy, overlap))
     written = out_csv.read_bytes()
@@ -961,7 +961,7 @@ def test_a_refused_chunk_of_the_streamed_curve_exits_2(tmp_path, capsys, monkeyp
         assert out_csv.read_bytes() == b"kept\n"
         return
     # the grid's 10,001 points go in blocks of 81 giant rows of 101 points
-    betas = entangle.scan_times(50.0, 0.005)
+    betas = scan_times(50.0, 0.005)
     entropy, overlap = entangle.entanglement_curve(0.005, len(betas))
     lines = csv_text(("beta", "entropy_ebits", "branch_overlap"), (betas, entropy, overlap))
     assert out_csv.read_text() == "".join(lines.splitlines(keepends=True)[: 1 + 81 * 101])

@@ -6,12 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import full_space_oracle, single_bond_hamiltonian
+from conftest import full_space_oracle, mode_energies, single_bond_hamiltonian
 from spinring.amplitude import AmplitudeQuery
 from spinring.ring import (
     RingConfig,
     build_hamiltonian,
-    mode_energies,
     propagate_oracle,
     site_state,
 )

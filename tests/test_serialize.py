@@ -321,21 +321,6 @@ def test_a_csv_of_no_chunks_is_refused(tmp_path):
     assert path.read_bytes() == b"kept\n"
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    lengths=st.lists(st.integers(_cells.NUMPY_MIN, 3000), min_size=1, max_size=4),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_float_cells_in_a_reused_buffer_are_fresh_cells(lengths, seed):
-    # each block's cells overwrite the last block's, wider or narrower text alike
-    out, rng = np.empty((3000, 3), np.uint64), np.random.default_rng(seed)
-    for k in lengths:
-        values = rng.standard_normal(k) * 10.0 ** rng.integers(-8, 16, k)
-        values[rng.integers(0, k, 3)] = (np.nan, -0.0, 1e300)
-        got = _cells.float_cells(values, out[:k])
-        assert np.array_equal(got, _cells.float_cells(values))
-
-
 def test_a_text_cell_holding_nul_is_rejected():
     # the writer drops NUL padding, so such a cell could not be written as it is
     with pytest.raises(ValueError):
