@@ -507,7 +507,7 @@ def bessel_ladders(n: int, d: int, f: float) -> tuple[tuple[int, complex, float]
     for displacement d in 0..N-1, each adding p * sum_k unit_phase(u, k) * J_{b+kN}(beta).
     Both are N-periodic in f, which is reduced exactly mod N first."""
     dprime = n - d if d else n
-    f = math.remainder(f, n)
+    f = math.remainder(f, n) + 0.0  # a negative multiple of N reduces to -0.0: make it 0.0
     return (
         (d, (1j) ** (d % 4), n / 4.0 - f),
         (dprime, (1j) ** (dprime % 4) * np.exp(1j * 2.0 * np.pi * f), n / 4.0 + f),
@@ -549,7 +549,7 @@ def amplitude_bessel(query: AmplitudeQuery) -> AmplitudeResult:
     total = pre * ladder_sum(orders_d, turns)
     total += pre_p * ladder_sum(orders_dp, turns_p)
     # the ladders carry the single-bond gauge factor exp(2*pi*i*d*f/N); divide it out
-    gauge = 2.0 * np.pi * d * math.remainder(cfg.f, n) / n
+    gauge = 2.0 * np.pi * d * (math.remainder(cfg.f, n) + 0.0) / n  # as in `bessel_ladders`
     value = complex(np.exp(-1j * (cfg.diagonal * _scaled_time(cfg, beta) + gauge)) * total)
     return AmplitudeResult(value=value, xi=_clip_xi(abs(value)), method="bessel")
 

@@ -521,6 +521,7 @@ def same_bits(a, b):
     b=FIELDS,
 )
 @example(n=5, d=1, turns=256, k=2**30, beta=3.0, j=1.0, b=0.0)
+@example(n=4, d=2, turns=0, k=-1, beta=0.0, j=1.0, b=0.0)  # f = -4 reduces to -0.0
 def test_every_route_is_n_periodic_in_the_twist_bit_for_bit(n, d, turns, k, beta, j, b):
     # f = turns/1024 lies inside (-N/2, N/2) and |k*N| < 2^35, so f + k*N is
     # exact and reduces mod N to f itself: each route must not see the shift
