@@ -32,6 +32,7 @@ __all__ = [
     "BESSEL_BETA_MAX",
     "BesselTruncationError",
     "MAX_GRID_POINTS",
+    "NearBestMaxima",
     "SpectralKernel",
     "amplitude_spectral",
     "amplitude_bessel",
@@ -78,6 +79,8 @@ _FIRST_REACH = 0.25
 _LAST_REACH = 1e-3
 # polish rounds: real maxima take 2-6, blocked landscapes' rounding noise all
 _MAX_POLISH_ROUNDS = 64
+# the window of the grid maxima the searches polish, and of the coarse pass's bound
+NEAR_BEST = 1e-3
 
 
 class BesselTruncationError(RuntimeError):
@@ -412,6 +415,46 @@ def local_maxima(values: np.ndarray, breaks=False) -> np.ndarray:
     rising = np.concatenate(([True], (values[1:] > values[:-1]) | breaks))
     falling = np.concatenate(((values[:-1] >= values[1:]) | breaks, [True]))
     return np.nonzero(rising & falling)[0]
+
+
+class NearBestMaxima:
+    """The local maxima of runs read a block at a time, as `local_maxima` finds them
+    on the whole sequence, kept while within `NEAR_BEST` of their group's best
+    value read so far: `kept` holds their positions, values and groups, in order.
+
+    A block is lines of one length, shape (lines, S), or one line, shape (S,),
+    of `groups` (one a line, or one for all), and `ends` ends a run at a point.
+    A block's last point that ends no run waits for its successor: it and the
+    point before it are carried across the edge.
+    """
+
+    def __init__(self, group_count: int = 1) -> None:
+        self.best = np.full(group_count, -np.inf)
+        self.kept = (np.empty(0, dtype=np.intp), np.empty(0), np.empty(0, dtype=np.intp))
+        self._read = 0  # points read
+        # the carried points, their run ends and their line's group
+        self._tail = (np.empty(0), np.empty(0, dtype=bool), 0)
+
+    def read(self, values: np.ndarray, ends: np.ndarray, groups=0) -> None:
+        lines = np.atleast_2d(values)
+        groups = np.zeros(len(lines), dtype=np.intp) + groups  # one a line
+        (tail, tail_ends, tail_group), carried = self._tail, len(self._tail[0])
+        ys, breaks = lines.reshape(-1), np.reshape(ends, -1)
+        if carried:  # a block with nothing carried is read uncopied
+            ys, breaks = np.concatenate((tail, ys)), np.concatenate((tail_ends, breaks))
+        idx = local_maxima(ys, breaks[:-1])
+        # the first carried point was judged in the last read; the block's last
+        # point waits for its successor unless it ends a run
+        idx = idx[(idx >= carried - 1) & ((idx < len(ys) - 1) | breaks[-1])]
+        # a carried point's line is -1, the group appended last
+        group = np.append(groups, tail_group)[(idx - carried) // lines.shape[1]]
+        np.maximum.at(self.best, groups, lines.max(axis=1))
+        new = (idx + (self._read - carried), ys[idx], group)
+        at, kept, of = (np.concatenate(pair) for pair in zip(self.kept, new))
+        near = kept >= self.best[of] - NEAR_BEST
+        self.kept, self._read = (at[near], kept[near], of[near]), self._read + lines.size
+        cut = len(ys) if breaks[-1] else len(ys) - 2  # copied: no block outlives its read
+        self._tail = (ys[cut:].copy(), breaks[cut:].copy(), groups[-1])
 
 
 def polish(jet_at, f, beta, lo, hi, tol: float, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -30,9 +30,9 @@ on pi itself (`find_entangling_time`).
 
 The scan never holds its curve whole.  It makes the curve a block of whole
 giant rows at a time (`SpectralKernel.xi_blocks`, so every value has the bits
-of one `xi_grid` over the grid), reads each block's local maxima as it comes,
-with the last points before each block edge carried across it, and hands the
-block on, to the CSV under `entangle --out`.  So its memory does not grow with
+of one `xi_grid` over the grid), reads its maxima as it comes through the
+reader the transfer search shares (`NearBestMaxima`), and hands the block
+on, to the CSV under `entangle --out`.  So its memory does not grow with
 the points; `entanglement_curve` lays the same blocks end to end.
 
 The scan also reports the reading at beta = 8.5*pi, a previously suggested
@@ -50,7 +50,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .amplitude import SpectralKernel, grid_count, local_maxima, polish
+from .amplitude import NearBestMaxima, SpectralKernel, grid_count, polish
 from .ring import RingConfig, _mode_cosines, site_state
 
 # unused here, but benchmarks/spans.py patches `spinring.entangle.propagate_oracle`
@@ -70,7 +70,6 @@ __all__ = [
 REFERENCE_BETA = 8.5 * math.pi
 
 _ENTROPY_TIE = 1e-12
-_NEAR_BEST_WINDOW = 1e-3
 
 
 @dataclass(frozen=True)
@@ -134,32 +133,6 @@ def entanglement_curve(
     return entropy, overlap
 
 
-class _NearBestMaxima:
-    """The grid local maxima of a curve read a block at a time, as `local_maxima`
-    finds them on the whole curve, kept while within `_NEAR_BEST_WINDOW` of the
-    best value read so far.  The last two points read are carried across each
-    block edge, so every point is judged with both of its neighbours."""
-
-    def __init__(self) -> None:
-        self.best = -math.inf
-        self.tail = self.kept = (np.empty(0), np.empty(0))  # (betas, values) each
-
-    def read(self, betas: np.ndarray, values: np.ndarray, last: bool) -> None:
-        at, ys = (np.concatenate(pair) for pair in zip(self.tail, (betas, values)))
-        idx = local_maxima(ys)
-        # the tail's first point was judged with the block before; the block's
-        # last point waits for its successor unless it ends the curve
-        idx = idx[(idx >= len(self.tail[0]) - 1) & ((idx < len(ys) - 1) | last)]
-        self.best = max(self.best, float(values.max()))
-        kept_at, kept = (np.concatenate(pair) for pair in zip(self.kept, (at[idx], ys[idx])))
-        near = kept >= self.best - _NEAR_BEST_WINDOW
-        self.kept, self.tail = (kept_at[near], kept[near]), (at[-2:], ys[-2:])
-
-    def betas(self) -> np.ndarray:
-        """The betas of the maxima within the window of the best, in curve order."""
-        return self.kept[0]
-
-
 def _reading(kernel: SpectralKernel, beta: float) -> EntanglementReading:
     (overlap,) = kernel.xi([0], [beta])
     return EntanglementReading(float(beta), float(_entropy_from_overlap(overlap)), overlap)
@@ -200,13 +173,12 @@ def find_entangling_time(
     """
     count = _scan_count(beta_max, step)
     kernel = SpectralKernel(_overlap_rates(n, start_site), (0,))
-    maxima = _NearBestMaxima()
+    maxima = NearBestMaxima()
+    last = step * (count - 1)  # the curve is one run, ending at its last beta
 
     def scanned() -> Iterator[tuple]:
-        read = 0
         for block in _curve_blocks(kernel, step, count):
-            read += len(block[0])
-            maxima.read(*block[:2], last=read == count)
+            maxima.read(block[1], block[0] == last)
             yield block
 
     blocks = scanned()
@@ -214,7 +186,7 @@ def find_entangling_time(
         write(blocks)
     for _ in blocks:  # what `write` left of the curve, or all of it
         pass
-    start = maxima.betas()
+    start = step * maxima.kept[0]
     flat = np.zeros((1, n))
     _, polished = polish(
         lambda index, _, at: -kernel.jet(np.zeros(len(index), dtype=np.intp), at, flat, flat),

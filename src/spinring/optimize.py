@@ -18,9 +18,9 @@ stacked as rate rows of two kernels, one that bounds and one that evaluates,
 so each stage is one call over all of them; from the coarse pass to the
 records a point is a (kernel row, beta) of the evaluating kernel.
 Near-perfect windows at different times can tie to within fractions of
-1e-3; all surviving polished optima are kept on the record (`near_optima`)
-so callers can match a specific reported window as well as the in-range
-global best.
+1e-3; the polished optima within 1e-3, at most 64 a grid twist, are kept on
+the record (`near_optima`) so callers can match a specific reported window
+as well as the in-range global best.
 
 Ties are resolved toward the earliest usable time: smallest beta, then
 smallest |f|, then negative f.
@@ -34,7 +34,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .amplitude import SpectralKernel, grid_count, local_maxima, polish
+from .amplitude import NEAR_BEST, NearBestMaxima, SpectralKernel, grid_count, polish
 
 # unused here, but benchmarks/spans.py patches `spinring.optimize.xi` in its
 # traced mode, so the name must stay a module attribute
@@ -53,7 +53,6 @@ __all__ = [
 ]
 
 _XI_TIE = 1e-12
-_NEAR_OPTIMUM_WINDOW = 1e-3
 _MAX_CANDIDATES_PER_ROW = 64
 # giant rows the coarse pass evaluates and scans at once
 _SCAN_ROWS = 256
@@ -122,8 +121,9 @@ class TransferPoint:
 class TransferRecord:
     """Best transfer found for one (ring size, displacement) task.
 
-    `near_optima` lists every coarse local maximum within 1e-3 of the best,
-    the primary included, best-first, each polished in beta unless blocked (xi < 1e-9).
+    `near_optima` lists, best first, the primary and the points within 1e-3 of it:
+    the coarse local maxima, at most the 64 best a grid twist, polished in beta
+    unless blocked (xi < 1e-9), and each twist's unpolished window start beta_min.
     """
 
     n: int
@@ -186,27 +186,18 @@ def _coarse_pass(
     kernel row t*len(ds) + j is twist t at displacement ds[j].
 
     The landscapes are the rows of that kernel: `xi_grid` on beta_min + k*h,
-    k < B, which the kernel factors into giant rows of S = ceil(sqrt(B))
-    points.  Only the giant rows that can hold a point within 1e-3 of the best
-    are evaluated (`_bounded_rows`).  A bounding kernel stacks one rate row
-    per bound: its first level, one `xi_grid` over all of them, gives a lower
-    bound on each displacement's best at every twist, and the floor is the
-    largest over all twists minus 1e-3; its rows(floor) then halves, a level
-    at a time over all rows, the stretches whose curvature bound still
-    reaches the floor, and keeps the giant rows the last ones touch
-    (`row_bounds`).  The evaluating kernel evaluates those rows in one
-    `xi_rows` call, bit for bit each twist's full grid, and `_run_maxima`
-    scans the runs of evaluated points for local maxima, about `_SCAN_ROWS`
-    giant rows at a time.
+    k < B, in giant rows of S = ceil(sqrt(B)) points.  Only the giant rows
+    that can hold a point within 1e-3 of the best are evaluated
+    (`_bounded_rows`, on the bound of `SpectralKernel.row_bounds`), each with
+    the bits of its twist's full grid, `_SCAN_ROWS` at a time, and
+    `NearBestMaxima` reads their runs for the local maxima within 1e-3 of
+    each displacement's best; the cap of 64 a row comes after.
 
     The points equal the full grid's.  Every value of a skipped row lies
     below best - 1e-3, so (i) a point at or above best - 1e-3 keeps its
     local-maximum status, its neighbours being below it either way; (ii) the
-    best is unchanged; (iii) the cap of 64 a row takes local maxima
-    best-first, so the ones at or above best - 1e-3 come first in the same
-    order in both, and the cap keeps the same number of them.  The window
-    drops the rest, and with them all that a window below each row's own
-    maximum would drop, as no row's maximum exceeds its displacement's best.
+    best is unchanged; (iii) the window and the cap each keep a best-first
+    prefix of a row's local maxima, so they commute.
 
     The cap binds on blocked landscapes, whose rounding noise is all in the
     window, and not on the table's twist grids (both pinned by tests).
@@ -215,20 +206,23 @@ def _coarse_pass(
     count = grid_count(spec.beta_max - b0, h)
     # the kept giant rows of one kernel row per (twist, displacement), in order
     rows, giants = np.nonzero(_bounded_rows(evaluating.n, ds, spec, rates, count))
-    # whole kernel rows at a time, about _SCAN_ROWS giant rows each, bound the memory
-    firsts = np.flatnonzero(np.diff(rows, prepend=-1))
-    cuts = firsts[np.flatnonzero(np.diff(firsts // _SCAN_ROWS)) + 1]
-    found = [
-        _run_maxima(at, g, evaluating.xi_rows(b0, h, count, at, g), b0, h)
-        for at, g in zip(np.split(rows, cuts), np.split(giants, cuts))
-    ]
-    row, beta, value = (np.concatenate(x) for x in zip(*found))
-    # each row's maximum is among its local maxima, so this is each displacement's best
-    place = row % len(ds)
-    best = np.full(len(ds), -np.inf)
-    np.maximum.at(best, place, value)
-    near = value >= best[place] - _NEAR_OPTIMUM_WINDOW
-    return row[near], beta[near], value[near]
+    # a run ends where the next line is not the next giant row of the same kernel row
+    ends = np.append((np.diff(rows) != 0) | (np.diff(giants) != 1), True)
+    maxima = NearBestMaxima(len(ds))
+    for lo in range(0, len(rows), _SCAN_ROWS):
+        at, g = rows[lo : lo + _SCAN_ROWS], giants[lo : lo + _SCAN_ROWS]
+        values = evaluating.xi_rows(b0, h, count, at, g)
+        line_ends = np.zeros(values.shape, dtype=bool)
+        line_ends[:, -1] = ends[lo : lo + _SCAN_ROWS]  # a run ends on a line's last point
+        maxima.read(values, line_ends, at % len(ds))
+    position, value, _ = maxima.kept
+    stride = values.shape[1]  # S points a giant row; the bound keeps at least one row
+    line, j = np.divmod(position, stride)
+    row, beta = rows[line], b0 + h * (giants[line] * stride + j)
+    order = np.lexsort((beta, -value, row))
+    row, beta, value = row[order], beta[order], value[order]
+    capped = np.arange(len(row)) - np.searchsorted(row, row) < _MAX_CANDIDATES_PER_ROW
+    return row[capped], beta[capped], value[capped]
 
 
 def _bounded_rows(
@@ -266,32 +260,10 @@ def _bounded_rows(
     reads = {f: i * len(union) + own for i, f in enumerate([f for f, _ in pairs] + alone)}
     reads.update({g: i * len(union) + other for i, (_, g) in enumerate(pairs)})
     source = np.array([reads[f] for f in twists])
-    floor = low[source].max(axis=0) - _NEAR_OPTIMUM_WINDOW
+    floor = low[source].max(axis=0) - NEAR_BEST
     floors = np.full(len(low), np.inf)
     np.minimum.at(floors, source, np.broadcast_to(floor, source.shape))
     return rows_above(floors)[source.ravel()]
-
-
-def _run_maxima(rows, giants, values, b0: float, h: float):
-    """The local maxima of evaluated giant rows as (kernel row, beta, value) arrays,
-    by kernel row and best first (ties by beta), at most 64 a row.
-
-    Line i of `values` holds the S points of giant row giants[i] of kernel row
-    rows[i] (`SpectralKernel.xi_rows`), and each kernel row's lines are all
-    here, so a row's first candidate is its maximum.  A run of grid points
-    ends where the next line is not the next giant row of the same kernel row.
-    """
-    stride = values.shape[1]
-    breaks = np.zeros(values.shape, dtype=bool)
-    breaks[:-1, -1] = (np.diff(rows) != 0) | (np.diff(giants) != 1)
-    values = values.ravel()
-    cand = local_maxima(values, breaks.ravel()[:-1])
-    line, j = np.divmod(cand, stride)
-    row, value, beta = rows[line], values[cand], b0 + h * (giants[line] * stride + j)
-    order = np.lexsort((beta, -value, row))
-    row, beta, value = row[order], beta[order], value[order]
-    capped = np.arange(len(row)) - np.searchsorted(row, row) < _MAX_CANDIDATES_PER_ROW
-    return row[capped], beta[capped], value[capped]
 
 
 def _select(points: list[TransferPoint]) -> TransferPoint:
@@ -362,7 +334,7 @@ def optimize_transfers(
     for d, refined in candidates.items():
         winner = winners[d]
         keep = sorted(
-            (p for p in refined if p.xi >= winner.xi - _NEAR_OPTIMUM_WINDOW),
+            (p for p in refined if p.xi >= winner.xi - NEAR_BEST),
             key=lambda p: (-p.xi, p.beta, abs(p.f), p.f),
         )
         if winner not in keep:

@@ -59,6 +59,16 @@ def test_analytic_check_reads_the_routes_own_ladders(monkeypatch):
     assert np.max(np.abs(bessel_pair_coefficients(2, 32))) > 1.0
 
 
+@pytest.mark.parametrize("quarter", [1, 2, 3])
+def test_analytic_check_fails_a_twist_off_half_flux(monkeypatch, quarter):
+    # a negative control that can fail: 1e-10 off half flux the pair sums read
+    # ~1.9e-8, far above the check's tolerance but far below any loose one
+    ladders = amplitude.bessel_ladders
+    monkeypatch.setattr(blockage, "bessel_ladders", lambda n, d, f: ladders(n, d, f + 1e-10))
+    assert 1e-9 < np.max(np.abs(bessel_pair_coefficients(quarter))) < 1e-7
+    assert not verify_blockage(quarter, [3.0]).analytic_zero
+
+
 def test_spectral_mechanism_degenerate_pairs():
     # at half flux the levels pair up (m with N-1-m) and the diametric DFT
     # weights of each pair sum to zero, at any time

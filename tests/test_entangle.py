@@ -19,13 +19,11 @@ from conftest import (
     square_ring_entropy,
     square_ring_overlap,
 )
-from spinring.amplitude import SpectralKernel, local_maxima
+from spinring.amplitude import NEAR_BEST, NearBestMaxima, SpectralKernel, local_maxima
 from spinring.entangle import (
     EntanglementReading,
     EntanglingScan,
     REFERENCE_BETA,
-    _NEAR_BEST_WINDOW,
-    _NearBestMaxima,
     _curve_blocks,
     _entropy_from_overlap,
     _overlap_rates,
@@ -256,40 +254,57 @@ def near_best_maxima_reference(betas, values):
     its best, and the best: what the scan polishes, read off the curve held whole."""
     idx = local_maxima(values)
     best = float(values.max())
-    return betas[idx[values[idx] >= best - _NEAR_BEST_WINDOW]], best
+    return betas[idx[values[idx] >= best - NEAR_BEST]], best
 
 
 def streamed_maxima(blocks):
-    """`_NearBestMaxima` read over (betas, values) blocks: its betas and best."""
-    maxima, read, count = _NearBestMaxima(), 0, sum(len(b) for b, _ in blocks)
-    for betas, values in blocks:
-        read += len(betas)
-        maxima.read(betas, values, last=read == count)
-    return maxima.betas(), maxima.best
+    """`NearBestMaxima` read over (betas, values) blocks of one curve: the betas of
+    the positions it keeps, and its best."""
+    maxima, read, count = NearBestMaxima(), 0, sum(len(b) for b, _ in blocks)
+    for _, values in blocks:
+        read += len(values)
+        maxima.read(values, np.arange(read - len(values), read) == count - 1)
+    betas = np.concatenate([b for b, _ in blocks])
+    return betas[maxima.kept[0]], maxima.best[0]
 
 
 @st.composite
 def cut_curves(draw):
     """A curve of few distinct values, so plateaus of equal neighbours and maxima
-    within the window abound, cut into blocks of 1 to 5 points: blocks of one
-    point, edges on a maximum, on a plateau and next to either window end."""
-    values = draw(st.lists(st.sampled_from([0.0, 0.5, 0.9995, 0.9999, 1.0]), min_size=1, max_size=40))
-    cuts, at = [], 0
-    while at < len(values):
-        at += draw(st.integers(1, 5))
-        cuts.append(min(at, len(values)))
-    return np.array(values), cuts
+    within the window abound, read in blocks of 1 to 3 lines of 1 to 5 points
+    (a block of one line maybe as a 1-D array): blocks of one point, edges on a
+    maximum, on a plateau and next to either window end.  Each line is of group
+    0 or 1, and runs end at drawn points (none, some or many) and at the last."""
+    level = st.sampled_from([0.0, 0.5, 0.9995, 0.9999, 1.0])
+    end = st.sampled_from(draw(st.sampled_from([[False], [False] * 4 + [True], [False, True]])))
+    blocks = []
+    for _ in range(draw(st.integers(1, 12))):
+        lines, width = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+        values, ends = (
+            np.reshape(draw(st.lists(each, min_size=lines * width, max_size=lines * width)), (lines, width))
+            for each in (level, end)
+        )
+        groups = np.array(draw(st.lists(st.integers(0, 1), min_size=lines, max_size=lines)))
+        blocks.append([values, ends, groups, lines == 1 and draw(st.booleans())])
+    blocks[-1][1][-1, -1] = True
+    return blocks
 
 
 @settings(max_examples=300, deadline=None)
-@given(curve=cut_curves())
-def test_block_edges_keep_the_whole_curves_maxima(curve):
-    values, cuts = curve
-    betas = 0.25 * np.arange(len(values))
-    blocks = [(betas[lo:hi], values[lo:hi]) for lo, hi in zip([0, *cuts], cuts)]
-    got, best = streamed_maxima(blocks)
-    want, want_best = near_best_maxima_reference(betas, values)
-    assert np.array_equal(got, want) and best == want_best
+@given(blocks=cut_curves())
+def test_block_edges_keep_the_whole_curves_maxima(blocks):
+    maxima = NearBestMaxima(2)
+    for values, ends, groups, flat in blocks:
+        maxima.read(*((values[0], ends[0], groups[0]) if flat else (values, ends, groups)))
+    values, ends = (np.concatenate([b[i].ravel() for b in blocks]) for i in (0, 1))
+    group = np.concatenate([np.repeat(b[2], b[0].shape[1]) for b in blocks])
+    # the whole curve's maxima within the window of their group's best
+    idx = local_maxima(values, ends[:-1])
+    best = np.array([values[group == g].max(initial=-np.inf) for g in (0, 1)])
+    want = idx[values[idx] >= best[group[idx]] - NEAR_BEST]
+    at, kept, _ = maxima.kept
+    assert np.array_equal(at, want) and np.array_equal(kept, values[want])
+    assert np.array_equal(maxima.best, best)
 
 
 @pytest.mark.parametrize(
@@ -334,6 +349,13 @@ def test_streamed_scan_keeps_the_whole_curves_maxima(n, count):
         assert np.array_equal(blocked, entropy)
         want, want_best = near_best_maxima_reference(0.037 * np.arange(count), entropy)
         assert np.array_equal(got, want) and best == want_best
+
+
+def test_the_curves_last_grid_point_is_a_candidate():
+    # the last grid point, 3.142, is the grid maximum and ends the one run; only
+    # its polish in [3.140, 3.142] reaches the full ebit at pi
+    best = find_entangling_time(3.142, step=0.002).best
+    assert best.beta == pytest.approx(math.pi, abs=1e-9) and best.entropy_ebits == 1.0
 
 
 def test_scan_no_longer_carries_its_curve():
