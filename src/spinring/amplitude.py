@@ -158,6 +158,19 @@ def _level_stride(h: float, count: int, reach: float, curvature: float) -> int:
     return 1 << max(math.frexp(widest)[1] - 1, 0)  # floor(log2(widest)), exactly
 
 
+def _mirror_partners(rates: np.ndarray) -> np.ndarray:
+    """partner[i] = j where rate rows i != j are paired as each other's mirror under
+    m -> N - m to 9 decimals, a row in one pair at most, and partner[i] = i elsewhere."""
+    rounded = np.round(rates, 9) + 0.0  # -0.0 keys as 0.0
+    index = {r.tobytes(): i for i, r in enumerate(rounded)}
+    partner = np.arange(len(rates))
+    for i, r in enumerate(np.roll(rounded[:, ::-1], -1, axis=1)):
+        j = index.get(r.tobytes(), i)
+        if partner[i] == i and partner[j] == j:
+            partner[i], partner[j] = j, i
+    return partner
+
+
 class SpectralKernel:
     """Mode sums a_d(beta) = (1/N) sum_m exp(2*pi*i*d*m/N) exp(i*beta*c_m), m = 1..N.
 
@@ -179,6 +192,7 @@ class SpectralKernel:
         self._irates = 1j * np.atleast_2d(np.asarray(rates, dtype=float))
         self.n = self._irates.shape[1]
         self._ds = [int(d) % self.n for d in ds]
+        require_grid_points(len(self._ds) * self.n, "a stack of mode weights")
         self._weights = _mode_weights(self.n, self._ds)  # one weight row per displacement
 
     def xi_grid(self, b0: float, h: float, count: int) -> np.ndarray:
@@ -203,7 +217,7 @@ class SpectralKernel:
             at = np.arange(g, min(g + per, giants))
             yield self.xi_rows(b0, h, count, np.zeros_like(at), at).reshape(-1)[: count - g * stride]
 
-    def row_bounds(self, b0: float, h: float, count: int, spread=0.0):
+    def row_bounds(self, b0: float, h: float, count: int):
         """Bounds on `xi_grid(b0, h, count)`: (low, rows) with low[r] <= its maximum
         on kernel row r, and rows(floor) a boolean array of shape (kernel rows,
         giant rows) that holds wherever giant row g of kernel row r may hold a
@@ -219,22 +233,25 @@ class SpectralKernel:
         below its larger end value, and as (beta - u)(v - beta) <= (v - u)^2/4,
         g <= max(g(u), g(v)) + M*(v - u)^2/8 there, between the grid points too.
 
+        Mirrored rate rows share a bound.  Reflecting the ring reverses the
+        twist, a_d(beta, -f) = a_{N-d}(beta, f), as the rates of -f are those
+        of f under m -> N - m.  So the bounding rows are the rate rows over ds
+        and N - ds, the lower of two mirrored rate rows (`_mirror_partners`)
+        standing for both, its slack widened by beta times their largest rate
+        difference, as far as |a_d| can move between them.  A bounding row
+        takes the least floor of the kernel rows it stands for, +inf for none.
+
         A level of stride K, a power of two (`_level_stride`), has stretches
         between the fine indices p*K.  low is read off the first level, reach
         M*(K*h)^2/8 at most `_FIRST_REACH`, with one point past the grid so
-        every grid point lies on a stretch: one `xi_grid` over every kernel
-        row.  rows(floor) halves each stretch whose bound still reaches
-        floor[r], evaluating the midpoints of all kernel rows by one
+        every grid point lies on a stretch: one `xi_grid` over every bounding
+        row.  rows(floor) halves each stretch whose bound still reaches its
+        row's floor, evaluating the midpoints of all bounding rows by one
         `values` call a level, down to reach `_LAST_REACH`, and keeps the giant
-        rows the stretches left there touch.  A kernel row whose floor the last
+        rows the stretches left there touch.  A row whose floor the last
         reach brings down to 0 (a blocked landscape) keeps all its giant rows
         unhalved, and one whose floor is +inf keeps none.  Both bounds carry a
         slack for the levels' different rounding.
-
-        `spread`, one value or one per rate row, widens that slack by
-        spread * beta: the bounds then also hold for a kernel whose weights
-        match these to rounding and whose rates are within `spread` of these,
-        as |a_d| moves by at most beta * max_m |c_m - c'_m| between them.
         """
         stride = _giant_stride(count)
         shape = (len(self._irates) * len(self._ds), -(-count // stride))
@@ -246,11 +263,25 @@ class SpectralKernel:
         if not math.isfinite(beta_end):
             # the first level would run past the largest float: bound nothing
             return np.full(shape[0], -np.inf), lambda floor: np.ones(shape, dtype=bool)
-        level = self.xi_grid(b0, first * h, points)
-        spread = np.repeat(np.broadcast_to(spread, len(self._irates)), len(self._ds))
-        slack = 1e-9 + (16.0 * np.finfo(float).eps + spread) * beta_end
+        rates = self._irates.imag
+        partner, rate_rows = _mirror_partners(rates), np.arange(len(rates))
+        lead = partner >= rate_rows  # the rate rows that are bounded
+        mirrored = [(self.n - d) % self.n for d in self._ds]
+        union = list(dict.fromkeys(self._ds + mirrored))
+        bounding = SpectralKernel(rates[lead], union)
+        # each kernel row's bounding row: its own rate row's at d, or its leader's at N - d
+        at = (np.cumsum(lead) - 1) * len(union)
+        own, other = ([union.index(d) for d in side] for side in (self._ds, mirrored))
+        source = np.where(lead[:, None], at[:, None] + own, at[partner, None] + other).ravel()
+        spread = np.abs(rates[partner] - np.roll(rates[:, ::-1], -1, axis=1)).max(axis=1)
+        spread = np.where(partner > rate_rows, spread, 0.0)[lead]
+        level = bounding.xi_grid(b0, first * h, points)
+        slack = 1e-9 + (16.0 * np.finfo(float).eps + np.repeat(spread, len(union))) * beta_end
 
-        def rows(floor: np.ndarray) -> np.ndarray:
+        def rows(asked: np.ndarray) -> np.ndarray:
+            floor = np.full(len(level), np.inf)  # +inf on a row that stands for none
+            np.minimum.at(floor, source, asked)
+
             def least(width: int) -> np.ndarray:
                 # sqrt((max(ends) + slack)^2 + M*(width*h)^2/8) + slack >= floor;
                 # a step whose square overflows reaches every floor but +inf
@@ -262,12 +293,12 @@ class SpectralKernel:
             # where even the last level's threshold is <= 0, every stretch stays
             # alive at every level: keep all the rows and halve none
             everywhere = least(last) <= 0.0
-            keep = np.zeros(shape, dtype=bool)
+            keep = np.zeros((len(level), shape[1]), dtype=bool)
             for r, p in stretches(np.where(everywhere, np.inf, least(first))):
                 k, ends, width = p * first, (level[r, p], level[r, p + 1]), first
                 while width > last and len(k):
                     width //= 2
-                    mid = np.abs(self.values(r, b0 + h * (k + width)))
+                    mid = np.abs(bounding.values(r, b0 + h * (k + width)))
                     r, k = np.concatenate((r, r)), np.concatenate((k, k + width))
                     ends = (np.concatenate((ends[0], mid)), np.concatenate((mid, ends[1])))
                     # a half that starts past the grid covers none of it
@@ -279,14 +310,14 @@ class SpectralKernel:
                     keep[r, g] = True
                     on = g < end
                     r, g, end = r[on], g[on] + 1, end[on]
-            return keep | everywhere[:, None]
+            return (keep | everywhere[:, None])[source]
 
         def stretches(threshold: np.ndarray):
             """The first level's stretches with an end at or above threshold[r]:
-            (kernel rows r, stretches p) in chunks that each halve into at most
+            (bounding rows r, stretches p) in chunks that each halve into at most
             16 * `_CHUNK` // 4 stretches."""
-            per = max(16 * _CHUNK // points, 1)  # kernel rows scanned at once
-            for top in range(0, shape[0], per):
+            per = max(16 * _CHUNK // points, 1)  # bounding rows scanned at once
+            for top in range(0, len(level), per):
                 high = (level[top : top + per] >= threshold[top : top + per, None]).ravel()
                 at = np.flatnonzero(high[:-1] | high[1:])  # flat: 2-D nonzero is slower
                 at = at[at % points < points - 1]  # a stretch ends on its own row
@@ -294,7 +325,7 @@ class SpectralKernel:
                     r, p = np.divmod(at[lo : lo + _CHUNK // 4], points)
                     yield r + top, p
 
-        return level[:, :-1].max(axis=1) - slack, rows
+        return (level[:, :-1].max(axis=1) - slack)[source], rows
 
     def xi_rows(
         self, b0: float, h: float, count: int, rows: np.ndarray, giants: np.ndarray

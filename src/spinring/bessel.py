@@ -153,10 +153,6 @@ def bessel_j_ladder(n_max: int, x: float) -> np.ndarray:
     n_max = int(n_max)
     start = _start_order(n_max, x)
     require_grid_points(start, "a Bessel ladder's sweep")
-    if x == 0.0:
-        out = np.zeros(n_max + 1)
-        out[0] = 1.0
-        return out
     if x < 1e-6:
         # the recurrence step ratio 2n/x becomes so steep that rescaling can't
         # keep up; three series terms are already accurate to ~1e-40 here

@@ -328,6 +328,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     twist_count = grid_count(args.f_max - args.f_min, args.f_step)
     count = grid_count(args.beta_max - args.beta_min, args.beta_step)
     require_grid_points(twist_count * count)
+    require_grid_points(min(twist_count, _TWIST_STACK) * args.n, "a stack of twist rates")
     twists = [args.f_min + k * args.f_step for k in range(twist_count)]
     b0, h = args.beta_min, args.beta_step
     betas = b0 + h * np.arange(count)

@@ -7,16 +7,13 @@ grid twist, of every coarse local maximum within 1e-3 of the coarse best, and
 last a joint (twist, time) polish of each displacement's winner: `polish` on
 the exact derivatives of `SpectralKernel.jet`, all points of a ring in lockstep.
 
-The coarse grid is pruned by a bound: |a|^2, a = (1/N) sum_m w_m
-exp(i*beta*c_m) with |w_m| = 1, curves down no faster than 2 mean_m c_m^2
-(= 1 on a ring), so a coarse level of points, halved where it can still
-reach, shows which stretches of the fine grid cannot come within 1e-3 of the
-best (`SpectralKernel.row_bounds`).  Only the others are evaluated, and the
-kernel gives them the full grid's values bit for bit, so the coarse
-candidates are the full grid's (see `_coarse_pass`).  A ring's twists are
-stacked as rate rows of two kernels, one that bounds and one that evaluates,
+The coarse grid is pruned by the kernel's curvature bound
+(`SpectralKernel.row_bounds`): only the stretches of the grid that can come
+within 1e-3 of the best are evaluated, and the kernel gives them the full
+grid's values bit for bit, so the coarse candidates are the full grid's (see
+`_coarse_pass`).  A ring's twists are stacked as the rate rows of one kernel,
 so each stage is one call over all of them; from the coarse pass to the
-records a point is a (kernel row, beta) of the evaluating kernel.
+records a point is a (kernel row, beta) of that kernel.
 Near-perfect windows at different times can tie to within fractions of
 1e-3; the polished optima within 1e-3, at most 64 a grid twist, are kept on
 the record (`near_optima`) so callers can match a specific reported window
@@ -39,7 +36,7 @@ from .amplitude import NEAR_BEST, NearBestMaxima, SpectralKernel, grid_count, po
 # unused here, but benchmarks/spans.py patches `spinring.optimize.xi` in its
 # traced mode, so the name must stay a module attribute
 from .amplitude import xi  # noqa: F401
-from .ring import RingConfig, _mode_cosines
+from .ring import RingConfig, _mode_cosines, require_grid_points
 
 __all__ = [
     "SearchSpec",
@@ -160,36 +157,20 @@ def fidelity_from_xi(value: float) -> float:
     return 0.5 + value / 3.0 + value * value / 6.0
 
 
-def _mirror_pairs(twists: tuple[float, ...]) -> list[tuple[float, float]]:
-    """Pairs (f, g) of distinct twists with g = -f to within 1e-12, one pair per twist at most."""
-    by_size = {round(f, 12): f for f in twists}
-    pairs, paired = [], set()
-    for f in twists:
-        g = by_size.get(round(-f, 12))
-        if g is not None and g != f and not {f, g} & paired:
-            pairs.append((f, g))
-            paired |= {f, g}
-    return pairs
-
-
 def _coarse_pass(
-    evaluating: SpectralKernel,
-    ds: tuple[int, ...],
-    spec: SearchSpec,
-    rates: dict[float, np.ndarray],
+    evaluating: SpectralKernel, ds: tuple[int, ...], spec: SearchSpec
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Coarse grid sweep; returns the keep-worthy points as (kernel row, beta, xi)
     arrays, by kernel row, best first within a row (ties by beta), at most 64 a row.
 
-    `rates` holds each candidate twist's mode cosines, `_mode_cosines(n, f)`,
-    and `evaluating` stacks them in the order of `spec.f_candidates` over ds:
-    kernel row t*len(ds) + j is twist t at displacement ds[j].
+    `evaluating` stacks each twist's `_mode_cosines(n, f)`, in the order of
+    `spec.f_candidates`, over ds: kernel row t*len(ds) + j is twist t at ds[j].
 
-    The landscapes are the rows of that kernel: `xi_grid` on beta_min + k*h,
-    k < B, in giant rows of S = ceil(sqrt(B)) points.  Only the giant rows
-    that can hold a point within 1e-3 of the best are evaluated
-    (`_bounded_rows`, on the bound of `SpectralKernel.row_bounds`), each with
-    the bits of its twist's full grid, `_SCAN_ROWS` at a time, and
+    The landscapes are the rows of that one kernel: `xi_grid` on beta_min +
+    k*h, k < B, in giant rows of S = ceil(sqrt(B)) points.  Only the giant
+    rows that can hold a point within 1e-3 of the best are evaluated
+    (`_near_best_rows`, on the kernel's own bound `SpectralKernel.row_bounds`),
+    each with the bits of its twist's full grid, `_SCAN_ROWS` at a time, and
     `NearBestMaxima` reads their runs for the local maxima within 1e-3 of
     each displacement's best; the cap of 64 a row comes after.
 
@@ -205,7 +186,7 @@ def _coarse_pass(
     b0, h = spec.beta_min, spec.beta_step
     count = grid_count(spec.beta_max - b0, h)
     # the kept giant rows of one kernel row per (twist, displacement), in order
-    rows, giants = np.nonzero(_bounded_rows(evaluating.n, ds, spec, rates, count))
+    rows, giants = np.nonzero(_near_best_rows(evaluating, len(ds), b0, h, count))
     # a run ends where the next line is not the next giant row of the same kernel row
     ends = np.append((np.diff(rows) != 0) | (np.diff(giants) != 1), True)
     maxima = NearBestMaxima(len(ds))
@@ -225,45 +206,12 @@ def _coarse_pass(
     return row[capped], beta[capped], value[capped]
 
 
-def _bounded_rows(
-    n: int, ds: tuple[int, ...], spec: SearchSpec, rates: dict[float, np.ndarray], count: int
-) -> np.ndarray:
-    """The giant rows `_coarse_pass` evaluates, as a boolean array with one row per
-    (twist, displacement), twist first: those that can hold a point within 1e-3
-    of the best (`SpectralKernel.row_bounds`, `count` grid points).
-
-    Twists f and -f share one bounding rate row where both are candidates.
-    Reflecting the ring reverses the twist, a_d(beta, -f) = a_{N-d}(beta, f),
-    as the rates of -f are those of f under m -> N - m.  So the bounds of f's
-    rates over the displacements ds and N - ds bound both twists, a kernel row
-    standing for one of each taking the lower floor, and one that stands for
-    neither a floor of +inf; the rates of a pair whose twists are opposite
-    only up to rounding differ by a spread that widens that row's slack
-    (`row_bounds`).  An unpaired twist has a rate row of its own, over the
-    same displacements.  The bound need not match any twist's bits, but the
-    evaluating kernel gives each twist's rows the bits of its own grid.
-    """
-    twists = spec.f_candidates
-    mirrored = tuple(n - d for d in ds)
-    union = ds + tuple(d for d in mirrored if d not in ds)
-    pairs = _mirror_pairs(twists)
-    paired = {f for pair in pairs for f in pair}
-    alone = [f for f in twists if f not in paired]
-    # a_d(beta, -f) = a_{N-d}(beta, f): the rates of g are those of f under
-    # m -> N - m, up to the rounding of the two twists
-    spread = [float(np.max(np.abs(rates[g] - np.roll(rates[f][::-1], -1)))) for f, g in pairs]
-    bounding = SpectralKernel([rates[f] for f, _ in pairs] + [rates[f] for f in alone], union)
-    spread += [0.0] * len(alone)
-    low, rows_above = bounding.row_bounds(spec.beta_min, spec.beta_step, count, spread)
-    # the bounding kernel rows of each twist's displacements ds
-    own, other = (np.array([union.index(d) for d in side]) for side in (ds, mirrored))
-    reads = {f: i * len(union) + own for i, f in enumerate([f for f, _ in pairs] + alone)}
-    reads.update({g: i * len(union) + other for i, (_, g) in enumerate(pairs)})
-    source = np.array([reads[f] for f in twists])
-    floor = low[source].max(axis=0) - NEAR_BEST
-    floors = np.full(len(low), np.inf)
-    np.minimum.at(floors, source, np.broadcast_to(floor, source.shape))
-    return rows_above(floors)[source.ravel()]
+def _near_best_rows(kernel: SpectralKernel, displacements: int, b0: float, h: float, count: int):
+    """The giant rows that may hold a point within `NEAR_BEST` of the best of their
+    displacement over every twist, on the bound of `SpectralKernel.row_bounds`."""
+    low, rows = kernel.row_bounds(b0, h, count)
+    best = low.reshape(-1, displacements).max(axis=0)
+    return rows(np.tile(best - NEAR_BEST, len(low) // displacements))
 
 
 def _select(points: list[TransferPoint]) -> TransferPoint:
@@ -285,10 +233,10 @@ def optimize_transfers(
             raise ValueError(f"displacement must be in 1..{n - 1}, got {d}")
     RingConfig(n)  # validates the ring size early
     twists = spec.f_candidates
-    rates = {f: _mode_cosines(n, f) for f in twists}
+    require_grid_points(len(twists) * n, "a stack of twist rates")
     # one kernel row per (twist, displacement), twist first
-    kernel = SpectralKernel([rates[f] for f in twists], ds)
-    rows, betas, values = _coarse_pass(kernel, ds, spec, rates)
+    kernel = SpectralKernel([_mode_cosines(n, f) for f in twists], ds)
+    rows, betas, values = _coarse_pass(kernel, ds, spec)
 
     # each coarse candidate at or above the refine floor (below it is blocked
     # noise) in beta alone, in +-beta_step: zero twist slopes keep its twist

@@ -319,10 +319,9 @@ def _full_grid_maxima(n, ds, spec, window):
 def coarse_pass(n, ds, spec):
     """`optimize._coarse_pass` on the kernel `optimize_transfers` builds, turned back
     from (kernel row, beta, xi) arrays into the per-d lists of `coarse_pass_reference`."""
-    rates = {f: _mode_cosines(n, f) for f in spec.f_candidates}
-    evaluating = SpectralKernel([rates[f] for f in spec.f_candidates], ds)
+    kernel = SpectralKernel([_mode_cosines(n, f) for f in spec.f_candidates], ds)
     kept = {d: [] for d in ds}
-    for row, beta, value in zip(*(x.tolist() for x in _coarse_pass(evaluating, ds, spec, rates))):
+    for row, beta, value in zip(*(x.tolist() for x in _coarse_pass(kernel, ds, spec))):
         twist, j = divmod(row, len(ds))
         kept[ds[j]].append((spec.f_candidates[twist], beta, value))
     return kept

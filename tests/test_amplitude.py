@@ -360,11 +360,6 @@ def test_half_flux_diametric_channel_stays_blocked_on_the_grid(half, b0, h, coun
     assert kernel.xi_grid(b0, h, count).max() <= 1e-12
 
 
-def mirrored_rates(rates):
-    """The rates under m -> N - m: those of the reversed twist, up to rounding."""
-    return np.roll(rates[::-1], -1)
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     n=st.integers(3, 12),
@@ -375,41 +370,36 @@ def mirrored_rates(rates):
     count=st.one_of(st.sampled_from([1, 2, 3, 21, 400, 401]), st.integers(1, 3000)),
     offsets=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=4),
     nudge=st.sampled_from([None, 0.0, 1e-13, -3e-13]),
-    # the floor's distance below each displacement's grid maximum
+    # the floor's distance below each kernel row's grid maximum
     depth=st.one_of(st.sampled_from([0.0, 1e-3]), st.floats(-0.05, 0.5)),
 )
+# a one-point grid whose floor is its own value: the bound needs its slack
+@example(n=4, f=0.0, b0=0.0, h=0.0625, count=1, offsets=[0.0], nudge=None, depth=0.0)
+# a mirror only up to 1e-13 in the twist, read up to beta ~ 2e4: it needs the spread
+@example(n=3, f=0.0, b0=0.0, h=49.0, count=400, offsets=[0.0], nudge=1e-13, depth=0.0)
 def test_row_bounds_hold_on_and_between_grid_points(n, f, b0, h, count, offsets, nudge, depth):
-    # rows(floor) keeps every giant row of displacement d that holds a value at
-    # or above floor[d] anywhere on its stretch, up to the next row's first
-    # point, and low[d] is at most the grid's maximum.  With a nudge, the bounds
-    # of f with the mirror's spread stand for the twist -f + nudge at the
-    # mirrored displacements, as the coarse pass reads them.
-    rates = _mode_cosines(n, f)
-    kernel = SpectralKernel(rates, range(n))
-    if nudge is None:
-        target, target_f, rows, spread = kernel, f, np.arange(n), 0.0
-    else:
-        target_f = -f + nudge
-        other = _mode_cosines(n, target_f)
-        target = SpectralKernel(other, range(n))
-        rows = (n - np.arange(n)) % n
-        spread = float(np.max(np.abs(other - mirrored_rates(rates))))
-    low, rows_above = kernel.row_bounds(b0, h, count, spread)
+    # rows(floor) keeps every giant row of kernel row r that holds a value at
+    # or above floor[r] anywhere on its stretch, up to the next row's first
+    # point, and low[r] is at most the grid's maximum.  With a nudge, the
+    # kernel stacks the twist -f + nudge as a second rate row, which the
+    # bound reads off f's rows at the mirrored displacements.
+    twists = [f] if nudge is None else [f, -f + nudge]
+    kernel = SpectralKernel([_mode_cosines(n, t) for t in twists], range(n))
+    low, rows_above = kernel.row_bounds(b0, h, count)
     starts, stride = _giant_steps(b0, h, count)
-    grid = target.xi_grid(b0, h, count)
-    assert np.all(low[rows] <= grid.max(axis=1))
-    floor = np.empty(n)
-    floor[rows] = grid.max(axis=1) - depth
+    grid = kernel.xi_grid(b0, h, count)
+    assert np.all(low <= grid.max(axis=1))
+    floor = grid.max(axis=1) - depth
     keep = rows_above(floor)
-    assert keep.shape == (n, len(starts)) and keep.dtype == bool
+    assert keep.shape == (len(twists) * n, len(starts)) and keep.dtype == bool
     k = np.arange(count)
     fractions = np.concatenate([k + t for t in [0.0, *offsets]])
-    dense = point_xi(n, target_f, range(n), b0 + h * fractions)
+    dense = np.concatenate([point_xi(n, t, range(n), b0 + h * fractions) for t in twists])
     # k + t may round up to k + 1, which for the last k lies past the grid but
     # still on the last row's stretch
     row = np.minimum(fractions.astype(int), count - 1) // stride
-    dropped = ~keep[rows][:, row]
-    assert np.all(dense[dropped] < np.broadcast_to(floor[rows][:, None], dense.shape)[dropped])
+    dropped = ~keep[:, row]
+    assert np.all(dense[dropped] < np.broadcast_to(floor[:, None], dense.shape)[dropped])
 
 
 # Properties the optimizer's bound-pruned coarse pass rests on, drawn over

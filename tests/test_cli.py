@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import peak_bytes, scan_times
-from spinring import __version__, amplitude, cli, entangle, serialize
+from spinring import __version__, amplitude, cli, entangle, ring, serialize
 from spinring.amplitude import AmplitudeResult, BesselTruncationError, grid_count, xi_profile
 from spinring.bessel import bessel_j_ladder
 from spinring.optimize import SearchSpec
@@ -393,6 +393,31 @@ def test_oversized_grids_exit_2_before_allocating(tmp_path, capsys, argv):
     assert cli.main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{amplitude.MAX_GRID_POINTS:,}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, stack",
+    [
+        (["multiparty", "--n", "1000", "--sites", "1,2", "--twists", "grid"], "a stack of twist rates"),
+        (["sweep", "--n", "1000", "--d", "1", "--f-step", "0.01"], "a stack of twist rates"),
+        (["multiparty", "--n", "2000", "--sites", "1,2,4,8", "--twists", "0.25"], "a stack of mode weights"),
+    ],
+    ids=["multiparty-rates", "sweep-rates", "multiparty-weights"],
+)
+def test_oversized_rate_and_weight_stacks_exit_2_before_they_are_built(
+    tmp_path, capsys, monkeypatch, argv, stack
+):
+    # under a limit of 10,000 points every grid here fits, but not the 400 x 1000
+    # and 101 x 1000 twist rates or the 6 x 2000 mode weights of a kernel
+    monkeypatch.setattr(ring, "MAX_GRID_POINTS", 10_000)
+    out = tmp_path / "out"
+    codes = []
+    argv = [*argv, "--beta-max", "1" if argv[0] == "multiparty" else "0", "--out", str(out)]
+    assert peak_bytes(lambda: codes.append(cli.main(argv))) < 1 << 20
+    assert codes == [2]
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{stack} of " in err and "10,000" in err
     assert not out.exists()
 
 

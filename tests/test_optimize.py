@@ -133,6 +133,12 @@ EQUIVALENCE_CASES = {
 }
 
 
+def mirror_pairs(n, twists):
+    """The twist pairs whose rate rows `SpectralKernel.row_bounds` bounds as one."""
+    partner = amplitude._mirror_partners(np.array([_mode_cosines(n, f) for f in twists]))
+    return [(twists[i], twists[j]) for i, j in enumerate(partner.tolist()) if i < j]
+
+
 def strides(h, count):
     """The first and last level strides of `SpectralKernel.row_bounds` on a ring (M = 1)."""
     return (amplitude._level_stride(h, count, reach, 1.0)
@@ -160,7 +166,7 @@ def test_pruned_coarse_pass_keeps_what_the_full_grid_keeps(case):
         kernel = SpectralKernel(_mode_cosines(n, 0.25), ds)
         low, rows = kernel.row_bounds(0.0, spec.beta_step, count)
         assert np.all(low == -np.inf) and np.all(rows(np.full(len(ds), 2.0)))
-    pairs = optimize._mirror_pairs(spec.f_candidates)
+    pairs = mirror_pairs(n, spec.f_candidates)
     if case == "unpaired-twists":
         assert pairs == [(-0.25, 0.25)]
     if case == "open-mirror-displacements":
@@ -186,9 +192,8 @@ def test_coarse_pass_keeps_rows_in_order_best_first_and_capped(case):
     # optimize_transfers groups the candidates by kernel row in this order;
     # each displacement's best itself is pinned by the equivalence test above
     n, ds, spec = EQUIVALENCE_CASES[case]
-    rates = {f: _mode_cosines(n, f) for f in spec.f_candidates}
-    kernel = SpectralKernel([rates[f] for f in spec.f_candidates], ds)
-    row, beta, value = optimize._coarse_pass(kernel, ds, spec, rates)
+    kernel = SpectralKernel([_mode_cosines(n, f) for f in spec.f_candidates], ds)
+    row, beta, value = optimize._coarse_pass(kernel, ds, spec)
     assert len(row) and np.all(np.diff(row) >= 0)
     same = np.diff(row) == 0
     assert np.all(np.diff(value)[same] <= 0)
@@ -237,13 +242,22 @@ def test_coarse_pass_prunes_the_quarter_twist_landscapes(monkeypatch):
     assert evaluated_share(monkeypatch, 6, (3,), blocked) == 1.0
 
 
-@pytest.mark.parametrize("n", [5, 7])
-def test_bound_evaluates_a_third_of_a_stride_twenty_pre_grid(monkeypatch, n):
+@pytest.mark.parametrize(
+    "n, twists, bounding",
+    [
+        pytest.param(n, twists, bounding, id=f"{n}{grid}")
+        for grid, twists, bounding in [
+            ("", twist_grid(8), 5), ("-grid40", twist_grid(40), 21), ("-default", default_twist_grid(), 201)
+        ]
+        for n in (5, 7)
+    ],
+)
+def test_bound_evaluates_a_third_of_a_stride_twenty_pre_grid(monkeypatch, n, twists, bounding):
     # a cost check without a clock: the (displacement, time) values the bound
-    # reads on the 1/8 twist grid, its first level on every bounding row and
-    # the midpoints of the stretches it halves, against the 12,502 per kernel
-    # row of one pre-grid at every 20th fine point
-    spec = SearchSpec(f_candidates=twist_grid(8))
+    # reads on the 1/8, 1/40 and default 1/400 twist grids, its first level on
+    # every bounding row and the midpoints of the stretches it halves, against
+    # the 12,502 per bounding row of one pre-grid at every 20th fine point
+    spec = SearchSpec(f_candidates=twists)
     count = len(spec.beta_grid())
     points, rows = [], []
     xi_grid, values = SpectralKernel.xi_grid, SpectralKernel.values
@@ -261,8 +275,9 @@ def test_bound_evaluates_a_third_of_a_stride_twenty_pre_grid(monkeypatch, n):
     monkeypatch.setattr(SpectralKernel, "xi_grid", grid)
     monkeypatch.setattr(SpectralKernel, "values", scattered)
     coarse_pass(n, tuple(range(1, n)), spec)
-    # one stacked first level: three mirrored pairs, and -1/2 and 0 alone
-    assert rows == [5 * (n - 1)]
+    # one stacked first level: a bounding rate row for each mirrored pair of
+    # twists, and for -1/2 and 0 alone (5 of 8, 21 of 40 and 201 of 400 twists)
+    assert rows == [bounding * (n - 1)]
     assert sum(points) <= sum(rows) * ((count - 1) // 20 + 2) / 3
 
 
