@@ -148,34 +148,24 @@ def cells(col: np.ndarray, rows: int):
     array for each block of `rows` values, the last one shorter.
 
     Along an axis of zero stride (a broadcast view) the values repeat, so a column
-    with such axes has its distinct values laid out once and each block gathers
-    its cells from them by index.
+    with such axes has its distinct values laid out once, in two passes: one finds
+    the widest cell and the other writes every cell into a zeroed (distinct, width)
+    array.  Each row of it is viewed as one `V{width}` item and broadcast back to
+    the column's shape, so a block of the column is a copy of its cells.
     """
     repeated = [a for a in range(col.ndim) if col.shape[a] > 1 and not col.strides[a]]
-    if not repeated:
-        grid = col.reshape(-1, col.shape[-1]) if col.size else col  # xi_grid's rows are padded
-        for lo in range(0, col.size, rows):
-            yield _laid_out(_c_order(grid, lo, min(lo + rows, col.size)))
-        return
-    distinct = col[tuple(slice(0, 1) if a in repeated else slice(None) for a in range(col.ndim))]
-    size, width, lo = distinct.size, 0, 0
-    laid = np.zeros(0, dtype=np.uint8)  # the distinct cells so far, `width` bytes each
-    for part in cells(distinct, rows):
-        if part.shape[1] > width:
-            # widen in place: `resize` reallocates (no view of `laid` is alive) and
-            # zeroes the new bytes; the rows laid so far move to the wider stride,
-            # the last block first, so none lands on a row still to move
-            wide = part.shape[1]
-            laid.resize(size * wide, refcheck=False)
-            for hi in range(lo, 0, -rows):
-                moved = laid[(hi - rows) * wide : hi * wide].reshape(rows, wide)
-                moved[:, :width], moved[:, width:] = laid[(hi - rows) * width : hi * width].reshape(rows, width), 0
-            width = wide
-        laid.reshape(size, width)[lo : lo + len(part), : part.shape[1]] = part
-        lo, part = lo + len(part), None  # freed before the next block is laid out
-    laid = laid.reshape(size, width)
+    if repeated:
+        distinct = col[tuple(slice(0, 1) if a in repeated else slice(None) for a in range(col.ndim))]
+        width = max((part.shape[1] for part in cells(distinct, rows)), default=0)
+        laid, lo = np.zeros((distinct.size, width), np.uint8), 0
+        for part in cells(distinct, rows):
+            laid[lo : lo + len(part), : part.shape[1]] = part
+            lo, part = lo + len(part), None  # freed before the next block is laid out
+        col = np.broadcast_to(laid.view(f"V{width}").reshape(distinct.shape), col.shape)
+    grid = col.reshape(-1, col.shape[-1]) if col.size else col  # xi_grid's rows are padded
     for lo in range(0, col.size, rows):
-        yield laid.take(_distinct_index(lo, min(lo + rows, col.size), col.shape, repeated), axis=0)
+        block = _c_order(grid, lo, min(lo + rows, col.size))
+        yield _bytes_cells(block) if repeated else _laid_out(block)
 
 
 def _c_order(grid: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -186,19 +176,6 @@ def _c_order(grid: np.ndarray, lo: int, hi: int) -> np.ndarray:
     if last == first:
         return grid[first, start : end + 1]
     return np.concatenate((grid[first, start:], grid[last, : end + 1]))
-
-
-def _distinct_index(lo: int, hi: int, shape: tuple[int, ...], repeated: list[int]) -> np.ndarray:
-    """For C-order rows lo..hi-1 of a grid, the C-order index of each among the
-    distinct values: the grid's index with every repeated axis left out."""
-    at = np.arange(lo, hi)
-    index, outer, inner = np.zeros_like(at), 1, 1
-    for axis in reversed(range(len(shape))):
-        if axis not in repeated:
-            index += at // outer % shape[axis] * inner
-            inner *= shape[axis]
-        outer *= shape[axis]
-    return index
 
 
 def _laid_out(col: np.ndarray) -> np.ndarray:

@@ -43,6 +43,7 @@ from .entangle import find_entangling_time
 from .optimize import SearchSpec, multiparty_plan, optimize_transfers
 from .ring import RingConfig, _mode_cosines
 from .serialize import (
+    _FLOAT,
     ARTIFACT_VERSION,
     csv_text,  # noqa: F401  unused here, but benchmarks/spans.py patches it
     dumps,
@@ -222,7 +223,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
             )
             all_pass &= passed
             # the text a CSV float cell holds, or empty cells when nothing matched
-            found = ["%.12g" % v for v in (match.f, match.beta, match.xi)] if match else ["", "", ""]
+            found = [_FLOAT % v for v in (match.f, match.beta, match.xi)] if match else ["", "", ""]
             rows.append(
                 (n, d, f_pub, beta_pub, xi_pub, xi_at_pub, rec.f, rec.beta, rec.xi, *found, passed)
             )

@@ -310,6 +310,7 @@ def multiparty_plan(
         if not 1 <= s <= n:
             raise ValueError(f"site {s} outside 1..{n}")
 
+    require_grid_points(len(sites) * (len(sites) - 1) / 2, "a list of site pairs")
     pairs = list(combinations(sorted(sites), 2))
     distances = sorted({(b - a) % n for a, b in pairs})
     records = optimize_transfers(n, distances, spec)

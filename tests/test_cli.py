@@ -402,14 +402,19 @@ def test_oversized_grids_exit_2_before_allocating(tmp_path, capsys, argv):
         (["multiparty", "--n", "1000", "--sites", "1,2", "--twists", "grid"], "a stack of twist rates"),
         (["sweep", "--n", "1000", "--d", "1", "--f-step", "0.01"], "a stack of twist rates"),
         (["multiparty", "--n", "2000", "--sites", "1,2,4,8", "--twists", "0.25"], "a stack of mode weights"),
+        (
+            ["multiparty", "--n", "200", "--sites", ",".join(map(str, range(1, 201))), "--twists", "0.25"],
+            "a list of site pairs",
+        ),
     ],
-    ids=["multiparty-rates", "sweep-rates", "multiparty-weights"],
+    ids=["multiparty-rates", "sweep-rates", "multiparty-weights", "multiparty-pairs"],
 )
 def test_oversized_rate_and_weight_stacks_exit_2_before_they_are_built(
     tmp_path, capsys, monkeypatch, argv, stack
 ):
     # under a limit of 10,000 points every grid here fits, but not the 400 x 1000
-    # and 101 x 1000 twist rates or the 6 x 2000 mode weights of a kernel
+    # and 101 x 1000 twist rates, the 6 x 2000 mode weights of a kernel or the
+    # 19,900 pairs of 200 party sites
     monkeypatch.setattr(ring, "MAX_GRID_POINTS", 10_000)
     out = tmp_path / "out"
     codes = []

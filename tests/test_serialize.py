@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import peak_bytes
@@ -134,9 +134,13 @@ def grid_tables(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(grid_tables())
+@example([np.broadcast_to(np.zeros((0, 1)), (0, 3))])  # a broadcast column of no cells
 def test_grid_columns_match_their_flattened_rows(columns):
-    # a broadcast column lays out its distinct values once and gathers them per
-    # block; the text must be that of the materialized 1-D columns
+    # a broadcast column lays out its distinct values once and broadcasts their
+    # cells; the text must be that of the materialized 1-D columns, and the blocks
+    # of cells, started here even for a column of none, must cover each column
+    for c in columns:
+        assert sum(map(len, _cells.cells(c, serialize._BLOCK_ROWS))) == c.size
     header = [f"c{j}" for j in range(len(columns))]
     flat = [np.ascontiguousarray(c).reshape(-1) for c in columns]
     text = csv_text(header, columns)
@@ -230,20 +234,33 @@ def test_a_padded_grid_is_laid_out_a_block_at_a_time(shape):
 
 
 def test_a_broadcast_column_peaks_at_its_laid_out_distinct_cells():
-    # 220,000 times over 2 twists, as in a sweep: the distinct cells are held once,
-    # at the text's width, and each block's 24-byte cells are freed once copied;
-    # the widest come last, so the cells laid out before them are widened in place
+    # 220,000 times over 2 twists, as in a sweep, either way round: the distinct
+    # cells are held once, at the widest text's width, which a first pass finds
+    # before the second writes them; each block's 24-byte cells are freed once copied
     times = 0.00731 + 0.005 * np.arange(220_000)
-    column = np.broadcast_to(times, (2, times.size))
     width = max(len(serialize._FLOAT % v) for v in times.tolist())
+    for column in (np.broadcast_to(times, (2, times.size)), np.broadcast_to(times[:, None], (times.size, 2))):
 
-    def lay_out():
-        for _ in _cells.cells(column, serialize._BLOCK_ROWS):
-            pass
+        def lay_out():
+            for _ in _cells.cells(column, serialize._BLOCK_ROWS):
+                pass
 
-    assert peak_bytes(lay_out) <= times.size * width + (1 << 20)
-    flat = np.ascontiguousarray(column).reshape(-1)
-    assert_same_text(csv_text(("t",), (column,)), csv_text(("t",), (flat,)))
+        assert peak_bytes(lay_out) <= times.size * width + (1 << 20), column.strides
+        flat = np.ascontiguousarray(column).reshape(-1)
+        assert_same_text(csv_text(("t",), (column,)), csv_text(("t",), (flat,)))
+
+
+@pytest.mark.parametrize("base", [(26, 1), (1, 9_901)], ids=["twist", "time"])
+def test_a_broadcast_column_hands_float_cells_its_distinct_values_once_a_pass(monkeypatch, base):
+    # a `landscape`-shaped sweep of 26 twists x 9,901 times: the width pass and the
+    # write pass each lay out the distinct values, never the grid's 257,426 cells
+    values = np.linspace(-0.4963, 0.5037, 26) if base[0] > 1 else 0.0061 + 0.01 * np.arange(9_901)
+    column = np.broadcast_to(values.reshape(base), (26, 9_901))
+    expected = csv_text(("x",), (np.ascontiguousarray(column).reshape(-1),))
+    handed, float_cells = [], _cells.float_cells
+    monkeypatch.setattr(_cells, "float_cells", lambda v: handed.append(len(v)) or float_cells(v))
+    assert csv_text(("x",), (column,)) == expected
+    assert sum(handed) <= 2 * values.size, handed
 
 
 def test_float_cells_of_a_block_peak_below_a_dozen_block_arrays():
