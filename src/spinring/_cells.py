@@ -156,6 +156,7 @@ def cells(col: np.ndarray, rows: int):
     repeated = [a for a in range(col.ndim) if col.shape[a] > 1 and not col.strides[a]]
     if repeated:
         distinct = col[tuple(slice(0, 1) if a in repeated else slice(None) for a in range(col.ndim))]
+        # default=0 is for an empty column; csv_text never lays one out
         width = max((part.shape[1] for part in cells(distinct, rows)), default=0)
         laid, lo = np.zeros((distinct.size, width), np.uint8), 0
         for part in cells(distinct, rows):

@@ -10,8 +10,7 @@ entry names the first failing test; it survived when every test passes.  Both
 record the run's seconds.  Before any mutant, the listed test files must pass
 on an unmutated copy, so that no kill is the work of a test that fails anyway.
 
-    python tools/mutants.py              # run every mutant, rewrite MUTANTS.json
-    python tools/mutants.py NAME ...     # rerun the named ones, update their entries
+    python tools/mutants.py     # run every mutant, rewrite MUTANTS.json whole
 
 Only the standard library is imported here.  This is not part of tier-1: each
 mutant runs its test files once, and the unmutated copy runs them all once.
@@ -130,9 +129,9 @@ def first_failure(output: str) -> str:
     raise RuntimeError(f"pytest failed without naming a test:\n{output[-2000:]}")
 
 
-def run(names) -> dict:
-    """Each named mutant's entry: its why and either the test that killed it or
-    that it survived, with the run's seconds."""
+def run() -> dict:
+    """Each mutant's entry: its why and either the test that killed it or that it
+    survived, with the run's seconds."""
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp)
         for part in COPIED:
@@ -140,13 +139,12 @@ def run(names) -> dict:
                 shutil.copytree(ROOT / part, tree / part, ignore=shutil.ignore_patterns("__pycache__"))
             else:
                 shutil.copy(ROOT / part, tree / part)
-        tests = sorted({t for name in names for t in MUTANTS[name].tests})
+        tests = sorted({t for mutant in MUTANTS.values() for t in mutant.tests})
         code, output, _ = run_tests(tree, tests)
         if code:
             raise RuntimeError(f"the unmutated tree fails {first_failure(output)}")
         entries = {}
-        for name in names:
-            mutant = MUTANTS[name]
+        for name, mutant in MUTANTS.items():
             path = tree / "src" / "spinring" / mutant.file
             text = path.read_text(encoding="utf-8")
             if text.count(mutant.old) != 1:
@@ -164,16 +162,11 @@ def run(names) -> dict:
     return entries
 
 
-def main(argv: list[str]) -> int:
-    unknown = [name for name in argv if name not in MUTANTS]
-    if unknown:
-        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    record = json.loads(RECORD.read_text(encoding="utf-8")) if argv and RECORD.exists() else {}
-    record.update(run(argv or list(MUTANTS)))
+def main() -> int:
+    record = run()
     RECORD.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return 0 if all(e["status"] == "killed" for e in record.values()) else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
