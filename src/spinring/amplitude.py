@@ -209,13 +209,15 @@ class SpectralKernel:
         """Kernel row 0 of `xi_grid(b0, h, count)`, all of a one-row kernel's grid, a
         block at a time, bit for bit, each block a fresh 1-D array: `xi_rows` on the
         next whole giant rows, at most `_BLOCK` values (one giant row where that is
-        longer), cut to count."""
+        longer), cut to count, the baby steps made once for them all."""
         stride = _giant_stride(count)
         per = self._phase_block(stride, 1)  # giant rows a block; a too-wide one is refused
         giants = -(-count // stride)
-        for g in range(0, giants, per):
-            at = np.arange(g, min(g + per, giants))
-            yield self.xi_rows(b0, h, count, np.zeros_like(at), at).reshape(-1)[: count - g * stride]
+        ats = (np.arange(g, min(g + per, giants)) for g in range(0, giants, per))
+        left = count
+        for block in self._xi_batches(b0, h, count, ((np.zeros_like(at), at) for at in ats)):
+            yield block.reshape(-1)[:left]
+            left -= block.size
 
     def row_bounds(self, b0: float, h: float, count: int):
         """Bounds on `xi_grid(b0, h, count)`: (low, rows) with low[r] <= its maximum
@@ -348,30 +350,39 @@ class SpectralKernel:
         pairs, on a stacked kernel too, matches a one-rate-row kernel's
         `xi_grid` by construction.
         """
-        per = self._phase_block(_giant_stride(count), len(rows))
-        starts, stride = _giant_steps(b0, h, count)
-        out = np.empty((len(rows), stride))
-        block = np.empty((min(per, len(rows)) + 1, stride), dtype=complex)  # for every product
-        # the pairs of rate row k are a = cuts[k] <= i < cuts[k + 1] = b
-        cuts = np.searchsorted(rows, len(self._ds) * np.arange(len(self._irates) + 1))
-        for rates, a, b in zip(self._irates, cuts.tolist(), cuts[1:].tolist()):
-            if a == b:
-                continue
-            baby = np.exp(np.outer(rates, h * np.arange(stride)))
-            every = np.exp(np.outer(starts, rates)) if b - a > len(starts) else None
-            for lo in range(a, b, per):
-                hi = min(lo + per, b)
-                at = giants[lo:hi]
-                giant = every[at] if every is not None else np.exp(np.outer(starts[at], rates))
-                phases = self._weights[rows[lo:hi] % len(self._ds)] * giant
-                pair = np.repeat(phases, 2, axis=0) if hi - lo == 1 else phases
-                np.abs(np.matmul(pair, baby, out=block[: len(pair)])[: hi - lo], out=out[lo:hi])
-        out /= self.n
-        _clip_xi(out.max(initial=0.0))  # the over-unity check of every other path
-        np.minimum(out, 1.0, out=out)
-        last = len(starts) - 1
-        out[giants == last, count - last * stride :] = -np.inf
-        return out
+        return next(self._xi_batches(b0, h, count, [(rows, giants)]))
+
+    def _xi_batches(self, b0: float, h: float, count: int, batches) -> Iterator[np.ndarray]:
+        """`xi_rows` on each (rows, giants) of `batches` in turn, the giant starts made
+        once and a rate row's baby steps once for every batch in a run on it."""
+        stride = _giant_stride(count)
+        self._phase_block(stride, 1)  # a too-wide giant row is refused before its starts
+        starts, _ = _giant_steps(b0, h, count)
+        last, made = len(starts) - 1, -1  # `baby` holds the baby steps of rate row `made`
+        for rows, giants in batches:
+            per = self._phase_block(stride, len(rows))
+            out = np.empty((len(rows), stride))
+            block = np.empty((min(per, len(rows)) + 1, stride), dtype=complex)  # for every product
+            # the pairs of rate row k are a = cuts[k] <= i < cuts[k + 1] = b
+            cuts = np.searchsorted(rows, len(self._ds) * np.arange(len(self._irates) + 1)).tolist()
+            for k, (rates, a, b) in enumerate(zip(self._irates, cuts, cuts[1:])):
+                if a == b:
+                    continue
+                if k != made:
+                    baby, made = np.exp(np.outer(rates, h * np.arange(stride))), k
+                every = np.exp(np.outer(starts, rates)) if b - a > len(starts) else None
+                for lo in range(a, b, per):
+                    hi = min(lo + per, b)
+                    at = giants[lo:hi]
+                    giant = every[at] if every is not None else np.exp(np.outer(starts[at], rates))
+                    phases = self._weights[rows[lo:hi] % len(self._ds)] * giant
+                    pair = np.repeat(phases, 2, axis=0) if hi - lo == 1 else phases
+                    np.abs(np.matmul(pair, baby, out=block[: len(pair)])[: hi - lo], out=out[lo:hi])
+            out /= self.n
+            _clip_xi(out.max(initial=0.0))  # the over-unity check of every other path
+            np.minimum(out, 1.0, out=out)
+            out[giants == last, count - last * stride :] = -np.inf
+            yield out
 
     def _phase_block(self, stride: int, pairs: int) -> int:
         """The pairs a BLAS block of `xi_rows` takes at giant stride S, of `pairs` in

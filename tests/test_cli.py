@@ -950,20 +950,22 @@ def spoiled(columns, fault):
 @pytest.mark.parametrize("fault", ["shapes", "nul"])
 def test_a_refused_csv_leaves_out_unopened_and_exits_2(tmp_path, capsys, monkeypatch, fault):
     # the columns are checked before `--out` is opened or a byte is printed, even
-    # where the fault lies in the last block of the CSV: the sweep's fourth of four
+    # where the fault lies in the last block of the CSV: the sweep's fourth of four.
+    # The file and its manifest are both kept.
     def faulty(path, header, columns):
         serialize.write_csv(path, header, spoiled(columns, fault))
 
     monkeypatch.setattr(cli, "write_csv", faulty)
     out_csv = tmp_path / "curve.csv"
     out_csv.write_bytes(b"kept\n")
+    manifest_path_for(out_csv).write_bytes(b'{"argv": ["kept"]}\n')
     code = cli.main([*SWEEP_ARGV, "--beta-step", "0.001", "--out", str(out_csv)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
     assert captured.out == ""
     assert out_csv.read_bytes() == b"kept\n"
-    assert not manifest_path_for(out_csv).exists()
+    assert manifest_path_for(out_csv).read_bytes() == b'{"argv": ["kept"]}\n'
 
 
 @pytest.mark.parametrize("chunk", [0, 1], ids=["first-chunk", "later-chunk"])
@@ -971,46 +973,71 @@ def test_a_refused_csv_leaves_out_unopened_and_exits_2(tmp_path, capsys, monkeyp
 def test_a_refused_chunk_of_the_streamed_curve_exits_2(tmp_path, capsys, monkeypatch, fault, chunk):
     # the curve is streamed: a chunk is checked when it comes, and the later ones
     # do not exist yet when `--out` is opened.  A refused first chunk leaves
-    # `--out` unopened; a refused later one leaves the rows before it.  Either
-    # way nothing is printed and no manifest is written.
+    # `--out` unopened; a refused later one leaves the rows before it, also over
+    # a file longer than they are.  Either way nothing is printed and no
+    # manifest is written.
     def faulty(path, header, chunks):
         serialize.write_csv_chunks(
             path, header, (spoiled(c, fault) if i == chunk else c for i, c in enumerate(chunks))
         )
 
     monkeypatch.setattr(cli, "write_csv_chunks", faulty)
-    out_csv = tmp_path / "curve.csv"
-    out_csv.write_bytes(b"kept\n")
-    code = cli.main(["entangle", "--beta-max", "50", "--out", str(out_csv)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
-    assert captured.out == ""
-    assert not manifest_path_for(out_csv).exists()
-    if chunk == 0:
-        assert out_csv.read_bytes() == b"kept\n"
-        return
     # the grid's 10,001 points go in blocks of 81 giant rows of 101 points
     betas = scan_times(50.0, 0.005)
     entropy, overlap = entangle.entanglement_curve(0.005, len(betas))
     lines = csv_text(("beta", "entropy_ebits", "branch_overlap"), (betas, entropy, overlap))
-    assert out_csv.read_text() == "".join(lines.splitlines(keepends=True)[: 1 + 81 * 101])
+    for kept in (b"kept\n", b"kept\n" * 200_000):  # shorter, then longer than those rows
+        out_csv = tmp_path / f"curve-{len(kept)}.csv"
+        out_csv.write_bytes(kept)
+        code = cli.main(["entangle", "--beta-max", "50", "--out", str(out_csv)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not manifest_path_for(out_csv).exists()
+        if chunk == 0:
+            assert out_csv.read_bytes() == kept
+        else:
+            assert out_csv.read_text() == "".join(lines.splitlines(keepends=True)[: 1 + 81 * 101])
 
 
 def test_a_fault_after_the_streamed_curve_leaves_no_manifest(tmp_path, capsys, monkeypatch):
     # the manifest is written once the whole command has run, not with the CSV:
-    # a fault in the polish, after the curve's last block, exits 2 without one
+    # a fault in the polish, after the curve's last block, exits 2 without one,
+    # on a fresh `--out` and over an earlier run's, whose manifest goes when the
+    # file is opened, as it no longer describes it
     def faulty(*args, **kwargs):
         raise ValueError("polish refused")
 
+    earlier = tmp_path / "earlier.csv"
+    assert run_cli(capsys, "entangle", "--beta-max", "10", "--out", str(earlier))[0] == 0
+    assert manifest_path_for(earlier).exists()
     monkeypatch.setattr(entangle, "polish", faulty)
-    out_csv = tmp_path / "curve.csv"
-    code = cli.main(["entangle", "--beta-max", "20", "--step", "0.01", "--out", str(out_csv)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "polish refused" in captured.err and captured.out == ""
-    assert out_csv.read_bytes() == (DATA / "entangle_n4_beta20.csv").read_bytes()
-    assert not manifest_path_for(out_csv).exists()
+    for out_csv in (tmp_path / "curve.csv", earlier):
+        code = cli.main(["entangle", "--beta-max", "20", "--step", "0.01", "--out", str(out_csv)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "polish refused" in captured.err and captured.out == ""
+        assert out_csv.read_bytes() == (DATA / "entangle_n4_beta20.csv").read_bytes()
+        assert not manifest_path_for(out_csv).exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [SWEEP_ARGV, ("amplitude", "--n", "5", "--d", "1", "--beta", "3")], ids=["csv", "json"]
+)
+def test_an_out_is_rewritten_in_place(tmp_path, capsys, argv):
+    # over a longer file: the new bytes alone, through a hard link too, and the
+    # file keeps its mode
+    code, printed = run_cli(capsys, *argv)
+    assert code == 0
+    out, link = tmp_path / "results", tmp_path / "link"
+    out.write_bytes(b"stale\n" * 100_000)
+    out.chmod(0o600)
+    os.link(out, link)
+    assert run_cli(capsys, *argv, "--out", str(out))[0] == 0
+    assert out.read_bytes() == link.read_bytes() == printed.encode()
+    assert out.stat().st_mode & 0o777 == 0o600
+    assert load_manifest(manifest_path_for(out)).argv == [*argv, "--out", str(out)]
 
 
 @pytest.mark.parametrize(

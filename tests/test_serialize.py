@@ -1,8 +1,13 @@
 """Column-wise CSV formatting against the per-cell reference."""
 
+import dataclasses
+import itertools
 import json
 import math
+import os
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -170,10 +175,34 @@ def test_unequal_columns_are_rejected():
         csv_text((), ())
 
 
+# no file at the path, then one longer than what is written over it
+STALE = (None, 8 << 20)
+
+
+def stale_file(path, size):
+    """A file of `size` bytes at the path, none for None."""
+    path.unlink(missing_ok=True)
+    if size is not None:
+        path.write_bytes(b"stale\n" * (size // 6))
+
+
 def test_write_text_writes_the_bytes_of_one_encode(tmp_path):
     text = "\u00e9,1\n" * (1 << 20)  # two bytes to the first character
-    serialize.write_text(tmp_path / "written", text)
-    assert (tmp_path / "written").read_bytes() == text.encode("utf-8")
+    for stale in STALE:
+        stale_file(tmp_path / "written", stale)
+        serialize.write_text(tmp_path / "written", text)
+        assert (tmp_path / "written").read_bytes() == text.encode("utf-8")
+
+
+def test_a_manifest_written_over_a_longer_file_holds_its_own_bytes(tmp_path):
+    results = tmp_path / "out.csv"
+    path = serialize.manifest_path_for(results)
+    stale_file(path, 1 << 16)
+    argv = ["sweep", "--n", "4", "--out", str(results)]
+    assert serialize.write_manifest("sweep", {"n": 4}, argv, results, time.perf_counter()) == path
+    manifest = serialize.load_manifest(path)
+    assert manifest.argv == argv
+    assert path.read_bytes() == serialize.dumps(dataclasses.asdict(manifest)).encode()
 
 
 def test_dumps_writes_non_finite_floats_as_their_text():
@@ -201,7 +230,8 @@ def test_write_csv_writes_the_bytes_of_csv_text(tmp_path):
          (np.linspace(-1, 1, rows), np.arange(rows), np.arange(rows) % 3 == 0,
           [f"\u00e9{k}" for k in range(rows)])),
     ]
-    for header, columns in tables:
+    for (header, columns), stale in itertools.product(tables, STALE):
+        stale_file(tmp_path / "out.csv", stale)
         serialize.write_csv(tmp_path / "out.csv", header, columns)
         assert (tmp_path / "out.csv").read_bytes() == csv_text(header, columns).encode()
 
@@ -327,9 +357,25 @@ def test_chunks_of_any_length_reuse_their_buffers_cleanly(tmp_path, capsys, size
 def test_a_refused_later_chunk_keeps_the_rows_before_it(tmp_path, later):
     path = tmp_path / "kept.csv"
     first = ([0.125] * 300, [2.0] * 300)
-    with pytest.raises(ValueError):
-        serialize.write_csv_chunks(path, ("a", "b"), iter([first, later]))
-    assert path.read_text() == csv_text(("a", "b"), first)
+    for stale in STALE:
+        stale_file(path, stale)
+        with pytest.raises(ValueError):
+            serialize.write_csv_chunks(path, ("a", "b"), iter([first, later]))
+        assert path.read_text() == csv_text(("a", "b"), first)
+
+
+def test_a_csv_written_to_a_fifo_arrives_whole(tmp_path):
+    # a pipe cannot be cut to length (truncate raises), so the writer must not try
+    path = tmp_path / "pipe"
+    os.mkfifo(path)
+    header, columns = ("f", "beta", "xi"), grid_columns(3, serialize._BLOCK_ROWS)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(path.read_bytes()), daemon=True)
+    reader.start()
+    serialize.write_csv(path, header, columns)
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert received == [csv_text(header, columns).encode()]
 
 
 def test_a_csv_of_no_chunks_is_refused(tmp_path):

@@ -2,13 +2,14 @@
 
 A mutant is one textual edit of the package: its file under `src/spinring/`,
 the old text, the new text, why the edit should be caught and the test files
-that should catch it.  For each mutant `src/`, `tests/`, `tools/` and
-`pyproject.toml` are copied to a temporary directory, the old text is checked
-to occur exactly once and is replaced, and `python -m pytest -x -q` runs the
-listed test files there.  The mutant is killed when a test fails, and its
-entry names the first failing test; it survived when every test passes.  Both
-record the run's seconds.  Before any mutant, the listed test files must pass
-on an unmutated copy, so that no kill is the work of a test that fails anyway.
+that should catch it.  For each mutant `src/`, `tests/`, `tools/`,
+`pyproject.toml`, and the README and `benchmarks/` that tests read, are copied
+to a temporary directory, the old text is checked to occur exactly once and is
+replaced, and `python -m pytest -x -q` runs the listed test files there.  The
+mutant is killed when a test fails, and its entry names the first failing
+test; it survived when every test passes.  Both record the run's seconds.
+Before any mutant, the listed test files must pass on an unmutated copy, so
+that no kill is the work of a test that fails anyway.
 
     python tools/mutants.py     # run every mutant, rewrite MUTANTS.json whole
 
@@ -30,7 +31,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 RECORD = ROOT / "MUTANTS.json"
-COPIED = ("src", "tests", "tools", "pyproject.toml")
+COPIED = ("src", "tests", "tools", "pyproject.toml", "README.md", "benchmarks")
 
 
 class Mutant(NamedTuple):
@@ -44,6 +45,8 @@ class Mutant(NamedTuple):
 SLACK = "slack = 1e-9 + (16.0 * np.finfo(float).eps + np.repeat(spread, len(union))) * beta_end"
 REPEATED = "repeated = [a for a in range(col.ndim) if col.shape[a] > 1 and not col.strides[a]]"
 WIDEST = "width = max((part.shape[1] for part in cells(distinct, rows)), default=0)"
+CUT = "fh.truncate()  # flushes, then cuts at the bytes written"
+REGULAR = "if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):"
 
 MUTANTS = {
     "bound-curvature-reach": Mutant(
@@ -107,6 +110,27 @@ MUTANTS = {
         "_cells.py", WIDEST, "width = max(part.shape[1] for part in cells(distinct, rows))",
         "an empty broadcast column has no block to take a width from",
         ("test_serialize.py",),
+    ),
+    "rewrite-no-cut": Mutant(
+        "serialize.py", CUT, "fh.flush()",
+        "a file written over a longer one keeps the old file's tail unless it is cut",
+        ("test_serialize.py",),
+    ),
+    "rewrite-cut-on-success-only": Mutant(
+        "serialize.py", "        finally:\n            " + REGULAR,
+        "        except BaseException:\n            raise\n        else:\n            " + REGULAR,
+        "a refused later chunk must still leave exactly the rows before it",
+        ("test_serialize.py",),
+    ),
+    "rewrite-cut-any-file": Mutant(
+        "serialize.py", REGULAR, "if True:",
+        "a FIFO or a device cannot be cut to length",
+        ("test_serialize.py",),
+    ),
+    "rewrite-keeps-manifest": Mutant(
+        "serialize.py", "manifest_path_for(path).unlink(missing_ok=True)", "pass",
+        "a results file being rewritten must not keep a manifest of the run before",
+        ("test_cli.py",),
     ),
 }
 
