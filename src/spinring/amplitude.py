@@ -195,15 +195,16 @@ class SpectralKernel:
         require_grid_points(len(self._ds) * self.n, "a stack of mode weights")
         self._weights = _mode_weights(self.n, self._ds)  # one weight row per displacement
 
-    def xi_grid(self, b0: float, h: float, count: int) -> np.ndarray:
-        """|a_d| at b0 + k*h for k < count, shape (kernel rows, count): `xi_rows`
-        over every (kernel row, giant row) pair, laid end to end and cut to
-        count, so the -inf past the grid falls in the cut."""
+    def xi_grid(self, b0: float, h: float, count: int, rows=None) -> np.ndarray:
+        """|a_d| at b0 + k*h for k < count on the ascending kernel rows `rows`, all by
+        default: `xi_rows` over every (kernel row, giant row) pair, laid end to end
+        and cut to count, so the -inf past the grid falls in the cut."""
         stride = _giant_stride(count)
-        rows, giants = len(self._irates) * len(self._ds), -(-count // stride)
-        self._phase_block(stride, rows * giants)  # before the pairs are laid out
-        pairs = np.repeat(np.arange(rows), giants), np.tile(np.arange(giants), rows)
-        return self.xi_rows(b0, h, count, *pairs).reshape(rows, giants * stride)[:, :count]
+        rows = np.arange(len(self._irates) * len(self._ds)) if rows is None else np.asarray(rows)
+        giants = -(-count // stride)
+        self._phase_block(stride, len(rows) * giants)  # before the pairs are laid out
+        pairs = np.repeat(rows, giants), np.tile(np.arange(giants), len(rows))
+        return self.xi_rows(b0, h, count, *pairs).reshape(len(rows), giants * stride)[:, :count]
 
     def xi_blocks(self, b0: float, h: float, count: int) -> Iterator[np.ndarray]:
         """Kernel row 0 of `xi_grid(b0, h, count)`, all of a one-row kernel's grid, a
@@ -240,14 +241,14 @@ class SpectralKernel:
         of f under m -> N - m.  So the bounding rows are the rate rows over ds
         and N - ds, the lower of two mirrored rate rows (`_mirror_partners`)
         standing for both, its slack widened by beta times their largest rate
-        difference, as far as |a_d| can move between them.  A bounding row
-        takes the least floor of the kernel rows it stands for, +inf for none.
+        difference, as far as |a_d| can move between them.  Only bounding rows a
+        kernel row reads are laid, each at the least floor of the rows it serves.
 
         A level of stride K, a power of two (`_level_stride`), has stretches
         between the fine indices p*K.  low is read off the first level, reach
         M*(K*h)^2/8 at most `_FIRST_REACH`, with one point past the grid so
-        every grid point lies on a stretch: one `xi_grid` over every bounding
-        row.  rows(floor) halves each stretch whose bound still reaches its
+        every grid point lies on a stretch: one `xi_grid` over the bounding
+        rows.  rows(floor) halves each stretch whose bound still reaches its
         row's floor, evaluating the midpoints of all bounding rows by one
         `values` call a level, down to reach `_LAST_REACH`, and keeps the giant
         rows the stretches left there touch.  A row whose floor the last
@@ -275,13 +276,14 @@ class SpectralKernel:
         at = (np.cumsum(lead) - 1) * len(union)
         own, other = ([union.index(d) for d in side] for side in (self._ds, mirrored))
         source = np.where(lead[:, None], at[:, None] + own, at[partner, None] + other).ravel()
+        laid, source = np.unique(source, return_inverse=True)  # the bounding rows read
         spread = np.abs(rates[partner] - np.roll(rates[:, ::-1], -1, axis=1)).max(axis=1)
         spread = np.where(partner > rate_rows, spread, 0.0)[lead]
-        level = bounding.xi_grid(b0, first * h, points)
-        slack = 1e-9 + (16.0 * np.finfo(float).eps + np.repeat(spread, len(union))) * beta_end
+        level = bounding.xi_grid(b0, first * h, points, laid)
+        slack = 1e-9 + (16.0 * np.finfo(float).eps + np.repeat(spread, len(union))[laid]) * beta_end
 
         def rows(asked: np.ndarray) -> np.ndarray:
-            floor = np.full(len(level), np.inf)  # +inf on a row that stands for none
+            floor = np.full(len(level), np.inf)
             np.minimum.at(floor, source, asked)
 
             def least(width: int) -> np.ndarray:
@@ -300,7 +302,7 @@ class SpectralKernel:
                 k, ends, width = p * first, (level[r, p], level[r, p + 1]), first
                 while width > last and len(k):
                     width //= 2
-                    mid = np.abs(bounding.values(r, b0 + h * (k + width)))
+                    mid = np.abs(bounding.values(laid[r], b0 + h * (k + width)))
                     r, k = np.concatenate((r, r)), np.concatenate((k, k + width))
                     ends = (np.concatenate((ends[0], mid)), np.concatenate((mid, ends[1])))
                     # a half that starts past the grid covers none of it

@@ -1,13 +1,13 @@
 """Flux-controlled blocking of transmission to the diametric site.
 
-On a ring of N = 4*C sites with half flux (f = 1/2), the amplitude from any
-site to the site diametrically opposite (displacement d = 2*C) vanishes
-identically, for all times.  In the Bessel-ladder form the two sums run over
-the same orders (d' = N - d = d) and their coefficients cancel term by term;
-in the spectral form, modes m and N-1-m are degenerate while their DFT
-weights exp(i*pi*m) have opposite signs.  Opening the flux (f = 0) restores
-transmission, so the twist acts as an information switch for the diametric
-receiver.
+The kernel's amplitude a_d(beta) = (1/N) sum_m w_m exp(i*beta*c_m), w_m =
+exp(2*pi*i*d*m/N), is zero at every beta iff the weights of each class of
+modes with one rate c_m sum to zero (distinct frequencies are independent).
+c_m = cos(2*pi*(m+f)/N) repeats only where m + m' + 2f = 0 mod N, so a class
+is a mode or a pair, which cancels iff 2d(m' - m) = N mod 2N.  Every mode
+pairs only on an even ring at f = 1/2 mod 1 (m' = N-1-m, m' - m odd), so the
+blocked channels are exactly: N even, f = 1/2 mod 1, d = N/2.  At f = 0 every
+channel hears, so the twist switches the diametric receiver.
 """
 
 from __future__ import annotations
@@ -16,17 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitude import SpectralKernel, bessel_ladders, unit_phase
+from .amplitude import SpectralKernel
 from .ring import RingConfig, _mode_cosines
 
 # unused here, but benchmarks/spans.py patches `spinring.blockage.xi` in its
 # traced mode, so the name must stay a module attribute
 from .amplitude import xi  # noqa: F401
 
-__all__ = ["BlockageReport", "verify_blockage", "bessel_pair_coefficients"]
+__all__ = ["BlockageReport", "verify_blockage"]
 
 BLOCKED_XI = 1e-12
-_PAIR_CANCEL_TOL = 1e-14
 _SAMPLE_BLOCK = 65536
 
 
@@ -42,20 +41,21 @@ class BlockageReport:
     analytic_zero: bool
 
 
-def bessel_pair_coefficients(quarter_rings: int, k_terms: int = 16) -> np.ndarray:
-    """Paired ladder coefficients c1_k + c2_k of the half-flux diametric amplitude.
-
-    Both Bessel sums run over the same orders d + k*N, so the amplitude is
-    sum_k (c1_k + c2_k) * J_{d+kN}(beta); the theorem is that each bracket is
-    zero regardless of beta.  The coefficients are the route's (`bessel_ladders`).
-    """
-    (_, pre, turns), (_, pre_p, turns_p) = bessel_ladders(4 * quarter_rings, 2 * quarter_rings, 0.5)
-    ks = np.arange(k_terms)
-    return pre * unit_phase(turns, ks) + pre_p * unit_phase(turns_p, ks)
+def _blocked(n: int, d: int, f: float) -> bool:
+    """Whether a_d is zero at every beta, in integers: the modes m = 1..N grouped by
+    bit-equal `_mode_cosines(n, f)` (its fold makes degenerate pairs bit-equal),
+    each class a pair {m, m'} with 2d(m' - m) = N mod 2N."""
+    _, level, size = np.unique(_mode_cosines(n, f), return_inverse=True, return_counts=True)
+    if np.any(size != 2):
+        return False
+    m, m_prime = np.argsort(level, kind="stable").reshape(-1, 2).T
+    return bool(np.all(2 * (d % n) * (m_prime - m) % (2 * n) == n))
 
 
 def verify_blockage(quarter_rings: int, beta_samples) -> BlockageReport:
-    """Check half-flux diametric blocking both analytically and on beta samples."""
+    """Half-flux blocking to d = 2*C on the N = 4*C ring: `analytic_zero` is whether
+    a_d is exactly zero at every beta (`_blocked`), `max_xi_over_samples` the
+    largest xi the spectral route reads on the beta samples."""
     if not isinstance(quarter_rings, (int, np.integer)) or quarter_rings < 1:
         raise ValueError(f"quarter_rings must be a positive integer, got {quarter_rings!r}")
     samples = np.asarray(beta_samples, dtype=float).ravel()
@@ -65,9 +65,6 @@ def verify_blockage(quarter_rings: int, beta_samples) -> BlockageReport:
         raise ValueError("beta samples must be finite and >= 0")
 
     n, d = 4 * quarter_rings, 2 * quarter_rings
-    analytic_zero = bool(
-        np.max(np.abs(bessel_pair_coefficients(quarter_rings))) <= _PAIR_CANCEL_TOL
-    )
     cfg = RingConfig(n, f=0.5)  # refuses a ring too large to build its modes
     # one point sum per sample, each with the bits of `xi(cfg, d, b)`; a block
     # of samples at a time bounds the list of xi values `.xi` returns
@@ -80,6 +77,5 @@ def verify_blockage(quarter_rings: int, beta_samples) -> BlockageReport:
         f=0.5,
         samples=len(samples),
         max_xi_over_samples=worst,
-        analytic_zero=analytic_zero,
+        analytic_zero=_blocked(n, d, cfg.f),
     )
-

@@ -237,6 +237,8 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 
 def cmd_blockage(args: argparse.Namespace) -> int:
+    if not args.nn:
+        raise ValueError("--nn must name at least one quarter-ring count")
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
     if not (np.isfinite(args.beta_max) and args.beta_max >= 0.0):

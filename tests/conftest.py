@@ -13,6 +13,7 @@ lockstep form, the optimizer's and the entangling scan's former
 golden-section refinements, which the Newton polish must never fall below,
 the twist derivatives of the mode cosines, a one-point mode sum, one
 `exp` and one `np.dot`, and the entropy of an overlap in one shot.  Also the
+paired Bessel-ladder coefficients of the half-flux diametric amplitude, the
 closed-form mode energies, the entangling scan's time grid, and a
 `tracemalloc` reading of the peak memory of a call.
 """
@@ -26,7 +27,7 @@ import tracemalloc
 
 import numpy as np
 
-from spinring.amplitude import SpectralKernel, local_maxima
+from spinring.amplitude import SpectralKernel, bessel_ladders, local_maxima, unit_phase
 from spinring.bessel import _LANE, _lane_split, _start_order
 from spinring.entangle import (
     EntanglementReading,
@@ -479,6 +480,18 @@ def golden_search_reference(n, ds, spec):
         if top[2] > best[d][2] + 1e-12:
             best[d] = top
     return best
+
+
+def bessel_pair_coefficients(quarter_rings: int, k_terms: int = 16) -> np.ndarray:
+    """Paired ladder coefficients c1_k + c2_k of the half-flux diametric amplitude.
+
+    Both Bessel sums run over the same orders d + k*N, so the amplitude is
+    sum_k (c1_k + c2_k) * J_{d+kN}(beta); the theorem is that each bracket is
+    zero regardless of beta.  The coefficients are the route's (`bessel_ladders`).
+    """
+    (_, pre, turns), (_, pre_p, turns_p) = bessel_ladders(4 * quarter_rings, 2 * quarter_rings, 0.5)
+    ks = np.arange(k_terms)
+    return pre * unit_phase(turns, ks) + pre_p * unit_phase(turns_p, ks)
 
 
 def mode_energies(config: RingConfig) -> np.ndarray:

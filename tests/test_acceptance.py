@@ -10,6 +10,7 @@ import numpy as np
 from scipy.special import jv
 
 from conftest import (
+    bessel_pair_coefficients,
     evolve_joint,
     flux_ring_entanglement,
     full_space_oracle,
@@ -24,7 +25,7 @@ from spinring.amplitude import (
     xi,
     xi_profile,
 )
-from spinring.blockage import bessel_pair_coefficients, verify_blockage
+from spinring.blockage import verify_blockage
 from spinring.cli import PUBLISHED_WINDOWS
 from spinring.entangle import REFERENCE_BETA, find_entangling_time
 from spinring.optimize import SearchSpec, optimize_transfers

@@ -445,6 +445,17 @@ def test_mirror_symmetry(n, f, beta):
 
 
 @settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=RINGS, f=st.floats(-0.5, 0.5, exclude_max=True), beta=TIMES)
+def test_one_row_kernels_of_mirrored_twists_agree(data, n, f, beta):
+    # the identity `row_bounds` pairs rate rows on: the one-row kernel of -f at
+    # N - d reads the one-row kernel of f at d
+    d = data.draw(st.integers(0, n - 1), label="d")
+    [here] = SpectralKernel(_mode_cosines(n, f), (d,)).xi([0], [beta])
+    [there] = SpectralKernel(_mode_cosines(n, -f), (n - d,)).xi([0], [beta])
+    assert abs(here - there) <= 1e-11
+
+
+@settings(max_examples=100, deadline=None)
 @given(n=RINGS, f=TWISTS, beta=TIMES)
 def test_twist_period_is_one_flux_quantum(n, f, beta):
     shifted = all_displacements(n, f + 1.0, beta)

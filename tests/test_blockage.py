@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import mode_energies
-from spinring import amplitude, blockage
-from spinring.amplitude import AmplitudeQuery, amplitude_bessel, xi, xi_profile
-from spinring.blockage import BLOCKED_XI, bessel_pair_coefficients, verify_blockage
-from spinring.ring import RingConfig
+from conftest import bessel_pair_coefficients, mode_energies
+from spinring import blockage
+from spinring.amplitude import xi, xi_profile
+from spinring.blockage import BLOCKED_XI, verify_blockage
+from spinring.ring import RingConfig, _mode_cosines
 
 ROOT2 = math.sqrt(2.0)
 
@@ -41,32 +41,62 @@ def test_ladder_coefficients_cancel_term_by_term():
         assert np.max(np.abs(bessel_pair_coefficients(quarter, 32))) <= 1e-14
 
 
-def test_analytic_check_reads_the_routes_own_ladders(monkeypatch):
-    # drop the second ladder's flux factor exp(2*pi*i*f) in the one place the
-    # coefficients are written: the Bessel route and the analytic check both break
-    ladders = amplitude.bessel_ladders
+def unfolded_mode_cosines(n, f):
+    """`_mode_cosines` without its fold: the rates of a degenerate pair, computed
+    at x and N - x, may differ in their last bits."""
+    x = np.mod(np.arange(1, n + 1) + math.remainder(f, n), n)
+    return np.cos(2.0 * np.pi * x / n)
 
-    def without_flux_factor(n, d, f):
-        first, (base, _, turns) = ladders(n, d, f)
-        return first, (base, (1j) ** (base % 4), turns)
 
-    query = AmplitudeQuery(RingConfig(8, f=0.5), r=5, s=1, beta=3.0)
-    assert amplitude_bessel(query).xi <= BLOCKED_XI
-    monkeypatch.setattr(amplitude, "bessel_ladders", without_flux_factor)
-    monkeypatch.setattr(blockage, "bessel_ladders", without_flux_factor)
-    assert amplitude_bessel(query).xi > 0.1
-    assert not verify_blockage(2, [3.0]).analytic_zero
-    assert np.max(np.abs(bessel_pair_coefficients(2, 32))) > 1.0
+def test_analytic_check_reads_the_kernels_own_modes(monkeypatch):
+    # without the fold some half-flux pairs are no longer bit-equal: the kernel
+    # then sums distinct rates, the exact check refuses, and the samples,
+    # whose rounding hides a difference of a few ulps, still pass
+    rng = np.random.default_rng(44)
+    monkeypatch.setattr(blockage, "_mode_cosines", unfolded_mode_cosines)
+    for quarter in (1, 2, 3, 4):
+        n = 4 * quarter
+        assert len(np.unique(unfolded_mode_cosines(n, 0.5))) > n // 2
+        rep = verify_blockage(quarter, rng.uniform(0.0, 5000.0, 50))
+        assert not rep.analytic_zero
+        assert rep.max_xi_over_samples <= BLOCKED_XI
 
 
 @pytest.mark.parametrize("quarter", [1, 2, 3])
 def test_analytic_check_fails_a_twist_off_half_flux(monkeypatch, quarter):
-    # a negative control that can fail: 1e-10 off half flux the pair sums read
-    # ~1.9e-8, far above the check's tolerance but far below any loose one
-    ladders = amplitude.bessel_ladders
-    monkeypatch.setattr(blockage, "bessel_ladders", lambda n, d, f: ladders(n, d, f + 1e-10))
-    assert 1e-9 < np.max(np.abs(bessel_pair_coefficients(quarter))) < 1e-7
-    assert not verify_blockage(quarter, [3.0]).analytic_zero
+    # a negative control that can fail: 1e-10 off half flux no two rates are
+    # equal, so no class pairs up, though a short time hides the leak
+    monkeypatch.setattr(blockage, "_mode_cosines", lambda n, f: _mode_cosines(n, f + 1e-10))
+    assert len(np.unique(blockage._mode_cosines(4 * quarter, 0.5))) == 4 * quarter
+    rep = verify_blockage(quarter, [3.0])
+    assert not rep.analytic_zero
+    assert rep.max_xi_over_samples < 1e-9
+
+
+def test_exact_rule_matches_the_sampled_profiles_on_every_small_channel():
+    # every channel of N = 3..16, d = 1..N-1 and f in {k/16} and 0.3141: the
+    # exact verdict is blocked exactly where xi stays <= 1e-6 over beta <= 200,
+    # and that is the diametric channel of an even ring at half flux
+    blocked, channels = [], 0
+    for n in range(3, 17):
+        for f in [k / 16 for k in range(16)] + [0.3141]:
+            cfg = RingConfig(n, f=f)
+            for d in range(1, n):
+                quiet = float(xi_profile(cfg, d, 0.0, 0.05, 4001).max()) <= 1e-6
+                assert blockage._blocked(n, d, f) == quiet, (n, d, f)
+                blocked += [(n, d, f)] * quiet
+                channels += 1
+    assert channels == 2023
+    assert blocked == [(n, n // 2, 0.5) for n in range(4, 17, 2)]
+
+
+@pytest.mark.parametrize("n", [4, 6, 9, 16])
+def test_return_channel_is_never_blocked(n):
+    # d = 0 and its alias d = N: at half flux every pair of an even ring has
+    # equal weights there, so the classes add up instead of cancelling
+    for d in (0, n):
+        assert not blockage._blocked(n, d, 0.5)
+        assert xi(RingConfig(n, f=0.5), d, 0.0) == 1.0
 
 
 def test_spectral_mechanism_degenerate_pairs():

@@ -790,6 +790,9 @@ def test_sweep_zero_time_step_exits_2(capsys):
         (["sweep", "--n", "1000000000000", "--d", "1", "--f-step", "0.5", "--beta-max", "1"], 2),
         (["entangle", "--n", "1000000000000", "--beta-max", "1"], 2),
         (["blockage", "--nn", "250000000000", "--samples", "1"], 2),
+        # no ring to check: an empty report list would pass having checked nothing
+        (["blockage", "--nn", ""], 2),
+        (["blockage", "--nn", ","], 2),
     ],
 )
 def test_window_bounds_contract(tmp_path, capsys, argv, code):

@@ -262,8 +262,8 @@ def test_bound_evaluates_a_third_of_a_stride_twenty_pre_grid(monkeypatch, n, twi
     points, rows = [], []
     xi_grid, values = SpectralKernel.xi_grid, SpectralKernel.values
 
-    def grid(kernel, b0, h, count):
-        out = xi_grid(kernel, b0, h, count)
+    def grid(kernel, *args):
+        out = xi_grid(kernel, *args)
         points.append(out.size)
         rows.append(len(out))
         return out
@@ -279,6 +279,34 @@ def test_bound_evaluates_a_third_of_a_stride_twenty_pre_grid(monkeypatch, n, twi
     # twists, and for -1/2 and 0 alone (5 of 8, 21 of 40 and 201 of 400 twists)
     assert rows == [bounding * (n - 1)]
     assert sum(points) <= sum(rows) * ((count - 1) // 20 + 2) / 3
+
+
+@pytest.mark.parametrize(
+    "ds, twists, laid",
+    [
+        ((3,), (0.25,), 1),  # a lone twist reads its rate row at d, not at N - d
+        ((1, 2), (0.25,), 2),
+        ((1,), (0.1, -0.25, 0.25), 3),  # the pair's leader stands at d and N - d
+    ],
+    ids=["lone", "lone-two-ds", "pair-and-lone"],
+)
+def test_bound_lays_only_the_first_level_rows_some_kernel_row_reads(monkeypatch, ds, twists, laid):
+    # the first level's shape on the 9-ring over the default window: before,
+    # every bounding rate row was laid at both d and N - d (2, 4 and 4 rows)
+    shapes, xi_grid = [], SpectralKernel.xi_grid
+
+    def grid(kernel, *args):
+        out = xi_grid(kernel, *args)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(SpectralKernel, "xi_grid", grid)
+    spec = SearchSpec(f_candidates=twists)
+    kept = coarse_pass(9, ds, spec)
+    first, _ = strides(spec.beta_step, len(spec.beta_grid()))
+    assert shapes == [(laid, (len(spec.beta_grid()) - 1) // first + 2)] == [(laid, 3908)]
+    monkeypatch.undo()
+    assert kept == coarse_pass_reference(9, ds, spec)
 
 
 @pytest.mark.parametrize("n", [5, 7])

@@ -42,7 +42,7 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # under tests/
 
 
-SLACK = "slack = 1e-9 + (16.0 * np.finfo(float).eps + np.repeat(spread, len(union))) * beta_end"
+SLACK = "slack = 1e-9 + (16.0 * np.finfo(float).eps + np.repeat(spread, len(union))[laid]) * beta_end"
 REPEATED = "repeated = [a for a in range(col.ndim) if col.shape[a] > 1 and not col.strides[a]]"
 WIDEST = "width = max((part.shape[1] for part in cells(distinct, rows)), default=0)"
 CUT = "fh.truncate()  # flushes, then cuts at the bytes written"
@@ -86,9 +86,14 @@ MUTANTS = {
         "a blocked ring's rounding noise keeps every grid maximum without the cap",
         ("test_optimize.py",),
     ),
-    "pair-cancel-tol-1": Mutant(
-        "blockage.py", "_PAIR_CANCEL_TOL = 1e-14", "_PAIR_CANCEL_TOL = 1.0",
-        "a tolerance of 1 passes a twist off half flux as blocked",
+    "pair-congruence-mod-n": Mutant(
+        "blockage.py", "% (2 * n) == n", "% n == 0",
+        "a pair whose weights are equal adds up; only 2d(m' - m) = N mod 2N cancels",
+        ("test_blockage.py",),
+    ),
+    "ring-no-fold": Mutant(
+        "ring.py", "folded = np.minimum(x, n - x)", "folded = x",
+        "without the fold a degenerate pair's rates may differ in their last bits",
         ("test_blockage.py",),
     ),
     "float-11-digits": Mutant(
