@@ -181,9 +181,10 @@ class SpectralKernel:
     displacement.  For a ring, c_m = cos(2*pi*(m+f)/N) from `_mode_cosines`,
     so the half-flux pair cancellation holds on every path, and a_d is the
     uniform-gauge amplitude without the global phase exp(-i*D*t), so J and B
-    drop out.  Time grids are BLAS products of giant and baby steps on chosen
-    giant rows (`xi_rows`) or on all of them (`xi_grid`, or, for a one-row
-    kernel, `xi_blocks` a block of giant rows at a time), scattered points
+    drop out.  Time grids are BLAS products of giant and baby steps, on a
+    stream of batches of chosen giant rows (`xi_rows`), on all of them in one
+    batch (`xi_grid`) or, for a one-row kernel, in batches of a block of giant
+    rows (`xi_blocks`), scattered points
     (kernel row, beta) one product each (`values`, `jet`); on both, every
     kernel row has the bits of a kernel of its rate row and displacement alone.
     """
@@ -197,26 +198,27 @@ class SpectralKernel:
 
     def xi_grid(self, b0: float, h: float, count: int, rows=None) -> np.ndarray:
         """|a_d| at b0 + k*h for k < count on the ascending kernel rows `rows`, all by
-        default: `xi_rows` over every (kernel row, giant row) pair, laid end to end
-        and cut to count, so the -inf past the grid falls in the cut."""
+        default: one batch of `xi_rows`, every (kernel row, giant row) pair, laid end
+        to end and cut to count, so the -inf past the grid falls in the cut."""
         stride = _giant_stride(count)
         rows = np.arange(len(self._irates) * len(self._ds)) if rows is None else np.asarray(rows)
         giants = -(-count // stride)
         self._phase_block(stride, len(rows) * giants)  # before the pairs are laid out
         pairs = np.repeat(rows, giants), np.tile(np.arange(giants), len(rows))
-        return self.xi_rows(b0, h, count, *pairs).reshape(len(rows), giants * stride)[:, :count]
+        (grid,) = self.xi_rows(b0, h, count, [pairs])
+        return grid.reshape(len(rows), giants * stride)[:, :count]
 
     def xi_blocks(self, b0: float, h: float, count: int) -> Iterator[np.ndarray]:
         """Kernel row 0 of `xi_grid(b0, h, count)`, all of a one-row kernel's grid, a
-        block at a time, bit for bit, each block a fresh 1-D array: `xi_rows` on the
-        next whole giant rows, at most `_BLOCK` values (one giant row where that is
-        longer), cut to count, the baby steps made once for them all."""
+        block at a time, bit for bit, each block a fresh 1-D array: a batch of
+        `xi_rows` on the next whole giant rows, at most `_BLOCK` values (one giant
+        row where that is longer), cut to count."""
         stride = _giant_stride(count)
         per = self._phase_block(stride, 1)  # giant rows a block; a too-wide one is refused
         giants = -(-count // stride)
         ats = (np.arange(g, min(g + per, giants)) for g in range(0, giants, per))
         left = count
-        for block in self._xi_batches(b0, h, count, ((np.zeros_like(at), at) for at in ats)):
+        for block in self.xi_rows(b0, h, count, ((np.zeros_like(at), at) for at in ats)):
             yield block.reshape(-1)[:left]
             left -= block.size
 
@@ -236,20 +238,21 @@ class SpectralKernel:
         below its larger end value, and as (beta - u)(v - beta) <= (v - u)^2/4,
         g <= max(g(u), g(v)) + M*(v - u)^2/8 there, between the grid points too.
 
-        Mirrored rate rows share a bound.  Reflecting the ring reverses the
+        Mirrored kernel rows share a bound.  Reflecting the ring reverses the
         twist, a_d(beta, -f) = a_{N-d}(beta, f), as the rates of -f are those
-        of f under m -> N - m.  So the bounding rows are the rate rows over ds
-        and N - ds, the lower of two mirrored rate rows (`_mirror_partners`)
-        standing for both, its slack widened by beta times their largest rate
-        difference, as far as |a_d| can move between them.  Only bounding rows a
-        kernel row reads are laid, each at the least floor of the rows it serves.
+        of f under m -> N - m.  So kernel row (f, d) and kernel row (-f, N - d),
+        where `_mirror_partners` pairs their rate rows and N - d is one of ds,
+        are bounded once, on the lower-numbered of the two, its slack widened
+        by beta times their rate rows' largest rate difference, as far as |a_d|
+        can move between them.  Only these laid rows are evaluated, each at the
+        least floor of the kernel rows it serves.
 
         A level of stride K, a power of two (`_level_stride`), has stretches
         between the fine indices p*K.  low is read off the first level, reach
         M*(K*h)^2/8 at most `_FIRST_REACH`, with one point past the grid so
-        every grid point lies on a stretch: one `xi_grid` over the bounding
-        rows.  rows(floor) halves each stretch whose bound still reaches its
-        row's floor, evaluating the midpoints of all bounding rows by one
+        every grid point lies on a stretch: one `xi_grid` over the laid rows.
+        rows(floor) halves each stretch whose bound still reaches its row's
+        floor, evaluating the midpoints of all laid rows by one
         `values` call a level, down to reach `_LAST_REACH`, and keeps the giant
         rows the stretches left there touch.  A row whose floor the last
         reach brings down to 0 (a blocked landscape) keeps all its giant rows
@@ -267,20 +270,18 @@ class SpectralKernel:
             # the first level would run past the largest float: bound nothing
             return np.full(shape[0], -np.inf), lambda floor: np.ones(shape, dtype=bool)
         rates = self._irates.imag
-        partner, rate_rows = _mirror_partners(rates), np.arange(len(rates))
-        lead = partner >= rate_rows  # the rate rows that are bounded
-        mirrored = [(self.n - d) % self.n for d in self._ds]
-        union = list(dict.fromkeys(self._ds + mirrored))
-        bounding = SpectralKernel(rates[lead], union)
-        # each kernel row's bounding row: its own rate row's at d, or its leader's at N - d
-        at = (np.cumsum(lead) - 1) * len(union)
-        own, other = ([union.index(d) for d in side] for side in (self._ds, mirrored))
-        source = np.where(lead[:, None], at[:, None] + own, at[partner, None] + other).ravel()
-        laid, source = np.unique(source, return_inverse=True)  # the bounding rows read
+        partner = _mirror_partners(rates)
         spread = np.abs(rates[partner] - np.roll(rates[:, ::-1], -1, axis=1)).max(axis=1)
-        spread = np.where(partner > rate_rows, spread, 0.0)[lead]
-        level = bounding.xi_grid(b0, first * h, points, laid)
-        slack = 1e-9 + (16.0 * np.finfo(float).eps + np.repeat(spread, len(union))[laid]) * beta_end
+        # kernel row (t, j) mirrors kernel row (partner[t], there), where ds[there] = N - ds[j]
+        index = {d: i for i, d in enumerate(self._ds)}
+        row = np.arange(shape[0])
+        t, j = np.divmod(row, len(self._ds))
+        there = np.array([index.get(-d % self.n, -1) for d in self._ds], dtype=np.intp)[j]
+        paired = (partner[t] != t) & (there >= 0)
+        source = np.where(paired & (partner[t] < t), partner[t] * len(self._ds) + there, row)
+        laid, source = np.unique(source, return_inverse=True)  # the kernel rows laid
+        level = self.xi_grid(b0, first * h, points, laid)
+        slack = 1e-9 + (16.0 * np.finfo(float).eps + np.where(paired, spread[t], 0.0)[laid]) * beta_end
 
         def rows(asked: np.ndarray) -> np.ndarray:
             floor = np.full(len(level), np.inf)
@@ -302,7 +303,7 @@ class SpectralKernel:
                 k, ends, width = p * first, (level[r, p], level[r, p + 1]), first
                 while width > last and len(k):
                     width //= 2
-                    mid = np.abs(bounding.values(laid[r], b0 + h * (k + width)))
+                    mid = np.abs(self.values(laid[r], b0 + h * (k + width)))
                     r, k = np.concatenate((r, r)), np.concatenate((k, k + width))
                     ends = (np.concatenate((ends[0], mid)), np.concatenate((mid, ends[1])))
                     # a half that starts past the grid covers none of it
@@ -318,9 +319,9 @@ class SpectralKernel:
 
         def stretches(threshold: np.ndarray):
             """The first level's stretches with an end at or above threshold[r]:
-            (bounding rows r, stretches p) in chunks that each halve into at most
+            (laid rows r, stretches p) in chunks that each halve into at most
             16 * `_CHUNK` // 4 stretches."""
-            per = max(16 * _CHUNK // points, 1)  # bounding rows scanned at once
+            per = max(16 * _CHUNK // points, 1)  # laid rows scanned at once
             for top in range(0, len(level), per):
                 high = (level[top : top + per] >= threshold[top : top + per, None]).ravel()
                 at = np.flatnonzero(high[:-1] | high[1:])  # flat: 2-D nonzero is slower
@@ -331,32 +332,27 @@ class SpectralKernel:
 
         return (level[:, :-1].max(axis=1) - slack)[source], rows
 
-    def xi_rows(
-        self, b0: float, h: float, count: int, rows: np.ndarray, giants: np.ndarray
-    ) -> np.ndarray:
-        """|a_d| on giant row giants[i] of kernel row rows[i] of the grid b0 + k*h,
-        k < count: shape (pairs, S), giant row g holding the points k = g*S + j,
+    def xi_rows(self, b0: float, h: float, count: int, batches) -> Iterator[np.ndarray]:
+        """|a_d| on the grid b0 + k*h, k < count, one array a (rows, giants) batch of
+        `batches`, in turn: row i of a batch's array, shape (pairs, S), is giant row
+        giants[i] of kernel row rows[i], giant row g holding the points k = g*S + j,
         j < S = ceil(sqrt(count)), and a point past the grid, on the last giant
-        row, reading -inf.
+        row, reads -inf.
 
-        The pairs come in order of kernel row, as `np.nonzero` reads the array
-        `row_bounds`' rows(floor) returns.  Each mode phase is a giant step
+        A batch's pairs come in order of kernel row, as `np.nonzero` reads the
+        array `row_bounds`' rows(floor) returns.  Each mode phase is a giant step
         exp(i*c_m*(b0 + g*S*h)) times a baby step exp(i*c_m*j*h), one rate row
         at a time: its giant steps (over all g once it has more pairs than
         giant rows), weighted per kernel row, are BLAS products with its baby
         steps, a block of pairs each, so the pairs of one rate row, over all
-        its displacements, share its products.  BLAS gives a row of a product
-        the same bits whatever rows share it, except in a one-row product
-        (gemv or a dot, which may round differently).  So a lone row is sent
-        twice: a pair's bits never depend on its batch, and every subset of
-        pairs, on a stacked kernel too, matches a one-rate-row kernel's
-        `xi_grid` by construction.
+        its displacements, share its products.  The giant starts are made once,
+        and a rate row's baby steps once for every batch in a run on it.  BLAS
+        gives a row of a product the same bits whatever rows share it, except
+        in a one-row product (gemv or a dot, which may round differently).  So
+        a lone row is sent twice: a pair's bits never depend on its batch, and
+        every subset of pairs, on a stacked kernel too, matches a one-rate-row
+        kernel's `xi_grid` by construction.
         """
-        return next(self._xi_batches(b0, h, count, [(rows, giants)]))
-
-    def _xi_batches(self, b0: float, h: float, count: int, batches) -> Iterator[np.ndarray]:
-        """`xi_rows` on each (rows, giants) of `batches` in turn, the giant starts made
-        once and a rate row's baby steps once for every batch in a run on it."""
         stride = _giant_stride(count)
         self._phase_block(stride, 1)  # a too-wide giant row is refused before its starts
         starts, _ = _giant_steps(b0, h, count)

@@ -8,12 +8,14 @@ last a joint (twist, time) polish of each displacement's winner: `polish` on
 the exact derivatives of `SpectralKernel.jet`, all points of a ring in lockstep.
 
 The coarse grid is pruned by the kernel's curvature bound
-(`SpectralKernel.row_bounds`): only the stretches of the grid that can come
-within 1e-3 of the best are evaluated, and the kernel gives them the full
-grid's values bit for bit, so the coarse candidates are the full grid's (see
-`_coarse_pass`).  A ring's twists are stacked as the rate rows of one kernel,
-so each stage is one call over all of them; from the coarse pass to the
-records a point is a (kernel row, beta) of that kernel.
+(`SpectralKernel.row_bounds`, which bounds a twist f at d and its mirror -f
+at N - d once): only the giant rows of the grid that can come within 1e-3 of
+the best are evaluated, streamed through one `SpectralKernel.xi_rows` call,
+and the kernel gives them the full grid's values bit for bit, so the coarse
+candidates are the full grid's (see `_coarse_pass`).  A ring's twists are
+stacked as the rate rows of one kernel, so each stage is one call over all of
+them; from the coarse pass to the records a point is a (kernel row, beta) of
+that kernel.
 Near-perfect windows at different times can tie to within fractions of
 1e-3; the polished optima within 1e-3, at most 64 a grid twist, are kept on
 the record (`near_optima`) so callers can match a specific reported window
@@ -168,9 +170,10 @@ def _coarse_pass(
 
     The landscapes are the rows of that one kernel: `xi_grid` on beta_min +
     k*h, k < B, in giant rows of S = ceil(sqrt(B)) points.  Only the giant
-    rows that can hold a point within 1e-3 of the best are evaluated
-    (`_near_best_rows`, on the kernel's own bound `SpectralKernel.row_bounds`),
-    each with the bits of its twist's full grid, `_SCAN_ROWS` at a time, and
+    rows that can hold a point within 1e-3 of the best of their displacement
+    over every twist are evaluated, on the kernel's own bound
+    `SpectralKernel.row_bounds`, each with the bits of its twist's full grid:
+    one `xi_rows` call streams them `_SCAN_ROWS` at a time, and
     `NearBestMaxima` reads their runs for the local maxima within 1e-3 of
     each displacement's best; the cap of 64 a row comes after.
 
@@ -185,17 +188,22 @@ def _coarse_pass(
     """
     b0, h = spec.beta_min, spec.beta_step
     count = grid_count(spec.beta_max - b0, h)
+    low, bound = evaluating.row_bounds(b0, h, count)
+    best = low.reshape(-1, len(ds)).max(axis=0)
     # the kept giant rows of one kernel row per (twist, displacement), in order
-    rows, giants = np.nonzero(_near_best_rows(evaluating, len(ds), b0, h, count))
+    rows, giants = np.nonzero(bound(np.tile(best - NEAR_BEST, len(low) // len(ds))))
+    # free the bound's first level (~1 MB) before the scan allocates: held through it,
+    # it cost the 1/8-twist `table1` ~440 minor page faults a pass (2 vCPUs)
+    del bound
     # a run ends where the next line is not the next giant row of the same kernel row
     ends = np.append((np.diff(rows) != 0) | (np.diff(giants) != 1), True)
     maxima = NearBestMaxima(len(ds))
-    for lo in range(0, len(rows), _SCAN_ROWS):
-        at, g = rows[lo : lo + _SCAN_ROWS], giants[lo : lo + _SCAN_ROWS]
-        values = evaluating.xi_rows(b0, h, count, at, g)
+    cuts = range(0, len(rows), _SCAN_ROWS)
+    batches = ((rows[lo : lo + _SCAN_ROWS], giants[lo : lo + _SCAN_ROWS]) for lo in cuts)
+    for lo, values in zip(cuts, evaluating.xi_rows(b0, h, count, batches)):
         line_ends = np.zeros(values.shape, dtype=bool)
         line_ends[:, -1] = ends[lo : lo + _SCAN_ROWS]  # a run ends on a line's last point
-        maxima.read(values, line_ends, at % len(ds))
+        maxima.read(values, line_ends, rows[lo : lo + _SCAN_ROWS] % len(ds))
     position, value, _ = maxima.kept
     stride = values.shape[1]  # S points a giant row; the bound keeps at least one row
     line, j = np.divmod(position, stride)
@@ -204,14 +212,6 @@ def _coarse_pass(
     row, beta, value = row[order], beta[order], value[order]
     capped = np.arange(len(row)) - np.searchsorted(row, row) < _MAX_CANDIDATES_PER_ROW
     return row[capped], beta[capped], value[capped]
-
-
-def _near_best_rows(kernel: SpectralKernel, displacements: int, b0: float, h: float, count: int):
-    """The giant rows that may hold a point within `NEAR_BEST` of the best of their
-    displacement over every twist, on the bound of `SpectralKernel.row_bounds`."""
-    low, rows = kernel.row_bounds(b0, h, count)
-    best = low.reshape(-1, displacements).max(axis=0)
-    return rows(np.tile(best - NEAR_BEST, len(low) // displacements))
 
 
 def _select(points: list[TransferPoint]) -> TransferPoint:

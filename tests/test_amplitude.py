@@ -323,7 +323,7 @@ def test_kernel_refuses_a_phase_block_before_allocating():
 
     for evaluate in (
         lambda: kernel.xi_grid(0.0, 1.0, 10**14),
-        lambda: kernel.xi_rows(0.0, 1.0, 10**14, one, one),
+        lambda: next(kernel.xi_rows(0.0, 1.0, 10**14, [(one, one)])),
         lambda: next(kernel.xi_blocks(0.0, 1.0, 10**14)),
     ):
         assert peak_bytes(lambda: refuse(evaluate)) < 1 << 20

@@ -125,7 +125,7 @@ EQUIVALENCE_CASES = {
     "step-squared-overflows": (
         5, (1, 2), SearchSpec(beta_max=1e300, beta_step=1e299, f_candidates=RESTRICTED)
     ),
-    # one bounding kernel stacks a mirror pair, a rounded mirror and an unpaired
+    # one kernel stacks a mirror pair, a rounded mirror and an unpaired
     # twist over mirrored displacements that are not all searched
     "mixed-stack": (
         7, (1, 2, 4), SearchSpec(beta_max=2000.0, f_candidates=(-0.5, -0.3, -0.25, 0.25, 0.1 + 0.2))
@@ -207,10 +207,13 @@ def test_coarse_pass_keeps_rows_in_order_best_first_and_capped(case):
 def kernel_calls(monkeypatch):
     """Patch the kernel's evaluations `xi_grid`, `xi_rows` and `values` to log
     (name, arguments) of each call, but not the `xi_rows` call that `xi_grid`
-    makes inside itself: one evaluation, one entry."""
+    makes inside itself: one evaluation, one entry.  An `xi_rows` call's stream
+    of batches is logged as the list it yields."""
     calls, in_grid = [], [False]
     for name in ("xi_grid", "xi_rows", "values"):
         def logged(self, *args, _method=getattr(SpectralKernel, name), _name=name):
+            if _name == "xi_rows":
+                args = (*args[:3], list(args[3]))
             if not in_grid[0]:
                 calls.append((_name, args))
             outer, in_grid[0] = in_grid[0], in_grid[0] or _name == "xi_grid"
@@ -228,10 +231,10 @@ def evaluated_share(monkeypatch, n, ds, spec):
     with monkeypatch.context() as patch:
         calls = kernel_calls(patch)
         coarse_pass(n, ds, spec)
-    kept = [len(args[3]) for name, args in calls if name == "xi_rows"]
+    kept = [sum(len(rows) for rows, _ in args[3]) for name, args in calls if name == "xi_rows"]
     assert len(kept) == 1  # the kept rows of every twist in one stacked call
     starts, _ = _giant_steps(spec.beta_min, spec.beta_step, len(spec.beta_grid()))
-    return sum(kept) / (len(spec.f_candidates) * len(ds) * len(starts))
+    return kept[0] / (len(spec.f_candidates) * len(ds) * len(starts))
 
 
 def test_coarse_pass_prunes_the_quarter_twist_landscapes(monkeypatch):
@@ -255,8 +258,8 @@ def test_coarse_pass_prunes_the_quarter_twist_landscapes(monkeypatch):
 def test_bound_evaluates_a_third_of_a_stride_twenty_pre_grid(monkeypatch, n, twists, bounding):
     # a cost check without a clock: the (displacement, time) values the bound
     # reads on the 1/8, 1/40 and default 1/400 twist grids, its first level on
-    # every bounding row and the midpoints of the stretches it halves, against
-    # the 12,502 per bounding row of one pre-grid at every 20th fine point
+    # every laid row and the midpoints of the stretches it halves, against
+    # the 12,502 per laid row of one pre-grid at every 20th fine point
     spec = SearchSpec(f_candidates=twists)
     count = len(spec.beta_grid())
     points, rows = [], []
@@ -275,8 +278,8 @@ def test_bound_evaluates_a_third_of_a_stride_twenty_pre_grid(monkeypatch, n, twi
     monkeypatch.setattr(SpectralKernel, "xi_grid", grid)
     monkeypatch.setattr(SpectralKernel, "values", scattered)
     coarse_pass(n, tuple(range(1, n)), spec)
-    # one stacked first level: a bounding rate row for each mirrored pair of
-    # twists, and for -1/2 and 0 alone (5 of 8, 21 of 40 and 201 of 400 twists)
+    # one stacked first level: the kernel rows of one twist of each mirrored
+    # pair, and of -1/2 and 0 alone (5 of 8, 21 of 40 and 201 of 400 twists)
     assert rows == [bounding * (n - 1)]
     assert sum(points) <= sum(rows) * ((count - 1) // 20 + 2) / 3
 
@@ -287,12 +290,18 @@ def test_bound_evaluates_a_third_of_a_stride_twenty_pre_grid(monkeypatch, n, twi
         ((3,), (0.25,), 1),  # a lone twist reads its rate row at d, not at N - d
         ((1, 2), (0.25,), 2),
         ((1,), (0.1, -0.25, 0.25), 3),  # the pair's leader stands at d and N - d
+        # -1/4 at 1 and 8 stands for 1/4 at 8 and 1
+        ((1, 8), (-0.25, 0.25), 2),
+        # -1/4 at 1 and 8 stands for 1/4 at 8 and 1, but 1/4 at 3 mirrors no kernel
+        # row (6 is not searched), and 0.1 has no partner: 2 + 3 + 2 of 9 rows
+        ((1, 3, 8), (-0.25, 0.1, 0.25), 7),
     ],
-    ids=["lone", "lone-two-ds", "pair-and-lone"],
+    ids=["lone", "lone-two-ds", "pair-and-lone", "pair-over-mirrored-ds", "pair-lone-and-open"],
 )
 def test_bound_lays_only_the_first_level_rows_some_kernel_row_reads(monkeypatch, ds, twists, laid):
-    # the first level's shape on the 9-ring over the default window: before,
-    # every bounding rate row was laid at both d and N - d (2, 4 and 4 rows)
+    # the first level's shape on the 9-ring over the default window: a kernel row
+    # and its mirror, the twist -f at N - d, are laid once (once every bounding
+    # rate row was laid at both d and N - d: 2, 4 and 4 rows for the first three)
     shapes, xi_grid = [], SpectralKernel.xi_grid
 
     def grid(kernel, *args):
@@ -322,6 +331,20 @@ def test_coarse_pass_calls_do_not_grow_with_the_twist_grid(monkeypatch, n):
     first, last = strides(0.02, len(SearchSpec().beta_grid()))
     halvings = (first // last).bit_length() - 1  # 64 -> 4
     assert counts[0] == counts[1] == {"xi_grid": 1, "xi_rows": 1, "values": halvings}
+
+
+def test_coarse_pass_streams_several_scan_batches_through_one_call(monkeypatch):
+    # both half-flux twists block the hexagon's diameter, so the bound keeps
+    # all 2 x 316 giant rows: three batches of at most 256 giant rows
+    n, ds, spec = 6, (3,), SearchSpec(beta_max=2000.0, f_candidates=(-0.5, 0.5))
+    with monkeypatch.context() as patch:
+        calls = kernel_calls(patch)
+        kept = coarse_pass(n, ds, spec)
+    [batches] = [args[3] for name, args in calls if name == "xi_rows"]
+    starts, _ = _giant_steps(spec.beta_min, spec.beta_step, len(spec.beta_grid()))
+    assert len(starts) == 316 and optimize._SCAN_ROWS == 256
+    assert [len(rows) for rows, _ in batches] == [256, 256, 120]
+    assert kept == coarse_pass_reference(n, ds, spec)
 
 
 @pytest.mark.parametrize("n", [5, 7])
@@ -389,7 +412,7 @@ def test_fine_rows_match_the_full_grid_bit_for_bit(n, ds, count):
             keep[i, rows] = True
             keep[len(ds) + i, rows[-1]] = True
             pairs, giants = np.nonzero(keep)
-            values = stacked.xi_rows(1.5, 0.02, count, pairs, giants)
+            (values,) = stacked.xi_rows(1.5, 0.02, count, [(pairs, giants)])
             assert values.shape == (len(rows) + 1, stride)
             for pair, g, got in zip(pairs, giants, values):
                 twist, d = divmod(pair, len(ds))
@@ -584,6 +607,19 @@ def test_blocked_task_reports_window_start():
     assert rec.xi <= 1e-12
     assert rec.beta == 0.0
     assert rec.f == 0.5
+
+
+@pytest.mark.parametrize("n, d, f", [(6, 3, -0.250353), (4, 2, -0.249771)])
+def test_an_exact_tie_between_mirrored_twists_goes_to_the_negative_one(n, d, f):
+    # the diameter's landscapes at +-1/4 are each other's mirror, so their best
+    # grid maxima tie exactly in time, |f| and xi, and the tie rule's last key,
+    # the negative twist, picks the winner the joint polish starts from
+    spec = SearchSpec(beta_max=200.0, f_candidates=(-0.25, 0.25))
+    rec = optimize_transfers(n, (d,), spec)[d]
+    tied = [p for p in rec.near_optima if abs(p.f) == 0.25][:2]
+    assert [p.f for p in tied] == [-0.25, 0.25]
+    assert tied[0].beta == tied[1].beta and tied[0].xi == tied[1].xi
+    assert rec.f == pytest.approx(f, abs=1e-6)
 
 
 def test_mirrored_tasks_produce_mirrored_optima():

@@ -42,11 +42,14 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # under tests/
 
 
-SLACK = "slack = 1e-9 + (16.0 * np.finfo(float).eps + np.repeat(spread, len(union))[laid]) * beta_end"
+SLACK = "slack = 1e-9 + (16.0 * np.finfo(float).eps + np.where(paired, spread[t], 0.0)[laid]) * beta_end"
 REPEATED = "repeated = [a for a in range(col.ndim) if col.shape[a] > 1 and not col.strides[a]]"
 WIDEST = "width = max((part.shape[1] for part in cells(distinct, rows)), default=0)"
 CUT = "fh.truncate()  # flushes, then cuts at the bytes written"
 REGULAR = "if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):"
+AGREED = "return EXIT_OK if value_deviation <= METHOD_AGREEMENT_TOL else "
+TRUNCATED = "except BesselTruncationError as exc:\n        print(f\"error: {exc}\", file=sys.stderr)\n"
+GAUGE = "np.exp(1j * (-2.0 * np.pi * math.remainder(config.f, n) / n))"
 
 MUTANTS = {
     "bound-curvature-reach": Mutant(
@@ -60,9 +63,19 @@ MUTANTS = {
         ("test_amplitude.py",),
     ),
     "bound-spread-times-0": Mutant(
-        "amplitude.py", "np.repeat(spread, len(union))", "np.repeat(0.0 * spread, len(union))",
+        "amplitude.py", "np.where(paired, spread[t], 0.0)", "np.where(paired, 0.0 * spread[t], 0.0)",
         "a mirrored twist's rates differ from its leader's; the bound must widen by that spread",
         ("test_amplitude.py",),
+    ),
+    "bound-pairs-own-twist": Mutant(
+        "amplitude.py", "paired = (partner[t] != t) & (there >= 0)", "paired = there >= 0",
+        "an unpaired twist's kernel row stands for no mirror, so its slack needs no spread",
+        ("test_optimize.py",),
+    ),
+    "xi-rows-first-baby-steps": Mutant(
+        "amplitude.py", "if k != made:", "if made < 0:",
+        "each rate row's pairs need its own baby steps, not the first rate row's",
+        ("test_optimize.py",),
     ),
     "maxima-no-carry": Mutant(
         "amplitude.py", "cut = len(ys) if breaks[-1] else len(ys) - 2", "cut = len(ys)",
@@ -81,6 +94,11 @@ MUTANTS = {
         "a one-row BLAS product may round differently from the row in a batch",
         ("test_optimize.py",),
     ),
+    "tie-positive-twist-first": Mutant(
+        "optimize.py", "(p.beta, abs(p.f), p.f)", "(p.beta, abs(p.f), -p.f)",
+        "an exact tie in time and |f| goes to the negative twist",
+        ("test_optimize.py",),
+    ),
     "no-candidate-cap": Mutant(
         "optimize.py", "_MAX_CANDIDATES_PER_ROW = 64", "_MAX_CANDIDATES_PER_ROW = 1 << 62",
         "a blocked ring's rounding noise keeps every grid maximum without the cap",
@@ -95,6 +113,68 @@ MUTANTS = {
         "ring.py", "folded = np.minimum(x, n - x)", "folded = x",
         "without the fold a degenerate pair's rates may differ in their last bits",
         ("test_blockage.py",),
+    ),
+    "ring-gauge-phase-sign": Mutant(
+        "ring.py", GAUGE, GAUGE.replace("-2.0", "2.0"),
+        "the uniform-gauge bond phase exp(-2*pi*i*f/N) makes the DFT modes eigenvectors",
+        ("test_ring.py",),
+    ),
+    "ring-negative-beta": Mutant(
+        "ring.py", "if not math.isfinite(beta) or beta < 0:", "if not math.isfinite(beta):",
+        "a negative scaled time is refused, not run backwards",
+        ("test_ring.py",),
+    ),
+    "bessel-norm-counts-j0-twice": Mutant(
+        "bessel.py", "norm = 2.0 * math.fsum(trial[::2]) - trial[0]",
+        "norm = 2.0 * math.fsum(trial[::2])",
+        "J_0 + 2 sum_k J_2k = 1 counts J_0 once",
+        ("test_bessel.py",),
+    ),
+    "bessel-one-replay": Mutant(
+        "bessel.py", "rescaled[-_REPLAYS:]", "rescaled[-1:]",
+        "an order stored before the last rescale but one still feels it",
+        ("test_bessel.py",),
+    ),
+    "bessel-lane-split-at-x": Mutant(
+        "bessel.py", "max(int(x - 2.0 * x ** (1.0 / 3.0)), 0)", "max(int(x), 0)",
+        "lanes up to the turning point grow too fast to fill from their solutions",
+        ("test_bessel.py",),
+    ),
+    "entangle-tie-to-latest": Mutant(
+        "entangle.py", "beta_best = min(", "beta_best = max(",
+        "an entropy tie goes to the earliest time",
+        ("test_entangle.py",),
+    ),
+    "entangle-run-never-ends": Mutant(
+        "entangle.py", "block[0] == last", "block[0] > last",
+        "the curve's last grid point ends its run, so it can be a maximum",
+        ("test_entangle.py",),
+    ),
+    "entangle-entropy-in-nats": Mutant(
+        "entangle.py", "np.log2(", "np.log(",
+        "the entanglement is counted in ebits, a base-2 entropy",
+        ("test_entangle.py",),
+    ),
+    "cli-disagreement-exits-4": Mutant(
+        "cli.py", AGREED + "EXIT_METHOD_DISAGREEMENT", AGREED + "EXIT_PHYSICS",
+        "routes that disagree exit 3, not the physics failure's 4",
+        ("test_cli.py",),
+    ),
+    "cli-agreement-tol-1e-6": Mutant(
+        "cli.py", "METHOD_AGREEMENT_TOL = 1e-8", "METHOD_AGREEMENT_TOL = 1e-6",
+        "the routes must agree on the complex amplitude to 1e-8",
+        ("test_cli.py",),
+    ),
+    "cli-truncation-exits-4": Mutant(
+        "cli.py", TRUNCATED + "        return EXIT_METHOD_DISAGREEMENT",
+        TRUNCATED + "        return EXIT_PHYSICS",
+        "a Bessel series that does not converge is a method failure, exit 3",
+        ("test_cli.py",),
+    ),
+    "cli-spread-skips-nan": Mutant(
+        "cli.py", "float(np.max([abs(a - b)", "float(max([abs(a - b)",
+        "Python's max skips a nan that is not first; a nan route is a nan deviation",
+        ("test_cli.py",),
     ),
     "float-11-digits": Mutant(
         "serialize.py", '_FLOAT = "%.12g"', '_FLOAT = "%.11g"',
