@@ -72,7 +72,7 @@ _CHUNK = 65536
 # fresh pages for every block.
 _BLOCK = 8192
 # Largest curvature reach M*(K*h)^2/8, in |a|^2, of the first and of the last
-# level of `SpectralKernel.row_bounds` (strides K = 64 and 4 at h = 0.02 on a
+# level of `SpectralKernel._near_rows` (strides K = 64 and 4 at h = 0.02 on a
 # ring): the first still prunes most stretches of a landscape, the last
 # decides which giant rows are evaluated.
 _FIRST_REACH = 0.25
@@ -81,6 +81,8 @@ _LAST_REACH = 1e-3
 _MAX_POLISH_ROUNDS = 64
 # the window of the grid maxima the searches polish, and of the coarse pass's bound
 NEAR_BEST = 1e-3
+# giant rows `SpectralKernel.near_best_maxima` evaluates and scans at once
+_SCAN_ROWS = 256
 
 
 class BesselTruncationError(RuntimeError):
@@ -182,8 +184,9 @@ class SpectralKernel:
     so the half-flux pair cancellation holds on every path, and a_d is the
     uniform-gauge amplitude without the global phase exp(-i*D*t), so J and B
     drop out.  Time grids are BLAS products of giant and baby steps, on a
-    stream of batches of chosen giant rows (`xi_rows`), on all of them in one
-    batch (`xi_grid`) or, for a one-row kernel, in batches of a block of giant
+    stream of batches of chosen giant rows (`xi_rows`; `near_best_maxima`
+    chooses those of its near-best maxima), on all of them in one batch
+    (`xi_grid`) or, for a one-row kernel, in batches of a block of giant
     rows (`xi_blocks`), scattered points
     (kernel row, beta) one product each (`values`, `jet`); on both, every
     kernel row has the bits of a kernel of its rate row and displacement alone.
@@ -222,11 +225,38 @@ class SpectralKernel:
             yield block.reshape(-1)[:left]
             left -= block.size
 
-    def row_bounds(self, b0: float, h: float, count: int):
-        """Bounds on `xi_grid(b0, h, count)`: (low, rows) with low[r] <= its maximum
-        on kernel row r, and rows(floor) a boolean array of shape (kernel rows,
-        giant rows) that holds wherever giant row g of kernel row r may hold a
-        value >= floor[r].
+    def near_best_maxima(self, b0: float, h: float, count: int):
+        """The local maxima of `xi_grid(b0, h, count)` within `NEAR_BEST` of their
+        displacement's best over every rate row, as `local_maxima` finds them on each
+        kernel row: (kernel rows, betas, values) arrays, as `NearBestMaxima` keeps them.
+
+        Only the giant rows `_near_rows` keeps are evaluated, one `xi_rows` call
+        streaming them `_SCAN_ROWS` at a time.  The points equal the full grid's:
+        every value of a dropped row lies below best - `NEAR_BEST`, so (i) a point
+        at or above it keeps its local-maximum status, its neighbours being below
+        it either way, and (ii) the best is unchanged.
+        """
+        rows, giants = self._near_rows(b0, h, count, NEAR_BEST)
+        # a run ends where the next pair is not the next giant row of the same kernel row
+        ends = np.append((np.diff(rows) != 0) | (np.diff(giants) != 1), True)
+        maxima = NearBestMaxima(len(self._ds))
+        cuts = range(0, len(rows), _SCAN_ROWS)
+        batches = ((rows[lo : lo + _SCAN_ROWS], giants[lo : lo + _SCAN_ROWS]) for lo in cuts)
+        for lo, values in zip(cuts, self.xi_rows(b0, h, count, batches)):
+            line_ends = np.zeros(values.shape, dtype=bool)
+            line_ends[:, -1] = ends[lo : lo + _SCAN_ROWS]  # a run ends on a line's last point
+            maxima.read(values, line_ends, rows[lo : lo + _SCAN_ROWS] % len(self._ds))
+        position, value, _ = maxima.kept
+        stride = _giant_stride(count)
+        line, j = np.divmod(position, stride)
+        return rows[line], b0 + h * (giants[line] * stride + j), value
+
+    def _near_rows(self, b0: float, h: float, count: int, window: float):
+        """The (kernel row, giant row) pairs of `xi_grid(b0, h, count)` that may hold a
+        value within `window` of their displacement's best: two arrays, in order of
+        kernel row, then giant row.  Every giant row of a dropped pair lies below
+        its displacement's floor, the best low bound over every rate row minus
+        `window`, on and between its grid points, up to the next row's first point.
 
         The bound is on the curvature of g = |a_d|^2.  With a = (1/N) sum_m
         w_m exp(i*beta*c_m) and |w_m| = 1, |a| <= 1 and |a''| <= mean_m c_m^2, so
@@ -248,16 +278,15 @@ class SpectralKernel:
         least floor of the kernel rows it serves.
 
         A level of stride K, a power of two (`_level_stride`), has stretches
-        between the fine indices p*K.  low is read off the first level, reach
-        M*(K*h)^2/8 at most `_FIRST_REACH`, with one point past the grid so
-        every grid point lies on a stretch: one `xi_grid` over the laid rows.
-        rows(floor) halves each stretch whose bound still reaches its row's
-        floor, evaluating the midpoints of all laid rows by one
-        `values` call a level, down to reach `_LAST_REACH`, and keeps the giant
-        rows the stretches left there touch.  A row whose floor the last
+        between the fine indices p*K.  The first level, reach M*(K*h)^2/8 at
+        most `_FIRST_REACH`, has one point past the grid so every grid point
+        lies on a stretch: one `xi_grid` over the laid rows, whose maxima less
+        the slack are the low bounds.  Each stretch whose bound still reaches
+        its row's floor is halved, the midpoints of all laid rows by one
+        `values` call a level, down to reach `_LAST_REACH`, and the giant rows
+        the stretches left there touch are kept.  A row whose floor the last
         reach brings down to 0 (a blocked landscape) keeps all its giant rows
-        unhalved, and one whose floor is +inf keeps none.  Both bounds carry a
-        slack for the levels' different rounding.
+        unhalved.  Both bounds carry a slack for the levels' different rounding.
         """
         stride = _giant_stride(count)
         shape = (len(self._irates) * len(self._ds), -(-count // stride))
@@ -267,8 +296,8 @@ class SpectralKernel:
         points = (count - 1) // first + 2
         beta_end = b0 + (points - 1) * first * h
         if not math.isfinite(beta_end):
-            # the first level would run past the largest float: bound nothing
-            return np.full(shape[0], -np.inf), lambda floor: np.ones(shape, dtype=bool)
+            # the first level would run past the largest float: keep every pair
+            return np.nonzero(np.ones(shape, dtype=bool))
         rates = self._irates.imag
         partner = _mirror_partners(rates)
         spread = np.abs(rates[partner] - np.roll(rates[:, ::-1], -1, axis=1)).max(axis=1)
@@ -282,24 +311,32 @@ class SpectralKernel:
         laid, source = np.unique(source, return_inverse=True)  # the kernel rows laid
         level = self.xi_grid(b0, first * h, points, laid)
         slack = 1e-9 + (16.0 * np.finfo(float).eps + np.where(paired, spread[t], 0.0)[laid]) * beta_end
+        # each displacement's floor, then each laid row's: the least of the kernel rows it serves
+        best = (level[:, :-1].max(axis=1) - slack)[source].reshape(-1, len(self._ds)).max(axis=0)
+        floor = np.full(len(level), np.inf)
+        np.minimum.at(floor, source, np.tile(best - window, len(self._irates)))
 
-        def rows(asked: np.ndarray) -> np.ndarray:
-            floor = np.full(len(level), np.inf)
-            np.minimum.at(floor, source, asked)
+        def least(width: int) -> np.ndarray:
+            # sqrt((max(ends) + slack)^2 + M*(width*h)^2/8) + slack >= floor, and
+            # every floor is finite: a step whose square overflows reaches them all
+            step = width * h
+            lift = np.maximum(floor - slack, 0.0) ** 2 - curvature * (step * step) / 8.0
+            return np.sqrt(np.maximum(lift, 0.0)) - slack
 
-            def least(width: int) -> np.ndarray:
-                # sqrt((max(ends) + slack)^2 + M*(width*h)^2/8) + slack >= floor;
-                # a step whose square overflows reaches every floor but +inf
-                step = width * h
-                lift = np.maximum(floor - slack, 0.0) ** 2
-                np.subtract(lift, curvature * (step * step) / 8.0, out=lift, where=lift < np.inf)
-                return np.sqrt(np.maximum(lift, 0.0)) - slack
-
-            # where even the last level's threshold is <= 0, every stretch stays
-            # alive at every level: keep all the rows and halve none
-            everywhere = least(last) <= 0.0
-            keep = np.zeros((len(level), shape[1]), dtype=bool)
-            for r, p in stretches(np.where(everywhere, np.inf, least(first))):
+        # where even the last level's threshold is <= 0, every stretch stays
+        # alive at every level: keep all the rows and halve none
+        everywhere = least(last) <= 0.0
+        threshold = np.where(everywhere, np.inf, least(first))
+        keep = np.zeros((len(level), shape[1]), dtype=bool)
+        # the first level's stretches with an end at or above their row's threshold,
+        # in chunks that each halve into at most 16 * `_CHUNK` // 4 stretches
+        per = max(16 * _CHUNK // points, 1)  # laid rows scanned at once
+        for top in range(0, len(level), per):
+            high = (level[top : top + per] >= threshold[top : top + per, None]).ravel()
+            at = np.flatnonzero(high[:-1] | high[1:])  # flat: 2-D nonzero is slower
+            at = at[at % points < points - 1]  # a stretch ends on its own row
+            for lo in range(0, len(at), _CHUNK // 4):
+                r, p = np.divmod(top * points + at[lo : lo + _CHUNK // 4], points)
                 k, ends, width = p * first, (level[r, p], level[r, p + 1]), first
                 while width > last and len(k):
                     width //= 2
@@ -315,22 +352,7 @@ class SpectralKernel:
                     keep[r, g] = True
                     on = g < end
                     r, g, end = r[on], g[on] + 1, end[on]
-            return (keep | everywhere[:, None])[source]
-
-        def stretches(threshold: np.ndarray):
-            """The first level's stretches with an end at or above threshold[r]:
-            (laid rows r, stretches p) in chunks that each halve into at most
-            16 * `_CHUNK` // 4 stretches."""
-            per = max(16 * _CHUNK // points, 1)  # laid rows scanned at once
-            for top in range(0, len(level), per):
-                high = (level[top : top + per] >= threshold[top : top + per, None]).ravel()
-                at = np.flatnonzero(high[:-1] | high[1:])  # flat: 2-D nonzero is slower
-                at = at[at % points < points - 1]  # a stretch ends on its own row
-                for lo in range(0, len(at), _CHUNK // 4):
-                    r, p = np.divmod(at[lo : lo + _CHUNK // 4], points)
-                    yield r + top, p
-
-        return (level[:, :-1].max(axis=1) - slack)[source], rows
+        return np.nonzero((keep | everywhere[:, None])[source])
 
     def xi_rows(self, b0: float, h: float, count: int, batches) -> Iterator[np.ndarray]:
         """|a_d| on the grid b0 + k*h, k < count, one array a (rows, giants) batch of
@@ -339,19 +361,18 @@ class SpectralKernel:
         j < S = ceil(sqrt(count)), and a point past the grid, on the last giant
         row, reads -inf.
 
-        A batch's pairs come in order of kernel row, as `np.nonzero` reads the
-        array `row_bounds`' rows(floor) returns.  Each mode phase is a giant step
-        exp(i*c_m*(b0 + g*S*h)) times a baby step exp(i*c_m*j*h), one rate row
-        at a time: its giant steps (over all g once it has more pairs than
-        giant rows), weighted per kernel row, are BLAS products with its baby
-        steps, a block of pairs each, so the pairs of one rate row, over all
-        its displacements, share its products.  The giant starts are made once,
-        and a rate row's baby steps once for every batch in a run on it.  BLAS
-        gives a row of a product the same bits whatever rows share it, except
-        in a one-row product (gemv or a dot, which may round differently).  So
-        a lone row is sent twice: a pair's bits never depend on its batch, and
-        every subset of pairs, on a stacked kernel too, matches a one-rate-row
-        kernel's `xi_grid` by construction.
+        A batch's pairs come in order of kernel row, as `_near_rows` returns
+        them.  Each mode phase is a giant step exp(i*c_m*(b0 + g*S*h)) times a
+        baby step exp(i*c_m*j*h), one rate row at a time: its giant steps (over
+        all g once it has more pairs than giant rows), weighted per kernel row,
+        are BLAS products with its baby steps, a block of pairs each, so the
+        pairs of one rate row, over all its displacements, share its products.
+        The giant starts are made once, and a rate row's baby steps once for
+        every batch in a run on it.  BLAS gives a row of a product the same bits
+        whatever rows share it, except in a one-row product (gemv or a dot,
+        which may round differently).  So a lone row is sent twice: a pair's
+        bits never depend on its batch, and every subset of pairs, on a stacked
+        kernel too, matches a one-rate-row kernel's `xi_grid` by construction.
         """
         stride = _giant_stride(count)
         self._phase_block(stride, 1)  # a too-wide giant row is refused before its starts
@@ -652,4 +673,5 @@ def xi(config: RingConfig, d: int, beta: float) -> float:
 
 def xi_profile(config: RingConfig, d: int, b0: float, h: float, count: int) -> np.ndarray:
     """xi on the time grid b0 + k*h, k < count (spectral route, `SpectralKernel.xi_grid`)."""
+    _scaled_time(config, b0)
     return SpectralKernel(_mode_cosines(config.n, config.f), (d,)).xi_grid(b0, h, count)[0]

@@ -326,6 +326,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for flag, step in (("--f-step", args.f_step), ("--beta-step", args.beta_step)):
         if not 0.0 < step < math.inf:
             raise ValueError(f"{flag} must be positive and finite, got {step!r}")
+    if args.beta_min < 0.0:
+        raise ValueError(f"--beta-min must be >= 0, got {args.beta_min!r}")
     if not (args.f_min <= args.f_max and args.beta_min <= args.beta_max):
         raise ValueError("empty window: need --f-min <= --f-max and --beta-min <= --beta-max")
     twist_count = grid_count(args.f_max - args.f_min, args.f_step)

@@ -22,11 +22,15 @@ branches); the 4-site overlap works out to
 
     ov(beta) = (1 + cos(beta)) cos(beta/r2)/2 + sin(beta) sin(beta/r2)/2,
 
-with r2 = sqrt(2).  At beta = pi the zero-flux branch has fully transferred
-to the diametric site, which the half-flux branch can never reach (it is
-blocked), so the branches are exactly orthogonal and the scan finds a full
-ebit there regardless of gauge: its Newton polish down |<b0|b1>|^2 lands
-on pi itself (`find_entangling_time`).
+with r2 = sqrt(2).  On every even ring the overlap is real: m -> m + N/2
+turns the mode angle by pi, so every rate r_m = c_m(1/2) - c_m(0) into -r_m,
+and the phases pair with their conjugates.  No rate is 0, so the overlap is
+a cosine sum of mean 0 that starts at 1 and changes sign.  At its first root
+the branches are exactly orthogonal and the scan finds a full ebit: its
+Newton polish down |<b0|b1>|^2 lands on the root (`find_entangling_time`),
+beta = pi itself on the 4-ring, 4.6458 on the 6-ring, 6.1634 on the 8-ring.
+On an odd ring the overlap is complex and stays off 0 (its least |<b0|b1>|
+over beta <= 50 is 2.5e-5 at N = 9 and 3.4e-7 at N = 11).
 
 The scan never holds its curve whole.  It makes the curve a block of whole
 giant rows at a time (`SpectralKernel.xi_blocks`, so every value has the bits

@@ -7,15 +7,14 @@ grid twist, of every coarse local maximum within 1e-3 of the coarse best, and
 last a joint (twist, time) polish of each displacement's winner: `polish` on
 the exact derivatives of `SpectralKernel.jet`, all points of a ring in lockstep.
 
-The coarse grid is pruned by the kernel's curvature bound
-(`SpectralKernel.row_bounds`, which bounds a twist f at d and its mirror -f
-at N - d once): only the giant rows of the grid that can come within 1e-3 of
-the best are evaluated, streamed through one `SpectralKernel.xi_rows` call,
-and the kernel gives them the full grid's values bit for bit, so the coarse
-candidates are the full grid's (see `_coarse_pass`).  A ring's twists are
-stacked as the rate rows of one kernel, so each stage is one call over all of
-them; from the coarse pass to the records a point is a (kernel row, beta) of
-that kernel.
+The coarse grid's maxima come from the kernel itself
+(`SpectralKernel.near_best_maxima`): its curvature bound, which bounds a
+twist f at d and its mirror -f at N - d once, keeps only the stretches of
+the grid that can come within 1e-3 of the best, and it evaluates them with
+the full grid's values bit for bit, so the coarse candidates are the full
+grid's (see `_coarse_pass`).  A ring's twists are stacked as the rate rows
+of one kernel, so each stage is one call over all of them; from the coarse
+pass to the records a point is a (kernel row, beta) of that kernel.
 Near-perfect windows at different times can tie to within fractions of
 1e-3; the polished optima within 1e-3, at most 64 a grid twist, are kept on
 the record (`near_optima`) so callers can match a specific reported window
@@ -33,7 +32,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .amplitude import NEAR_BEST, NearBestMaxima, SpectralKernel, grid_count, polish
+from .amplitude import NEAR_BEST, SpectralKernel, grid_count, polish
 
 # unused here, but benchmarks/spans.py patches `spinring.optimize.xi` in its
 # traced mode, so the name must stay a module attribute
@@ -53,8 +52,6 @@ __all__ = [
 
 _XI_TIE = 1e-12
 _MAX_CANDIDATES_PER_ROW = 64
-# giant rows the coarse pass evaluates and scans at once
-_SCAN_ROWS = 256
 # below this the landscape is blocked/noise and searching off the candidate
 # twists would only chase rounding, so the record keeps the candidate twist
 _TWIST_REFINE_FLOOR = 1e-9
@@ -160,54 +157,24 @@ def fidelity_from_xi(value: float) -> float:
 
 
 def _coarse_pass(
-    evaluating: SpectralKernel, ds: tuple[int, ...], spec: SearchSpec
+    kernel: SpectralKernel, spec: SearchSpec
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Coarse grid sweep; returns the keep-worthy points as (kernel row, beta, xi)
     arrays, by kernel row, best first within a row (ties by beta), at most 64 a row.
 
-    `evaluating` stacks each twist's `_mode_cosines(n, f)`, in the order of
+    `kernel` stacks each twist's `_mode_cosines(n, f)`, in the order of
     `spec.f_candidates`, over ds: kernel row t*len(ds) + j is twist t at ds[j].
-
-    The landscapes are the rows of that one kernel: `xi_grid` on beta_min +
-    k*h, k < B, in giant rows of S = ceil(sqrt(B)) points.  Only the giant
-    rows that can hold a point within 1e-3 of the best of their displacement
-    over every twist are evaluated, on the kernel's own bound
-    `SpectralKernel.row_bounds`, each with the bits of its twist's full grid:
-    one `xi_rows` call streams them `_SCAN_ROWS` at a time, and
-    `NearBestMaxima` reads their runs for the local maxima within 1e-3 of
-    each displacement's best; the cap of 64 a row comes after.
-
-    The points equal the full grid's.  Every value of a skipped row lies
-    below best - 1e-3, so (i) a point at or above best - 1e-3 keeps its
-    local-maximum status, its neighbours being below it either way; (ii) the
-    best is unchanged; (iii) the window and the cap each keep a best-first
+    Its `near_best_maxima` gives the full grid's local maxima within 1e-3 of
+    their displacement's best over every twist, evaluated only where its
+    curvature bound (`SpectralKernel._near_rows`) says they can lie.  The cap
+    of 64 a row comes after: the window and the cap each keep a best-first
     prefix of a row's local maxima, so they commute.
 
     The cap binds on blocked landscapes, whose rounding noise is all in the
     window, and not on the table's twist grids (both pinned by tests).
     """
     b0, h = spec.beta_min, spec.beta_step
-    count = grid_count(spec.beta_max - b0, h)
-    low, bound = evaluating.row_bounds(b0, h, count)
-    best = low.reshape(-1, len(ds)).max(axis=0)
-    # the kept giant rows of one kernel row per (twist, displacement), in order
-    rows, giants = np.nonzero(bound(np.tile(best - NEAR_BEST, len(low) // len(ds))))
-    # free the bound's first level (~1 MB) before the scan allocates: held through it,
-    # it cost the 1/8-twist `table1` ~440 minor page faults a pass (2 vCPUs)
-    del bound
-    # a run ends where the next line is not the next giant row of the same kernel row
-    ends = np.append((np.diff(rows) != 0) | (np.diff(giants) != 1), True)
-    maxima = NearBestMaxima(len(ds))
-    cuts = range(0, len(rows), _SCAN_ROWS)
-    batches = ((rows[lo : lo + _SCAN_ROWS], giants[lo : lo + _SCAN_ROWS]) for lo in cuts)
-    for lo, values in zip(cuts, evaluating.xi_rows(b0, h, count, batches)):
-        line_ends = np.zeros(values.shape, dtype=bool)
-        line_ends[:, -1] = ends[lo : lo + _SCAN_ROWS]  # a run ends on a line's last point
-        maxima.read(values, line_ends, rows[lo : lo + _SCAN_ROWS] % len(ds))
-    position, value, _ = maxima.kept
-    stride = values.shape[1]  # S points a giant row; the bound keeps at least one row
-    line, j = np.divmod(position, stride)
-    row, beta = rows[line], b0 + h * (giants[line] * stride + j)
+    row, beta, value = kernel.near_best_maxima(b0, h, grid_count(spec.beta_max - b0, h))
     order = np.lexsort((beta, -value, row))
     row, beta, value = row[order], beta[order], value[order]
     capped = np.arange(len(row)) - np.searchsorted(row, row) < _MAX_CANDIDATES_PER_ROW
@@ -236,7 +203,7 @@ def optimize_transfers(
     require_grid_points(len(twists) * n, "a stack of twist rates")
     # one kernel row per (twist, displacement), twist first
     kernel = SpectralKernel([_mode_cosines(n, f) for f in twists], ds)
-    rows, betas, values = _coarse_pass(kernel, ds, spec)
+    rows, betas, values = _coarse_pass(kernel, spec)
 
     # each coarse candidate at or above the refine floor (below it is blocked
     # noise) in beta alone, in +-beta_step: zero twist slopes keep its twist

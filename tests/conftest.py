@@ -322,7 +322,7 @@ def coarse_pass(n, ds, spec):
     from (kernel row, beta, xi) arrays into the per-d lists of `coarse_pass_reference`."""
     kernel = SpectralKernel([_mode_cosines(n, f) for f in spec.f_candidates], ds)
     kept = {d: [] for d in ds}
-    for row, beta, value in zip(*(x.tolist() for x in _coarse_pass(kernel, ds, spec))):
+    for row, beta, value in zip(*(x.tolist() for x in _coarse_pass(kernel, spec))):
         twist, j = divmod(row, len(ds))
         kept[ds[j]].append((spec.f_candidates[twist], beta, value))
     return kept

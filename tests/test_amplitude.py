@@ -311,6 +311,13 @@ def test_profiles_are_the_kernel_grid_bit_for_bit(n, d, f, b0, h, count):
     assert np.array_equal(entropy, _entropy_from_overlap(grid))
 
 
+@pytest.mark.parametrize("b0", [-10.0, -1e-300, math.inf, math.nan])
+def test_profile_refuses_a_start_that_is_not_a_time(b0):
+    # a profile starts at a scaled time, checked where every beta is
+    with pytest.raises(ValueError, match="beta must be finite and >= 0"):
+        xi_profile(RingConfig(5), 1, b0, 1.0, 3)
+
+
 def test_kernel_refuses_a_phase_block_before_allocating():
     # 1e14 times in rows of 1e7: the 1e5 x 1e7 baby-step block would be 16 TB, and
     # the grid's 1e7 giant starts and (kernel row, giant row) pairs 80 MB each
@@ -370,28 +377,38 @@ def test_half_flux_diametric_channel_stays_blocked_on_the_grid(half, b0, h, coun
     count=st.one_of(st.sampled_from([1, 2, 3, 21, 400, 401]), st.integers(1, 3000)),
     offsets=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=4),
     nudge=st.sampled_from([None, 0.0, 1e-13, -3e-13]),
-    # the floor's distance below each kernel row's grid maximum
+    # the window: the floor's distance below each displacement's best
     depth=st.one_of(st.sampled_from([0.0, 1e-3]), st.floats(-0.05, 0.5)),
 )
 # a one-point grid whose floor is its own value: the bound needs its slack
 @example(n=4, f=0.0, b0=0.0, h=0.0625, count=1, offsets=[0.0], nudge=None, depth=0.0)
 # a mirror only up to 1e-13 in the twist, read up to beta ~ 2e4: it needs the spread
 @example(n=3, f=0.0, b0=0.0, h=49.0, count=400, offsets=[0.0], nudge=1e-13, depth=0.0)
-def test_row_bounds_hold_on_and_between_grid_points(n, f, b0, h, count, offsets, nudge, depth):
-    # rows(floor) keeps every giant row of kernel row r that holds a value at
-    # or above floor[r] anywhere on its stretch, up to the next row's first
-    # point, and low[r] is at most the grid's maximum.  With a nudge, the
-    # kernel stacks the twist -f + nudge as a second rate row, which the
-    # bound reads off f's rows at the mirrored displacements.
+# stretches halved from stride 16 to 1: a quarter of the curvature's reach drops
+# giant rows that hold grid points above the floor
+@example(n=3, f=0.0, b0=0.0, h=0.05, count=400, offsets=[0.5], nudge=None, depth=0.0)
+# one point at beta 1e6 (h is below half its ulp, so the point past the grid is
+# the same time): at d = 1, -f + 1e-13 reads 1e-7 below f at N - d, on which it
+# is laid, and that stands 5e-8 above f at d, the true best; without the spread
+# the floor rises over that best and drops its row
+@example(n=3, f=2.5e-14, b0=1e6, h=1e-12, count=1, offsets=[0.0], nudge=1e-13, depth=0.0)
+def test_near_rows_hold_on_and_between_grid_points(n, f, b0, h, count, offsets, nudge, depth):
+    # every giant row of kernel row r that `_near_rows` drops lies below its
+    # displacement's grid best minus the window anywhere on its stretch, up to
+    # the next row's first point, and each displacement's best row is kept
+    # when the window is not negative.  With a nudge, the kernel stacks the
+    # twist -f + nudge as a second rate row, which the bound reads off f's rows
+    # at the mirrored displacements.
     twists = [f] if nudge is None else [f, -f + nudge]
     kernel = SpectralKernel([_mode_cosines(n, t) for t in twists], range(n))
-    low, rows_above = kernel.row_bounds(b0, h, count)
+    rows, giants = kernel._near_rows(b0, h, count, depth)
     starts, stride = _giant_steps(b0, h, count)
+    assert np.all(np.diff(rows * len(starts) + giants) > 0)  # by kernel row, then giant row
+    keep = np.zeros((len(twists) * n, len(starts)), dtype=bool)
+    keep[rows, giants] = True
     grid = kernel.xi_grid(b0, h, count)
-    assert np.all(low <= grid.max(axis=1))
-    floor = grid.max(axis=1) - depth
-    keep = rows_above(floor)
-    assert keep.shape == (len(twists) * n, len(starts)) and keep.dtype == bool
+    by_displacement = grid.reshape(len(twists), n, count)
+    floor = np.tile(by_displacement.max(axis=(0, 2)) - depth, len(twists))
     k = np.arange(count)
     fractions = np.concatenate([k + t for t in [0.0, *offsets]])
     dense = np.concatenate([point_xi(n, t, range(n), b0 + h * fractions) for t in twists])
@@ -400,6 +417,10 @@ def test_row_bounds_hold_on_and_between_grid_points(n, f, b0, h, count, offsets,
     row = np.minimum(fractions.astype(int), count - 1) // stride
     dropped = ~keep[:, row]
     assert np.all(dense[dropped] < np.broadcast_to(floor[:, None], dense.shape)[dropped])
+    if depth >= 0.0:
+        # the first twist, then the first time, that holds each displacement's best
+        twist, at = np.divmod(by_displacement.transpose(1, 0, 2).reshape(n, -1).argmax(axis=1), count)
+        assert np.all(keep[twist * n + np.arange(n), at // stride])
 
 
 # Properties the optimizer's bound-pruned coarse pass rests on, drawn over
@@ -447,7 +468,7 @@ def test_mirror_symmetry(n, f, beta):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), n=RINGS, f=st.floats(-0.5, 0.5, exclude_max=True), beta=TIMES)
 def test_one_row_kernels_of_mirrored_twists_agree(data, n, f, beta):
-    # the identity `row_bounds` pairs rate rows on: the one-row kernel of -f at
+    # the identity `_near_rows` pairs rate rows on: the one-row kernel of -f at
     # N - d reads the one-row kernel of f at d
     d = data.draw(st.integers(0, n - 1), label="d")
     [here] = SpectralKernel(_mode_cosines(n, f), (d,)).xi([0], [beta])

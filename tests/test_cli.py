@@ -782,6 +782,8 @@ def test_sweep_zero_time_step_exits_2(capsys):
         (["entangle", "--beta-max", "inf"], 2),
         (["blockage", "--nn", "1", "--beta-max", "inf"], 2),
         (["sweep", "--n", "5", "--d", "1", "--beta-min", "5", "--beta-max", "5"], 0),
+        # a start before time zero, as `amplitude --beta` and `--config` refuse it
+        (["sweep", "--n", "5", "--d", "1", "--beta-min", "-10", "--beta-max", "0", "--f-step", "1"], 2),
         (["blockage", "--nn", "1", "--beta-max", "-1"], 2),
         (["blockage", "--nn", "1", "--samples", "-3"], 2),
         # rings whose arrays would need terabytes: numpy fails at once if a bound is missed

@@ -154,6 +154,21 @@ def test_scan_finds_full_ebit_at_pi():
     assert ref.entropy_ebits < 0.85
 
 
+@pytest.mark.parametrize("n", range(4, 17, 2))
+def test_every_even_ring_reaches_a_full_ebit_at_the_first_root(n):
+    # m -> m + N/2 turns every rate r_m into -r_m, so on an even ring the
+    # overlap is a real cosine sum (|Im| measured up to 4.0e-15 on the grid):
+    # it changes sign, and the scan lands on its first root with a full ebit
+    betas = scan_times(50.0, 0.005)
+    kernel = SpectralKernel(_overlap_rates(n, 1), (0,))
+    overlap = kernel.values(np.zeros(len(betas), dtype=np.intp), betas)
+    assert np.abs(overlap.imag).max() <= 1e-14
+    first = np.flatnonzero(np.sign(overlap.real[1:]) != np.sign(overlap.real[:-1]))[0]
+    best = find_entangling_time(50.0, 0.005, n).best
+    assert best.entropy_ebits == 1.0 and best.branch_overlap <= 3e-16
+    assert betas[first] <= best.beta <= betas[first + 1]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(3, 9),

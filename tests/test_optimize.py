@@ -134,13 +134,13 @@ EQUIVALENCE_CASES = {
 
 
 def mirror_pairs(n, twists):
-    """The twist pairs whose rate rows `SpectralKernel.row_bounds` bounds as one."""
+    """The twist pairs whose rate rows `SpectralKernel._near_rows` bounds as one."""
     partner = amplitude._mirror_partners(np.array([_mode_cosines(n, f) for f in twists]))
     return [(twists[i], twists[j]) for i, j in enumerate(partner.tolist()) if i < j]
 
 
 def strides(h, count):
-    """The first and last level strides of `SpectralKernel.row_bounds` on a ring (M = 1)."""
+    """The first and last level strides of `SpectralKernel._near_rows` on a ring (M = 1)."""
     return (amplitude._level_stride(h, count, reach, 1.0)
             for reach in (amplitude._FIRST_REACH, amplitude._LAST_REACH))
 
@@ -164,8 +164,10 @@ def test_pruned_coarse_pass_keeps_what_the_full_grid_keeps(case):
         assert count == 101 and first == last == 128
     if case == "window-at-the-float-limit":
         kernel = SpectralKernel(_mode_cosines(n, 0.25), ds)
-        low, rows = kernel.row_bounds(0.0, spec.beta_step, count)
-        assert np.all(low == -np.inf) and np.all(rows(np.full(len(ds), 2.0)))
+        rows, giants = kernel._near_rows(0.0, spec.beta_step, count, amplitude.NEAR_BEST)
+        starts, _ = _giant_steps(0.0, spec.beta_step, count)
+        assert np.array_equal(rows, np.repeat(np.arange(len(ds)), len(starts)))
+        assert np.array_equal(giants, np.tile(np.arange(len(starts)), len(ds)))
     pairs = mirror_pairs(n, spec.f_candidates)
     if case == "unpaired-twists":
         assert pairs == [(-0.25, 0.25)]
@@ -193,7 +195,7 @@ def test_coarse_pass_keeps_rows_in_order_best_first_and_capped(case):
     # each displacement's best itself is pinned by the equivalence test above
     n, ds, spec = EQUIVALENCE_CASES[case]
     kernel = SpectralKernel([_mode_cosines(n, f) for f in spec.f_candidates], ds)
-    row, beta, value = optimize._coarse_pass(kernel, ds, spec)
+    row, beta, value = optimize._coarse_pass(kernel, spec)
     assert len(row) and np.all(np.diff(row) >= 0)
     same = np.diff(row) == 0
     assert np.all(np.diff(value)[same] <= 0)
@@ -342,7 +344,7 @@ def test_coarse_pass_streams_several_scan_batches_through_one_call(monkeypatch):
         kept = coarse_pass(n, ds, spec)
     [batches] = [args[3] for name, args in calls if name == "xi_rows"]
     starts, _ = _giant_steps(spec.beta_min, spec.beta_step, len(spec.beta_grid()))
-    assert len(starts) == 316 and optimize._SCAN_ROWS == 256
+    assert len(starts) == 316 and amplitude._SCAN_ROWS == 256
     assert [len(rows) for rows, _ in batches] == [256, 256, 120]
     assert kept == coarse_pass_reference(n, ds, spec)
 

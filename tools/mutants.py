@@ -49,6 +49,8 @@ CUT = "fh.truncate()  # flushes, then cuts at the bytes written"
 REGULAR = "if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):"
 AGREED = "return EXIT_OK if value_deviation <= METHOD_AGREEMENT_TOL else "
 TRUNCATED = "except BesselTruncationError as exc:\n        print(f\"error: {exc}\", file=sys.stderr)\n"
+NEGATIVE_START = ('    if args.beta_min < 0.0:\n'
+                  '        raise ValueError(f"--beta-min must be >= 0, got {args.beta_min!r}")\n')
 GAUGE = "np.exp(1j * (-2.0 * np.pi * math.remainder(config.f, n) / n))"
 
 MUTANTS = {
@@ -70,6 +72,11 @@ MUTANTS = {
     "bound-pairs-own-twist": Mutant(
         "amplitude.py", "paired = (partner[t] != t) & (there >= 0)", "paired = there >= 0",
         "an unpaired twist's kernel row stands for no mirror, so its slack needs no spread",
+        ("test_optimize.py",),
+    ),
+    "near-best-groups-by-kernel-row": Mutant(
+        "amplitude.py", "rows[lo : lo + _SCAN_ROWS] % len(self._ds))", "rows[lo : lo + _SCAN_ROWS])",
+        "the scan's maxima are kept within 1e-3 of their displacement's best, not their row's",
         ("test_optimize.py",),
     ),
     "xi-rows-first-baby-steps": Mutant(
@@ -174,6 +181,11 @@ MUTANTS = {
     "cli-spread-skips-nan": Mutant(
         "cli.py", "float(np.max([abs(a - b)", "float(max([abs(a - b)",
         "Python's max skips a nan that is not first; a nan route is a nan deviation",
+        ("test_cli.py",),
+    ),
+    "sweep-negative-start": Mutant(
+        "cli.py", NEGATIVE_START, "",
+        "a sweep that starts before time zero is refused, as every other beta is",
         ("test_cli.py",),
     ),
     "float-11-digits": Mutant(
